@@ -2,9 +2,10 @@
 
 Public surface, by concern:
 
-- benefit: BenefitFunction / BenefitProfile (concave benefits, aggregate
-  marginal, social optimum)
-- game: LotteryInstance / DesignPoint / solve_equilibrium and friends
+- benefit: BenefitProfile (a vector of scaled-log coefficients a; aggregate
+  marginal H(G) = sum(a)/(G+1), social optimum G* = sum(a) - 1)
+- game: LotteryInstance / DesignPoint / solve_equilibrium (one share-function
+  root; `iterations` counts its root evaluations) and friends
 - analysis: reward threshold, public-good and price-of-anarchy bounds,
   property checkers
 - design: ConstraintSet / DesignProblem, convex reformulation, LP solve,
@@ -13,7 +14,7 @@ Public surface, by concern:
 - harness / cli: scenario configs, pipelines, reports
 """
 
-from .benefit import BenefitFunction, BenefitProfile
+from .benefit import BenefitProfile
 from .design import (
     ConstraintSet,
     DesignProblem,
@@ -63,7 +64,6 @@ from .simplex import LinearProgram, SimplexResult, solve_lp
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenefitFunction",
     "BenefitProfile",
     "Branch",
     "Bus",

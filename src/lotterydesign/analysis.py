@@ -93,7 +93,7 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
     c_bar = float(c.sum())
     g_star = profile.socially_optimal_good()
     g_upper = max(g_star, c_bar)
-    m = max(1.0 - profile.functions[i].slope(g_upper) for i in range(profile.n_players))
+    m = 1.0 - float(profile.slopes(g_upper).min())
     if m >= 1.0:  # pragma: no cover - slopes are strictly positive
         raise InvariantViolationError("marginal shortfall reached 1; slopes must be positive")
     if m <= 0.0:
@@ -136,9 +136,7 @@ def assured_active_count(profile: BenefitProfile, design: DesignPoint) -> int:
     g_upper = max(profile.socially_optimal_good(), c_bar)
     R = design.reward
     base = R / (R + g_upper - c_bar)
-    return sum(
-        1 for f in profile.functions if base + f.slope(g_upper) - 1.0 > 0.0
-    )
+    return int(np.count_nonzero(base + profile.slopes(g_upper) - 1.0 > 0.0))
 
 
 def _guarded_invert(profile, arg: float, side: str, strict: bool,
@@ -322,9 +320,7 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
     else:
         gu = max(g_star, c_bar)
         base = R / (R + gu - c_bar)
-        floors = np.array([
-            c[i] + R * (base + profile.functions[i].slope(gu) - 1.0) for i in range(n)
-        ])
+        floors = c + R * (base + profile.slopes(gu) - 1.0)
         margin = float(np.min(eq.s_star - floors))
         checks.append(PropertyCheck("investment_lower_bound", margin >= -1e-9, margin))
 

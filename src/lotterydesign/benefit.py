@@ -1,10 +1,12 @@
 """Concave benefit functions, their aggregate marginal, and the social optimum.
 
-Each player draws benefit h_i(v) from the public good v. The supported family
-is the scaled logarithm a_i*ln(v+1): strictly increasing, strictly concave,
-h_i(0) = 0, with slope a_i/(v+1) vanishing at infinity. A profile aggregates
-the per-player marginals into H(G) = sum_i h_i'(G); the socially optimal good
-G* is the unique root of H(G) = 1, which exists whenever H(0) > 1.
+Each player draws benefit h_i(v) = a_i*ln(v+1) from the public good v: the
+scaled logarithm is strictly increasing, strictly concave, h_i(0) = 0, with
+slope a_i/(v+1) vanishing at infinity. A profile is the coefficient vector a.
+Every slope shares the denominator v+1, so the aggregate marginal is
+H(G) = sum_i h_i'(G) = A/(G+1) with A = sum_i a_i, and the socially optimal
+good, the unique root of H(G) = 1, is G* = A - 1. It exists whenever
+H(0) = A > 1.
 """
 
 from __future__ import annotations
@@ -13,102 +15,38 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DomainError, InvariantViolationError, OutOfCodomainError
 
-# Absolute tolerance on the residual H(G) - target at a computed root.
-ROOT_RESIDUAL_TOL = 1e-10
 
-# Grid used to numerically spot-check the shape requirements at construction.
-_SHAPE_CHECK_GRID = (0.0, 0.5, 1.0, 10.0, 100.0, 1e4)
-
-
-def _scaled_log_value(a: float, v: float) -> float:
-    return a * math.log1p(v)
-
-
-def _scaled_log_slope(a: float, v: float) -> float:
-    return a / (v + 1.0)
-
-
-def _scaled_log_curvature(a: float, v: float) -> float:
-    return -a / (v + 1.0) ** 2
-
-
-# family tag -> (value, slope, curvature); each maps (coefficient, v) -> float.
-_FAMILIES = {
-    "scaled_log": (_scaled_log_value, _scaled_log_slope, _scaled_log_curvature),
-}
-
-
-@dataclass(frozen=True)
-class BenefitFunction:
-    """One player's benefit function, identified by family tag and coefficient."""
-
-    coefficient: float
-    family: str = "scaled_log"
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvariantViolationError(f"unknown benefit family {self.family!r}")
-        if not (self.coefficient > 0.0) or not math.isfinite(self.coefficient):
-            raise InvariantViolationError(
-                f"benefit coefficient must be positive and finite, got {self.coefficient!r}"
-            )
-        self._check_shape()
-
-    def _check_shape(self):
-        # Numeric spot check of the shape requirements: zero at zero, strictly
-        # increasing, strictly concave, slope positive and decreasing.
-        if abs(self.value(0.0)) > 1e-12:
-            raise InvariantViolationError("benefit function must vanish at zero")
-        values = [self.value(v) for v in _SHAPE_CHECK_GRID]
-        slopes = [self.slope(v) for v in _SHAPE_CHECK_GRID]
-        for k in range(1, len(_SHAPE_CHECK_GRID)):
-            if not values[k] > values[k - 1]:
-                raise InvariantViolationError("benefit function must be strictly increasing")
-            if not slopes[k] < slopes[k - 1]:
-                raise InvariantViolationError("benefit slope must be strictly decreasing")
-        if min(slopes) <= 0.0:
-            raise InvariantViolationError("benefit slope must stay positive")
-
-    def value(self, v: float) -> float:
-        if v < 0.0:
-            raise DomainError(f"public good must be nonnegative, got {v!r}")
-        return _FAMILIES[self.family][0](self.coefficient, v)
-
-    def slope(self, v: float) -> float:
-        if v < 0.0:
-            raise DomainError(f"public good must be nonnegative, got {v!r}")
-        return _FAMILIES[self.family][1](self.coefficient, v)
-
-    def curvature(self, v: float) -> float:
-        if v < 0.0:
-            raise DomainError(f"public good must be nonnegative, got {v!r}")
-        return _FAMILIES[self.family][2](self.coefficient, v)
-
-    def value_and_slope(self, v: float) -> tuple[float, float]:
-        """Return (h_i(v), h_i'(v)) for v >= 0."""
-        return self.value(v), self.slope(v)
+def _check_good(G: float) -> None:
+    if G < 0.0:
+        raise DomainError(f"public good must be nonnegative, got {G!r}")
 
 
 @dataclass(frozen=True)
 class BenefitProfile:
-    """Ordered collection of benefit functions for the N players of a game.
+    """Scaled-log benefit coefficients a_i > 0 of the N players of a game.
 
     Construction rejects profiles whose aggregate marginal at zero does not
     exceed one: without that, financing any positive public good is socially
     undesirable and no interior optimum exists.
     """
 
-    functions: tuple[BenefitFunction, ...]
+    coefficients: np.ndarray
     marginal_at_zero: float = field(init=False)
 
     def __post_init__(self):
-        if len(self.functions) < 1:
-            raise InvariantViolationError("profile needs at least one player")
-        h0 = sum(f.slope(0.0) for f in self.functions)
+        a = np.array(self.coefficients, dtype=float)
+        if a.ndim != 1 or a.size < 1:
+            raise InvariantViolationError("profile needs a nonempty vector of coefficients")
+        if not np.all(np.isfinite(a)) or not np.all(a > 0.0):
+            raise InvariantViolationError(
+                f"benefit coefficients must be positive and finite, got {a.tolist()!r}"
+            )
+        a.setflags(write=False)
+        object.__setattr__(self, "coefficients", a)
+        h0 = float(a.sum())
         if not h0 > 1.0:
             raise InvariantViolationError(
                 f"aggregate marginal at zero must exceed 1, got {h0:.6g}"
@@ -118,41 +56,44 @@ class BenefitProfile:
     @classmethod
     def scaled_log(cls, coefficients) -> "BenefitProfile":
         """Build a profile of scaled-log functions from a coefficient sequence."""
-        return cls(tuple(BenefitFunction(float(a)) for a in coefficients))
+        return cls(coefficients)
 
     @property
     def n_players(self) -> int:
-        return len(self.functions)
+        return self.coefficients.size
 
     def values(self, G: float) -> np.ndarray:
-        return np.array([f.value(G) for f in self.functions])
+        _check_good(G)
+        return self.coefficients * math.log1p(G)
 
     def slopes(self, G: float) -> np.ndarray:
-        return np.array([f.slope(G) for f in self.functions])
+        _check_good(G)
+        return self.coefficients / (G + 1.0)
 
     def curvatures(self, G: float) -> np.ndarray:
-        return np.array([f.curvature(G) for f in self.functions])
+        _check_good(G)
+        return -self.coefficients / (G + 1.0) ** 2
 
     def aggregate_value(self, G: float) -> float:
         """Sum of all players' benefits at public good G."""
-        return float(sum(f.value(G) for f in self.functions))
+        _check_good(G)
+        return self.marginal_at_zero * math.log1p(G)
 
     def aggregate_marginal(self, G: float) -> float:
         """H(G) = sum of all players' marginal benefits; strictly decreasing."""
-        return float(sum(f.slope(G) for f in self.functions))
+        _check_good(G)
+        return self.marginal_at_zero / (G + 1.0)
 
     def aggregate_curvature(self, G: float) -> float:
-        return float(sum(f.curvature(G) for f in self.functions))
+        _check_good(G)
+        return -self.marginal_at_zero / (G + 1.0) ** 2
 
     def socially_optimal_good(self) -> float:
-        """The unique G* > 0 with H(G*) = 1, by bracketed root-finding."""
-        g_star = self.invert_aggregate(1.0)
-        if not math.isfinite(g_star):  # pragma: no cover - excluded by construction
-            raise InvariantViolationError("aggregate marginal never reaches 1")
-        return g_star
+        """The unique G* > 0 with H(G*) = 1, namely sum(a) - 1."""
+        return self.invert_aggregate(1.0)
 
     def invert_aggregate(self, y: float) -> float:
-        """Solve H(G) = y for G >= 0.
+        """Solve H(G) = y for G >= 0, in closed form G = A/y - 1.
 
         Values in (0, H(0)] invert uniquely (H is strictly decreasing); y = H(0)
         maps to 0 exactly. Nonpositive y returns +inf: H stays positive, so the
@@ -167,27 +108,7 @@ class BenefitProfile:
             )
         if y == self.marginal_at_zero:
             return 0.0
-        hi = 1.0
-        while self.aggregate_marginal(hi) >= y:
-            hi *= 2.0
-            if hi > 1e18:  # pragma: no cover - H decays to 0 for valid families
-                raise InvariantViolationError("bracket expansion failed inverting H")
-        root = brentq(lambda g: self.aggregate_marginal(g) - y, 0.0, hi, xtol=1e-12)
-        return self._polish_root(root, y)
-
-    def _polish_root(self, G: float, y: float) -> float:
-        # A couple of Newton steps to push the residual to machine level; the
-        # bisection tolerance alone can leave |H(G)-y| above ROOT_RESIDUAL_TOL
-        # when H is flat (large profiles).
-        for _ in range(3):
-            r = self.aggregate_marginal(G) - y
-            if abs(r) <= ROOT_RESIDUAL_TOL * 1e-2:
-                break
-            d = self.aggregate_curvature(G)
-            if d == 0.0:  # pragma: no cover
-                break
-            G = max(0.0, G - r / d)
-        return G
+        return self.marginal_at_zero / y - 1.0
 
     def socially_optimal_payoff(self) -> float:
         """Aggregate payoff sum_i h_i(G*) - G* at the socially optimal good."""

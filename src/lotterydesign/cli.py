@@ -33,8 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(verb, help=f"run the {verb} pipeline")
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--workers", type=int, default=None,
-                       help="concurrent sweep workers")
         p.add_argument("--seed", type=int, default=None, help="seed override")
     p = sub.add_parser("selftest", help="run the property and golden-number battery")
     p.add_argument("--out", default=None, help="optional report directory")
@@ -55,8 +53,7 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get("LOTTERYDESIGN_OUT")
     try:
         cfg = ScenarioConfig.from_file(args.config)
-        result = run_scenario(args.verb, cfg, out_dir=out_dir,
-                              workers=args.workers, seed=args.seed)
+        result = run_scenario(args.verb, cfg, out_dir=out_dir, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

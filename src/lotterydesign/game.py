@@ -6,8 +6,8 @@ benefit h_i(sum_j s_j - R) from the financed public good, and pays s_i;
 otherwise the lottery is canceled and everyone gets zero. The designer-chosen
 offsets c_i shift each player's winning odds while the shares still sum to one.
 
-The unique Nash equilibrium is computed by an active-set loop around a scalar
-root-find on the aggregate first-order condition of the active players.
+The equilibrium is one scalar root in the good G of the players' clipped
+closed-form investments (the share-function method for aggregative games).
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from .errors import (
 
 # Investments below this are reported as inactive.
 TOL_ACTIVE = 1e-9
-# Required accuracy of the first-order conditions at a returned equilibrium.
+# Required accuracy of the first-order conditions at a returned equilibrium,
+# and of sum s = G + R relative to max(1, G + R).
 FOC_TOL = 1e-8
-# Inactive players are pulled back in when their residual exceeds this.
-_TOL_ADD = 1e-10
 # Smallest admissible pool when bracketing the aggregate FOC.
 _POOL_FLOOR = 1e-12
 
@@ -125,7 +124,20 @@ def payoff(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
             "total investment equals total perturbation: reward shares are undefined"
         )
     share = (s[i] - design.perturbation[i]) / pool
-    return float(share * R + instance.profile.functions[i].value(total - R) - s[i])
+    return float(share * R + instance.profile.values(total - R)[i] - s[i])
+
+
+def _foc_residuals(instance: LotteryInstance, design: DesignPoint, s: np.ndarray) -> np.ndarray:
+    # Every player's marginal payoff dU_k/ds_k at a validated profile s.
+    R = design.reward
+    total = float(s.sum())
+    if total < R:
+        raise DomainError("first-order condition undefined while the lottery is canceled")
+    pool = total - design.perturbation_total
+    if pool <= 0.0:
+        raise SingularPoolError("first-order condition requires a positive pool")
+    own = s - design.perturbation
+    return R * (pool - own) / pool**2 + instance.profile.slopes(total - R) - 1.0
 
 
 def foc_residual(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
@@ -134,103 +146,32 @@ def foc_residual(instance: LotteryInstance, design: DesignPoint, s, i: int) -> f
     Zero for active equilibrium players, nonpositive for inactive ones.
     """
     s = _check_profile_shape(instance, design, s)
-    R = design.reward
-    total = float(s.sum())
-    if total < R:
-        raise DomainError("first-order condition undefined while the lottery is canceled")
-    pool = total - design.perturbation_total
-    if pool <= 0.0:
-        raise SingularPoolError("first-order condition requires a positive pool")
-    own = s[i] - design.perturbation[i]
-    slope = instance.profile.functions[i].slope(total - R)
-    return float(R * (pool - own) / pool**2 + slope - 1.0)
+    return float(_foc_residuals(instance, design, s)[i])
 
 
-def _aggregate_foc(profile: BenefitProfile, active: list[int], R: float,
-                   deficit: float, inactive_c: float, G: float) -> float:
-    # Sum of active players' marginal payoffs as a function of the good G;
-    # `deficit` is c_bar - R, so the pool is S = G - deficit.
-    S = G - deficit
-    slopes = sum(profile.functions[k].slope(G) for k in active)
-    n_a = len(active)
-    return R * (n_a - 1) / S - R * inactive_c / S**2 + slopes - n_a
+def solve_equilibrium(instance: LotteryInstance, design: DesignPoint) -> EquilibriumResult:
+    """Compute the equilibrium at a design point by the share-function method.
 
+    Given the good G, with pool S = G + R - c_bar, player k's first-order
+    condition has the clipped closed form
+    s_k(G) = max(0, c_k + S - S^2 (1 - h_k'(G)) / R), and the equilibrium good
+    is a root of sum_k s_k(G) = G + R. Scaled by R/S^2 and shifted by the
+    perturbations, that equation reads
 
-def _aggregate_foc_slope(profile: BenefitProfile, active: list[int], R: float,
-                         deficit: float, inactive_c: float, G: float) -> float:
-    S = G - deficit
-    curv = sum(profile.functions[k].curvature(G) for k in active)
-    n_a = len(active)
-    return -R * (n_a - 1) / S**2 + 2.0 * R * inactive_c / S**3 + curv
+        Phi(G) = sum_k max(R/S + h_k'(G) - 1, -R c_k / S^2) - R/S = 0,
 
-
-def _solve_aggregate_foc(profile, active, R, c_bar, inactive_c):
-    """Root of the active players' aggregate FOC over goods G, or None.
-
-    The domain keeps the good nonnegative and the pool S = R + G - c_bar
-    positive. The good, not the pool, is the root variable: at large rewards
-    the pool dwarfs the good and recovering G from S would cancel
-    catastrophically. With no perturbation mass on inactive players the
-    residual is strictly decreasing; otherwise it can dip negative near the
-    pool floor, so the bracket hunt scans a doubling ladder for the final
-    down-crossing.
-    """
-    deficit = c_bar - R
-    g_lo = max(0.0, deficit + max(_POOL_FLOOR, 4e-16 * abs(deficit)))
-
-    def f(G):
-        return _aggregate_foc(profile, active, R, deficit, inactive_c, G)
-
-    lo, f_lo = g_lo, f(g_lo)
-    if f_lo <= 0.0:
-        # Hunt for a positive stretch further up the ladder (possible only
-        # when inactive players carry perturbation mass).
-        found = False
-        for _ in range(200):
-            hi = 2.0 * lo if lo > 0.0 else 1.0
-            if f(hi) > 0.0:
-                lo, f_lo = hi, f(hi)
-                found = True
-                break
-            lo = hi
-            if lo > 1e30:
-                break
-        if not found:
-            return None
-    hi = 2.0 * lo if lo > 0.0 else 1.0
-    for _ in range(400):
-        if f(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:  # pragma: no cover - residual always goes negative for large goods
-        return None
-    G = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    # Newton polish: the recovered investments inherit any residual error
-    # scaled by S^2/R, so push it to machine level.
-    for _ in range(3):
-        r = f(G)
-        if abs(r) <= 1e-15 * max(1.0, len(active)):
-            break
-        d = _aggregate_foc_slope(profile, active, R, deficit, inactive_c, G)
-        if d == 0.0:  # pragma: no cover
-            break
-        step = r / d
-        if G - step <= g_lo:
-            break
-        G -= step
-    return G
-
-
-def solve_equilibrium(instance: LotteryInstance, design: DesignPoint,
-                      active_init=None) -> EquilibriumResult:
-    """Compute the unique Nash equilibrium at a design point.
-
-    Outer loop over candidate active sets: solve the aggregate FOC for the
-    pool, recover individual investments from the per-player FOCs, then drop
-    the most negative investment or re-add the most violating inactive player
-    until every sign condition holds. `active_init` seeds the candidate set
-    (defaults to all players); any seed converges to the same equilibrium.
+    the aggregate first-order condition of the active players, with the max
+    making the active/inactive choice. The unscaled form has a spurious root
+    as S -> 0 and cancels catastrophically there. The good, not the pool, is
+    the root variable: at large rewards recovering G from S would cancel
+    catastrophically too. The root is bracketed by
+    [min(c_bar, G*), max(c_bar, G*)], clipped to a positive pool; with no
+    sign change of Phi there, InfeasibleRegimeError is raised. Where Phi has
+    several roots in the bracket (possible when R < c_bar and inactive players
+    carry perturbations), the one returned is the root Brent's method
+    converges to, not necessarily the smallest; a first-order-condition point
+    there need not be a Nash equilibrium. `iterations` counts evaluations of
+    Phi.
     """
     n = instance.n_players
     R = design.reward
@@ -238,69 +179,43 @@ def solve_equilibrium(instance: LotteryInstance, design: DesignPoint,
     if c.shape != (n,):
         raise InvariantViolationError("design point does not match the player count")
     c_bar = design.perturbation_total
-
-    if active_init is None:
-        active = list(range(n))
-    else:
-        active = sorted(set(int(k) for k in active_init))
-        if not active or active[0] < 0 or active[-1] >= n:
-            raise InvariantViolationError("active_init must be a nonempty subset of players")
-
     profile = instance.profile
-    max_iter = max(2 * n, 2)
-    s = np.zeros(n)
-    S = G = None
-    for iteration in range(1, max_iter + 1):
-        inactive = [k for k in range(n) if k not in active]
-        inactive_c = float(c[inactive].sum()) if inactive else 0.0
-        G = _solve_aggregate_foc(profile, active, R, c_bar, inactive_c)
-        if G is None:
-            if len(active) < n:
-                # The candidate set cannot support an equilibrium; grow it by
-                # the steepest excluded benefit and retry.
-                best = max(inactive, key=lambda k: profile.functions[k].slope(0.0))
-                active.append(best)
-                active.sort()
-                continue
-            raise InfeasibleRegimeError(
-                "aggregate first-order condition has no root with a positive pool; "
-                "total perturbation exceeds what the reward and public good can cover"
-            )
-        S = G - (c_bar - R)
-        slopes = profile.slopes(G)
-        s = np.zeros(n)
-        for k in active:
-            s[k] = c[k] + S - S * S * (1.0 - slopes[k]) / R
+    a = profile.coefficients
+    neg_rc = -R * c
 
-        worst = min(active, key=lambda k: s[k])
-        if s[worst] <= -1e-12:
-            active.remove(worst)
-            continue
+    def phi(G):
+        S = G + R - c_bar
+        terms = np.maximum(R / S - 1.0 + a / (G + 1.0), neg_rc / (S * S))
+        # np.add.reduce skips the ndarray.sum wrapper: small games spend
+        # most of a solve in these calls.
+        return float(np.add.reduce(terms)) - R / S
 
-        if inactive:
-            residuals = [R * (S + c[k]) / S**2 + slopes[k] - 1.0 for k in inactive]
-            j = int(np.argmax(residuals))
-            if residuals[j] > _TOL_ADD:
-                active.append(inactive[j])
-                active.sort()
-                continue
-        break
-    else:
-        raise NonconvergenceError(
-            f"active-set loop did not settle within {max_iter} iterations"
-        )
+    g_star = profile.socially_optimal_good()
+    deficit = c_bar - R
+    g_floor = max(0.0, deficit + max(_POOL_FLOOR, 4e-16 * abs(deficit)))
+    pad = 1e-12 * max(c_bar, g_star)
+    lo = max(g_floor, min(c_bar, g_star) - pad)
+    hi = max(c_bar, g_star) + pad
+    try:
+        G, root = brentq(phi, lo, hi, xtol=1e-14, rtol=8.9e-16, full_output=True)
+    except ValueError:  # Phi does not change sign on the bracket
+        raise InfeasibleRegimeError(
+            "aggregate first-order condition has no root with a positive pool; "
+            "total perturbation exceeds what the reward and public good can cover"
+        ) from None
+    S = G + R - c_bar
+    s = np.maximum(0.0, c + S - S * S * (1.0 - profile.slopes(G)) / R)
 
-    s = np.maximum(s, 0.0)
     total = float(s.sum())
-    if abs(total - (G + R)) > FOC_TOL:
+    if abs(total - (G + R)) > FOC_TOL * max(1.0, G + R):
         raise NonconvergenceError(
             f"aggregate consistency failed: sum s = {total!r} vs G + R = {G + R!r}"
         )
 
-    violation = 0.0
-    for k in range(n):
-        res = foc_residual(instance, design, s, k)
-        violation = max(violation, abs(res) if s[k] > TOL_ACTIVE else max(res, 0.0))
+    # Active players must meet their FOC with equality, inactive ones as <= 0.
+    active = s > TOL_ACTIVE
+    res = _foc_residuals(instance, design, s)
+    violation = float(np.where(active, np.abs(res), res).max(initial=0.0))
 
     if instance.wealth_caps is not None:
         over = np.nonzero(s > instance.wealth_caps + 1e-9)[0]
@@ -313,11 +228,11 @@ def solve_equilibrium(instance: LotteryInstance, design: DesignPoint,
     s.setflags(write=False)
     return EquilibriumResult(
         s_star=s,
-        active_set=tuple(k for k in range(n) if s[k] > TOL_ACTIVE),
+        active_set=tuple(np.nonzero(active)[0].tolist()),
         G=float(G),
         pool=float(S),
-        max_foc_violation=float(violation),
-        iterations=iteration,
+        max_foc_violation=violation,
+        iterations=root.function_calls,
     )
 
 
@@ -351,9 +266,7 @@ def best_response_oracle(instance: LotteryInstance, design: DesignPoint,
         raise DomainError(f"expected {n - 1} opponent investments, got {s_minus_i.shape}")
     others_sum = float(s_minus_i.sum())
     c_i = float(design.perturbation[i])
-    a_i = instance.profile.functions[i].coefficient
-    if instance.profile.functions[i].family != "scaled_log":  # pragma: no cover
-        raise InvariantViolationError("oracle supports the scaled_log family only")
+    a_i = float(instance.profile.coefficients[i])
 
     def u(x):
         return float(_payoff_grid(instance, design, others_sum, c_i, a_i,

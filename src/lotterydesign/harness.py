@@ -17,7 +17,6 @@ and seed.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import importlib.resources
 import json
@@ -38,7 +37,6 @@ SCHEMA_VERSION = 1
 # Tolerances baked into pipeline pass/fail decisions, with their origin.
 _TOLERANCES = {
     "foc_residual": {"value": 1e-8, "origin": "equilibrium solver contract"},
-    "root_residual": {"value": 1e-10, "origin": "aggregate-marginal root solves"},
     "constraint_residual": {"value": 1e-7, "origin": "design verification contract"},
     "good_gap": {"value": 1e-6, "origin": "design verification contract"},
     "payoff_gap": {"value": 1e-6, "origin": "design verification contract"},
@@ -188,7 +186,9 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
 
 
 def _money(v: float) -> str:
-    return f"{float(v):.2f}"
+    text = f"{float(v):.2f}"
+    # A tiny negative rounds to "-0.00"; print zero without a sign.
+    return "0.00" if text == "-0.00" else text
 
 
 def _property_dicts(checks) -> list[dict]:
@@ -262,17 +262,13 @@ def _analyze_one(instance, c, reward):
     }
 
 
-def _run_analyze(cfg: ScenarioConfig, workers: int) -> tuple[str, dict, dict, dict]:
+def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, dict, dict]:
     profile, ids = _profile_from_config(cfg)
     instance = LotteryInstance(profile)
     sweep = cfg.require("sweep")
     rewards = [float(r) for r in sweep.get("rewards", [])]
     c = np.asarray(sweep.get("perturbation", [0.0] * profile.n_players), dtype=float)
-    if rewards and workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _analyze_one(instance, c, r), rewards))
-    else:
-        rows = [_analyze_one(instance, c, r) for r in rewards]
+    rows = [_analyze_one(instance, c, r) for r in rewards]
     rows.sort(key=lambda row: row["reward"])
 
     def fmt(v):
@@ -452,15 +448,13 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, dict, dict]:
     return status, results, {"properties": []}, csvs
 
 
-def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, workers=None,
-                 seed=None) -> HarnessResult:
+def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> HarnessResult:
     """Execute one pipeline and write its artifacts.
 
     Returns a HarnessResult whose status is "ok" only when every verification
     in the pipeline passed; config errors raise ConfigError instead.
     """
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
-    workers = int(cfg.get("workers", 1)) if workers is None else int(workers)
     out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
 
     csvs: dict = {}
@@ -468,7 +462,7 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, workers=None,
     if verb == "equilibrium":
         status, results, extra = _run_equilibrium(cfg)
     elif verb == "analyze":
-        status, results, extra, csvs = _run_analyze(cfg, workers)
+        status, results, extra, csvs = _run_analyze(cfg)
     elif verb == "design":
         status, results, extra = _run_design(cfg)
     elif verb == "casestudy":

@@ -214,8 +214,7 @@ class TestSandwichInvariants:
             reward = r_l * (1.0 + 1e-6) if r_l > 0.0 else 1e-6
             g_upper = max(profile.socially_optimal_good(), float(c.sum()))
             base = reward / (reward + g_upper - c.sum())
-            floors = [c[i] + reward * (base + profile.functions[i].slope(g_upper) - 1.0)
-                      for i in range(n)]
+            floors = c + reward * (base + profile.slopes(g_upper) - 1.0)
             assert min(floors) > 0.0
 
     def test_branch_above_optimum(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lotterydesign import BenefitFunction, BenefitProfile
+from lotterydesign import BenefitProfile
 from lotterydesign.errors import (
     DomainError,
     InvariantViolationError,
@@ -14,40 +14,56 @@ from conftest import bisect_root, random_profile
 
 
 class TestBenefitFunction:
-    def test_value_and_slope_at_zero(self):
-        assert BenefitFunction(1.0).value_and_slope(0.0) == (0.0, 1.0)
+    """Each player's h_i(v) = a_i ln(v+1), read through the profile's vectors."""
 
-    def test_case_study_coefficient_at_zero(self):
+    def test_value_and_slope_at_zero(self):
+        profile = BenefitProfile.scaled_log([1.0, 2.0])
+        assert profile.values(0.0).tolist() == [0.0, 0.0]
+        assert profile.slopes(0.0).tolist() == [1.0, 2.0]
+
+    def test_case_study_coefficient_at_zero(self, i30_profile):
         # Largest case-study coefficient: bus 30 carries 100 + 30.
-        assert BenefitFunction(130.0).value_and_slope(0.0) == (0.0, 130.0)
+        assert i30_profile.slopes(0.0).max() == 130.0
+        assert not np.any(i30_profile.values(0.0))
 
     def test_unit_value_point(self):
         # ln(v+1) = 1 at v = e - 1, slope 1/e there.
-        value, slope = BenefitFunction(1.0).value_and_slope(math.e - 1.0)
-        assert value == pytest.approx(1.0, abs=1e-12)
-        assert slope == pytest.approx(1.0 / math.e, abs=1e-12)
+        profile = BenefitProfile.scaled_log([1.0, 1.0])
+        assert profile.values(math.e - 1.0) == pytest.approx([1.0, 1.0], abs=1e-12)
+        assert profile.slopes(math.e - 1.0) == pytest.approx([1.0 / math.e] * 2, abs=1e-12)
 
-    def test_negative_good_rejected(self):
-        f = BenefitFunction(1.0)
-        for method in (f.value, f.slope, f.curvature, f.value_and_slope):
+    def test_negative_good_rejected(self, i2_profile):
+        for method in (i2_profile.values, i2_profile.slopes, i2_profile.curvatures,
+                       i2_profile.aggregate_value, i2_profile.aggregate_marginal,
+                       i2_profile.aggregate_curvature):
             with pytest.raises(DomainError):
                 method(-0.1)
 
     def test_bad_coefficients_rejected(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(InvariantViolationError):
-                BenefitFunction(bad)
+                BenefitProfile.scaled_log([bad, 2.0])
         with pytest.raises(InvariantViolationError):
-            BenefitFunction(1.0, family="cubic")
+            BenefitProfile.scaled_log([[1.0, 2.0]])
 
     def test_slope_matches_central_difference(self):
         rng = np.random.default_rng(2)
         eps = 1e-5
         for _ in range(20):
-            f = BenefitFunction(float(rng.uniform(0.2, 5.0)))
+            profile = random_profile(rng, lo=0.2, hi=5.0)
             v = float(rng.uniform(eps, 50.0))
-            fd = (f.value(v + eps) - f.value(v - eps)) / (2.0 * eps)
-            assert abs(f.slope(v) - fd) <= 1e-6
+            fd = (profile.values(v + eps) - profile.values(v - eps)) / (2.0 * eps)
+            assert np.max(np.abs(profile.slopes(v) - fd)) <= 1e-6
+            fd = (profile.slopes(v + eps) - profile.slopes(v - eps)) / (2.0 * eps)
+            assert np.max(np.abs(profile.curvatures(v) - fd)) <= 1e-6
+
+    def test_coefficients_are_read_only(self):
+        a = np.array([1.0, 2.0])
+        profile = BenefitProfile.scaled_log(a)
+        a[0] = 5.0
+        assert profile.coefficients.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            profile.coefficients[0] = 5.0
 
 
 class TestBenefitProfile:
@@ -115,6 +131,18 @@ class TestProfileInvariants:
             for y in np.linspace(1e-3, h0, 9):
                 g = profile.invert_aggregate(float(y))
                 assert abs(profile.aggregate_marginal(g) - y) <= 1e-8
+
+    def test_aggregates_sum_the_player_vectors(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            profile = random_profile(rng)
+            for g in rng.uniform(0.0, 30.0, 4):
+                assert profile.aggregate_value(g) == pytest.approx(
+                    profile.values(g).sum(), rel=1e-13)
+                assert profile.aggregate_marginal(g) == pytest.approx(
+                    profile.slopes(g).sum(), rel=1e-13)
+                assert profile.aggregate_curvature(g) == pytest.approx(
+                    profile.curvatures(g).sum(), rel=1e-13)
 
     def test_optimum_is_a_fixed_point(self):
         rng = np.random.default_rng(5)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lotterydesign import (
     BenefitProfile,
@@ -21,6 +22,7 @@ from lotterydesign.errors import (
     SingularPoolError,
     UnsupportedRegimeError,
 )
+from lotterydesign.game import TOL_ACTIVE
 
 from conftest import random_profile
 
@@ -85,6 +87,48 @@ def sample_sound_pair(rng, profile, instance, max_tries=60):
         if not cancellation_escape_exists(instance, d, eq):
             return d, eq
     raise AssertionError("could not sample a well-posed design point")
+
+
+def all_active_good(profile, design):
+    """Independent oracle for the good when every player is active.
+
+    Summing the interior first-order conditions gives
+    (N-1) R (G+1) = (G + R - c_bar)(N (G+1) - A) with A = sum(a). In x = G + 1
+    that is N x^2 + b x - A d = 0 with d = R - c_bar - 1, and only its larger
+    root has both a positive pool and G >= 0.
+    """
+    n, A = profile.n_players, profile.marginal_at_zero
+    d = design.reward - design.perturbation_total - 1.0
+    b = n * d - A - (n - 1) * design.reward
+    root = math.sqrt(b * b + 4.0 * n * A * d)
+    x = (root - b) / (2.0 * n) if b <= 0.0 else 2.0 * A * d / (b + root)
+    return x - 1.0
+
+
+def assert_equilibrium_conditions(instance, design, eq):
+    """Every FOC holds to 1e-8 and the investments add up to G + R."""
+    total = eq.G + design.reward
+    assert abs(float(eq.s_star.sum()) - total) <= 1e-9 * max(1.0, total)
+    for i in range(instance.n_players):
+        r = foc_residual(instance, design, eq.s_star, i)
+        assert (abs(r) if eq.s_star[i] > TOL_ACTIVE else r) <= 1e-8
+    assert eq.max_foc_violation <= 1e-8
+
+
+@st.composite
+def game_points(draw):
+    """Random profiles (N = 1-50), c = 0 or c_i in [0, 2G*/N], R in [0.01, 1e4]."""
+    n = draw(st.integers(1, 50))
+    a = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n)))
+    assume(a.sum() > 1.05)
+    profile = BenefitProfile.scaled_log(a)
+    reward = 10.0 ** draw(st.floats(-2.0, 4.0))
+    if draw(st.booleans()):
+        c = np.zeros(n)
+    else:
+        g_star = profile.socially_optimal_good()
+        c = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))) * g_star / n
+    return profile, _design(reward, c)
 
 
 class TestPayoff:
@@ -186,20 +230,6 @@ class TestSolveEquilibrium:
         with pytest.warns(UserWarning, match="wealth cap"):
             solve_equilibrium(inst, _design(1.0, [0, 0]))
 
-    def test_uniqueness_across_active_set_seeds(self):
-        rng = np.random.default_rng(12)
-        for _ in range(10):
-            profile = random_profile(rng)
-            inst = LotteryInstance(profile)
-            d = sample_design(rng, profile)
-            reference = solve_equilibrium(inst, d)
-            n = profile.n_players
-            for _ in range(5):
-                size = int(rng.integers(1, n + 1))
-                seed_set = rng.choice(n, size=size, replace=False)
-                eq = solve_equilibrium(inst, d, active_init=seed_set)
-                assert np.max(np.abs(eq.s_star - reference.s_star)) <= 1e-7
-
     def test_randomized_foc_and_bracket(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
@@ -214,6 +244,75 @@ class TestSolveEquilibrium:
             assert lo - 1e-9 <= eq.G <= hi + 1e-9
             if abs(eq.G - g_star) <= 1e-6 and profile.n_players > 1:
                 assert d.perturbation_total <= eq.G + d.reward + 1e-9
+
+
+class TestShareFunctionRoot:
+    @settings(max_examples=100, deadline=None)
+    @given(game_points())
+    def test_bracket_foc_and_consistency(self, point):
+        profile, d = point
+        inst = LotteryInstance(profile)
+        g_star = profile.socially_optimal_good()
+        c_bar = d.perturbation_total
+        if profile.n_players == 1 and c_bar > g_star:
+            # A lone player's good is G*, which needs a positive pool there.
+            assume(abs(c_bar - g_star - d.reward) > 1e-9 * c_bar)
+            if c_bar > g_star + d.reward:
+                with pytest.raises(InfeasibleRegimeError):
+                    solve_equilibrium(inst, d)
+                return
+        eq = solve_equilibrium(inst, d)
+        lo, hi = min(c_bar, g_star), max(c_bar, g_star)
+        assert lo - 1e-9 * max(1.0, hi) <= eq.G <= hi + 1e-9 * max(1.0, hi)
+        assert_equilibrium_conditions(inst, d, eq)
+        if len(eq.active_set) == profile.n_players:
+            assert eq.G == pytest.approx(all_active_good(profile, d), rel=1e-9, abs=1e-9)
+
+    def test_all_active_oracle_examples(self, i2_profile):
+        # Two unit players at R = 1: G = 0.5 without perturbation, G* = 1 at
+        # c_bar = G*, and G = 1 at c = (1, 0).
+        assert all_active_good(i2_profile, _design(1.0, [0, 0])) == pytest.approx(0.5)
+        assert all_active_good(i2_profile, _design(1.0, [0.5, 0.5])) == pytest.approx(1.0)
+        assert all_active_good(i2_profile, _design(1.0, [1.0, 0.0])) == pytest.approx(1.0)
+
+    def test_iterations_count_root_evaluations(self, i2_instance):
+        eq = solve_equilibrium(i2_instance, _design(1.0, [0, 0]))
+        assert 2 <= eq.iterations <= 100
+
+    def test_corpus_point_without_an_active_set_fixed_point(self):
+        # Point 1154 of the benchmark's seed-0 equilibrium corpus: an
+        # active-set loop cycles here. Phi has one root in the bracket, with
+        # only the first player active. It is not a Nash equilibrium (the
+        # first player gains by cutting the pool toward zero).
+        inst = LotteryInstance(BenefitProfile.scaled_log(
+            [2.8740232296623827, 1.303960853439135]))
+        d = _design(0.2141498351420209, [1.2984209678250491, 0.08086677276657708])
+        eq = solve_equilibrium(inst, d)
+        assert_equilibrium_conditions(inst, d, eq)
+        assert eq.active_set == (0,)
+        assert eq.G == pytest.approx(1.7220201072263, rel=1e-12)
+
+    @pytest.mark.parametrize("seed, reward", [(1, 10.0), (2, 100.0)])
+    def test_thousand_players_with_perturbations(self, seed, reward):
+        # c_i uniform in [0, G*/N]: an active-set loop fails to settle here.
+        rng = np.random.default_rng(seed)
+        profile = BenefitProfile.scaled_log(rng.uniform(0.6, 3.0, 1000))
+        c = rng.uniform(0.0, profile.socially_optimal_good() / 1000, 1000)
+        inst = LotteryInstance(profile)
+        d = _design(reward, c)
+        assert_equilibrium_conditions(inst, d, solve_equilibrium(inst, d))
+
+    def test_consistency_is_relative_at_the_reward_threshold(self):
+        # At R near 3e6 the sum of investments carries rounding far above an
+        # absolute 1e-8; the consistency check must scale with G + R.
+        rng = np.random.default_rng(3)
+        profile = BenefitProfile.scaled_log(rng.uniform(0.6, 3.0, 1000))
+        c = rng.uniform(0.0, profile.socially_optimal_good() / 1000, 1000)
+        d = _design(reward_threshold(profile, c), c)
+        inst = LotteryInstance(profile)
+        eq = solve_equilibrium(inst, d)
+        assert d.reward > 1e6
+        assert_equilibrium_conditions(inst, d, eq)
 
 
 class TestBestResponseOracle:
@@ -356,5 +455,5 @@ class TestMonotonicity:
             g_upper = max(g_star, float(c.sum()))
             base = reward / (reward + g_upper - c.sum())
             for i in range(n):
-                floor = c[i] + reward * (base + profile.functions[i].slope(g_upper) - 1.0)
+                floor = c[i] + reward * (base + profile.slopes(g_upper)[i] - 1.0)
                 assert eq.s_star[i] >= floor - 1e-9

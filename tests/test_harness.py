@@ -8,7 +8,7 @@ import pytest
 from lotterydesign import ScenarioConfig, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
-from lotterydesign.harness import load_report_schema
+from lotterydesign.harness import _money, load_report_schema
 
 I2_PLAYERS = """\
 profile:
@@ -101,7 +101,7 @@ class TestEquilibriumVerb:
 class TestAnalyzeVerb:
     def test_sweep_monotone_poa(self, tmp_path, schema):
         text = I2_PLAYERS + (
-            "workers: 2\nsweep:\n  rewards: [1, 2, 5, 10, 100]\n"
+            "sweep:\n  rewards: [1, 2, 5, 10, 100]\n"
             "  perturbation: [0, 0]\n")
         cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
         result = run_scenario("analyze", cfg, out_dir=tmp_path / "out")
@@ -195,6 +195,15 @@ class TestCasestudyVerb:
         assert len(demand) == 21
         adjusted = sum(float(r.split(",")[2]) for r in demand[1:])
         assert adjusted == pytest.approx(18921.0, abs=0.5)
+        for row in lines + allocation + demand:
+            assert "-0.00" not in row.split(",")
+
+    def test_money_never_prints_negative_zero(self):
+        assert _money(-0.0) == "0.00"
+        assert _money(-1e-9) == "0.00"
+        assert _money(-0.004) == "0.00"
+        assert _money(-0.006) == "-0.01"
+        assert _money(2317.0) == "2317.00"
 
     def test_golden_mismatch_reported_not_forced(self, tmp_path):
         text = CASESTUDY.replace("{value: 3358, tol_rel: 0.005}",
@@ -210,7 +219,7 @@ class TestCasestudyVerb:
 class TestDeterminism:
     def test_same_config_same_bytes(self, tmp_path):
         text = I2_PLAYERS + (
-            "workers: 2\nsweep:\n  rewards: [1, 5, 10]\n  perturbation: [0, 0]\n")
+            "sweep:\n  rewards: [1, 5, 10]\n  perturbation: [0, 0]\n")
         path = write_config(tmp_path, text)
         for name in ("one", "two"):
             cfg = ScenarioConfig.from_file(path)
