@@ -38,12 +38,10 @@ from .game import (
 from .analysis import (
     PoaBounds,
     PropertyCheck,
-    RegimeConstants,
     assured_active_count,
     check_properties,
     poa_bounds,
     public_good_bounds,
-    regime_constants,
     reward_threshold,
     true_poa,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "LotteryInstance",
     "PoaBounds",
     "PropertyCheck",
-    "RegimeConstants",
     "ScenarioConfig",
     "SimplexResult",
     "assured_active_count",
@@ -96,7 +93,6 @@ __all__ = [
     "payoff",
     "poa_bounds",
     "public_good_bounds",
-    "regime_constants",
     "reward_threshold",
     "run_scenario",
     "run_selftest",

@@ -31,15 +31,6 @@ _EQUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class RegimeConstants:
-    """Bracket ends for the public good and the all-active reward threshold."""
-
-    g_upper: float  # max(G*, c_bar)
-    g_lower: float  # min(G*, c_bar)
-    reward_threshold: float
-
-
-@dataclass(frozen=True)
 class PoaBounds:
     """Public-good bracket and price-of-anarchy sandwich at a design point.
 
@@ -113,17 +104,6 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
             f"threshold bisection ({root!r}) disagrees with closed form ({closed!r})"
         )
     return float(root)
-
-
-def regime_constants(profile: BenefitProfile, c) -> RegimeConstants:
-    c = np.asarray(c, dtype=float)
-    c_bar = float(c.sum())
-    g_star = profile.socially_optimal_good()
-    return RegimeConstants(
-        g_upper=max(g_star, c_bar),
-        g_lower=min(g_star, c_bar),
-        reward_threshold=reward_threshold(profile, c),
-    )
 
 
 def assured_active_count(profile: BenefitProfile, design: DesignPoint) -> int:
@@ -248,11 +228,14 @@ def true_poa(instance: LotteryInstance, design: DesignPoint,
 
 
 def check_properties(instance: LotteryInstance, design: DesignPoint,
-                     eq: EquilibriumResult) -> list[PropertyCheck]:
+                     eq: EquilibriumResult, *,
+                     bounds: PoaBounds | None = None) -> list[PropertyCheck]:
     """Grade a solved equilibrium against the feasibility and bound properties.
 
     Report-only: every entry carries a margin (negative means violated) or a
-    reason the property does not apply at this design point.
+    reason the property does not apply at this design point. `bounds` are the
+    statement-variant `poa_bounds` at this point when the caller already holds
+    them; None computes them here.
     """
     profile = instance.profile
     n = instance.n_players
@@ -325,7 +308,7 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
         checks.append(PropertyCheck("investment_lower_bound", margin >= -1e-9, margin))
 
     # Aggregate payoff must land inside the closed-form sandwich.
-    pb = poa_bounds(profile, design)
+    pb = bounds if bounds is not None else poa_bounds(profile, design)
     payoff_eq = profile.aggregate_value(G) - G
     p_at = sorted(profile.aggregate_value(g) - g for g in (pb.g_lower, pb.g_upper))
     margin = min(payoff_eq - p_at[0], p_at[1] - payoff_eq)

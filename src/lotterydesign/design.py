@@ -17,18 +17,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .benefit import BenefitProfile
 from .errors import (
     ExactnessViolationError,
     InfeasibleRegimeError,
     InvariantViolationError,
 )
-from .game import DesignPoint, LotteryInstance, payoff, solve_equilibrium
+from .game import (
+    TOLERANCES,
+    DesignPoint,
+    EquilibriumResult,
+    LotteryInstance,
+    payoff,
+    solve_equilibrium,
+)
 from .simplex import LinearProgram, SimplexResult, solve_lp
 
 # Default closed floor replacing the open constraint R > 0.
 DEFAULT_REWARD_FLOOR = 1e-3
-# Feasibility slack allowed on original constraints at a verified optimum.
-CONSTRAINT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -124,34 +130,20 @@ class DesignSolution:
     lp_iterations: int = 0
 
 
-def individual_rationality_rows(problem: DesignProblem,
-                                encoding: str = "simplified") -> ConstraintSet:
+def individual_rationality_rows(profile: BenefitProfile) -> ConstraintSet:
     """Rows forcing every player's designed payoff to be nonnegative.
 
-    "simplified": with the budget pinned at the optimum each player's payoff
-    reduces to h_i(G*) - c_i, so the row is c_i <= h_i(G*), written over
-    (s, R) as s_i - h_i'(G*)*R <= h_i(G*). "literal" keeps the raw expression
-    -(s_i - c_i + R*h_i(G*) - R*s_i) <= 0, which reduces to
-    s_i <= h_i(G*) + h_i'(G*); the two encodings do not agree and the literal
-    one is retained only behind this flag.
+    With the budget pinned at the optimum each player's payoff reduces to
+    h_i(G*) - c_i, so the row is c_i <= h_i(G*), written over (s, R) as
+    s_i - h_i'(G*)*R <= h_i(G*).
     """
-    profile = problem.instance.profile
-    n = problem.instance.n_players
-    g_star = problem.g_star
-    values = profile.values(g_star)
-    slopes = profile.slopes(g_star)
-    rows = []
-    for i in range(n):
-        s_coeffs = np.zeros(n)
-        s_coeffs[i] = 1.0
-        if encoding == "simplified":
-            rows.append((f"individual_rationality[{i}]", s_coeffs, -slopes[i], values[i]))
-        elif encoding == "literal":
-            rows.append((f"individual_rationality_literal[{i}]", s_coeffs, 0.0,
-                         values[i] + slopes[i]))
-        else:
-            raise ValueError(f"unknown individual-rationality encoding {encoding!r}")
-    return ConstraintSet.from_rows(rows)
+    n = profile.n_players
+    g_star = profile.socially_optimal_good()
+    return ConstraintSet(
+        np.hstack([np.eye(n), -profile.slopes(g_star)[:, None]]),
+        profile.values(g_star),
+        tuple(f"individual_rationality[{i}]" for i in range(n)),
+    )
 
 
 def build_reformulation(problem: DesignProblem) -> LinearProgram:
@@ -217,12 +209,13 @@ def _pin_and_minimize(lp: LinearProgram, pins: list[tuple[int, float]],
     return solve_lp(pinned)
 
 
-def solve_design(problem: DesignProblem, lexicographic: bool = True) -> DesignSolution:
+def solve_design(problem: DesignProblem) -> DesignSolution:
     """Solve the reformulated design LP; break objective ties deterministically.
 
     Among optimal vertices the returned one has the lexicographically smallest
     perturbation vector, obtained by pinning the optimal reward and minimizing
-    each c_i in turn.
+    each c_i in turn. The tie-break is not optional: on the IEEE 30-bus
+    optimal face every c_i ranges over the whole budget.
     """
     lp = build_reformulation(problem)
     res = solve_lp(lp)
@@ -232,7 +225,7 @@ def solve_design(problem: DesignProblem, lexicographic: bool = True) -> DesignSo
     n = problem.instance.n_players
     x = res.x.copy()
     iterations = res.iterations
-    if lexicographic and n > 1:
+    if n > 1:
         pins = [(0, x[0])]
         for j in range(1, n):  # the budget row forces the final coordinate
             sub = _pin_and_minimize(lp, pins, j)
@@ -265,13 +258,15 @@ def solve_design(problem: DesignProblem, lexicographic: bool = True) -> DesignSo
     return DesignSolution("optimal", design, objective, predicted, binding, iterations)
 
 
-def verify_design(problem: DesignProblem, solution: DesignSolution) -> dict:
+def verify_design(problem: DesignProblem,
+                  solution: DesignSolution) -> tuple[dict, EquilibriumResult]:
     """Re-solve the game at a designed optimum and confirm the exactness claims.
 
     Asserts the induced good equals the optimum, the equilibrium matches the
     closed-form prediction with every player active, the original constraints
-    hold, and the aggregate payoff equals the socially optimal payoff. Raises
-    ExactnessViolationError (with the failing report attached) otherwise.
+    hold, and the aggregate payoff equals the socially optimal payoff. Returns
+    the report and the solved equilibrium; raises ExactnessViolationError,
+    carrying both as `.report` and `.equilibrium`, otherwise.
     """
     if solution.status != "optimal":
         raise ValueError(f"cannot verify a {solution.status!r} design solution")
@@ -293,18 +288,20 @@ def verify_design(problem: DesignProblem, solution: DesignSolution) -> dict:
         "aggregate_payoff": float(agg_payoff),
         "max_foc_violation": eq.max_foc_violation,
     }
+    tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
     ok = (
-        report["good_gap"] <= 1e-6
-        and report["prediction_gap"] <= 1e-6
+        report["good_gap"] <= tol["good_gap"]
+        and report["prediction_gap"] <= tol["prediction_gap"]
         and report["all_active"]
-        and report["worst_constraint_residual"] <= CONSTRAINT_TOL
-        and report["payoff_gap"] <= 1e-6
+        and report["worst_constraint_residual"] <= tol["constraint_residual"]
+        and report["payoff_gap"] <= tol["payoff_gap"]
     )
     if not ok:
         raise ExactnessViolationError(
-            f"designed optimum failed verification: {report}", report=report
+            f"designed optimum failed verification: {report}",
+            report=report, equilibrium=eq,
         )
-    return report
+    return report, eq
 
 
 def _compositions(total: float, n: int, step: float):
@@ -341,8 +338,7 @@ def _evaluate_point(problem, reward, c, g_tol, feas_tol):
 
 def brute_force_bilevel(problem: DesignProblem, r_lo: float, r_hi: float,
                         resolution: float, g_tolerance: float | None = None,
-                        feasibility_tol: float = 1e-6,
-                        refine: bool = True) -> DesignSolution:
+                        feasibility_tol: float = 1e-6) -> DesignSolution:
     """Grid-search oracle for the bi-level problem using true equilibria.
 
     Scans rewards in [r_lo, r_hi] crossed with simplex slices of the
@@ -379,7 +375,7 @@ def brute_force_bilevel(problem: DesignProblem, r_lo: float, r_hi: float,
     slice_totals = [g_star + k * resolution for k in range(-2, 3)]
     best = scan(r_values, slice_totals, c_step, None)
 
-    if best is not None and refine:
+    if best is not None:
         # Shrink the grid around the incumbent until both steps reach the
         # requested resolution; each pass covers the previous step fully.
         while r_step > resolution or c_step > resolution:

@@ -22,7 +22,7 @@ class InfeasibleRegimeError(LotteryDesignError):
 
 
 class NonconvergenceError(LotteryDesignError):
-    """The active-set loop cycled beyond its iteration budget."""
+    """A solved equilibrium fails its aggregate-consistency check sum s = G + R."""
 
 
 class OutOfCodomainError(LotteryDesignError, ValueError):
@@ -56,8 +56,9 @@ class SimplexFailureError(LotteryDesignError):
 class ExactnessViolationError(LotteryDesignError):
     """A designed optimum failed verification against the true equilibrium."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report=None, equilibrium=None):
         self.report = report
+        self.equilibrium = equilibrium
         super().__init__(message)
 
 

@@ -30,18 +30,9 @@ import yaml
 from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
 from .errors import ConfigError, ExactnessViolationError
-from .game import DesignPoint, LotteryInstance, payoff, solve_equilibrium
+from .game import TOLERANCES, DesignPoint, LotteryInstance, payoff, solve_equilibrium
 
 SCHEMA_VERSION = 1
-
-# Tolerances baked into pipeline pass/fail decisions, with their origin.
-_TOLERANCES = {
-    "foc_residual": {"value": 1e-8, "origin": "equilibrium solver contract"},
-    "constraint_residual": {"value": 1e-7, "origin": "design verification contract"},
-    "good_gap": {"value": 1e-6, "origin": "design verification contract"},
-    "payoff_gap": {"value": 1e-6, "origin": "design verification contract"},
-    "property_margin": {"value": -1e-9, "origin": "property checker contract"},
-}
 
 
 @dataclass
@@ -199,7 +190,7 @@ def _properties_ok(checks) -> bool:
     return all(c.holds is not False for c in checks)
 
 
-def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, dict]:
+def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     instance = LotteryInstance(profile)
     point = cfg.require("design_point")
@@ -222,10 +213,8 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, dict]:
         "aggregate_payoff": agg,
         "poa_true": analysis.true_poa(instance, dp, eq),
     }
-    ok = eq.max_foc_violation <= _TOLERANCES["foc_residual"]["value"] and _properties_ok(checks)
-    return ("ok" if ok else "verification_failed"), results, {
-        "properties": _property_dicts(checks)
-    }
+    ok = eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"] and _properties_ok(checks)
+    return ("ok" if ok else "verification_failed"), results, _property_dicts(checks), {}
 
 
 def _bounds_dict(bounds) -> dict:
@@ -242,7 +231,7 @@ def _analyze_one(instance, c, reward):
     dp = DesignPoint(reward, c)
     eq = solve_equilibrium(instance, dp)
     bounds = analysis.poa_bounds(instance.profile, dp)
-    checks = analysis.check_properties(instance, dp, eq)
+    checks = analysis.check_properties(instance, dp, eq, bounds=bounds)
     return {
         "reward": reward,
         "public_good": eq.G,
@@ -262,7 +251,7 @@ def _analyze_one(instance, c, reward):
     }
 
 
-def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, dict, dict]:
+def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     instance = LotteryInstance(profile)
     sweep = cfg.require("sweep")
@@ -289,25 +278,40 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, dict, dict]:
         "sweep": [{k: v for k, v in row.items() if k != "ok"} for row in rows],
     }
     ok = all(row["ok"] for row in rows)
-    return ("ok" if ok else "verification_failed"), results, {"properties": []}, csvs
+    return ("ok" if ok else "verification_failed"), results, [], csvs
 
 
-def _design_problem_from_config(cfg: ScenarioConfig, profile: BenefitProfile):
-    constraints = _constraints_from_config(cfg, profile.n_players)
+def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
+                    constraints: design_mod.ConstraintSet) -> design_mod.DesignProblem:
+    """The design problem of a scenario, individual-rationality rows stacked."""
     ir = cfg.get("individual_rationality", {})
-    problem = design_mod.DesignProblem(
+    if "encoding" in ir:
+        raise ConfigError("individual_rationality.encoding was removed; "
+                          "delete the key (the rows are always c_i <= h_i(G*))")
+    if ir.get("enabled", False):
+        constraints = constraints.stacked(design_mod.individual_rationality_rows(profile))
+    return design_mod.DesignProblem(
         LotteryInstance(profile),
         constraints,
         alpha=float(cfg.get("alpha", 1.0)),
         reward_floor=float(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR)),
     )
-    if ir.get("enabled", False):
-        rows = design_mod.individual_rationality_rows(
-            problem, ir.get("encoding", "simplified"))
-        problem = design_mod.DesignProblem(
-            problem.instance, constraints.stacked(rows),
-            alpha=problem.alpha, reward_floor=problem.reward_floor)
-    return problem
+
+
+def _solve_and_verify(problem):
+    """Solve the design LP and verify an optimum against the true equilibrium.
+
+    Returns (status, solution, verification report, equilibrium); the last
+    two are None unless the LP is optimal.
+    """
+    sol = design_mod.solve_design(problem)
+    if sol.status != "optimal":
+        return sol.status, sol, None, None
+    try:
+        verification, eq = design_mod.verify_design(problem, sol)
+        return "ok", sol, verification, eq
+    except ExactnessViolationError as exc:
+        return "verification_failed", sol, exc.report, exc.equilibrium
 
 
 def _design_results(problem, sol, verification) -> dict:
@@ -324,21 +328,15 @@ def _design_results(problem, sol, verification) -> dict:
     }
 
 
-def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, dict]:
+def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
-    problem = _design_problem_from_config(cfg, profile)
-    sol = design_mod.solve_design(problem)
-    if sol.status != "optimal":
-        return sol.status, _design_results(problem, sol, None), {"properties": []}
-    try:
-        verification = design_mod.verify_design(problem, sol)
-        status = "ok"
-    except ExactnessViolationError as exc:
-        verification = exc.report
-        status = "verification_failed"
+    problem = _design_problem(
+        cfg, profile, _constraints_from_config(cfg, profile.n_players))
+    status, sol, verification, _ = _solve_and_verify(problem)
     results = _design_results(problem, sol, verification)
-    results["player_ids"] = ids
-    return status, results, {"properties": []}
+    if sol.status == "optimal":
+        results["player_ids"] = ids
+    return status, results, [], {}
 
 
 def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]:
@@ -365,36 +363,16 @@ def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]
     return table, all(row["ok"] for row in table)
 
 
-def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, dict, dict]:
+def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     scenario = _scenario_from_config(cfg)
     offset = float(cfg.get("casestudy", {}).get("coefficient_offset", 100.0))
     profile = BenefitProfile.scaled_log(
         [offset + b for b in scenario.load_bus_ids])
-    problem = design_mod.DesignProblem(
-        LotteryInstance(profile),
-        grid_mod.build_dr_constraints(scenario),
-        alpha=float(cfg.get("alpha", 1.0)),
-        reward_floor=float(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR)),
-    )
-    ir = cfg.get("individual_rationality", {})
-    if ir.get("enabled", False):
-        rows = design_mod.individual_rationality_rows(
-            problem, ir.get("encoding", "simplified"))
-        problem = design_mod.DesignProblem(
-            problem.instance, problem.constraints.stacked(rows),
-            alpha=problem.alpha, reward_floor=problem.reward_floor)
-
-    sol = design_mod.solve_design(problem)
+    problem = _design_problem(cfg, profile, grid_mod.build_dr_constraints(scenario))
+    status, sol, verification, eq = _solve_and_verify(problem)
     if sol.status != "optimal":
-        return sol.status, _design_results(problem, sol, None), {"properties": []}, {}
-    try:
-        verification = design_mod.verify_design(problem, sol)
-        verified = True
-    except ExactnessViolationError as exc:
-        verification = exc.report
-        verified = False
+        return status, _design_results(problem, sol, None), [], {}
 
-    eq = solve_equilibrium(problem.instance, sol.design)
     s = eq.s_star
     c = sol.design.perturbation
     demand = scenario.demand_dollars
@@ -444,8 +422,16 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, dict, dict]:
         "demand.csv": (["bus", "demand", "adjusted"], demand_rows),
         "lines.csv": (["line", "flow", "limit", "utilization_pct"], line_rows),
     }
-    status = "ok" if (verified and golden_ok) else "verification_failed"
-    return status, results, {"properties": []}, csvs
+    status = status if golden_ok else "verification_failed"
+    return status, results, [], csvs
+
+
+_PIPELINES = {
+    "equilibrium": _run_equilibrium,
+    "analyze": _run_analyze,
+    "design": _run_design,
+    "casestudy": _run_casestudy,
+}
 
 
 def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> HarnessResult:
@@ -457,27 +443,18 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
     seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
     out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
 
-    csvs: dict = {}
-    extra: dict = {"properties": []}
-    if verb == "equilibrium":
-        status, results, extra = _run_equilibrium(cfg)
-    elif verb == "analyze":
-        status, results, extra, csvs = _run_analyze(cfg)
-    elif verb == "design":
-        status, results, extra = _run_design(cfg)
-    elif verb == "casestudy":
-        status, results, extra, csvs = _run_casestudy(cfg)
-    else:
+    if verb not in _PIPELINES:
         raise ConfigError(f"unknown pipeline verb {verb!r}")
+    status, results, properties, csvs = _PIPELINES[verb](cfg)
 
     report = {
         "schema_version": SCHEMA_VERSION,
         "verb": verb,
         "seed": seed,
         "status": status,
-        "tolerances": _TOLERANCES,
+        "tolerances": TOLERANCES,
         "results": results,
-        "properties": extra.get("properties", []),
+        "properties": properties,
     }
     artifacts = emit_report(out_dir, report, csvs)
     return HarnessResult(status, report, out_dir, artifacts)
@@ -487,6 +464,27 @@ def load_report_schema() -> dict:
     text = importlib.resources.files("lotterydesign").joinpath(
         "schemas/report.schema.json").read_text()
     return json.loads(text)
+
+
+# The IEEE 30-bus case study of configs/case30.yaml, built in so that an
+# installed selftest needs no config file; a test keeps the two equal.
+CASE30_SCENARIO = {
+    "alpha": 1.0,
+    "reward_floor": 0.001,
+    "constraints": {
+        "source": "grid",
+        "grid": {"case_file": "builtin:case30", "demand_scale": 1.3,
+                 "rate_dollars_per_kwh": 0.1, "horizon_hours": 1.0},
+    },
+    "casestudy": {"coefficient_offset": 100},
+    "golden": {
+        "socially_optimal_good": {"value": 2317, "tol_abs": 0.5},
+        "reward": {"value": 3358, "tol_rel": 0.005},
+        "total_investment": {"value": 5675, "tol_rel": 0.005},
+        "aggregate_payoff": {"value": 15644, "tol_rel": 0.001},
+        "generation_total": {"value": 18921, "tol_abs": 0.5},
+    },
+}
 
 
 def _selftest_cases(seed: int):
@@ -546,7 +544,7 @@ def _selftest_cases(seed: int):
         dp = DesignPoint(reward, c)
         eq = solve_equilibrium(inst, dp)
         # Skip points where voiding the lottery beats a negative payoff: the
-        # literal payoff has no pure equilibrium there (see decisions notes).
+        # literal payoff has no pure equilibrium there.
         payoffs = [payoff(inst, dp, eq.s_star, i) for i in range(n)]
         total = float(eq.s_star.sum())
         if any(p < -1e-6 and total - eq.s_star[i] < reward
@@ -569,28 +567,13 @@ def _selftest_cases(seed: int):
     yield ("random_corpus_best_response", worst_gain <= 1e-5,
            f"max unilateral gain {worst_gain:.2e}")
 
-    case = grid_mod.parse_case(_resolve_case_text(
-        ScenarioConfig({}, Path(".")), "builtin:case30"))
-    scenario = grid_mod.monetize(case, 1.3, 0.1, 1.0)
-    profile30 = BenefitProfile.scaled_log([100.0 + b for b in scenario.load_bus_ids])
-    problem30 = design_mod.DesignProblem(
-        LotteryInstance(profile30), grid_mod.build_dr_constraints(scenario), alpha=1.0)
-    sol30 = design_mod.solve_design(problem30)
-    report30 = design_mod.verify_design(problem30, sol30)
-    total = float(sol30.predicted_investments.sum())
-    goldens = (
-        ("golden_optimal_good", abs(problem30.g_star - 2317.0) <= 0.5,
-         f"G*={problem30.g_star:.3f}"),
-        ("golden_reward", abs(sol30.design.reward - 3358.0) <= 0.005 * 3358.0,
-         f"R*={sol30.design.reward:.3f}"),
-        ("golden_total_investment", abs(total - 5675.0) <= 0.005 * 5675.0,
-         f"sum s*={total:.3f}"),
-        ("golden_payoff", abs(report30["aggregate_payoff"] - 15644.0) <= 0.001 * 15644.0,
-         f"payoff={report30['aggregate_payoff']:.3f}"),
-        ("golden_generation", abs(float(scenario.generation_dollars.sum()) - 18921.0) <= 0.5,
-         f"gen={float(scenario.generation_dollars.sum()):.2f}"),
-    )
-    yield from goldens
+    status, results, _, _ = _run_casestudy(ScenarioConfig(CASE30_SCENARIO, Path(".")))
+    # A failed or infeasible design fails every golden row with it.
+    rows = {row["name"]: row for row in results.get("golden", [])}
+    for name in sorted(CASE30_SCENARIO["golden"]):
+        row = rows.get(name, {"ok": False, "actual": math.nan})
+        yield (f"golden_{name}", row["ok"] and status == "ok",
+               f"{name}={row['actual']:.3f}, status {status}")
 
 
 def run_selftest(seed: int = 0, out_dir=None) -> tuple[bool, list[str], dict]:
@@ -610,7 +593,7 @@ def run_selftest(seed: int = 0, out_dir=None) -> tuple[bool, list[str], dict]:
         "verb": "selftest",
         "seed": int(seed),
         "status": "ok" if ok else "verification_failed",
-        "tolerances": _TOLERANCES,
+        "tolerances": TOLERANCES,
         "results": {"checks": entries},
         "properties": [],
         "artifacts": [],

@@ -56,20 +56,6 @@ class LinearProgram:
     def n_rows(self) -> int:
         return self.a_ub.shape[0] + self.a_eq.shape[0]
 
-    def to_text(self) -> str:
-        """Plain-text tableau dump for debugging."""
-        lines = ["minimize  " + " + ".join(
-            f"{cj:g}*{name}" for cj, name in zip(self.objective, self.var_names) if cj != 0.0
-        ) + (f" + {self.objective_offset:g}" if self.objective_offset else "")]
-        for a, b, lab in zip(self.a_ub, self.b_ub, self.ub_labels or [""] * self.b_ub.size):
-            terms = " + ".join(f"{v:g}*{n}" for v, n in zip(a, self.var_names) if v != 0.0)
-            lines.append(f"  {terms or '0'} <= {b:g}    [{lab}]")
-        for a, b, lab in zip(self.a_eq, self.b_eq, self.eq_labels or [""] * self.b_eq.size):
-            terms = " + ".join(f"{v:g}*{n}" for v, n in zip(a, self.var_names) if v != 0.0)
-            lines.append(f"  {terms or '0'} == {b:g}    [{lab}]")
-        lines.append("  all variables >= 0")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class SimplexResult:

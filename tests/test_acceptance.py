@@ -88,7 +88,7 @@ class TestCriterion1CaseStudy:
         problem = DesignProblem(
             LotteryInstance(i30_profile), build_dr_constraints(scenario), alpha=1.0)
         sol = solve_design(problem)
-        verification = verify_design(problem, sol)
+        verification, _ = verify_design(problem, sol)
         elapsed = time.time() - t0
 
         g_star = problem.g_star

@@ -11,7 +11,6 @@ from lotterydesign import (
     check_properties,
     poa_bounds,
     public_good_bounds,
-    regime_constants,
     reward_threshold,
     solve_equilibrium,
     true_poa,
@@ -45,12 +44,6 @@ class TestRewardThreshold:
         assert value == pytest.approx(closed, rel=1e-9)
         oracle = bisect_root(lambda r: r / (r + g_star) - m, 1.0, 1e7, tol=1e-7)
         assert value == pytest.approx(oracle, abs=1e-4)
-
-    def test_regime_constants(self, i2_profile):
-        rc = regime_constants(i2_profile, [0.75, 0.75])
-        assert rc.g_upper == pytest.approx(1.5)
-        assert rc.g_lower == pytest.approx(1.0, abs=1e-9)
-        assert rc.reward_threshold == 0.0
 
 
 class TestAssuredActiveCount:

@@ -127,15 +127,15 @@ class TestSolveDesign:
 
 
 class TestIndividualRationality:
-    def test_simplified_rows(self, i2_problem):
-        rows = individual_rationality_rows(i2_problem)
+    def test_simplified_rows(self, i2_profile):
+        rows = individual_rationality_rows(i2_profile)
         # c_i <= h_i(G*) = ln 2, written over (s, R).
         assert rows.b == pytest.approx([math.log(2.0)] * 2, abs=1e-9)
         assert rows.a[0] == pytest.approx([1.0, 0.0, -0.5], abs=1e-9)
 
-    def test_rows_cut_off_greedy_budget(self, i2_instance, i2_problem):
+    def test_rows_cut_off_greedy_budget(self, i2_instance, i2_profile):
         # Forcing c_1 = 1 > ln 2 violates individual rationality.
-        ir = individual_rationality_rows(i2_problem)
+        ir = individual_rationality_rows(i2_profile)
         force = ConstraintSet.from_rows(
             [("force_c1", [-1.0, 0.0], 0.5, -1.0)])  # -s_1 + 0.5 R <= -1, i.e. c_1 >= 1
         problem = DesignProblem(i2_instance, ir.stacked(force), alpha=1.0)
@@ -154,18 +154,13 @@ class TestIndividualRationality:
             assert u == pytest.approx(math.log(2.0) - 0.5, abs=1e-9)
             assert u > 0.0
 
-    def test_literal_encoding_differs(self, i2_problem):
-        literal = individual_rationality_rows(i2_problem, encoding="literal")
-        assert literal.b == pytest.approx([math.log(2.0) + 0.5] * 2, abs=1e-9)
-        assert literal.a[0] == pytest.approx([1.0, 0.0, 0.0], abs=1e-9)
-        with pytest.raises(ValueError):
-            individual_rationality_rows(i2_problem, encoding="???")
-
 
 class TestVerifyDesign:
     def test_passes_on_unconstrained_optimum(self, i2_problem):
         sol = solve_design(i2_problem)
-        report = verify_design(i2_problem, sol)
+        report, eq = verify_design(i2_problem, sol)
+        assert eq.G == pytest.approx(i2_problem.g_star, abs=1e-9)
+        assert eq.s_star == pytest.approx(sol.predicted_investments, abs=1e-9)
         assert report["all_active"]
         assert report["payoff_gap"] <= 1e-9
         assert report["aggregate_payoff"] == pytest.approx(
@@ -187,8 +182,10 @@ class TestVerifyDesign:
             i2_instance,
             ConstraintSet.from_rows([("cap", [0.0, 1.0], 0.0, 0.1)]),
             alpha=1.0)
-        with pytest.raises(ExactnessViolationError):
+        with pytest.raises(ExactnessViolationError) as excinfo:
             verify_design(tight, sol)
+        assert excinfo.value.report["worst_constraint_residual"] > 0.0
+        assert excinfo.value.equilibrium.G == pytest.approx(1.0, abs=1e-9)
 
 
 class TestBruteForceOracle:

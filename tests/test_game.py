@@ -225,11 +225,6 @@ class TestSolveEquilibrium:
         with pytest.raises(InfeasibleRegimeError):
             solve_equilibrium(inst, _design(1.0, [6.0]))
 
-    def test_wealth_cap_warning(self, i2_profile):
-        inst = LotteryInstance(i2_profile, wealth_caps=np.array([0.5, 10.0]))
-        with pytest.warns(UserWarning, match="wealth cap"):
-            solve_equilibrium(inst, _design(1.0, [0, 0]))
-
     def test_randomized_foc_and_bracket(self):
         rng = np.random.default_rng(13)
         for _ in range(40):

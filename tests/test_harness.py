@@ -1,14 +1,18 @@
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from lotterydesign import ScenarioConfig, run_scenario, run_selftest
+from lotterydesign import ScenarioConfig, analysis, design, game, harness
+from lotterydesign import run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
-from lotterydesign.harness import _money, load_report_schema
+from lotterydesign.harness import CASE30_SCENARIO, _money, load_report_schema
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 I2_PLAYERS = """\
 profile:
@@ -172,6 +176,15 @@ class TestDesignVerb:
         result = run_scenario("design", cfg, out_dir=tmp_path / "b")
         assert result.status == "infeasible"
 
+    @pytest.mark.parametrize("verb, text", [("design", I2_PLAYERS),
+                                            ("casestudy", CASESTUDY)],
+                             ids=["design", "casestudy"])
+    def test_removed_encoding_key_rejected(self, tmp_path, verb, text):
+        text += "individual_rationality: {enabled: true, encoding: simplified}\n"
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
+        with pytest.raises(ConfigError, match="individual_rationality.encoding"):
+            run_scenario(verb, cfg, out_dir=tmp_path / "out")
+
 
 class TestCasestudyVerb:
     def test_golden_numbers_and_artifacts(self, tmp_path, schema):
@@ -214,6 +227,42 @@ class TestCasestudyVerb:
         golden = {g["name"]: g for g in result.report["results"]["golden"]}
         assert golden["reward"]["ok"] is False
         assert golden["reward"]["actual"] == pytest.approx(3358.0, rel=5e-3)
+
+
+class TestSinglePass:
+    """Each pipeline solves, verifies and bounds each point once."""
+
+    def test_casestudy_solves_the_equilibrium_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return game.solve_equilibrium(*args, **kwargs)
+
+        for module in (harness, design, analysis):
+            monkeypatch.setattr(module, "solve_equilibrium", counted)
+        cfg = ScenarioConfig.from_file(CONFIGS / "case30.yaml")
+        assert run_scenario("casestudy", cfg, out_dir=tmp_path).status == "ok"
+        assert len(calls) == 1
+
+    def test_analyze_bounds_each_reward_once_per_variant(self, tmp_path, monkeypatch):
+        raw = analysis._compute_bounds
+        variants = []
+
+        def counted(profile, design_point, variant, strict):
+            variants.append(variant)
+            return raw(profile, design_point, variant, strict)
+
+        monkeypatch.setattr(analysis, "_compute_bounds", counted)
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
+        assert len(cfg.require("sweep")["rewards"]) == 5
+        assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
+        assert Counter(variants) == {"statement": 5, "proof": 5}
+
+    def test_selftest_case30_matches_config(self):
+        config = ScenarioConfig.from_file(CONFIGS / "case30.yaml")
+        for key in ("constraints", "casestudy", "alpha", "reward_floor", "golden"):
+            assert CASE30_SCENARIO[key] == config.require(key), key
 
 
 class TestDeterminism:

@@ -100,13 +100,6 @@ class TestKnownPrograms:
             LinearProgram([1.0, np.inf], [[1, 1]], [1.0],
                           np.zeros((0, 2)), np.zeros(0))
 
-    def test_text_dump_mentions_rows(self):
-        lp = LinearProgram([1.0, 0.0], [[1, 1]], [2.0], [[0.0, 1.0]], [0.5],
-                           var_names=["R", "c0"], ub_labels=["cap"],
-                           eq_labels=["budget"])
-        text = lp.to_text()
-        assert "cap" in text and "budget" in text and "R" in text
-
 
 class TestAgainstVertexOracle:
     def test_fifty_random_programs(self):
