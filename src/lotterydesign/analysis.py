@@ -19,15 +19,13 @@ from scipy.optimize import brentq
 from .benefit import BenefitProfile
 from .errors import DegenerateBoundError, InvariantViolationError, OutOfCodomainError
 from .game import (
+    TOLERANCES,
     DesignPoint,
     EquilibriumResult,
     LotteryInstance,
     equilibrium_sensitivities,
     solve_equilibrium,
 )
-
-# Tolerance for treating the perturbation total as equal to the optimum.
-_EQUALITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -237,6 +235,8 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
     statement-variant `poa_bounds` at this point when the caller already holds
     them; None computes them here.
     """
+    tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
+    margin_floor = tol["property_margin"]
     profile = instance.profile
     n = instance.n_players
     R = design.reward
@@ -245,7 +245,7 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
     g_star = profile.socially_optimal_good()
     G = eq.G
     all_active = len(eq.active_set) == n
-    at_equality = abs(c_bar - g_star) <= _EQUALITY_TOL
+    at_equality = abs(c_bar - g_star) <= tol["equality_case"]
     checks: list[PropertyCheck] = []
 
     # Feasibility of the pool whenever the design achieves the optimum.
@@ -253,19 +253,19 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
         checks.append(PropertyCheck(
             "pool_covers_perturbation", None, None,
             "single-player instance is outside the property's hypothesis"))
-    elif abs(G - g_star) > 1e-6:
+    elif abs(G - g_star) > tol["optimum_attained"]:
         checks.append(PropertyCheck(
             "pool_covers_perturbation", None, None,
             "equilibrium good differs from the social optimum"))
     else:
         margin = G + R - c_bar
         checks.append(PropertyCheck(
-            "pool_covers_perturbation", margin >= -1e-9, margin))
+            "pool_covers_perturbation", margin >= margin_floor, margin))
 
     # The good always sits between the perturbation total and the optimum.
     lo, hi = min(c_bar, g_star), max(c_bar, g_star)
     margin = min(G - lo, hi - G)
-    checks.append(PropertyCheck("good_bracketed", margin >= -1e-9, margin))
+    checks.append(PropertyCheck("good_bracketed", margin >= margin_floor, margin))
 
     if not all_active:
         reason = "sensitivity formulas require every player active"
@@ -274,14 +274,15 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
     else:
         dG_dR, dG_dc = equilibrium_sensitivities(instance, design, eq)
         if at_equality:
-            margin = 1e-8 - abs(dG_dR)
+            margin = tol["equality_reward_sensitivity"] - abs(dG_dR)
             checks.append(PropertyCheck("reward_sensitivity_sign", margin >= 0.0, margin))
             checks.append(PropertyCheck(
                 "perturbation_sensitivity_sign", None, None,
                 "perturbation total equals the social optimum (equality case)"))
         else:
             margin = math.copysign(1.0, g_star - c_bar) * dG_dR
-            checks.append(PropertyCheck("reward_sensitivity_sign", margin >= -1e-9, margin))
+            checks.append(PropertyCheck(
+                "reward_sensitivity_sign", margin >= margin_floor, margin))
             if n == 1:
                 # A lone player's good is pinned by its own first-order
                 # condition; perturbations cannot move it, so strict
@@ -305,12 +306,13 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
         base = R / (R + gu - c_bar)
         floors = c + R * (base + profile.slopes(gu) - 1.0)
         margin = float(np.min(eq.s_star - floors))
-        checks.append(PropertyCheck("investment_lower_bound", margin >= -1e-9, margin))
+        checks.append(PropertyCheck("investment_lower_bound", margin >= margin_floor, margin))
 
     # Aggregate payoff must land inside the closed-form sandwich.
     pb = bounds if bounds is not None else poa_bounds(profile, design)
     payoff_eq = profile.aggregate_value(G) - G
     p_at = sorted(profile.aggregate_value(g) - g for g in (pb.g_lower, pb.g_upper))
     margin = min(payoff_eq - p_at[0], p_at[1] - payoff_eq)
-    checks.append(PropertyCheck("payoff_sandwich", margin >= -1e-7, margin))
+    checks.append(PropertyCheck(
+        "payoff_sandwich", margin >= tol["payoff_sandwich_margin"], margin))
     return checks

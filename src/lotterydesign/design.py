@@ -31,7 +31,7 @@ from .game import (
     payoff,
     solve_equilibrium,
 )
-from .simplex import LinearProgram, SimplexResult, solve_lp
+from .simplex import LinearProgram, solve_lp
 
 # Default closed floor replacing the open constraint R > 0.
 DEFAULT_REWARD_FLOOR = 1e-3
@@ -162,7 +162,6 @@ def build_reformulation(problem: DesignProblem) -> LinearProgram:
     cons = problem.constraints
     a_ub = np.zeros((cons.n_rows + 1, n + 1))
     b_ub = np.zeros(cons.n_rows + 1)
-    labels = list(cons.labels) + ["reward_floor"]
     for r in range(cons.n_rows):
         s_part = cons.a[r, :n]
         a_ub[r, 0] = float(s_part @ grad + cons.a[r, n])
@@ -181,62 +180,27 @@ def build_reformulation(problem: DesignProblem) -> LinearProgram:
         b_ub=b_ub,
         a_eq=a_eq,
         b_eq=np.array([problem.g_star]),
-        var_names=["R"] + [f"c[{i}]" for i in range(n)],
-        ub_labels=labels,
-        eq_labels=["perturbation_budget"],
         objective_offset=problem.alpha * problem.g_star,
     )
-
-
-def _pin_and_minimize(lp: LinearProgram, pins: list[tuple[int, float]],
-                      target: int) -> SimplexResult:
-    n = lp.n_vars
-    extra_a = np.zeros((len(pins), n))
-    extra_b = np.zeros(len(pins))
-    for r, (j, value) in enumerate(pins):
-        extra_a[r, j] = 1.0
-        extra_b[r] = value
-    obj = np.zeros(n)
-    obj[target] = 1.0
-    pinned = LinearProgram(
-        objective=obj,
-        a_ub=lp.a_ub,
-        b_ub=lp.b_ub,
-        a_eq=np.vstack([lp.a_eq, extra_a]),
-        b_eq=np.concatenate([lp.b_eq, extra_b]),
-        var_names=lp.var_names,
-    )
-    return solve_lp(pinned)
 
 
 def solve_design(problem: DesignProblem) -> DesignSolution:
     """Solve the reformulated design LP; break objective ties deterministically.
 
     Among optimal vertices the returned one has the lexicographically smallest
-    perturbation vector, obtained by pinning the optimal reward and minimizing
-    each c_i in turn. The tie-break is not optional: on the IEEE 30-bus
-    optimal face every c_i ranges over the whole budget.
+    perturbation vector: the simplex returns the lexicographically smallest
+    optimal (R, c), and R is constant on the optimal face. The tie-break is
+    not optional: on the IEEE 30-bus optimal face every c_i ranges over the
+    whole budget.
     """
     lp = build_reformulation(problem)
     res = solve_lp(lp)
+    iterations = res.iterations + res.lex_iterations
     if res.status != "optimal":
-        return DesignSolution(res.status, None, None, None, (), res.iterations)
+        return DesignSolution(res.status, None, None, None, (), iterations)
 
-    n = problem.instance.n_players
-    x = res.x.copy()
-    iterations = res.iterations
-    if n > 1:
-        pins = [(0, x[0])]
-        for j in range(1, n):  # the budget row forces the final coordinate
-            sub = _pin_and_minimize(lp, pins, j)
-            if sub.status != "optimal":  # pragma: no cover - pins replay a vertex
-                raise InvariantViolationError("lexicographic refinement lost feasibility")
-            x = sub.x.copy()
-            iterations += sub.iterations
-            pins.append((j, x[j]))
-
-    reward = float(x[0])
-    c = np.maximum(x[1:], 0.0)
+    reward = float(res.x[0])
+    c = np.maximum(res.x[1:], 0.0)
     budget_gap = abs(float(c.sum()) - problem.g_star)
     if budget_gap > 1e-8 * max(1.0, problem.g_star):  # pragma: no cover
         raise InvariantViolationError(

@@ -39,6 +39,13 @@ TOLERANCES = {
     "payoff_gap": {"value": 1e-6, "origin": "design verification contract"},
     "prediction_gap": {"value": 1e-6, "origin": "design verification contract"},
     "property_margin": {"value": -1e-9, "origin": "property checker contract"},
+    "payoff_sandwich_margin": {"value": -1e-7, "origin": "property checker contract"},
+    "equality_reward_sensitivity": {
+        "value": 1e-8, "origin": "property checker: largest |dG/dR| when sum(c) = G*"},
+    "equality_case": {
+        "value": 1e-9, "origin": "property checker: largest |sum(c) - G*| treated as equal"},
+    "optimum_attained": {
+        "value": 1e-6, "origin": "property checker: largest |G - G*| treated as optimal"},
 }
 # Required accuracy of the first-order conditions at a returned equilibrium,
 # and of sum s = G + R relative to max(1, G + R).

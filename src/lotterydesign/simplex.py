@@ -3,13 +3,17 @@
 Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0 on an explicit
 tableau. Bland's rule (smallest index enters, smallest basic index breaks
 ratio ties) rules out cycling; rows are max-abs equilibrated so the pivot
-tolerance is scale-free. Sized for the few-hundred-row programs produced by
-the design reformulation, not for sparse or large-scale work.
+tolerance is scale-free. A lexicographic pass then minimizes each structural
+column in turn over the optimal face, re-optimizing from the phase-2 basis
+(Isermann, Linear lexicographic optimization, OR Spektrum 4, 1982), so ties
+between optimal vertices break the same way on every run. Sized for the
+few-hundred-row programs produced by the design reformulation, not for sparse
+or large-scale work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +32,6 @@ class LinearProgram:
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    var_names: list[str] = field(default_factory=list)
-    ub_labels: list[str] = field(default_factory=list)
-    eq_labels: list[str] = field(default_factory=list)
     objective_offset: float = 0.0
 
     def __post_init__(self):
@@ -45,8 +46,6 @@ class LinearProgram:
         for block in (self.objective, self.a_ub, self.b_ub, self.a_eq, self.b_eq):
             if not np.all(np.isfinite(block)):
                 raise ValueError("linear program data must be finite")
-        if not self.var_names:
-            self.var_names = [f"x{j}" for j in range(n)]
 
     @property
     def n_vars(self) -> int:
@@ -59,46 +58,59 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """Solve outcome; `iterations` counts phase 1 and 2 pivots and
+    `lex_iterations` those of the lexicographic pass."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None
     objective: float | None
     iterations: int
+    lex_iterations: int = 0
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int):
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    factor = tableau[:, col].copy()
+    factor[row] = 0.0
+    tableau -= np.outer(factor, tableau[row])
     basis[row] = col
 
 
-def _run_phase(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-               n_cols: int, n_enter: int, max_iter: int,
-               iters_used: int) -> tuple[str, int]:
+def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None:
+    """Bland's ratio test: the minimum ratio under exact float equality, ties
+    to the smallest basic variable; None when no entry of `col` is positive."""
     m = tableau.shape[0] - 1
+    rows = np.nonzero(tableau[:m, col] > PIVOT_TOL)[0]
+    if rows.size == 0:
+        return None
+    ratios = tableau[rows, -1] / tableau[rows, col]
+    ties = rows[ratios == ratios.min()]
+    return int(ties[np.argmin(basis[ties])])
+
+
+def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+               enter: np.ndarray, max_iter: int) -> tuple[str, int]:
+    """Minimize cost over the tableau, letting only `enter` columns enter.
+
+    Returns the status and the number of pivots taken.
+    """
+    m = tableau.shape[0] - 1
+    n_cols = cost.size
     # Rebuild the reduced-cost row for the given cost vector.
     tableau[m, :n_cols] = cost
     tableau[m, n_cols] = 0.0
-    for r, bj in enumerate(basis):
-        if cost[bj] != 0.0:
-            tableau[m] -= cost[bj] * tableau[r]
+    for r in np.nonzero(cost[basis])[0]:
+        tableau[m] -= cost[basis[r]] * tableau[r]
 
-    it = iters_used
+    it = 0
     while True:
-        obj_row = tableau[m, :n_enter]
-        candidates = np.nonzero(obj_row < -PIVOT_TOL)[0]
+        candidates = np.nonzero(enter & (tableau[m, :n_cols] < -PIVOT_TOL))[0]
         if candidates.size == 0:
             return "optimal", it
         col = int(candidates[0])  # Bland: smallest improving index
-        ratios = []
-        for r in range(m):
-            a = tableau[r, col]
-            if a > PIVOT_TOL:
-                ratios.append((tableau[r, n_cols] / a, basis[r], r))
-        if not ratios:
+        row = _leaving_row(tableau, basis, col)
+        if row is None:
             return "unbounded", it
-        _, _, row = min(ratios)  # ties resolved by smallest basic variable
         it += 1
         if it > max_iter:
             raise SimplexFailureError(
@@ -110,9 +122,10 @@ def _run_phase(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
 def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     """Two-phase simplex solve of a LinearProgram.
 
-    Returns an optimal basic solution, or an explicit infeasible/unbounded
-    status. Raises SimplexFailureError past the iteration cap, which defaults
-    to 10 * (rows + structural variables) per phase.
+    Returns the lexicographically smallest optimal basic solution, or an
+    explicit infeasible/unbounded status. Raises SimplexFailureError past the
+    iteration cap, which defaults to 10 * (rows + structural variables) per
+    phase and per lexicographic stage.
     """
     n = lp.n_vars
     m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
@@ -141,10 +154,8 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     for j, r in enumerate(art_cols):
         full[r, n + m_ub + j] = 1.0
 
-    basis = []
-    art_iter = iter(range(n_art))
-    for r in range(m):
-        basis.append(n + m_ub + next(art_iter) if needs_art[r] else n + r)
+    basis = n + np.arange(m)  # each inequality row's slack
+    basis[art_cols] = n + m_ub + np.arange(n_art)
 
     n_cols = n + m_ub + n_art
     tableau = np.zeros((m + 1, n_cols + 1))
@@ -155,8 +166,8 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     if n_art:
         cost1 = np.zeros(n_cols)
         cost1[n + m_ub:] = 1.0
-        status, iterations = _run_phase(tableau, basis, cost1, n_cols, n_cols,
-                                        max_iter, 0)
+        status, iterations = _run_phase(tableau, basis, cost1,
+                                        np.ones(n_cols, dtype=bool), max_iter)
         if status == "unbounded":  # pragma: no cover - phase 1 is bounded below
             raise SimplexFailureError("phase 1 reported unbounded")
         if tableau[m, n_cols] < -FEAS_TOL:
@@ -171,16 +182,28 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
                 # at zero and never re-enters (phase-2 cost ignores it).
 
     # Artificial columns are barred from re-entering in phase 2.
+    enter = np.arange(n_cols) < n + m_ub
     cost2 = np.zeros(n_cols)
     cost2[:n] = lp.objective
-    status, iterations = _run_phase(tableau, basis, cost2, n_cols, n + m_ub,
-                                    max_iter, iterations)
+    status, pivots = _run_phase(tableau, basis, cost2, enter, max_iter)
+    iterations += pivots
     if status == "unbounded":
         return SimplexResult("unbounded", None, None, iterations)
 
+    # Columns with a positive reduced cost are zero on the optimal face;
+    # barring them keeps every later stage on that face.
+    lex_iterations = 0
+    for j in range(n):
+        enter &= tableau[m, :n_cols] <= PIVOT_TOL
+        cost = np.zeros(n_cols)
+        cost[j] = 1.0
+        status, pivots = _run_phase(tableau, basis, cost, enter, max_iter)
+        if status != "optimal":  # pragma: no cover - x_j >= 0 bounds the stage
+            raise SimplexFailureError("lexicographic stage reported unbounded")
+        lex_iterations += pivots
+
     x = np.zeros(n_cols)
-    for r, bj in enumerate(basis):
-        x[bj] = tableau[r, n_cols]
+    x[basis] = tableau[:m, n_cols]
     x_struct = np.where(np.abs(x[:n]) < 1e-12, 0.0, x[:n])
     objective = float(lp.objective @ x_struct + lp.objective_offset)
-    return SimplexResult("optimal", x_struct, objective, iterations)
+    return SimplexResult("optimal", x_struct, objective, iterations, lex_iterations)

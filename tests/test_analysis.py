@@ -16,6 +16,7 @@ from lotterydesign import (
     true_poa,
 )
 from lotterydesign.errors import DegenerateBoundError
+from lotterydesign.game import TOLERANCES
 
 from conftest import bisect_root, random_profile
 
@@ -158,6 +159,23 @@ class TestCheckProperties:
         by_name = {c.name: c for c in check_properties(i2_instance, d, eq)}
         assert by_name["investment_lower_bound"].holds is True
         assert by_name["reward_sensitivity_sign"].holds is True
+
+    @pytest.mark.parametrize("row, check", [
+        ("property_margin", "good_bracketed"),
+        ("payoff_sandwich_margin", "payoff_sandwich"),
+        ("equality_reward_sensitivity", "reward_sensitivity_sign"),
+    ])
+    def test_margins_come_from_tolerance_table(self, i2_instance, monkeypatch, row, check):
+        # At the optimal budget every check passes; moving the stated row
+        # past the observed margin must flip the check that applies it.
+        d = _design(1.0, [0.5, 0.5])
+        eq = solve_equilibrium(i2_instance, d)
+        before = {c.name: c.holds for c in check_properties(i2_instance, d, eq)}
+        assert before[check] is True
+        shift = -1.0 if row == "equality_reward_sensitivity" else 1.0
+        monkeypatch.setitem(TOLERANCES[row], "value", shift)
+        after = {c.name: c.holds for c in check_properties(i2_instance, d, eq)}
+        assert after[check] is False
 
     def test_report_serializes(self, i2_instance):
         d = _design(1.5, [0, 0])

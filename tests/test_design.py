@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from lotterydesign import (
     BenefitProfile,
@@ -11,12 +12,16 @@ from lotterydesign import (
     LotteryInstance,
     brute_force_bilevel,
     build_reformulation,
+    design,
     individual_rationality_rows,
     solve_design,
     solve_equilibrium,
     verify_design,
 )
 from lotterydesign.errors import ExactnessViolationError, InvariantViolationError
+
+from test_simplex import lexicographic_vertex_oracle
+
 
 @pytest.fixture
 def i2_problem(i2_instance):
@@ -44,6 +49,58 @@ def random_feasible_problem(rng, n):
     return problem, r0
 
 
+def stratified(rng, lo, hi, n):
+    """n uniform draws from [lo, hi], one from each of n equal slices, shuffled."""
+    return rng.permutation(lo + (hi - lo) * (np.arange(n) + rng.uniform(0.0, 1.0, n)) / n)
+
+
+def group_floor_problem(seed, n=60):
+    """Design with investment floors and caps plus 30 group-sum floors.
+
+    Floors sum past G* so the reward binds above its floor; each group row
+    asks sum_{i in g} s_i >= sum_{i in g} floor_i + U[0.2, 1] G*/n over a
+    random 10-player group, which leaves a large, degenerate optimal face.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = stratified(rng, 0.6, 3.0, n)
+    g_star = coeffs.sum() - 1.0
+    floors = stratified(rng, 0.5, 1.5, n) * (g_star + 57.0) / n
+    caps = floors + stratified(rng, 1.0, 3.0, n) * g_star / n
+    eye = np.hstack([np.eye(n), np.zeros((n, 1))])
+    groups = np.zeros((30, n + 1))
+    group_rhs = np.zeros(30)
+    for k in range(30):
+        members = rng.choice(n, 10, replace=False)
+        groups[k, members] = -1.0
+        group_rhs[k] = -(floors[members].sum() + rng.uniform(0.2, 1.0) * g_star / n)
+    a = np.vstack([-eye, eye, groups])
+    b = np.concatenate([-floors, caps, group_rhs])
+    labels = tuple(f"row{k}" for k in range(b.size))
+    return DesignProblem(LotteryInstance(BenefitProfile.scaled_log(coeffs)),
+                         ConstraintSet(a, b, labels), alpha=1.0)
+
+
+def highs_lexicographic(lp):
+    """HiGHS oracle: the minimal objective, then each c_j minimized in turn
+    with the reward and the earlier coordinates fixed at their optima."""
+    bounds = [(0.0, None)] * lp.n_vars
+
+    def solve(cost):
+        res = linprog(cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                      bounds=bounds, method="highs")
+        assert res.status == 0, res.message
+        return res.x
+
+    x = solve(lp.objective)
+    bounds[0] = (x[0], x[0])
+    for j in range(1, lp.n_vars):
+        cost = np.zeros(lp.n_vars)
+        cost[j] = 1.0
+        x = solve(cost)
+        bounds[j] = (x[j], x[j])
+    return x
+
+
 class TestConstraintSet:
     def test_row_builder_and_residuals(self):
         cs = ConstraintSet.from_rows([("cap", [1.0, 0.0], -0.5, 2.0)])
@@ -64,9 +121,9 @@ class TestConstraintSet:
 class TestBuildReformulation:
     def test_unconstrained_shape(self, i2_problem):
         lp = build_reformulation(i2_problem)
-        assert lp.var_names == ["R", "c[0]", "c[1]"]
-        assert lp.ub_labels == ["reward_floor"]
-        assert lp.eq_labels == ["perturbation_budget"]
+        # Only the reward floor: -R <= -floor; the budget row sums c.
+        assert lp.a_ub.tolist() == [[-1.0, 0.0, 0.0]]
+        assert lp.a_eq.tolist() == [[0.0, 1.0, 1.0]]
         assert lp.b_eq == pytest.approx([1.0], abs=1e-9)
         assert lp.objective_offset == pytest.approx(1.0, abs=1e-9)
 
@@ -124,6 +181,54 @@ class TestSolveDesign:
             sol = solve_design(problem)
             assert sol.objective == pytest.approx(
                 problem.reward_floor + alpha * 1.0, abs=1e-8)
+
+
+class TestLexicographicOptimum:
+    def test_small_designs_match_vertex_oracle(self):
+        rng = np.random.default_rng(61)
+        for k in range(21):
+            n = 2 + k % 7
+            problem, _ = random_feasible_problem(rng, n)
+            sol = solve_design(problem)
+            x = lexicographic_vertex_oracle(build_reformulation(problem), range(n + 1))
+            assert sol.status == "optimal"
+            assert sol.design.reward == pytest.approx(x[0], rel=1e-7, abs=1e-9)
+            assert sol.design.perturbation == pytest.approx(
+                x[1:], abs=1e-7 * max(1.0, problem.g_star))
+
+    @pytest.mark.parametrize("n, seed", [(60, s) for s in range(8)] + [(30, 8), (45, 9)])
+    def test_group_floors_match_highs(self, n, seed):
+        # At N = 60, seeds 0, 1, 3 and 6 once raised "lexicographic refinement
+        # lost feasibility" when each coordinate was re-solved with the
+        # earlier ones pinned to floats.
+        problem = group_floor_problem(seed, n)
+        sol = solve_design(problem)
+        assert sol.status == "optimal"
+        x = highs_lexicographic(build_reformulation(problem))
+        assert sol.design.reward == pytest.approx(x[0], rel=1e-9)
+        assert np.max(np.abs(sol.design.perturbation - x[1:])) <= 1e-6 * problem.g_star
+        verify_design(problem, sol)
+
+    def test_case_study_one_solve_within_pivot_budget(self, case30_scenario, i30_profile,
+                                                      monkeypatch):
+        from lotterydesign import build_dr_constraints
+
+        solve_lp = design.solve_lp
+        results = []
+
+        def counted(*args, **kwargs):
+            results.append(solve_lp(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(design, "solve_lp", counted)
+        problem = DesignProblem(LotteryInstance(i30_profile),
+                                build_dr_constraints(case30_scenario), alpha=1.0)
+        sol = solve_design(problem)
+        assert len(results) == 1
+        assert sol.lp_iterations == results[0].iterations + results[0].lex_iterations
+        assert results[0].lex_iterations > 0  # the optimal face is not a vertex
+        assert sol.lp_iterations <= 60
+        assert sol.design.reward == pytest.approx(3358.0, abs=1e-6)
 
 
 class TestIndividualRationality:

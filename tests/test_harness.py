@@ -5,6 +5,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+import yaml
 
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
 from lotterydesign import run_scenario, run_selftest
@@ -69,6 +70,20 @@ class TestConfig:
         path = write_config(tmp_path, "- 1\n- 2\n")
         with pytest.raises(ConfigError, match="mapping"):
             ScenarioConfig.from_file(path)
+
+    def test_malformed_yaml_rejected(self, tmp_path):
+        path = write_config(tmp_path, "profile: {players: [\n")
+        with pytest.raises(ConfigError, match="cannot parse"):
+            ScenarioConfig.from_file(path)
+
+    @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not built")
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
+    def test_loaders_agree_on_shipped_configs(self, path):
+        # The C loader is used when present; it must read the same dict.
+        text = path.read_text()
+        assert (ScenarioConfig.from_file(path).raw
+                == yaml.load(text, Loader=yaml.SafeLoader)
+                == yaml.load(text, Loader=yaml.CSafeLoader))
 
     def test_missing_profile_key(self, tmp_path):
         cfg = ScenarioConfig.from_file(write_config(tmp_path, "alpha: 1\n"))

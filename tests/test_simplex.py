@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from lotterydesign.errors import SimplexFailureError
-from lotterydesign.simplex import LinearProgram, solve_lp
+from lotterydesign.simplex import PIVOT_TOL, LinearProgram, _leaving_row, _pivot, solve_lp
 
 
-def vertex_enumeration_oracle(lp: LinearProgram, tol=1e-9):
-    """Brute-force LP minimum by enumerating basic feasible points.
+def feasible_vertices(lp: LinearProgram, tol=1e-9):
+    """Every basic feasible point of an LP, found by brute force.
 
     Folds equalities into opposing inequalities and x >= 0 into rows, then
-    checks every n-subset of rows with an invertible submatrix. Exponential;
+    solves every n-subset of rows with an invertible submatrix. Exponential;
     for small test programs only.
     """
     n = lp.n_vars
@@ -22,17 +22,37 @@ def vertex_enumeration_oracle(lp: LinearProgram, tol=1e-9):
         rhs.extend([lp.b_eq, -lp.b_eq])
     A = np.vstack(rows)
     b = np.concatenate(rhs)
-    best = None
+    vertices = []
     for subset in itertools.combinations(range(A.shape[0]), n):
         sub = A[list(subset)]
         if abs(np.linalg.det(sub)) < 1e-10:
             continue
         x = np.linalg.solve(sub, b[list(subset)])
         if np.all(A @ x <= b + tol):
-            value = float(lp.objective @ x)
-            if best is None or value < best:
-                best = value
-    return best
+            vertices.append(x)
+    return vertices
+
+
+def vertex_enumeration_oracle(lp: LinearProgram, tol=1e-9):
+    """Brute-force LP minimum over the basic feasible points; None if none."""
+    values = [float(lp.objective @ x) for x in feasible_vertices(lp, tol)]
+    return min(values) if values else None
+
+
+def lexicographic_vertex_oracle(lp: LinearProgram, lex_order, tol=1e-7):
+    """The optimal vertex that minimizes the lex_order coordinates in turn.
+
+    A lexicographic minimum over a polytope is a vertex, so filtering the
+    optimal vertices one coordinate at a time finds it.
+    """
+    vertices = feasible_vertices(lp)
+    values = np.array([float(lp.objective @ x) for x in vertices])
+    keep = [x for x, v in zip(vertices, values)
+            if v <= values.min() + tol * max(1.0, abs(values.min()))]
+    for j in lex_order:
+        low = min(x[j] for x in keep)
+        keep = [x for x in keep if x[j] <= low + tol * max(1.0, abs(low))]
+    return keep[0]
 
 
 def random_bounded_lp(rng, n):
@@ -138,3 +158,73 @@ class TestAgainstVertexOracle:
                 assert res.status == "optimal"
                 assert abs(res.objective - oracle) <= 1e-7
             checked += 1
+
+
+def random_tied_lp(rng, n):
+    """Bounded LP with small-integer data: ties and degenerate vertices abound."""
+    m = int(rng.integers(1, 4))
+    a_ub = np.vstack([rng.integers(-2, 3, (m, n)), np.ones((1, n))]).astype(float)
+    b_ub = np.append(rng.integers(0, 4, m), rng.integers(2, 6)).astype(float)
+    c = rng.integers(-1, 2, n).astype(float)
+    return LinearProgram(c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0))
+
+
+class TestLexicographicPass:
+    def test_breaks_ties_toward_smallest_coordinates(self):
+        # min -x0 s.t. x0 <= 1, x0 + x1 + x2 = 3: the optimal face is
+        # x0 = 1, x1 + x2 = 2; x1 is minimized before x2.
+        lp = LinearProgram([-1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], [1.0],
+                           [[1.0, 1.0, 1.0]], [3.0])
+        res = solve_lp(lp)
+        assert res.x == pytest.approx([1.0, 0.0, 2.0], abs=1e-12)
+        assert res.objective == -1.0
+
+    def test_random_tied_programs_match_vertex_oracle(self):
+        rng = np.random.default_rng(34)
+        lex_pivots = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 6))
+            lp = random_tied_lp(rng, n)  # x = 0 is feasible
+            res = solve_lp(lp)
+            assert res.status == "optimal"
+            assert res.objective == pytest.approx(vertex_enumeration_oracle(lp), abs=1e-9)
+            assert res.x == pytest.approx(lexicographic_vertex_oracle(lp, range(n)), abs=1e-7)
+            lex_pivots += res.lex_iterations
+        assert lex_pivots > 0  # the pass moved off the phase-2 vertex
+
+
+class TestVectorizedKernels:
+    """The numpy pivot and ratio test against the row loops they replaced."""
+
+    @staticmethod
+    def loop_pivot(tableau, basis, row, col):
+        tableau[row] /= tableau[row, col]
+        for r in range(tableau.shape[0]):
+            if r != row and tableau[r, col] != 0.0:
+                tableau[r] -= tableau[r, col] * tableau[row]
+        basis[row] = col
+
+    @staticmethod
+    def loop_leaving_row(tableau, basis, col):
+        ratios = [(tableau[r, -1] / tableau[r, col], basis[r], r)
+                  for r in range(tableau.shape[0] - 1) if tableau[r, col] > PIVOT_TOL]
+        return min(ratios)[2] if ratios else None
+
+    def test_bitwise_equal_on_random_tableaux(self):
+        rng = np.random.default_rng(35)
+        for _ in range(200):
+            m, n_cols = int(rng.integers(1, 8)), int(rng.integers(2, 10))
+            # Small integers and zeros give exact ratio ties and skipped rows.
+            tableau = rng.integers(-3, 4, (m + 1, n_cols + 1)).astype(float)
+            tableau[:m, -1] = rng.integers(0, 3, m)  # nonnegative right-hand sides
+            basis = rng.permutation(n_cols + m)[:m]
+            col = int(rng.integers(n_cols))
+            row = _leaving_row(tableau, basis, col)
+            assert row == self.loop_leaving_row(tableau, basis, col)
+            if row is None:
+                continue
+            expected, expected_basis = tableau.copy(), basis.copy()
+            self.loop_pivot(expected, expected_basis, row, col)
+            _pivot(tableau, basis, row, col)
+            assert np.array_equal(tableau, expected)
+            assert np.array_equal(basis, expected_basis)
