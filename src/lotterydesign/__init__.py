@@ -33,6 +33,7 @@ from .game import (
     equilibrium_sensitivities,
     foc_residual,
     payoff,
+    payoffs,
     solve_equilibrium,
 )
 from .analysis import (
@@ -91,6 +92,7 @@ __all__ = [
     "monetize",
     "parse_case",
     "payoff",
+    "payoffs",
     "poa_bounds",
     "public_good_bounds",
     "reward_threshold",

@@ -227,13 +227,15 @@ def true_poa(instance: LotteryInstance, design: DesignPoint,
 
 def check_properties(instance: LotteryInstance, design: DesignPoint,
                      eq: EquilibriumResult, *,
-                     bounds: PoaBounds | None = None) -> list[PropertyCheck]:
+                     bounds: PoaBounds | None = None,
+                     threshold: float | None = None) -> list[PropertyCheck]:
     """Grade a solved equilibrium against the feasibility and bound properties.
 
     Report-only: every entry carries a margin (negative means violated) or a
     reason the property does not apply at this design point. `bounds` are the
     statement-variant `poa_bounds` at this point when the caller already holds
-    them; None computes them here.
+    them, and `threshold` is `reward_threshold(profile, c)`, which does not
+    depend on the reward; None computes either here.
     """
     tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
     margin_floor = tol["property_margin"]
@@ -296,7 +298,7 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
                     "perturbation_sensitivity_sign", margin > 0.0, margin))
 
     # Per-player investment floor, asserted above the reward threshold.
-    r_l = reward_threshold(profile, c)
+    r_l = threshold if threshold is not None else reward_threshold(profile, c)
     if R <= r_l:
         checks.append(PropertyCheck(
             "investment_lower_bound", None, None,

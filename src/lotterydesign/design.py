@@ -28,7 +28,7 @@ from .game import (
     DesignPoint,
     EquilibriumResult,
     LotteryInstance,
-    payoff,
+    payoffs,
     solve_equilibrium,
 )
 from .simplex import LinearProgram, solve_lp
@@ -239,8 +239,7 @@ def verify_design(problem: DesignProblem,
     eq = solve_equilibrium(instance, design)
     profile = instance.profile
 
-    agg_payoff = sum(payoff(instance, design, eq.s_star, i)
-                     for i in range(instance.n_players))
+    agg_payoff = sum(payoffs(instance, design, eq.s_star).tolist())
     resid = problem.constraints.residuals(eq.s_star, design.reward)
     worst = float(resid.max()) if resid.size else 0.0
     report = {

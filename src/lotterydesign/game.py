@@ -110,10 +110,10 @@ def _check_profile_shape(instance: LotteryInstance, design: DesignPoint, s) -> n
     return s
 
 
-def payoff(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
-    """Player i's payoff at investment profile s.
+def payoffs(instance: LotteryInstance, design: DesignPoint, s) -> np.ndarray:
+    """Every player's payoff at investment profile s, in player order.
 
-    Returns 0 when total investment falls short of the reward (the lottery is
+    All zeros when total investment falls short of the reward (the lottery is
     canceled and stakes are returned). With all perturbations zero this is the
     classic proportional-odds payoff. A negative reward share is kept as-is:
     the player pays that amount back to the planner.
@@ -122,14 +122,19 @@ def payoff(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
     R = design.reward
     total = float(s.sum())
     if total < R:
-        return 0.0
+        return np.zeros(instance.n_players)
     pool = total - design.perturbation_total
     if pool == 0.0:
         raise SingularPoolError(
             "total investment equals total perturbation: reward shares are undefined"
         )
-    share = (s[i] - design.perturbation[i]) / pool
-    return float(share * R + instance.profile.values(total - R)[i] - s[i])
+    share = (s - design.perturbation) / pool
+    return share * R + instance.profile.values(total - R) - s
+
+
+def payoff(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
+    """Player i's payoff at investment profile s; see `payoffs`."""
+    return float(payoffs(instance, design, s)[i])
 
 
 def _foc_residuals(instance: LotteryInstance, design: DesignPoint, s: np.ndarray) -> np.ndarray:

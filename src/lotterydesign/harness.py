@@ -22,6 +22,7 @@ import importlib.resources
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ import yaml
 from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
 from .errors import ConfigError, ExactnessViolationError
-from .game import TOLERANCES, DesignPoint, LotteryInstance, payoff, solve_equilibrium
+from .game import TOLERANCES, DesignPoint, LotteryInstance, payoff, payoffs, solve_equilibrium
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present: several times faster on large scenario
@@ -139,23 +140,82 @@ def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
     raise ConfigError(f"unknown constraints source {source!r}")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating, float)):
-        value = float(value)
-        if math.isinf(value):
-            return "+inf" if value > 0 else "-inf"
-        if math.isnan(value):  # pragma: no cover - pipelines never emit NaN
-            return "nan"
-        return value
-    return value
+def _report_json(report: dict) -> str:
+    """The bytes of report.json, built in one pass over the report.
+
+    Matches `json.dumps(indent=2, sort_keys=True) + "\n"` applied to the
+    report with keys made `str(k)`, numpy scalars and arrays made Python
+    numbers and lists, tuples made lists, and non-finite floats made the
+    strings "+inf", "-inf" and "nan". Any other type raises TypeError.
+    """
+    parts = []
+    append = parts.append
+
+    def encode(value, newline):
+        # `newline` is the line break plus the indent of the current level.
+        # Exact builtin types take the first branches; numpy values and
+        # subclasses are made builtin and encoded again.
+        kind = type(value)
+        if kind is str:
+            append(encode_basestring_ascii(value))
+        elif kind is float:
+            if math.isinf(value):
+                append('"+inf"' if value > 0 else '"-inf"')
+            elif math.isnan(value):
+                append('"nan"')
+            else:
+                append(float.__repr__(value))
+        elif kind is dict:
+            if not value:
+                append("{}")
+                return
+            items = {str(k): v for k, v in value.items()}
+            inner = newline + "  "
+            sep = "{" + inner
+            for key in sorted(items):
+                append(sep + encode_basestring_ascii(key) + ": ")
+                encode(items[key], inner)
+                sep = "," + inner
+            append(newline + "}")
+        elif kind is list:
+            if not value:
+                append("[]")
+                return
+            inner = newline + "  "
+            sep = "[" + inner
+            for item in value:
+                append(sep)
+                encode(item, inner)
+                sep = "," + inner
+            append(newline + "]")
+        elif kind is int:
+            append(int.__repr__(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, (float, np.floating)):
+            encode(float(value), newline)
+        elif isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif isinstance(value, (int, np.integer)):
+            encode(int(value), newline)
+        elif isinstance(value, dict):
+            encode(dict(value), newline)
+        elif isinstance(value, (list, tuple)):
+            encode(list(value), newline)
+        elif isinstance(value, np.ndarray):
+            # A 0-d array's tolist() is a scalar, which list() rejects.
+            encode(list(value.tolist()), newline)
+        else:
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable")
+
+    encode(report, "\n")
+    append("\n")
+    return "".join(parts)
 
 
 def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
@@ -168,8 +228,7 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = ["report.json"] + sorted(csv_files)
     report["artifacts"] = artifacts
-    payload = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
-    (out_dir / "report.json").write_text(payload)
+    (out_dir / "report.json").write_text(_report_json(report))
     for name in sorted(csv_files):
         header, rows = csv_files[name]
         with open(out_dir / name, "w", newline="") as fh:
@@ -201,7 +260,7 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     dp = DesignPoint(float(point["reward"]), c)
     eq = solve_equilibrium(instance, dp)
     checks = analysis.check_properties(instance, dp, eq)
-    agg = sum(payoff(instance, dp, eq.s_star, i) for i in range(instance.n_players))
+    agg = sum(payoffs(instance, dp, eq.s_star).tolist())
     results = {
         "player_ids": ids,
         "reward": dp.reward,
@@ -230,11 +289,12 @@ def _bounds_dict(bounds) -> dict:
     }
 
 
-def _analyze_one(instance, c, reward):
+def _analyze_one(instance, c, reward, threshold):
     dp = DesignPoint(reward, c)
     eq = solve_equilibrium(instance, dp)
     bounds = analysis.poa_bounds(instance.profile, dp)
-    checks = analysis.check_properties(instance, dp, eq, bounds=bounds)
+    checks = analysis.check_properties(
+        instance, dp, eq, bounds=bounds, threshold=threshold)
     return {
         "reward": reward,
         "public_good": eq.G,
@@ -260,7 +320,8 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     sweep = cfg.require("sweep")
     rewards = [float(r) for r in sweep.get("rewards", [])]
     c = np.asarray(sweep.get("perturbation", [0.0] * profile.n_players), dtype=float)
-    rows = [_analyze_one(instance, c, r) for r in rewards]
+    threshold = analysis.reward_threshold(profile, c)
+    rows = [_analyze_one(instance, c, r, threshold) for r in rewards]
     rows.sort(key=lambda row: row["reward"])
 
     def fmt(v):
@@ -528,7 +589,7 @@ def _selftest_cases(seed: int):
 
     rng = np.random.default_rng(seed)
     worst_foc, worst_margin, worst_gain = 0.0, math.inf, 0.0
-    done = 0
+    done = skipped = 0
     while done < 20:
         n = int(rng.integers(2, 5))
         coeffs = rng.uniform(0.6, 3.0, n)
@@ -546,12 +607,12 @@ def _selftest_cases(seed: int):
             reward += float(rng.uniform(0.1, 10.0))
         dp = DesignPoint(reward, c)
         eq = solve_equilibrium(inst, dp)
-        # Skip points where voiding the lottery beats a negative payoff: the
-        # literal payoff has no pure equilibrium there.
-        payoffs = [payoff(inst, dp, eq.s_star, i) for i in range(n)]
+        # Skip, and count, points where voiding the lottery beats a negative
+        # payoff: the literal payoff has no pure equilibrium there.
+        pay = payoffs(inst, dp, eq.s_star)
         total = float(eq.s_star.sum())
-        if any(p < -1e-6 and total - eq.s_star[i] < reward
-               for i, p in enumerate(payoffs)):
+        if np.any((pay < -1e-6) & (total - eq.s_star < reward)):
+            skipped += 1
             continue
         done += 1
         worst_foc = max(worst_foc, eq.max_foc_violation)
@@ -562,13 +623,15 @@ def _selftest_cases(seed: int):
         br = best_response_oracle(inst, dp, np.delete(eq.s_star, i), i)
         trial = eq.s_star.copy()
         trial[i] = br
-        gain = payoff(inst, dp, trial, i) - payoff(inst, dp, eq.s_star, i)
+        gain = payoff(inst, dp, trial, i) - float(pay[i])
         worst_gain = max(worst_gain, gain)
-    yield ("random_corpus_foc", worst_foc <= 1e-8, f"max residual {worst_foc:.2e}")
+    corpus = f"{done} points, {skipped} without a pure equilibrium skipped"
+    yield ("random_corpus_foc", worst_foc <= 1e-8,
+           f"max residual {worst_foc:.2e}; {corpus}")
     yield ("random_corpus_properties", worst_margin >= -1e-7,
-           f"min margin {worst_margin:.2e}")
+           f"min margin {worst_margin:.2e}; {corpus}")
     yield ("random_corpus_best_response", worst_gain <= 1e-5,
-           f"max unilateral gain {worst_gain:.2e}")
+           f"max unilateral gain {worst_gain:.2e}; {corpus}")
 
     status, results, _, _ = _run_casestudy(ScenarioConfig(CASE30_SCENARIO, Path(".")))
     # A failed or infeasible design fails every golden row with it.

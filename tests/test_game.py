@@ -12,6 +12,7 @@ from lotterydesign import (
     equilibrium_sensitivities,
     foc_residual,
     payoff,
+    payoffs,
     reward_threshold,
     solve_equilibrium,
 )
@@ -155,6 +156,42 @@ class TestPayoff:
     def test_negative_investment_rejected(self, i2_instance):
         with pytest.raises(DomainError):
             payoff(i2_instance, _design(1.0, [0, 0]), [-0.1, 0.5], 0)
+
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["c_zero", "c_positive"])
+    def test_payoffs_match_per_player_formula_bitwise(self, perturbed):
+        def reference(instance, design, s, i):
+            # Player i's payoff, one scalar at a time, in the order payoffs uses.
+            R = design.reward
+            total = float(s.sum())
+            if total < R:
+                return 0.0
+            pool = total - design.perturbation_total
+            share = (s[i] - design.perturbation[i]) / pool
+            return float(share * R + instance.profile.values(total - R)[i] - s[i])
+
+        rng = np.random.default_rng(31 if perturbed else 30)
+        for _ in range(60):
+            profile = random_profile(rng)
+            instance = LotteryInstance(profile)
+            n = profile.n_players
+            g_star = profile.socially_optimal_good()
+            c = rng.uniform(0.0, 2.0 * g_star / n, n) if perturbed else np.zeros(n)
+            d = _design(float(rng.uniform(0.05, 20.0)), c)
+            s = rng.uniform(0.0, 2.0 * (d.reward + d.perturbation_total) / n, n)
+            values = payoffs(instance, d, s)
+            assert values.shape == (n,)
+            for i in range(n):
+                expected = reference(instance, d, s, i).hex()
+                assert float(values[i]).hex() == expected
+                assert payoff(instance, d, s, i).hex() == expected
+
+    def test_payoffs_of_a_canceled_lottery_are_zero(self, i2_instance):
+        values = payoffs(i2_instance, _design(1.0, [0.3, 0.1]), [0.2, 0.3])
+        assert values.tolist() == [0.0, 0.0]
+
+    def test_payoffs_singular_pool_raises(self, i2_instance):
+        with pytest.raises(SingularPoolError):
+            payoffs(i2_instance, _design(1.0, [1.0, 1.0]), [1.0, 1.0])
 
     def test_zero_perturbation_reduces_to_classic(self, i2_instance):
         rng = np.random.default_rng(11)

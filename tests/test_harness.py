@@ -1,17 +1,20 @@
 import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
 from lotterydesign import run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
-from lotterydesign.harness import CASE30_SCENARIO, _money, load_report_schema
+from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json, load_report_schema
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -274,10 +277,119 @@ class TestSinglePass:
         assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
         assert Counter(variants) == {"statement": 5, "proof": 5}
 
+    def test_analyze_computes_the_reward_threshold_once(self, tmp_path, monkeypatch):
+        raw = analysis.reward_threshold
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return raw(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "reward_threshold", counted)
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
+        assert len(cfg.require("sweep")["rewards"]) == 5
+        assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
+        assert len(calls) == 1
+
     def test_selftest_case30_matches_config(self):
         config = ScenarioConfig.from_file(CONFIGS / "case30.yaml")
         for key in ("constraints", "casestudy", "alpha", "reward_floor", "golden"):
             assert CASE30_SCENARIO[key] == config.require(key), key
+
+
+def _jsonable_reference(value):
+    # The report conversion that preceded the one-pass encoder, kept as the
+    # oracle: its output through json.dumps is the specified encoding.
+    if isinstance(value, dict):
+        return {str(k): _jsonable_reference(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable_reference(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return [_jsonable_reference(v) for v in value.tolist()]
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, (np.floating, float)):
+        value = float(value)
+        if math.isinf(value):
+            return "+inf" if value > 0 else "-inf"
+        if math.isnan(value):
+            return "nan"
+        return value
+    return value
+
+
+def reference_report_json(report) -> str:
+    return json.dumps(_jsonable_reference(report), indent=2, sort_keys=True) + "\n"
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6) | st.integers(-9, 9), inner, max_size=4)
+        | st.lists(st.floats(), max_size=4).map(np.array)
+    ),
+    max_leaves=25,
+)
+
+
+class TestReportEncoding:
+    """report.json bytes equal json.dumps of the converted report."""
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+    def test_shipped_configs(self, tmp_path, path):
+        ran = []
+        for verb in ("equilibrium", "analyze", "design", "casestudy"):
+            cfg = ScenarioConfig.from_file(path)
+            try:
+                result = run_scenario(verb, cfg, out_dir=tmp_path / verb)
+            except ConfigError:  # the config does not configure this verb
+                continue
+            ran.append(verb)
+            assert (tmp_path / verb / "report.json").read_text() == (
+                reference_report_json(result.report)), verb
+        assert ran
+
+    def test_selftest_report(self, tmp_path):
+        _, _, report = run_selftest(seed=0, out_dir=tmp_path)
+        assert (tmp_path / "report.json").read_text() == reference_report_json(report)
+
+    def test_adversarial_report(self):
+        report = {
+            "floats": [math.inf, -math.inf, math.nan, -0.0, 1e-310, 1.5e300, 0.1],
+            "numpy": [np.float32(0.1), np.float64(-math.inf), np.float64(2.5),
+                      np.int64(-7), np.float32(math.nan)],
+            "arrays": [np.array([]), np.zeros((2, 0)), np.arange(6.0).reshape(2, 3),
+                       np.array([[1, 2], [3, 4]]), np.array([math.inf, 1.0])],
+            "containers": ((), [], {}, ([{}], {"x": ()}), [[[]]]),
+            3: "int key",
+            -1: {10: "a", 9: "b", "10": "c"},
+            "strings": ['quote " and backslash \\', "tab\tnewline\n\x00\x1f",
+                        "caf\u00e9 \u2713 \U0001f600", ""],
+            "literals": [True, False, None, 0, -12345678901234567890],
+        }
+        assert _report_json(report) == reference_report_json(report)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_random_nested_values(self, value):
+        assert _report_json(value) == reference_report_json(value)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, object(), np.bool_(True), np.array(1.0)],
+                             ids=["set", "object", "numpy_bool", "zero_d_array"])
+    def test_unsupported_values_raise(self, bad):
+        report = {"results": [bad]}
+        with pytest.raises(TypeError):
+            reference_report_json(report)
+        with pytest.raises(TypeError):
+            _report_json(report)
 
 
 class TestDeterminism:
@@ -328,3 +440,13 @@ class TestSelftest:
         jsonschema.validate(report, schema)
         on_disk = json.loads((tmp_path / "out" / "report.json").read_text())
         jsonschema.validate(on_disk, schema)
+
+    def test_skipped_corpus_points_are_counted(self):
+        # Seed 4 draws two random points where withdrawing to cancel the
+        # lottery beats a negative payoff; seed 0 draws none.
+        for seed, skipped in ((4, 2), (0, 0)):
+            _, lines, _ = run_selftest(seed=seed)
+            corpus = [line for line in lines if "random_corpus_" in line]
+            assert len(corpus) == 3
+            for line in corpus:
+                assert f"20 points, {skipped} without a pure equilibrium skipped" in line
