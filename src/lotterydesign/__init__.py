@@ -5,11 +5,12 @@ Public surface, by concern:
 - benefit: BenefitProfile (a vector of scaled-log coefficients a; aggregate
   marginal H(G) = sum(a)/(G+1), social optimum G* = sum(a) - 1)
 - game: LotteryInstance / DesignPoint / solve_equilibrium (one share-function
-  root; `iterations` counts its root evaluations) and friends
+  root; `iterations` counts its root evaluations), solve_sweep (the same root
+  for every reward of a sweep at once) and friends
 - analysis: reward threshold, public-good and price-of-anarchy bounds,
-  property checkers
+  property checkers, analyze_sweep (all of them over a sweep's rewards)
 - design: ConstraintSet / DesignProblem, convex reformulation, LP solve,
-  brute-force oracle, verification
+  verification
 - grid: MATPOWER-subset parsing, DC shift factors, demand-response constraints
 - harness / cli: scenario configs, pipelines, reports
 """
@@ -19,7 +20,6 @@ from .design import (
     ConstraintSet,
     DesignProblem,
     DesignSolution,
-    brute_force_bilevel,
     build_reformulation,
     individual_rationality_rows,
     solve_design,
@@ -28,6 +28,7 @@ from .design import (
 from .game import (
     DesignPoint,
     EquilibriumResult,
+    EquilibriumSweep,
     LotteryInstance,
     best_response_oracle,
     equilibrium_sensitivities,
@@ -35,14 +36,16 @@ from .game import (
     payoff,
     payoffs,
     solve_equilibrium,
+    solve_sweep,
 )
 from .analysis import (
     PoaBounds,
     PropertyCheck,
+    SweepAnalysis,
+    analyze_sweep,
     assured_active_count,
     check_properties,
     poa_bounds,
-    public_good_bounds,
     reward_threshold,
     true_poa,
 )
@@ -72,6 +75,7 @@ __all__ = [
     "DesignSolution",
     "DrScenario",
     "EquilibriumResult",
+    "EquilibriumSweep",
     "Generator",
     "GridCase",
     "LinearProgram",
@@ -80,9 +84,10 @@ __all__ = [
     "PropertyCheck",
     "ScenarioConfig",
     "SimplexResult",
+    "SweepAnalysis",
+    "analyze_sweep",
     "assured_active_count",
     "best_response_oracle",
-    "brute_force_bilevel",
     "build_dr_constraints",
     "build_reformulation",
     "check_properties",
@@ -94,7 +99,6 @@ __all__ = [
     "payoff",
     "payoffs",
     "poa_bounds",
-    "public_good_bounds",
     "reward_threshold",
     "run_scenario",
     "run_selftest",
@@ -102,6 +106,7 @@ __all__ = [
     "solve_design",
     "solve_equilibrium",
     "solve_lp",
+    "solve_sweep",
     "true_poa",
     "verify_design",
 ]

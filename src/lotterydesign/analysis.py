@@ -5,7 +5,8 @@ the reward threshold above which every player provably invests, closed-form
 lower/upper bounds on the equilibrium good, and the resulting price-of-anarchy
 sandwich. Also provides report-style checkers that grade a solved equilibrium
 against the expected feasibility, bracketing, monotonicity, and bound
-properties.
+properties. Every closed form here takes one reward or a vector of them;
+`analyze_sweep` grades a whole reward sweep in one pass over that vector.
 """
 
 from __future__ import annotations
@@ -14,17 +15,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .benefit import BenefitProfile
-from .errors import DegenerateBoundError, InvariantViolationError, OutOfCodomainError
+from .errors import DegenerateBoundError, InvariantViolationError
 from .game import (
+    TOL_ACTIVE,
     TOLERANCES,
     DesignPoint,
     EquilibriumResult,
+    EquilibriumSweep,
     LotteryInstance,
-    equilibrium_sensitivities,
+    _good_sensitivities,
     solve_equilibrium,
+    solve_sweep,
 )
 
 
@@ -36,7 +39,9 @@ class PoaBounds:
     equilibrium good. `poa_lower`/`poa_upper` sandwich the true price of
     anarchy; either may be +inf when the corresponding payoff bound is
     nonpositive. `assured_active_count` is the number of players whose
-    activity is certified by the reward-threshold criterion.
+    activity is certified by the reward-threshold criterion. Over a sweep
+    each field is a vector over the rewards, and the invariants hold row by
+    row.
     """
 
     g_lower: float
@@ -46,9 +51,10 @@ class PoaBounds:
     assured_active_count: int
 
     def __post_init__(self):
-        if self.g_lower > self.g_upper + 1e-9:
+        if np.count_nonzero(self.g_lower > self.g_upper + 1e-9):
             raise InvariantViolationError("public-good bounds are out of order")
-        if not (1.0 - 1e-9 <= self.poa_lower <= self.poa_upper):
+        ordered = (1.0 - 1e-9 <= self.poa_lower) & (self.poa_lower <= self.poa_upper)
+        if not np.logical_and.reduce(ordered, axis=None):
             raise InvariantViolationError("price-of-anarchy bounds are out of order")
 
 
@@ -70,38 +76,96 @@ class PropertyCheck:
         }
 
 
+@dataclass(frozen=True)
+class SweepAnalysis:
+    """A graded reward sweep: entry k of each vector belongs to reward k.
+
+    `bounds` is the statement variant and `proof_bounds` the tightened one;
+    `ok[k]` says every property that applies at reward k holds.
+    """
+
+    equilibria: EquilibriumSweep
+    poa_true: np.ndarray
+    bounds: PoaBounds
+    proof_bounds: PoaBounds
+    ok: np.ndarray
+
+
+# The closed forms below take one reward as a float or a sweep's rewards as a
+# vector. The few elementwise steps that branch dispatch on that: at one
+# design point plain floats are several times cheaper than numpy calls.
+
+
+def _per_player(v: np.ndarray, R):
+    # A per-player vector shaped to broadcast against R: a column over a sweep.
+    return v[:, None] if isinstance(R, np.ndarray) else v
+
+
+def _aggregate_payoff(profile: BenefitProfile, g):
+    # sum_i h_i(g) - g. A single good goes through math.log1p, whose last bit
+    # numpy's log1p does not always match, so single-point reports keep it.
+    if isinstance(g, np.ndarray) and g.ndim:
+        return profile.marginal_at_zero * np.log1p(g) - g
+    return profile.aggregate_value(g) - g
+
+
+def _poa(opt: float, payoff):
+    # The socially optimal payoff `opt` over `payoff`, +inf where that is <= 0.
+    if isinstance(payoff, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return opt / np.maximum(payoff, 0.0)
+    return opt / payoff if payoff > 0.0 else math.inf
+
+
+def _order(x, y):
+    # (min, max) of x and y, elementwise.
+    if isinstance(x, np.ndarray):
+        return np.minimum(x, y), np.maximum(x, y)
+    return (x, y) if x <= y else (y, x)
+
+
+def _select(cond, x, y):
+    # x where cond holds, else y, elementwise.
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
+def _invert(h0: float, arg, lo: float, hi: float):
+    # H^-1(arg) = h0/arg - 1 clamped to [lo, hi]. An argument <= 0 puts no
+    # ceiling on the good, which clamps to hi; one at or above H(0) = h0
+    # puts the good at or below zero, which clamps to lo.
+    if isinstance(arg, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.minimum(np.maximum(h0 / np.maximum(arg, 0.0) - 1.0, lo), hi)
+    return min(max(h0 / arg - 1.0, lo), hi) if arg > 0.0 else hi
+
+
 def reward_threshold(profile: BenefitProfile, c) -> float:
     """Smallest reward beyond which every player provably invests.
 
-    Solves R/(R + G_U - c_bar) = m for the worst-case marginal shortfall
-    m = max_i (1 - h_i'(G_U)) with G_U = max(G*, c_bar). Returns 0 when m <= 0
-    or when G_U = c_bar (either way any positive reward suffices). A bisection
-    solve is cross-checked against the closed form m*(G_U - c_bar)/(1 - m).
+    The root of R/(R + G_U - c_bar) = m for the worst-case marginal shortfall
+    m = max_i (1 - h_i'(G_U)) with G_U = max(G*, c_bar), in closed form
+    m*(G_U - c_bar)/(1 - m). Returns 0 when m <= 0 or when G_U = c_bar
+    (either way any positive reward suffices).
     """
     c = np.asarray(c, dtype=float)
     c_bar = float(c.sum())
-    g_star = profile.socially_optimal_good()
-    g_upper = max(g_star, c_bar)
+    g_upper = max(profile.socially_optimal_good(), c_bar)
     m = 1.0 - float(profile.slopes(g_upper).min())
     if m >= 1.0:  # pragma: no cover - slopes are strictly positive
         raise InvariantViolationError("marginal shortfall reached 1; slopes must be positive")
-    if m <= 0.0:
-        return 0.0
     gap = g_upper - c_bar
     # The computed optimum carries root-solve noise; a budget at the optimum
     # must yield a zero threshold, not a noise-sized one.
-    if gap <= 1e-9 * max(1.0, g_upper):
+    if m <= 0.0 or gap <= 1e-9 * max(1.0, g_upper):
         return 0.0
-    closed = m * gap / (1.0 - m)
-    hi = max(1.0, 2.0 * closed)
-    while hi / (hi + gap) < m:  # pragma: no cover - closed form seeds the bracket
-        hi *= 2.0
-    root = brentq(lambda r: r / (r + gap) - m, 0.0, hi, xtol=1e-10, rtol=8.9e-16)
-    if abs(root - closed) > 1e-6 * max(1.0, abs(closed)):  # pragma: no cover
-        raise InvariantViolationError(
-            f"threshold bisection ({root!r}) disagrees with closed form ({closed!r})"
-        )
-    return float(root)
+    return m * gap / (1.0 - m)
+
+
+def _assured_count(profile: BenefitProfile, c_bar: float, R):
+    g_upper = max(profile.socially_optimal_good(), c_bar)
+    base = R / (R + g_upper - c_bar)
+    slopes = _per_player(profile.slopes(g_upper), R)
+    return (base + slopes - 1.0 > 0.0).sum(axis=0)
 
 
 def assured_active_count(profile: BenefitProfile, design: DesignPoint) -> int:
@@ -110,106 +174,61 @@ def assured_active_count(profile: BenefitProfile, design: DesignPoint) -> int:
     Counts strict positives of R/(R + G_U - c_bar) + h_i'(G_U) - 1; a value of
     exactly zero does not count.
     """
-    c_bar = design.perturbation_total
-    g_upper = max(profile.socially_optimal_good(), c_bar)
-    R = design.reward
-    base = R / (R + g_upper - c_bar)
-    return int(np.count_nonzero(base + profile.slopes(g_upper) - 1.0 > 0.0))
+    return int(_assured_count(profile, design.perturbation_total, design.reward))
 
 
-def _guarded_invert(profile, arg: float, side: str, strict: bool,
-                    bracket_lo: float, bracket_hi: float) -> float:
-    """Invert H at a bound-formula argument, resolving vacuous cases.
+def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, strict: bool):
+    """(g_lower, g_upper, poa_lower, poa_upper, assured count) at reward(s) R.
 
-    Arguments <= 0 mean the formula puts no ceiling on the good (+inf), which
-    clamps to the high end of the feasible bracket. Arguments above H(0) would
-    place the good below zero; `strict` surfaces that as a degenerate-bound
-    error, otherwise it clamps to the low end. Arguments within root-solve
-    noise of H(0) count as the boundary (good = 0).
+    Each bound inverts H at a formula's argument and clamps the good to the
+    feasible bracket [gl, gu]. An argument above H(0) would place the good
+    below zero: the bound is vacuous there, and `strict` raises
+    DegenerateBoundError unless it is within root-solve noise of H(0).
     """
-    h0 = profile.marginal_at_zero
-    try:
-        g = profile.invert_aggregate(arg)
-    except OutOfCodomainError:
-        if arg <= h0 * (1.0 + 1e-9):
-            g = 0.0
-        elif strict:
-            raise DegenerateBoundError(side, arg, h0) from None
-        else:
-            return bracket_lo
-    if math.isinf(g):
-        return bracket_hi
-    return min(max(g, bracket_lo), bracket_hi)
-
-
-def _compute_bounds(profile: BenefitProfile, design: DesignPoint,
-                    variant: str, strict: bool) -> PoaBounds:
     if variant not in ("statement", "proof"):
         raise ValueError(f"unknown bound variant {variant!r}")
-    R = design.reward
-    c_bar = design.perturbation_total
     g_star = profile.socially_optimal_good()
     gl, gu = min(g_star, c_bar), max(g_star, c_bar)
     n = profile.n_players
-    k = assured_active_count(profile, design)
+    h0 = profile.marginal_at_zero
+    k = _assured_count(profile, c_bar, R)
+
+    def invert(arg, side):
+        if strict and np.count_nonzero(arg > h0 * (1.0 + 1e-9)):
+            raise DegenerateBoundError(side, float(np.max(arg)), h0)
+        return _invert(h0, arg, gl, gu)
 
     if c_bar <= g_star:
         # Far end: the good can fall short of the optimum by at most this much.
-        den_far = R + gl - c_bar  # equals R
-        g_far = _guarded_invert(
-            profile, (n - 1) * (gu - c_bar) / den_far + 1.0, "far", strict, gl, gu
-        )
+        g_far = invert((n - 1) * (gu - c_bar) / (R + gl - c_bar) + 1.0, "far")
         # Near end: how close to the optimum the good is guaranteed to sit.
-        den_near = R + gu - c_bar
-        if variant == "statement":
-            arg_near = (k - 1) * (gl - c_bar) / den_near + 1.0
-        else:
-            arg_near = (k - 1) * g_far / den_near + 1.0
-        g_near = _guarded_invert(profile, arg_near, "near", strict, gl, gu)
+        near = gl - c_bar if variant == "statement" else g_far
+        g_near = invert((k - 1) * near / (R + gu - c_bar) + 1.0, "near")
     else:
         den_far = R + gl - c_bar  # can be nonpositive when c_bar >= R + G*
-        if den_far <= 0.0:
-            g_far = gu
-        else:
-            g_far = _guarded_invert(
-                profile, (k - 1) * (gl - c_bar) / den_far + 1.0, "far", strict, gl, gu
-            )
-        g_near = _guarded_invert(
-            profile, (n - 1) * (gu - c_bar) / (R + gu - c_bar) + 1.0,
-            "near", strict, gl, gu,
-        )
-
-    opt = profile.aggregate_value(g_star) - g_star
-    payoffs = sorted(
-        profile.aggregate_value(g) - g for g in (g_far, g_near)
-    )
-    poa_lower = opt / payoffs[1] if payoffs[1] > 0.0 else math.inf
-    poa_upper = opt / payoffs[0] if payoffs[0] > 0.0 else math.inf
-    return PoaBounds(
-        g_lower=min(g_far, g_near),
-        g_upper=max(g_far, g_near),
-        poa_lower=poa_lower,
-        poa_upper=poa_upper,
-        assured_active_count=k,
-    )
-
-
-def public_good_bounds(profile: BenefitProfile, design: DesignPoint,
-                       variant: str = "statement") -> PoaBounds:
-    """Closed-form bracket for the equilibrium public good at a design point.
-
-    Raises DegenerateBoundError when a bound formula leaves the invertible
-    range of H (the bound is vacuous at this design point). The "proof"
-    variant substitutes the far bound into the near-bound numerator, which
-    tightens it whenever at least two players are certifiably active.
-    """
-    return _compute_bounds(profile, design, variant, strict=True)
+        # There the far end stays at gu, where a zero argument inverts to.
+        positive = den_far > 0.0
+        arg_far = (k - 1) * (gl - c_bar) / _select(positive, den_far, 1.0) + 1.0
+        g_far = invert(_select(positive, arg_far, 0.0), "far")
+        g_near = invert((n - 1) * (gu - c_bar) / (R + gu - c_bar) + 1.0, "near")
+    p_low, p_high = _order(_aggregate_payoff(profile, g_far), _aggregate_payoff(profile, g_near))
+    opt = profile.socially_optimal_payoff()
+    return (*_order(g_far, g_near), _poa(opt, p_high), _poa(opt, p_low), k)
 
 
 def poa_bounds(profile: BenefitProfile, design: DesignPoint,
-               variant: str = "statement") -> PoaBounds:
-    """Price-of-anarchy sandwich; degenerate bound formulas map to +inf."""
-    return _compute_bounds(profile, design, variant, strict=False)
+               variant: str = "statement", *, strict: bool = False) -> PoaBounds:
+    """Closed-form public-good bracket and price-of-anarchy sandwich.
+
+    A bound formula that leaves the invertible range of H is vacuous at this
+    design point: it maps to +inf, or with `strict` raises
+    DegenerateBoundError. The "proof" variant substitutes the far bound into
+    the near-bound numerator, which tightens it whenever at least two players
+    are certifiably active.
+    """
+    *ends, k = _compute_bounds(profile, design.perturbation_total, design.reward,
+                               variant, strict)
+    return PoaBounds(*ends, int(k))
 
 
 def true_poa(instance: LotteryInstance, design: DesignPoint,
@@ -218,11 +237,62 @@ def true_poa(instance: LotteryInstance, design: DesignPoint,
     if eq is None:
         eq = solve_equilibrium(instance, design)
     profile = instance.profile
-    opt = profile.socially_optimal_payoff()
-    actual = profile.aggregate_value(eq.G) - eq.G
-    if actual <= 0.0:
-        return math.inf
-    return float(opt / actual)
+    return float(_poa(profile.socially_optimal_payoff(), _aggregate_payoff(profile, eq.G)))
+
+
+def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshold) -> list:
+    """Each property as (name, margin, holds, rules) at reward(s) R.
+
+    R and G are floats, or vectors over a sweep's rewards with s players x
+    rewards; `g_bracket` is the statement-variant (g_lower, g_upper). A rule
+    (condition, reason) marks where the property does not apply; the first
+    rule that holds gives the reason, a format string over `reward` and
+    `threshold`.
+    """
+    tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
+    floor = tol["property_margin"]
+    n = profile.n_players
+    c_bar = float(c.sum())
+    g_star = profile.socially_optimal_good()
+    lo, hi = min(c_bar, g_star), max(c_bar, g_star)
+
+    pool = G + R - c_bar
+    bracketed = _order(G - lo, hi - G)[0]
+    inactive = (s.min(axis=0) <= TOL_ACTIVE,
+                "sensitivity formulas require every player active")
+    dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, R, c_bar, G)
+    if abs(c_bar - g_star) <= tol["equality_case"]:
+        margin = tol["equality_reward_sensitivity"] - abs(dG_dR)
+        reward_sensitivity = (margin, margin >= 0.0, [inactive])
+        perturbation_sensitivity = (dG_dc, True, [inactive, (
+            True, "perturbation total equals the social optimum (equality case)")])
+    else:
+        margin = math.copysign(1.0, g_star - c_bar) * dG_dR
+        reward_sensitivity = (margin, margin >= floor, [inactive])
+        # A lone player's good is pinned by its own first-order condition;
+        # perturbations cannot move it, so strict positivity is vacuous there.
+        perturbation_sensitivity = (dG_dc, dG_dc > 0.0, [inactive, (
+            n == 1, "single-player instance: perturbations cannot move the good")])
+    # Per-player investment floor, asserted above the reward threshold.
+    floors = _per_player(c, R) + R * (
+        R / (R + hi - c_bar) + _per_player(profile.slopes(hi), R) - 1.0)
+    floor_margin = (s - floors).min(axis=0)
+    # Aggregate payoff must land inside the closed-form sandwich.
+    p_eq = _aggregate_payoff(profile, G)
+    p_low, p_high = _order(*(_aggregate_payoff(profile, g) for g in g_bracket))
+    sandwich = _order(p_eq - p_low, p_high - p_eq)[0]
+    return [
+        ("pool_covers_perturbation", pool, pool >= floor, [
+            (n == 1, "single-player instance is outside the property's hypothesis"),
+            (abs(G - g_star) > tol["optimum_attained"],
+             "equilibrium good differs from the social optimum")]),
+        ("good_bracketed", bracketed, bracketed >= floor, []),
+        ("reward_sensitivity_sign", *reward_sensitivity),
+        ("perturbation_sensitivity_sign", *perturbation_sensitivity),
+        ("investment_lower_bound", floor_margin, floor_margin >= floor, [
+            (R <= threshold, "reward {reward:.6g} not above threshold {threshold:.6g}")]),
+        ("payoff_sandwich", sandwich, sandwich >= tol["payoff_sandwich_margin"], []),
+    ]
 
 
 def check_properties(instance: LotteryInstance, design: DesignPoint,
@@ -237,84 +307,45 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
     them, and `threshold` is `reward_threshold(profile, c)`, which does not
     depend on the reward; None computes either here.
     """
-    tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
-    margin_floor = tol["property_margin"]
     profile = instance.profile
-    n = instance.n_players
-    R = design.reward
-    c = design.perturbation
-    c_bar = design.perturbation_total
-    g_star = profile.socially_optimal_good()
-    G = eq.G
-    all_active = len(eq.active_set) == n
-    at_equality = abs(c_bar - g_star) <= tol["equality_case"]
-    checks: list[PropertyCheck] = []
-
-    # Feasibility of the pool whenever the design achieves the optimum.
-    if n == 1:
-        checks.append(PropertyCheck(
-            "pool_covers_perturbation", None, None,
-            "single-player instance is outside the property's hypothesis"))
-    elif abs(G - g_star) > tol["optimum_attained"]:
-        checks.append(PropertyCheck(
-            "pool_covers_perturbation", None, None,
-            "equilibrium good differs from the social optimum"))
-    else:
-        margin = G + R - c_bar
-        checks.append(PropertyCheck(
-            "pool_covers_perturbation", margin >= margin_floor, margin))
-
-    # The good always sits between the perturbation total and the optimum.
-    lo, hi = min(c_bar, g_star), max(c_bar, g_star)
-    margin = min(G - lo, hi - G)
-    checks.append(PropertyCheck("good_bracketed", margin >= margin_floor, margin))
-
-    if not all_active:
-        reason = "sensitivity formulas require every player active"
-        checks.append(PropertyCheck("reward_sensitivity_sign", None, None, reason))
-        checks.append(PropertyCheck("perturbation_sensitivity_sign", None, None, reason))
-    else:
-        dG_dR, dG_dc = equilibrium_sensitivities(instance, design, eq)
-        if at_equality:
-            margin = tol["equality_reward_sensitivity"] - abs(dG_dR)
-            checks.append(PropertyCheck("reward_sensitivity_sign", margin >= 0.0, margin))
-            checks.append(PropertyCheck(
-                "perturbation_sensitivity_sign", None, None,
-                "perturbation total equals the social optimum (equality case)"))
+    if threshold is None:
+        threshold = reward_threshold(profile, design.perturbation)
+    if bounds is None:
+        bounds = poa_bounds(profile, design)
+    checks = []
+    for name, margin, holds, rules in _graded(
+            profile, design.perturbation, design.reward, eq.G, eq.s_star,
+            (bounds.g_lower, bounds.g_upper), threshold):
+        reasons = [why for skip, why in rules if skip]
+        if reasons:
+            checks.append(PropertyCheck(name, None, None, reasons[0].format(
+                reward=design.reward, threshold=threshold)))
         else:
-            margin = math.copysign(1.0, g_star - c_bar) * dG_dR
-            checks.append(PropertyCheck(
-                "reward_sensitivity_sign", margin >= margin_floor, margin))
-            if n == 1:
-                # A lone player's good is pinned by its own first-order
-                # condition; perturbations cannot move it, so strict
-                # positivity is vacuous here.
-                checks.append(PropertyCheck(
-                    "perturbation_sensitivity_sign", None, None,
-                    "single-player instance: perturbations cannot move the good"))
-            else:
-                margin = float(np.min(dG_dc))
-                checks.append(PropertyCheck(
-                    "perturbation_sensitivity_sign", margin > 0.0, margin))
-
-    # Per-player investment floor, asserted above the reward threshold.
-    r_l = threshold if threshold is not None else reward_threshold(profile, c)
-    if R <= r_l:
-        checks.append(PropertyCheck(
-            "investment_lower_bound", None, None,
-            f"reward {R:.6g} not above threshold {r_l:.6g}"))
-    else:
-        gu = max(g_star, c_bar)
-        base = R / (R + gu - c_bar)
-        floors = c + R * (base + profile.slopes(gu) - 1.0)
-        margin = float(np.min(eq.s_star - floors))
-        checks.append(PropertyCheck("investment_lower_bound", margin >= margin_floor, margin))
-
-    # Aggregate payoff must land inside the closed-form sandwich.
-    pb = bounds if bounds is not None else poa_bounds(profile, design)
-    payoff_eq = profile.aggregate_value(G) - G
-    p_at = sorted(profile.aggregate_value(g) - g for g in (pb.g_lower, pb.g_upper))
-    margin = min(payoff_eq - p_at[0], p_at[1] - payoff_eq)
-    checks.append(PropertyCheck(
-        "payoff_sandwich", margin >= tol["payoff_sandwich_margin"], margin))
+            checks.append(PropertyCheck(name, bool(holds), float(margin)))
     return checks
+
+
+def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:
+    """Solve, bound and grade every reward of a sweep in one pass.
+
+    One batched root-find (`solve_sweep`) gives the equilibria. Both bound
+    variants, the true price of anarchy and the properties of
+    `check_properties` are evaluated over the reward vector, each once per
+    sweep, and the reward threshold once.
+    """
+    eq = solve_sweep(profile, c, rewards)
+    c = np.asarray(c, dtype=float)
+    R = eq.rewards
+    bounds, proof = (
+        PoaBounds(*_compute_bounds(profile, float(c.sum()), R, variant, False))
+        for variant in ("statement", "proof"))
+    ok = np.ones(R.shape, dtype=bool)
+    for _, _, holds, rules in _graded(profile, c, R, eq.G, eq.s_star.T,
+                                      (bounds.g_lower, bounds.g_upper),
+                                      reward_threshold(profile, c)):
+        skipped = False
+        for skip, _ in rules:
+            skipped = skipped | skip
+        ok &= holds | skipped
+    poa = _poa(profile.socially_optimal_payoff(), _aggregate_payoff(profile, eq.G))
+    return SweepAnalysis(eq, poa, bounds, proof, ok)

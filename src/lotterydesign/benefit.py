@@ -40,7 +40,7 @@ class BenefitProfile:
         a = np.array(self.coefficients, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvariantViolationError("profile needs a nonempty vector of coefficients")
-        if not np.all(np.isfinite(a)) or not np.all(a > 0.0):
+        if not (np.isfinite(a).all() and (a > 0.0).all()):
             raise InvariantViolationError(
                 f"benefit coefficients must be positive and finite, got {a.tolist()!r}"
             )

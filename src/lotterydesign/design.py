@@ -5,24 +5,19 @@ equilibrium attains the socially optimal good, subject to affine constraints
 on investments and reward) collapses to a linear program once the
 perturbation budget is fixed at the optimum: with sum(c) = G* every player is
 active and invests exactly s_i = c_i + R*h_i'(G*), so the constraints become
-affine in (R, c). A grid-search oracle over true equilibria is provided to
-test that the collapse is exact, and `verify_design` re-solves the game at a
-designed point to confirm every claim the reformulation makes.
+affine in (R, c). `verify_design` re-solves the game at a designed point to
+confirm every claim the reformulation makes; the grid-search oracle that
+tests the collapse is exact lives with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .benefit import BenefitProfile
-from .errors import (
-    ExactnessViolationError,
-    InfeasibleRegimeError,
-    InvariantViolationError,
-)
+from .errors import ExactnessViolationError, InvariantViolationError
 from .game import (
     TOLERANCES,
     DesignPoint,
@@ -265,110 +260,3 @@ def verify_design(problem: DesignProblem,
             report=report, equilibrium=eq,
         )
     return report, eq
-
-
-def _compositions(total: float, n: int, step: float):
-    """Grid points on the simplex {c >= 0, sum c = total} with spacing step."""
-    if total <= 0.0:
-        yield np.zeros(n)
-        return
-    k = max(1, int(round(total / step)))
-    if n == 1:
-        yield np.array([total])
-        return
-    ticks = range(k + 1)
-    for combo in itertools.product(ticks, repeat=n - 1):
-        if sum(combo) <= k:
-            head = np.array(combo, dtype=float) * (total / k)
-            yield np.append(head, total - head.sum())
-
-
-def _evaluate_point(problem, reward, c, g_tol, feas_tol):
-    try:
-        design = DesignPoint(reward, c)
-        eq = solve_equilibrium(problem.instance, design)
-    except (InfeasibleRegimeError, InvariantViolationError):
-        return None
-    if abs(eq.G - problem.g_star) > g_tol:
-        return None
-    resid = problem.constraints.residuals(eq.s_star, reward)
-    if resid.size and float(resid.max()) > feas_tol:
-        return None
-    objective = reward + problem.alpha * float(c.sum())
-    # Orderable key: ties in objective fall back to the smallest (c, R).
-    return (objective, tuple(c), reward), eq.s_star
-
-
-def brute_force_bilevel(problem: DesignProblem, r_lo: float, r_hi: float,
-                        resolution: float, g_tolerance: float | None = None,
-                        feasibility_tol: float = 1e-6) -> DesignSolution:
-    """Grid-search oracle for the bi-level problem using true equilibria.
-
-    Scans rewards in [r_lo, r_hi] crossed with simplex slices of the
-    perturbation around the optimal budget, solving the actual game at every
-    point and keeping those whose good lands within `g_tolerance` of the
-    optimum and whose constraints hold at the true equilibrium. Exponential in
-    the player count, so restricted to N <= 3; used only to validate the
-    reformulation.
-    """
-    n = problem.instance.n_players
-    if n > 3:
-        raise ValueError("brute-force oracle is limited to 3 players")
-    if g_tolerance is None:
-        g_tolerance = resolution
-    g_star = problem.g_star
-
-    def scan(r_values, slice_totals, c_step, incumbent):
-        for reward in r_values:
-            if reward <= 0.0:
-                continue
-            for total in slice_totals:
-                if total < 0.0:
-                    continue
-                for c in _compositions(total, n, c_step):
-                    hit = _evaluate_point(problem, reward, c, g_tolerance,
-                                          feasibility_tol)
-                    if hit is not None and (incumbent is None or hit[0] < incumbent[0]):
-                        incumbent = hit
-        return incumbent
-
-    r_step = max(resolution, (r_hi - r_lo) / 24.0)
-    c_step = max(resolution, g_star / 8.0)
-    r_values = np.arange(r_lo, r_hi + r_step / 2, r_step)
-    slice_totals = [g_star + k * resolution for k in range(-2, 3)]
-    best = scan(r_values, slice_totals, c_step, None)
-
-    if best is not None:
-        # Shrink the grid around the incumbent until both steps reach the
-        # requested resolution; each pass covers the previous step fully.
-        while r_step > resolution or c_step > resolution:
-            (_, c_inc, r_inc), _ = best
-            c_inc = np.asarray(c_inc)
-            new_r = max(resolution, r_step / 3.0)
-            new_c = max(resolution, c_step / 3.0)
-            r_fine = np.arange(max(r_lo, r_inc - r_step),
-                               min(r_hi, r_inc + r_step) + new_r / 2, new_r)
-            offsets = np.arange(-c_step, c_step + new_c / 2, new_c)
-            total = float(c_inc.sum())
-            for reward in r_fine:
-                for combo in itertools.product(offsets, repeat=n - 1):
-                    c = c_inc.copy()
-                    c[:-1] += np.asarray(combo)
-                    c[-1] = total - c[:-1].sum()
-                    if np.any(c < 0.0):
-                        continue
-                    hit = _evaluate_point(problem, float(reward), c, g_tolerance,
-                                          feasibility_tol)
-                    if hit is not None and hit[0] < best[0]:
-                        best = hit
-            r_step, c_step = new_r, new_c
-
-    if best is None:
-        return DesignSolution("infeasible", None, None, None)
-    (objective, c, reward), s_star = best
-    return DesignSolution(
-        "optimal",
-        DesignPoint(reward, np.asarray(c)),
-        objective,
-        np.asarray(s_star),
-    )

@@ -279,50 +279,32 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     return ("ok" if ok else "verification_failed"), results, _property_dicts(checks), {}
 
 
-def _bounds_dict(bounds) -> dict:
-    return {
-        "g_lower": bounds.g_lower,
-        "g_upper": bounds.g_upper,
-        "poa_lower": bounds.poa_lower,
-        "poa_upper": bounds.poa_upper,
-        "assured_active_count": bounds.assured_active_count,
-    }
+_BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper", "assured_active_count")
 
 
-def _analyze_one(instance, c, reward, threshold):
-    dp = DesignPoint(reward, c)
-    eq = solve_equilibrium(instance, dp)
-    bounds = analysis.poa_bounds(instance.profile, dp)
-    checks = analysis.check_properties(
-        instance, dp, eq, bounds=bounds, threshold=threshold)
-    return {
-        "reward": reward,
-        "public_good": eq.G,
-        "poa_true": analysis.true_poa(instance, dp, eq),
-        "poa_lower": bounds.poa_lower,
-        "poa_upper": bounds.poa_upper,
-        "g_lower": bounds.g_lower,
-        "g_upper": bounds.g_upper,
-        # Statement-form bounds are primary; the tightened variant is
-        # reported alongside, never silently substituted.
-        "bounds": {
-            "statement": _bounds_dict(bounds),
-            "proof_tightened": _bounds_dict(
-                analysis.poa_bounds(instance.profile, dp, variant="proof")),
-        },
-        "ok": _properties_ok(checks),
-    }
+def _bound_rows(bounds) -> list[dict]:
+    # One dict per reward from bounds held as vectors over a sweep.
+    columns = [getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
+    return [dict(zip(_BOUND_FIELDS, row)) for row in zip(*columns)]
 
 
 def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
-    instance = LotteryInstance(profile)
     sweep = cfg.require("sweep")
-    rewards = [float(r) for r in sweep.get("rewards", [])]
+    rewards = np.sort(np.array([float(r) for r in sweep.get("rewards", [])]))
     c = np.asarray(sweep.get("perturbation", [0.0] * profile.n_players), dtype=float)
-    threshold = analysis.reward_threshold(profile, c)
-    rows = [_analyze_one(instance, c, r, threshold) for r in rewards]
-    rows.sort(key=lambda row: row["reward"])
+    graded = analysis.analyze_sweep(profile, c, rewards)
+    # Statement-form bounds are primary; the tightened variant is reported
+    # alongside, never silently substituted.
+    rows = [
+        {"reward": reward, "public_good": good, "poa_true": poa,
+         "poa_lower": bounds["poa_lower"], "poa_upper": bounds["poa_upper"],
+         "g_lower": bounds["g_lower"], "g_upper": bounds["g_upper"],
+         "bounds": {"statement": bounds, "proof_tightened": proof}}
+        for reward, good, poa, bounds, proof in zip(
+            rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist(),
+            _bound_rows(graded.bounds), _bound_rows(graded.proof_bounds))
+    ]
 
     def fmt(v):
         return repr(float(v)) if math.isfinite(v) else "+inf"
@@ -336,13 +318,8 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     csvs = {"sweep.csv": (
         ["reward", "public_good", "poa_true", "poa_lower", "poa_upper",
          "g_lower", "g_upper"], csv_rows)}
-    results = {
-        "player_ids": ids,
-        "perturbation": c,
-        "sweep": [{k: v for k, v in row.items() if k != "ok"} for row in rows],
-    }
-    ok = all(row["ok"] for row in rows)
-    return ("ok" if ok else "verification_failed"), results, [], csvs
+    results = {"player_ids": ids, "perturbation": c, "sweep": rows}
+    return ("ok" if graded.ok.all() else "verification_failed"), results, [], csvs
 
 
 def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,

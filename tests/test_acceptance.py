@@ -19,7 +19,6 @@ from lotterydesign import (
     DesignProblem,
     LotteryInstance,
     best_response_oracle,
-    brute_force_bilevel,
     build_dr_constraints,
     check_properties,
     equilibrium_sensitivities,
@@ -36,6 +35,7 @@ from lotterydesign import (
 from lotterydesign.simplex import solve_lp
 
 from conftest import random_profile
+from oracles import brute_force_bilevel
 from test_design import random_feasible_problem
 from test_game import cancellation_escape_exists, sample_sound_pair
 from test_grid import RADIAL, RING

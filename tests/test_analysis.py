@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from lotterydesign import (
+    BenefitProfile,
     DesignPoint,
     LotteryInstance,
     assured_active_count,
     check_properties,
     poa_bounds,
-    public_good_bounds,
     reward_threshold,
     solve_equilibrium,
     true_poa,
@@ -58,7 +58,7 @@ class TestAssuredActiveCount:
 
 class TestPublicGoodBounds:
     def test_two_player_unit_reward(self, i2_profile):
-        pb = public_good_bounds(i2_profile, _design(1.0, [0, 0]))
+        pb = poa_bounds(i2_profile, _design(1.0, [0, 0]), strict=True)
         assert pb.g_lower == 0.0  # argument hits H(0) exactly
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
         # The solved good lands inside.
@@ -66,24 +66,24 @@ class TestPublicGoodBounds:
         assert pb.g_lower - 1e-9 <= eq.G <= pb.g_upper + 1e-9
 
     def test_budget_at_optimum_collapses_bracket(self, i2_profile):
-        pb = public_good_bounds(i2_profile, _design(1.0, [0.5, 0.5]))
+        pb = poa_bounds(i2_profile, _design(1.0, [0.5, 0.5]), strict=True)
         assert pb.g_lower == pytest.approx(1.0, abs=1e-9)
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
 
     def test_large_reward_tightens(self, i2_profile):
-        pb = public_good_bounds(i2_profile, _design(100.0, [0, 0]))
+        pb = poa_bounds(i2_profile, _design(100.0, [0, 0]), strict=True)
         # Far bound solves 2/(G+1) = 1.01.
         assert pb.g_lower == pytest.approx(2.0 / 1.01 - 1.0, abs=1e-9)
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
 
     def test_small_reward_is_degenerate(self, i2_profile):
         with pytest.raises(DegenerateBoundError):
-            public_good_bounds(i2_profile, _design(0.5, [0, 0]))
+            poa_bounds(i2_profile, _design(0.5, [0, 0]), strict=True)
 
     def test_proof_variant_tightens_with_assured_players(self, i2_profile):
         d = _design(10.0, [0, 0])
-        statement = public_good_bounds(i2_profile, d)
-        proof = public_good_bounds(i2_profile, d, variant="proof")
+        statement = poa_bounds(i2_profile, d, strict=True)
+        proof = poa_bounds(i2_profile, d, variant="proof", strict=True)
         assert statement.g_upper == pytest.approx(1.0, abs=1e-9)
         assert proof.g_upper < statement.g_upper
         eq = solve_equilibrium(LotteryInstance(i2_profile), d)
@@ -159,6 +159,18 @@ class TestCheckProperties:
         by_name = {c.name: c for c in check_properties(i2_instance, d, eq)}
         assert by_name["investment_lower_bound"].holds is True
         assert by_name["reward_sensitivity_sign"].holds is True
+
+    def test_inactive_player_skips_sensitivities(self):
+        # The weak player of (3, 0.6) invests nothing at R = 1.
+        inst = LotteryInstance(BenefitProfile.scaled_log([3.0, 0.6]))
+        d = _design(1.0, [0, 0])
+        eq = solve_equilibrium(inst, d)
+        assert eq.active_set == (0,)
+        by_name = {c.name: c for c in check_properties(inst, d, eq)}
+        for name in ("reward_sensitivity_sign", "perturbation_sensitivity_sign"):
+            assert by_name[name].holds is None
+            assert by_name[name].skipped_reason == (
+                "sensitivity formulas require every player active")
 
     @pytest.mark.parametrize("row, check", [
         ("property_margin", "good_bracketed"),

@@ -10,7 +10,6 @@ from lotterydesign import (
     DesignPoint,
     DesignProblem,
     LotteryInstance,
-    brute_force_bilevel,
     build_reformulation,
     design,
     individual_rationality_rows,
@@ -20,6 +19,7 @@ from lotterydesign import (
 )
 from lotterydesign.errors import ExactnessViolationError, InvariantViolationError
 
+from oracles import brute_force_bilevel
 from test_simplex import lexicographic_vertex_oracle
 
 

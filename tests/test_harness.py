@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
 from lotterydesign import run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
-from lotterydesign.errors import ConfigError
+from lotterydesign.errors import ConfigError, InvariantViolationError
 from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json, load_report_schema
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -148,6 +148,12 @@ class TestAnalyzeVerb:
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1
 
+    def test_nonpositive_reward_is_rejected(self, tmp_path):
+        text = I2_PLAYERS + "sweep: {rewards: [1, 0], perturbation: [0, 0]}\n"
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
+        with pytest.raises(InvariantViolationError):
+            run_scenario("analyze", cfg, out_dir=tmp_path / "out")
+
 
 class TestDesignVerb:
     def test_unconstrained(self, tmp_path, schema):
@@ -263,19 +269,21 @@ class TestSinglePass:
         assert run_scenario("casestudy", cfg, out_dir=tmp_path).status == "ok"
         assert len(calls) == 1
 
-    def test_analyze_bounds_each_reward_once_per_variant(self, tmp_path, monkeypatch):
+    def test_analyze_bounds_each_variant_once_per_sweep(self, tmp_path, monkeypatch):
+        # The bounds are closed forms in R: one evaluation per variant covers
+        # every reward of the sweep.
         raw = analysis._compute_bounds
-        variants = []
+        calls = []
 
-        def counted(profile, design_point, variant, strict):
-            variants.append(variant)
-            return raw(profile, design_point, variant, strict)
+        def counted(profile, c_bar, rewards, variant, strict):
+            calls.append((variant, np.shape(rewards)))
+            return raw(profile, c_bar, rewards, variant, strict)
 
         monkeypatch.setattr(analysis, "_compute_bounds", counted)
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
         assert len(cfg.require("sweep")["rewards"]) == 5
         assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
-        assert Counter(variants) == {"statement": 5, "proof": 5}
+        assert Counter(calls) == {("statement", (5,)): 1, ("proof", (5,)): 1}
 
     def test_analyze_computes_the_reward_threshold_once(self, tmp_path, monkeypatch):
         raw = analysis.reward_threshold
