@@ -3,14 +3,21 @@
 Where both drivers return the same root of Phi, a sweep row must match the
 per-point functions within the bounds below; they are the bounds CHANGES.md
 states. The public-good bounds and the assured-active count use no
-transcendental function, so they match exactly.
+transcendental function, so they match exactly. The sweep's Chandrupatla
+loop is a port of scipy's elementwise `find_root`, which serves here as its
+oracle: roots and evaluation counts must be the same bits.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize.elementwise import find_root
 
 from lotterydesign import (
     BenefitProfile,
@@ -23,8 +30,13 @@ from lotterydesign import (
     solve_equilibrium,
     true_poa,
 )
+from lotterydesign import game
 from lotterydesign.analysis import analyze_sweep
-from lotterydesign.errors import InfeasibleRegimeError, InvariantViolationError
+from lotterydesign.errors import (
+    InfeasibleRegimeError,
+    InvariantViolationError,
+    NonconvergenceError,
+)
 from lotterydesign.game import FOC_TOL, solve_sweep
 
 # Relative agreement of the public good, the true price of anarchy and the
@@ -107,8 +119,8 @@ class TestParity:
 
     def test_several_roots_each_driver_returns_one(self):
         # R < sum(c) with a perturbed weak player: Phi has two roots in the
-        # bracket, and with scipy 1.17 Brent and Chandrupatla converge to
-        # different ones.
+        # bracket, and Brent (brentq) and Chandrupatla (the sweep's loop)
+        # converge to different ones.
         profile = BenefitProfile.scaled_log([2.9095210057731413, 1.6127783169238379])
         c = np.array([0.0, 1.1954720852502385])
         reward = 0.01593205125777365
@@ -118,7 +130,119 @@ class TestParity:
         assert _is_root(profile, c, reward, good)
 
 
+_TOLERANCES = {"xatol": game._XTOL, "xrtol": game._RTOL}
+# (a, c, rewards): R < sum(c) with several roots of Phi (see
+# test_several_roots_each_driver_returns_one), a single reward, an empty
+# sweep, and an infeasible row next to a feasible one.
+_SWEEP_CASES = [
+    ([2.9095210057731413, 1.6127783169238379], [0.0, 1.1954720852502385],
+     [0.01593205125777365, 0.5, 3.0]),
+    ([1.0, 1.0], [0.0, 0.0], [1.0]),
+    ([1.0, 1.0], [0.5, 0.5], []),
+    ([5.0], [6.0], [3.0, 1.0]),
+]
+
+
+def _find_root_sweep(profile, c, rewards):
+    # The batched solve as scipy's elementwise find_root runs it.
+    rewards = np.asarray(rewards, dtype=float)
+    c = np.asarray(c, dtype=float)
+    c_bar = float(c.sum())
+    lo, hi = game._bracket(rewards, c_bar, profile.socially_optimal_good())
+    a, c = profile.coefficients[:, None], c[:, None]
+    return find_root(lambda G, R: game._phi(G, R, c_bar, a, -R * c), (lo, hi),
+                     args=(rewards,), tolerances=_TOLERANCES)
+
+
+def _assert_sweep_matches_find_root(profile, c, rewards):
+    root = _find_root_sweep(profile, c, rewards)
+    if np.any(root.status == -1):
+        with pytest.raises(InfeasibleRegimeError):
+            solve_sweep(profile, c, rewards)
+        return
+    assert np.all(root.success)
+    sweep = solve_sweep(profile, c, rewards)
+    assert sweep.G.tobytes() == root.x.tobytes()
+    assert sweep.iterations.tolist() == root.nfev.tolist()
+
+
+def _assert_port_matches_find_root(f, lo, hi, maxiter=None):
+    # game._chandrupatla called directly, against find_root on the same f.
+    root, status, nfev = game._chandrupatla(lambda x, k: f(x), lo, hi)
+    ref = find_root(f, (lo, hi), tolerances=_TOLERANCES, maxiter=maxiter)
+    assert status.tolist() == ref.status.tolist()
+    assert nfev.tolist() == ref.nfev.tolist()
+    done = status == 0
+    assert root[done].tobytes() == ref.x[done].tobytes()
+    assert np.isnan(root[~done]).all()
+    return status
+
+
+class TestFindRootOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(sweeps())
+    def test_random_sweeps(self, case):
+        a, c, rewards = case
+        _assert_sweep_matches_find_root(BenefitProfile.scaled_log(a), c, rewards)
+
+    @pytest.mark.parametrize("a, c, rewards", _SWEEP_CASES)
+    def test_edge_sweeps(self, a, c, rewards):
+        _assert_sweep_matches_find_root(BenefitProfile.scaled_log(a), c, rewards)
+
+    def test_exact_zero_at_a_bracket_end(self):
+        # One player with a = 2 and c = 0: Phi(1) = 0 exactly at R = 1, so the
+        # brackets [1, 2] and [1/2, 1] stop before the first step.
+        a, neg_rc = np.array([[2.0]]), np.array([[-0.0]])
+        assert game._phi(np.array([1.0]), 1.0, 0.0, a, neg_rc)[0] == 0.0
+        status = _assert_port_matches_find_root(
+            lambda G: game._phi(G, 1.0, 0.0, a, neg_rc),
+            np.array([1.0, 0.5, 0.25]), np.array([2.0, 1.0, 3.0]))
+        assert status.tolist() == [0, 0, 0]
+
+    def test_smallest_normal_counts_as_a_zero(self):
+        tiny = np.finfo(float).smallest_normal
+        status = _assert_port_matches_find_root(
+            lambda x: (x - 1.0) * tiny, np.array([0.0]), np.array([2.0]))
+        assert status.tolist() == [0]
+
+    def test_non_finite_and_sign_errors(self):
+        with np.errstate(invalid="ignore"):
+            status = _assert_port_matches_find_root(
+                lambda x: np.where(x < 10.0, x - 1.0, np.nan),
+                np.array([0.0, 2.0, 20.0]), np.array([3.0, 3.0, 30.0]))
+        assert status.tolist() == [0, -1, -3]
+
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(game, "_MAX_STEPS", 3)
+        profile = BenefitProfile.scaled_log([1.0, 1.0])
+        rewards = np.array([1.0, 10.0])
+        c_bar = 0.0
+        lo, hi = game._bracket(rewards, c_bar, profile.socially_optimal_good())
+        a, neg_rc = profile.coefficients[:, None], np.zeros((2, 1))
+        status = _assert_port_matches_find_root(
+            lambda G: game._phi(G, rewards, c_bar, a, neg_rc), lo,
+            np.full(2, hi), maxiter=3)
+        assert status.tolist() == [-2, -2]
+        with pytest.raises(NonconvergenceError):
+            solve_sweep(profile, [0.0, 0.0], rewards)
+
+
 class TestRegressions:
+    def test_sweeps_need_no_elementwise_scipy(self):
+        # The package must import and solve a sweep on a scipy without
+        # scipy.optimize.elementwise (added in scipy 1.15).
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys\n"
+                "sys.modules['scipy.optimize.elementwise'] = None\n"
+                "from lotterydesign import BenefitProfile, solve_sweep\n"
+                "sweep = solve_sweep(BenefitProfile.scaled_log([1.0, 1.0]), [0.0, 0.0], [1.0])\n"
+                "print(repr(float(sweep.G[0])))\n")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) == pytest.approx(0.5, rel=1e-13)
+
     def test_skipped_property_does_not_fail_a_row(self):
         # R is below the reward threshold, so the investment floor does not
         # apply, although its margin is negative there.

@@ -3,11 +3,14 @@
     python3 tools/sweep_solve_time.py [--seed 7] [--repeats 30]
 
 Builds the small_games sweeps of a seed (30 players, 200 rewards, c = 0 and
-c > 0) with the benchmark's own input generator, then times a loop of
-`solve_equilibrium` calls (brentq, one reward at a time) against one
-`solve_sweep` call (find_root over all rewards). Prints one JSON object with
-the median seconds of each, the find_root evaluation count, and the largest
-relative difference in G between the two.
+c > 0) with the benchmark's own input generator, then times three solvers of
+the same equation: a loop of `solve_equilibrium` calls (brentq, one reward at
+a time), one `solve_sweep` call (the package's Chandrupatla loop over all
+rewards) and, as a reference, scipy's elementwise `find_root` on the same
+brackets and tolerances (scipy >= 1.15). Prints one JSON object with the
+median seconds of each, the most evaluations of Phi any reward took, whether
+`solve_sweep`'s goods and evaluation counts are bitwise equal to
+`find_root`'s, and the largest relative difference in G from the brentq loop.
 """
 
 import argparse
@@ -22,10 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import numpy as np  # noqa: E402
+from scipy.optimize.elementwise import find_root  # noqa: E402
 
 import workloads  # noqa: E402
 from lotterydesign import BenefitProfile, DesignPoint, LotteryInstance  # noqa: E402
-from lotterydesign.game import solve_equilibrium, solve_sweep  # noqa: E402
+from lotterydesign.game import (  # noqa: E402
+    _RTOL, _XTOL, _bracket, _phi, solve_equilibrium, solve_sweep)
 
 
 def median_seconds(fn, repeats):
@@ -35,6 +40,15 @@ def median_seconds(fn, repeats):
         result = fn()
         times.append(time.perf_counter() - start)
     return statistics.median(times), result
+
+
+def find_root_sweep(profile, c, rewards):
+    # solve_sweep's root-find as scipy's find_root runs it.
+    c_bar = float(np.sum(c))
+    lo, hi = _bracket(rewards, c_bar, profile.socially_optimal_good())
+    a, c = profile.coefficients[:, None], np.asarray(c, dtype=float)[:, None]
+    return find_root(lambda G, R: _phi(G, R, c_bar, a, -R * c), (lo, hi),
+                     args=(rewards,), tolerances={"xatol": _XTOL, "xrtol": _RTOL})
 
 
 def main():
@@ -53,13 +67,20 @@ def main():
         loop_s, points = median_seconds(
             lambda: [solve_equilibrium(instance, DesignPoint(float(r), c)) for r in rewards],
             args.repeats)
-        batch_s, sweep = median_seconds(lambda: solve_sweep(profile, c, rewards), args.repeats)
+        sweep_s, sweep = median_seconds(lambda: solve_sweep(profile, c, rewards), args.repeats)
+        find_root_s, root = median_seconds(lambda: find_root_sweep(profile, c, rewards),
+                                           args.repeats)
         goods = np.array([p.G for p in points])
         out[regime] = {
             "brentq_loop_s": loop_s,
-            "find_root_s": batch_s,
-            "find_root_evaluations": int(sweep.iterations.max()),
-            "max_rel_diff_G": float(np.max(np.abs(sweep.G - goods) / np.maximum(1.0, goods))),
+            "solve_sweep_s": sweep_s,
+            "find_root_s": find_root_s,
+            "max_evaluations": int(sweep.iterations.max()),
+            "bitwise_equal_to_find_root": bool(
+                sweep.G.tobytes() == root.x.tobytes()
+                and np.array_equal(sweep.iterations, root.nfev)),
+            "max_rel_diff_G_from_brentq": float(
+                np.max(np.abs(sweep.G - goods) / np.maximum(1.0, goods))),
         }
     print(json.dumps(out, indent=2))
 
