@@ -418,6 +418,58 @@ class TestDeterminism:
         assert dir_digest(tmp_path / "one") == dir_digest(tmp_path / "two")
 
 
+class TestArtifactWrites:
+    """Artifacts are rewritten in place and truncated to their new length."""
+
+    EQUILIBRIUM = I2_PLAYERS + "design_point: {reward: 1.5, perturbation: [0.25, 0]}\n"
+
+    def test_shorter_run_overwrites_longer_files(self, tmp_path):
+        rewards = ", ".join(repr(float(r)) for r in np.geomspace(0.05, 1e4, 200))
+        long_path = write_config(tmp_path, I2_PLAYERS + (
+            f"sweep:\n  rewards: [{rewards}]\n  perturbation: [0, 0]\n"), "long.yaml")
+        short_path = write_config(tmp_path, I2_PLAYERS + (
+            "sweep:\n  rewards: [1, 5, 10]\n  perturbation: [0, 0]\n"), "short.yaml")
+        reused = tmp_path / "reused"
+        run_scenario("analyze", ScenarioConfig.from_file(long_path), out_dir=reused)
+        long_sizes = {p.name: p.stat().st_size for p in reused.iterdir()}
+        (reused / "report.json").write_text("garbage\n" * 100_000)
+        run_scenario("analyze", ScenarioConfig.from_file(short_path), out_dir=reused)
+        run_scenario("analyze", ScenarioConfig.from_file(short_path),
+                     out_dir=tmp_path / "fresh")
+        assert dir_digest(reused) == dir_digest(tmp_path / "fresh")
+        for p in reused.iterdir():
+            assert p.stat().st_size < long_sizes[p.name]
+
+    def test_tolerance_table_is_never_stale(self, tmp_path, monkeypatch):
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, self.EQUILIBRIUM))
+
+        def report_text(name):
+            result = run_scenario("equilibrium", cfg, out_dir=tmp_path / name)
+            text = (tmp_path / name / "report.json").read_text()
+            assert text == reference_report_json(result.report)
+            return text
+
+        original = report_text("original")
+        assert '"value": 1e-06' in original
+        for k, value in enumerate((3.25e-6, 0.0, -0.0)):
+            monkeypatch.setitem(game.TOLERANCES["good_gap"], "value", value)
+            patched = report_text(f"patched{k}")
+            assert f'"value": {value!r}' in patched
+            assert patched != original
+        monkeypatch.undo()
+        assert report_text("restored") == original
+
+    def test_write_error_raises_and_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.EQUILIBRIUM)
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        with pytest.raises(OSError):
+            run_scenario("equilibrium", ScenarioConfig.from_file(path), out_dir=out)
+        code = cli_main(["equilibrium", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "i/o error" in capsys.readouterr().err
+
+
 class TestCli:
     def test_config_error_exit_code(self, tmp_path, capsys):
         code = cli_main(["design", "--config", str(tmp_path / "missing.yaml")])
