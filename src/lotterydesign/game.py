@@ -60,13 +60,16 @@ TOLERANCES = {
 FOC_TOL = TOLERANCES["foc_residual"]["value"]
 # Smallest admissible pool when bracketing the aggregate FOC.
 _POOL_FLOOR = 1e-12
-# Root tolerances of both drivers: brentq's xtol/rtol, and the absolute and
-# relative bracket widths at which `_chandrupatla` stops.
-_XTOL, _RTOL = 1e-14, 8.9e-16
-# `_chandrupatla` also stops where |Phi| is at most the smallest normal float,
-# and gives up after one step per binade of the normal floats.
+# `_chandrupatla` stops where |Phi| is at most the smallest normal float;
+# both drivers give up after one step per binade of the normal floats.
 _TINY = np.finfo(float).smallest_normal
 _MAX_STEPS = 2046
+# Root tolerances of both drivers: brentq's xtol/rtol, and the absolute and
+# relative bracket widths at which `_chandrupatla` stops. The absolute width
+# is only a floor, so a root is found to a few ulps at any scale: a fixed
+# 1e-14 left a good near 0.01 with 1e-12 relative error, and the two drivers'
+# roots, and so their prices of anarchy, apart by more than 1e-13.
+_XTOL, _RTOL = _TINY, 8.9e-16
 _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
             "total perturbation exceeds what the reward and public good can cover")
 
@@ -286,7 +289,7 @@ def solve_equilibrium(instance: LotteryInstance, design: DesignPoint) -> Equilib
     lo, hi = _bracket(R, c_bar, instance.profile.socially_optimal_good())
     try:
         G, root = brentq(_phi, lo, hi, args=(R, c_bar, a, -R * c),
-                         xtol=_XTOL, rtol=_RTOL, full_output=True)
+                         xtol=_XTOL, rtol=_RTOL, maxiter=_MAX_STEPS, full_output=True)
     except ValueError:  # Phi does not change sign on the bracket
         raise InfeasibleRegimeError(_NO_ROOT) from None
     S, s, active, violation = _settle(a, c, c_bar, R, G)
