@@ -5,9 +5,9 @@ Public surface, by concern:
 - benefit: BenefitProfile (a vector of scaled-log coefficients a; aggregate
   marginal H(G) = sum(a)/(G+1), social optimum G* = sum(a) - 1)
 - game: LotteryInstance / DesignPoint / solve_equilibrium (one share-function
-  root by brentq, cheapest at one point; `iterations` counts its root
-  evaluations), solve_sweep (the same root for every reward of a sweep at
-  once, by a numpy Chandrupatla loop) and friends
+  root by a plain-float Chandrupatla loop; `iterations` counts its root
+  evaluations), solve_sweep (the same root, to the bit, for every reward of a
+  sweep at once, by the same loop on numpy vectors) and friends
 - analysis: reward threshold, public-good and price-of-anarchy bounds,
   property checkers, analyze_sweep (all of them over a sweep's rewards)
 - design: ConstraintSet / DesignProblem, convex reformulation, LP solve,

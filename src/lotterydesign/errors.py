@@ -22,7 +22,13 @@ class InfeasibleRegimeError(LotteryDesignError):
 
 
 class NonconvergenceError(LotteryDesignError):
-    """A solved equilibrium fails its aggregate-consistency check sum s = G + R."""
+    """The equilibrium root-find failed or its answer does not check out.
+
+    Raised when Chandrupatla's method meets a non-finite value or stops at its
+    step cap (`game._MAX_STEPS`, one step per binade of the normal floats)
+    before the bracket narrows to the root tolerance, or when a solved
+    equilibrium fails its aggregate-consistency check sum s = G + R.
+    """
 
 
 class OutOfCodomainError(LotteryDesignError, ValueError):

@@ -8,14 +8,16 @@ offsets c_i shift each player's winning odds while the shares still sum to one.
 
 The equilibrium is one scalar root in the good G of the players' clipped
 closed-form investments (the share-function method for aggregative games).
-Two drivers solve one definition of that root's equation, `_phi`:
-`solve_equilibrium` runs Brent's method (scipy's `brentq`) at one design
-point, and `solve_sweep` runs Chandrupatla's method (`_chandrupatla`, a numpy
-loop) on all rewards of a sweep at once. Each is the cheaper one where it is
-used. `brentq` iterates in C, so `solve_equilibrium` takes 0.05-0.2 ms. The
-numpy loop pays 60-100 microseconds of array calls per step whatever the
-number of rewards: a one-reward sweep takes 0.5-1.5 ms, and a 200-reward
-sweep is about ten times faster than a `brentq` loop over it.
+One method finds it, Chandrupatla's, on one definition of that root's
+equation, `_phi`, in two mirrored loops: `_chandrupatla_scalar` iterates on
+plain floats at one design point (`solve_equilibrium`, 0.05-0.2 ms), and
+`_chandrupatla` iterates on numpy vectors over all rewards of a sweep at once
+(`solve_sweep`). The vector loop pays 60-100 microseconds of array calls per
+step whatever the number of rewards, so it only pays off over many rewards:
+a 200-reward sweep is about ten times faster than a `solve_equilibrium` loop
+over it. Step for step the two loops are the same, so at the same design
+point both drivers return the same bits, the same root included where Phi
+has several.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .benefit import BenefitProfile
 from .errors import (
@@ -60,15 +61,14 @@ TOLERANCES = {
 FOC_TOL = TOLERANCES["foc_residual"]["value"]
 # Smallest admissible pool when bracketing the aggregate FOC.
 _POOL_FLOOR = 1e-12
-# `_chandrupatla` stops where |Phi| is at most the smallest normal float;
-# both drivers give up after one step per binade of the normal floats.
-_TINY = np.finfo(float).smallest_normal
+# Both Chandrupatla loops stop where |Phi| is at most the smallest normal
+# float, and give up after one step per binade of the normal floats.
+_TINY = float(np.finfo(float).smallest_normal)
 _MAX_STEPS = 2046
-# Root tolerances of both drivers: brentq's xtol/rtol, and the absolute and
-# relative bracket widths at which `_chandrupatla` stops. The absolute width
-# is only a floor, so a root is found to a few ulps at any scale: a fixed
-# 1e-14 left a good near 0.01 with 1e-12 relative error, and the two drivers'
-# roots, and so their prices of anarchy, apart by more than 1e-13.
+# Root tolerances of both loops: the absolute and relative bracket widths at
+# which they stop. The absolute width is only a floor, so a root is found to
+# a few ulps at any scale: a fixed 1e-14 left a good near 0.01 with 1e-12
+# relative error.
 _XTOL, _RTOL = _TINY, 8.9e-16
 _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
             "total perturbation exceeds what the reward and public good can cover")
@@ -211,8 +211,14 @@ def _phi(G, R, c_bar, a, neg_rc):
     S = G + R - c_bar
     q = R / S
     terms = np.maximum(q - 1.0 + a / (G + 1.0), neg_rc / (S * S))
-    # np.add.reduce skips the ndarray.sum wrapper: small games spend
-    # most of a solve in these calls.
+    # The players are added in index order at every shape, so a reward's Phi,
+    # and so its root, has the same bits at one point, in a sweep and as a
+    # sweep's last open bracket. np.add.reduce adds in that order down the
+    # columns of a players x rewards array, but sums one column or a vector
+    # pairwise; np.add.accumulate adds in order and is no slower there. Both
+    # skip the ndarray.sum wrapper: small games spend most of a solve here.
+    if terms.ndim == 1 or terms.shape[1] == 1:
+        return np.add.accumulate(terms)[-1] - q
     return np.add.reduce(terms) - q
 
 
@@ -270,12 +276,13 @@ def solve_equilibrium(instance: LotteryInstance, design: DesignPoint) -> Equilib
     as S -> 0 and cancels catastrophically there. The good, not the pool, is
     the root variable: at large rewards recovering G from S would cancel
     catastrophically too. The root is bracketed by
-    [min(c_bar, G*), max(c_bar, G*)], clipped to a positive pool; with no
-    sign change of Phi there, InfeasibleRegimeError is raised. Where Phi has
-    several roots in the bracket (possible when R < c_bar and inactive players
-    carry perturbations), the one returned is the root the driver converges
-    to, not necessarily the smallest: Brent's method here and Chandrupatla's
-    in `solve_sweep` can return different roots at the same point, and a
+    [min(c_bar, G*), max(c_bar, G*)], clipped to a positive pool, and found by
+    Chandrupatla's method (`_chandrupatla_scalar`); with no sign change of Phi
+    there, InfeasibleRegimeError is raised, and NonconvergenceError where the
+    loop meets a non-finite value or its step cap. Where Phi has several roots
+    in the bracket (possible when R < c_bar and inactive players carry
+    perturbations), the one returned is the root the method converges to, not
+    necessarily the smallest; it is the one `solve_sweep` returns, and a
     first-order-condition point there need not be a Nash equilibrium.
     `iterations` counts evaluations of Phi.
     """
@@ -286,21 +293,23 @@ def solve_equilibrium(instance: LotteryInstance, design: DesignPoint) -> Equilib
         raise InvariantViolationError("design point does not match the player count")
     c_bar = design.perturbation_total
     a = instance.profile.coefficients
+    neg_rc = -R * c
     lo, hi = _bracket(R, c_bar, instance.profile.socially_optimal_good())
-    try:
-        G, root = brentq(_phi, lo, hi, args=(R, c_bar, a, -R * c),
-                         xtol=_XTOL, rtol=_RTOL, maxiter=_MAX_STEPS, full_output=True)
-    except ValueError:  # Phi does not change sign on the bracket
-        raise InfeasibleRegimeError(_NO_ROOT) from None
+    G, status, nfev = _chandrupatla_scalar(
+        lambda G: float(_phi(G, R, c_bar, a, neg_rc)), lo, hi)
+    if status == -1:
+        raise InfeasibleRegimeError(_NO_ROOT)
+    if status:
+        raise NonconvergenceError(f"root-find failed with status {status}")
     S, s, active, violation = _settle(a, c, c_bar, R, G)
     s.setflags(write=False)
     return EquilibriumResult(
         s_star=s,
         active_set=tuple(np.nonzero(active)[0].tolist()),
-        G=float(G),
+        G=G,
         pool=float(S),
         max_foc_violation=float(violation),
-        iterations=root.function_calls,
+        iterations=nfev,
     )
 
 
@@ -341,7 +350,7 @@ def _chandrupatla(f, x1, x2):
     """Chandrupatla's method on the brackets [x1[k], x2[k]], all at once.
 
     f(x, k) evaluates the function of brackets k (an index vector) at x; x2
-    may be a scalar. Step for step, and so bit for bit, this is scipy 1.17's
+    may be a scalar. Step for step, and so bit for bit, this is SciPy 1.17's
     elementwise `find_root` with xatol = _XTOL, xrtol = _RTOL and its
     defaults otherwise; only the brackets still open are evaluated. Returns
     each bracket's root (NaN where none was found), status (0 converged, -1
@@ -398,6 +407,66 @@ def _chandrupatla(f, x1, x2):
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, fx
     return root, status, nfev
+
+
+def _sign(x):
+    # np.sign on a float: 0.0 for either zero, NaN for NaN.
+    return 1.0 if x > 0.0 else -1.0 if x < 0.0 else x
+
+
+def _chandrupatla_scalar(f, x1, x2):
+    """`_chandrupatla` on one bracket [x1, x2] of floats, f(x) a float.
+
+    The same loop line for line on plain floats, so the same root, status
+    and count of evaluations of f to the bit. Where numpy would divide by
+    zero or take the root of a negative number inside the interpolation
+    test, that test is false, so those errors mean bisection here.
+    """
+    x1, x2 = float(x1), float(x2)
+    f1, f2 = f(x1), f(x2)
+    t = 0.5  # the first step bisects
+    for step in range(_MAX_STEPS + 1):
+        # Stop where the root is exact, where the bracket has no sign change
+        # or a non-finite value (failures), or where it is narrow enough.
+        near = abs(f1) < abs(f2)
+        xmin = x1 if near else x2
+        dx = abs(x2 - x1)
+        tol = abs(xmin) * _RTOL + _XTOL
+        if abs(f1 if near else f2) <= _TINY:
+            return xmin, 0, step + 2
+        if _sign(f1) == _sign(f2):
+            return math.nan, -1, step + 2
+        if (not (math.isfinite(x1) and math.isfinite(x2))
+                or (math.isnan(f1) and math.isnan(f2))):
+            return math.nan, -3, step + 2
+        if dx < tol:
+            return xmin, 0, step + 2
+        if step == _MAX_STEPS:
+            break
+        if step:
+            # Inverse quadratic interpolation through the last three points
+            # where it is safe, else bisection; kept off the bracket ends.
+            t = 0.5
+            try:
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                if 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
+                    alpha = (x3 - x1) / (x2 - x1)
+                    t = (f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3))
+            except (ZeroDivisionError, ValueError):
+                pass
+            tl = 0.5 * tol / dx
+            # np.clip: NaN stays NaN.
+            t = min(max(t, tl), 1.0 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = f(x)
+        if _sign(fx) == _sign(f1):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+    return math.nan, -2, 2 + _MAX_STEPS
 
 
 def _payoff_grid(instance, design, others_sum: float, c_i: float, a_i: float,

@@ -1,11 +1,13 @@
 """The batched sweep path (`solve_sweep`, `analyze_sweep`) against single points.
 
-Where both drivers return the same root of Phi, a sweep row must match the
-per-point functions within the bounds below; they are the bounds CHANGES.md
-states. The public-good bounds and the assured-active count use no
-transcendental function, so they match exactly. The sweep's Chandrupatla
-loop is a port of scipy's elementwise `find_root`, which serves here as its
-oracle: roots and evaluation counts must be the same bits.
+Both drivers run the same Chandrupatla loop on the same Phi, so a sweep row's
+good, pool, investments and evaluation count are the bits `solve_equilibrium`
+returns at that point, the same root included where Phi has several. The
+prices of anarchy must match the per-point functions within the bound below,
+which CHANGES.md states. The public-good bounds and the assured-active count
+use no transcendental function, so they match exactly. Both loops are ports
+of scipy's elementwise `find_root`, which serves here as their oracle: roots
+and evaluation counts must be the same bits.
 """
 
 import math
@@ -39,11 +41,9 @@ from lotterydesign.errors import (
 )
 from lotterydesign.game import FOC_TOL, solve_sweep
 
-# Relative agreement of the public good, the true price of anarchy and the
-# price-of-anarchy bounds; investments agree relative to max(1, max s).
-GOOD_REL = 1e-13
+# Relative agreement of the true price of anarchy and the price-of-anarchy
+# bounds.
 POA_REL = 1e-13
-INVESTMENT_REL = 1e-11
 
 
 def _is_root(profile, c, reward, good):
@@ -56,9 +56,8 @@ def _is_root(profile, c, reward, good):
 
 
 @st.composite
-def sweeps(draw):
-    """A random profile, c = 0 or c > 0, and unsorted log-uniform rewards
-    with duplicates."""
+def games(draw):
+    """A random profile's coefficients and c = 0 or c > 0."""
     n = draw(st.integers(2, 30))
     a = np.array(draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n)))
     g_star = a.sum() - 1.0
@@ -67,6 +66,13 @@ def sweeps(draw):
                                    min_size=n, max_size=n)))
     else:
         c = np.zeros(n)
+    return a, c
+
+
+@st.composite
+def sweeps(draw):
+    """A random game and unsorted log-uniform rewards with duplicates."""
+    a, c = draw(games())
     rewards = [10.0 ** e for e in draw(st.lists(st.floats(-2.0, 4.0), min_size=1,
                                                 max_size=8))]
     rewards += draw(st.lists(st.sampled_from(rewards), max_size=3))
@@ -102,38 +108,34 @@ class TestParity:
                 assert bounds.assured_active_count[k] == single.assured_active_count
                 assert bounds.poa_lower[k] == pytest.approx(single.poa_lower, rel=POA_REL)
                 assert bounds.poa_upper[k] == pytest.approx(single.poa_upper, rel=POA_REL)
-            if eq.G[k] != pytest.approx(point.G, rel=GOOD_REL, abs=GOOD_REL):
-                # Phi has several roots here; each driver returns one.
-                assert reward < design.perturbation_total
-                assert _is_root(profile, c, reward, eq.G[k])
-                assert _is_root(profile, c, reward, point.G)
-                continue
-            scale = max(1.0, float(point.s_star.max()))
-            assert np.max(np.abs(eq.s_star[k] - point.s_star)) <= INVESTMENT_REL * scale
-            assert eq.pool[k] == pytest.approx(point.pool, rel=GOOD_REL, abs=GOOD_REL)
+            assert eq.G[k] == point.G
+            assert eq.pool[k] == point.pool
+            assert eq.iterations[k] == point.iterations
+            assert np.array_equal(eq.s_star[k], point.s_star)
             assert eq.max_foc_violation[k] <= FOC_TOL
             assert sweep.poa_true[k] == pytest.approx(
                 true_poa(instance, design, point), rel=POA_REL)
             checks = check_properties(instance, design, point, threshold=threshold)
             assert sweep.ok[k] == all(check.holds is not False for check in checks)
 
-    def test_several_roots_each_driver_returns_one(self):
+    def test_several_roots_both_drivers_return_the_same_one(self):
         # R < sum(c) with a perturbed weak player: Phi has two roots in the
-        # bracket, and Brent (brentq) and Chandrupatla (the sweep's loop)
-        # converge to different ones.
+        # bracket, near 1.363 and 1.747, and both drivers must return the
+        # same one.
         profile = BenefitProfile.scaled_log([2.9095210057731413, 1.6127783169238379])
         c = np.array([0.0, 1.1954720852502385])
         reward = 0.01593205125777365
         point = solve_equilibrium(LotteryInstance(profile), DesignPoint(reward, c))
-        good = solve_sweep(profile, c, [reward]).G[0]
+        sweep = solve_sweep(profile, c, [reward, 0.5, 3.0])
         assert _is_root(profile, c, reward, point.G)
-        assert _is_root(profile, c, reward, good)
+        assert point.G == sweep.G[0]
+        assert point.G == pytest.approx(1.363, abs=1e-3)
 
 
 _TOLERANCES = {"xatol": game._XTOL, "xrtol": game._RTOL}
 # (a, c, rewards): R < sum(c) with several roots of Phi (see
-# test_several_roots_each_driver_returns_one), a single reward, an empty
-# sweep, and an infeasible row next to a feasible one.
+# test_several_roots_both_drivers_return_the_same_one), a single reward, an
+# empty sweep, and an infeasible row next to a feasible one.
 _SWEEP_CASES = [
     ([2.9095210057731413, 1.6127783169238379], [0.0, 1.1954720852502385],
      [0.01593205125777365, 0.5, 3.0]),
@@ -166,10 +168,36 @@ def _assert_sweep_matches_find_root(profile, c, rewards):
     assert sweep.iterations.tolist() == root.nfev.tolist()
 
 
-def _assert_port_matches_find_root(f, lo, hi, maxiter=None):
-    # game._chandrupatla called directly, against find_root on the same f.
-    root, status, nfev = game._chandrupatla(lambda x, k: f(x), lo, hi)
-    ref = find_root(f, (lo, hi), tolerances=_TOLERANCES, maxiter=maxiter)
+def _scalar_loop(f, lo, hi):
+    # game._chandrupatla_scalar on each bracket in turn, f on floats.
+    runs = [game._chandrupatla_scalar(
+                lambda x: float(f(np.array([x]), np.array([k]))[0]), x1, x2)
+            for k, (x1, x2) in enumerate(zip(lo.tolist(),
+                                             np.broadcast_to(hi, lo.shape).tolist()))]
+    root, status, nfev = zip(*runs)
+    return np.array(root, dtype=float), np.array(status), np.array(nfev)
+
+
+def _solve_points(profile, c, rewards):
+    instance = LotteryInstance(profile)
+    return [solve_equilibrium(instance, DesignPoint(r, c)) for r in rewards]
+
+
+# Each loop with the driver that runs it.
+LOOPS = {"vector": (game._chandrupatla, solve_sweep), "scalar": (_scalar_loop, _solve_points)}
+
+
+@pytest.fixture(params=list(LOOPS))
+def loop(request):
+    return LOOPS[request.param]
+
+
+def _assert_port_matches_find_root(run, f, lo, hi, maxiter=None):
+    # A Chandrupatla loop called directly on f(x, k), with k the bracket's
+    # index, against find_root on the same f.
+    root, status, nfev = run(f, lo, hi)
+    ref = find_root(f, (lo, hi), args=(np.arange(lo.size),), tolerances=_TOLERANCES,
+                    maxiter=maxiter)
     assert status.tolist() == ref.status.tolist()
     assert nfev.tolist() == ref.nfev.tolist()
     done = status == 0
@@ -189,30 +217,51 @@ class TestFindRootOracle:
     def test_edge_sweeps(self, a, c, rewards):
         _assert_sweep_matches_find_root(BenefitProfile.scaled_log(a), c, rewards)
 
-    def test_exact_zero_at_a_bracket_end(self):
+    @settings(max_examples=100, deadline=None)
+    @given(games(), st.floats(-2.0, 4.0))
+    def test_random_points(self, case, exponent):
+        # solve_equilibrium against find_root on the one bracket of its point.
+        a, c = case
+        reward = 10.0 ** exponent
+        root = _find_root_sweep(BenefitProfile.scaled_log(a), c, [reward])
+        instance = LotteryInstance(BenefitProfile.scaled_log(a))
+        if root.status[0] == -1:
+            with pytest.raises(InfeasibleRegimeError):
+                solve_equilibrium(instance, DesignPoint(reward, c))
+            return
+        assert root.success[0]
+        point = solve_equilibrium(instance, DesignPoint(reward, c))
+        assert np.float64(point.G).tobytes() == root.x[0].tobytes()
+        assert point.iterations == root.nfev[0]
+
+    def test_exact_zero_at_a_bracket_end(self, loop):
         # One player with a = 2 and c = 0: Phi(1) = 0 exactly at R = 1, so the
         # brackets [1, 2] and [1/2, 1] stop before the first step.
         a, neg_rc = np.array([[2.0]]), np.array([[-0.0]])
         assert game._phi(np.array([1.0]), 1.0, 0.0, a, neg_rc)[0] == 0.0
         status = _assert_port_matches_find_root(
-            lambda G: game._phi(G, 1.0, 0.0, a, neg_rc),
+            loop[0], lambda G, k: game._phi(G, 1.0, 0.0, a, neg_rc),
             np.array([1.0, 0.5, 0.25]), np.array([2.0, 1.0, 3.0]))
         assert status.tolist() == [0, 0, 0]
 
-    def test_smallest_normal_counts_as_a_zero(self):
+    def test_smallest_normal_counts_as_a_zero(self, loop):
         tiny = np.finfo(float).smallest_normal
         status = _assert_port_matches_find_root(
-            lambda x: (x - 1.0) * tiny, np.array([0.0]), np.array([2.0]))
+            loop[0], lambda x, k: (x - 1.0) * tiny, np.array([0.0]), np.array([2.0]))
         assert status.tolist() == [0]
 
-    def test_non_finite_and_sign_errors(self):
+    def test_non_finite_and_sign_errors(self, loop):
+        # A sign error is found before the bracket counts as narrow, and a
+        # value is non-finite only where both ends are NaN: with one NaN end
+        # the loop runs on, here to the edge of the NaN region.
         with np.errstate(invalid="ignore"):
             status = _assert_port_matches_find_root(
-                lambda x: np.where(x < 10.0, x - 1.0, np.nan),
-                np.array([0.0, 2.0, 20.0]), np.array([3.0, 3.0, 30.0]))
-        assert status.tolist() == [0, -1, -3]
+                loop[0], lambda x, k: np.where(x < 10.0, x - 1.0, np.nan),
+                np.array([0.0, 2.0, 20.0, 2.0, 0.0]),
+                np.array([3.0, 3.0, 30.0, np.nextafter(2.0, 3.0), 20.0]))
+        assert status.tolist() == [0, -1, -3, -1, 0]
 
-    def test_step_cap(self, monkeypatch):
+    def test_step_cap(self, loop, monkeypatch):
         monkeypatch.setattr(game, "_MAX_STEPS", 3)
         profile = BenefitProfile.scaled_log([1.0, 1.0])
         rewards = np.array([1.0, 10.0])
@@ -220,28 +269,35 @@ class TestFindRootOracle:
         lo, hi = game._bracket(rewards, c_bar, profile.socially_optimal_good())
         a, neg_rc = profile.coefficients[:, None], np.zeros((2, 1))
         status = _assert_port_matches_find_root(
-            lambda G: game._phi(G, rewards, c_bar, a, neg_rc), lo,
+            loop[0], lambda G, k: game._phi(G, rewards[k], c_bar, a, neg_rc), lo,
             np.full(2, hi), maxiter=3)
         assert status.tolist() == [-2, -2]
         with pytest.raises(NonconvergenceError):
-            solve_sweep(profile, [0.0, 0.0], rewards)
+            loop[1](profile, [0.0, 0.0], rewards)
 
 
 class TestRegressions:
-    def test_sweeps_need_no_elementwise_scipy(self):
-        # The package must import and solve a sweep on a scipy without
-        # scipy.optimize.elementwise (added in scipy 1.15).
+    def test_library_runs_without_scipy(self):
+        # scipy is a test dependency only: with it unimportable the package
+        # must import, solve a point and a sweep, and pass its selftest, which
+        # runs the design and casestudy pipelines.
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import sys\n"
-                "sys.modules['scipy.optimize.elementwise'] = None\n"
-                "from lotterydesign import BenefitProfile, solve_sweep\n"
-                "sweep = solve_sweep(BenefitProfile.scaled_log([1.0, 1.0]), [0.0, 0.0], [1.0])\n"
-                "print(repr(float(sweep.G[0])))\n")
+                "sys.modules['scipy'] = None\n"
+                "from lotterydesign import (BenefitProfile, DesignPoint, LotteryInstance,\n"
+                "                           run_selftest, solve_equilibrium, solve_sweep)\n"
+                "profile = BenefitProfile.scaled_log([1.0, 1.0])\n"
+                "point = solve_equilibrium(LotteryInstance(profile), DesignPoint(1.0, [0.0, 0.0]))\n"
+                "sweep = solve_sweep(profile, [0.0, 0.0], [1.0])\n"
+                "ok, lines, _ = run_selftest()\n"
+                "assert ok, lines\n"
+                "print(repr(point.G), repr(float(sweep.G[0])))\n")
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert float(out.stdout) == pytest.approx(0.5, rel=1e-13)
+        goods = [float(x) for x in out.stdout.split()]
+        assert goods == pytest.approx([0.5, 0.5], rel=1e-13)
 
     def test_skipped_property_does_not_fail_a_row(self):
         # R is below the reward threshold, so the investment floor does not
