@@ -183,13 +183,8 @@ def _solve_points(profile, c, rewards):
     return [solve_equilibrium(instance, DesignPoint(r, c)) for r in rewards]
 
 
-# Each loop with the driver that runs it.
+# Each loop with the driver that runs it; the edge tests below run on both.
 LOOPS = {"vector": (game._chandrupatla, solve_sweep), "scalar": (_scalar_loop, _solve_points)}
-
-
-@pytest.fixture(params=list(LOOPS))
-def loop(request):
-    return LOOPS[request.param]
 
 
 def _assert_port_matches_find_root(run, f, lo, hi, maxiter=None):
@@ -234,46 +229,50 @@ class TestFindRootOracle:
         assert np.float64(point.G).tobytes() == root.x[0].tobytes()
         assert point.iterations == root.nfev[0]
 
-    def test_exact_zero_at_a_bracket_end(self, loop):
+    def test_exact_zero_at_a_bracket_end(self):
         # One player with a = 2 and c = 0: Phi(1) = 0 exactly at R = 1, so the
         # brackets [1, 2] and [1/2, 1] stop before the first step.
         a, neg_rc = np.array([[2.0]]), np.array([[-0.0]])
         assert game._phi(np.array([1.0]), 1.0, 0.0, a, neg_rc)[0] == 0.0
-        status = _assert_port_matches_find_root(
-            loop[0], lambda G, k: game._phi(G, 1.0, 0.0, a, neg_rc),
-            np.array([1.0, 0.5, 0.25]), np.array([2.0, 1.0, 3.0]))
-        assert status.tolist() == [0, 0, 0]
+        for name, (run, _) in LOOPS.items():
+            status = _assert_port_matches_find_root(
+                run, lambda G, k: game._phi(G, 1.0, 0.0, a, neg_rc),
+                np.array([1.0, 0.5, 0.25]), np.array([2.0, 1.0, 3.0]))
+            assert status.tolist() == [0, 0, 0], name
 
-    def test_smallest_normal_counts_as_a_zero(self, loop):
+    def test_smallest_normal_counts_as_a_zero(self):
         tiny = np.finfo(float).smallest_normal
-        status = _assert_port_matches_find_root(
-            loop[0], lambda x, k: (x - 1.0) * tiny, np.array([0.0]), np.array([2.0]))
-        assert status.tolist() == [0]
+        for name, (run, _) in LOOPS.items():
+            status = _assert_port_matches_find_root(
+                run, lambda x, k: (x - 1.0) * tiny, np.array([0.0]), np.array([2.0]))
+            assert status.tolist() == [0], name
 
-    def test_non_finite_and_sign_errors(self, loop):
+    def test_non_finite_and_sign_errors(self):
         # A sign error is found before the bracket counts as narrow, and a
         # value is non-finite only where both ends are NaN: with one NaN end
         # the loop runs on, here to the edge of the NaN region.
-        with np.errstate(invalid="ignore"):
-            status = _assert_port_matches_find_root(
-                loop[0], lambda x, k: np.where(x < 10.0, x - 1.0, np.nan),
-                np.array([0.0, 2.0, 20.0, 2.0, 0.0]),
-                np.array([3.0, 3.0, 30.0, np.nextafter(2.0, 3.0), 20.0]))
-        assert status.tolist() == [0, -1, -3, -1, 0]
+        for name, (run, _) in LOOPS.items():
+            with np.errstate(invalid="ignore"):
+                status = _assert_port_matches_find_root(
+                    run, lambda x, k: np.where(x < 10.0, x - 1.0, np.nan),
+                    np.array([0.0, 2.0, 20.0, 2.0, 0.0]),
+                    np.array([3.0, 3.0, 30.0, np.nextafter(2.0, 3.0), 20.0]))
+            assert status.tolist() == [0, -1, -3, -1, 0], name
 
-    def test_step_cap(self, loop, monkeypatch):
+    def test_step_cap(self, monkeypatch):
         monkeypatch.setattr(game, "_MAX_STEPS", 3)
         profile = BenefitProfile.scaled_log([1.0, 1.0])
         rewards = np.array([1.0, 10.0])
         c_bar = 0.0
         lo, hi = game._bracket(rewards, c_bar, profile.socially_optimal_good())
         a, neg_rc = profile.coefficients[:, None], np.zeros((2, 1))
-        status = _assert_port_matches_find_root(
-            loop[0], lambda G, k: game._phi(G, rewards[k], c_bar, a, neg_rc), lo,
-            np.full(2, hi), maxiter=3)
-        assert status.tolist() == [-2, -2]
-        with pytest.raises(NonconvergenceError):
-            loop[1](profile, [0.0, 0.0], rewards)
+        for name, (run, driver) in LOOPS.items():
+            status = _assert_port_matches_find_root(
+                run, lambda G, k: game._phi(G, rewards[k], c_bar, a, neg_rc), lo,
+                np.full(2, hi), maxiter=3)
+            assert status.tolist() == [-2, -2], name
+            with pytest.raises(NonconvergenceError):
+                driver(profile, [0.0, 0.0], rewards)
 
 
 class TestRegressions:
