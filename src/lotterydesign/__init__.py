@@ -2,12 +2,13 @@
 
 Public surface, by concern:
 
-- benefit: BenefitProfile (a vector of scaled-log coefficients a; aggregate
-  marginal H(G) = sum(a)/(G+1), social optimum G* = sum(a) - 1)
-- game: LotteryInstance / DesignPoint / solve_equilibrium (one share-function
-  root by a plain-float Chandrupatla loop; `iterations` counts its root
-  evaluations), solve_sweep (the same root, to the bit, for every reward of a
-  sweep at once, by the same loop on numpy vectors) and friends
+- benefit: BenefitProfile, the game (a vector of scaled-log coefficients a;
+  aggregate marginal H(G) = sum(a)/(G+1), social optimum G* = sum(a) - 1);
+  every function that reads a game, at one point or over a sweep, takes it first
+- game: DesignPoint / solve_equilibrium (one share-function root by a
+  plain-float Chandrupatla loop; `iterations` counts its root evaluations),
+  solve_sweep (the same root and FOC residuals, to the bit, for every reward
+  of a sweep at once, by the same loop on numpy vectors) and friends
 - analysis: reward threshold, public-good and price-of-anarchy bounds,
   property checkers, analyze_sweep (all of them over a sweep's rewards)
 - design: ConstraintSet / DesignProblem, convex reformulation, LP solve,
@@ -30,11 +31,9 @@ from .game import (
     DesignPoint,
     EquilibriumResult,
     EquilibriumSweep,
-    LotteryInstance,
     best_response_oracle,
     equilibrium_sensitivities,
     foc_residual,
-    payoff,
     payoffs,
     solve_equilibrium,
     solve_sweep,
@@ -44,7 +43,6 @@ from .analysis import (
     PropertyCheck,
     SweepAnalysis,
     analyze_sweep,
-    assured_active_count,
     check_properties,
     poa_bounds,
     reward_threshold,
@@ -80,14 +78,12 @@ __all__ = [
     "Generator",
     "GridCase",
     "LinearProgram",
-    "LotteryInstance",
     "PoaBounds",
     "PropertyCheck",
     "ScenarioConfig",
     "SimplexResult",
     "SweepAnalysis",
     "analyze_sweep",
-    "assured_active_count",
     "best_response_oracle",
     "build_dr_constraints",
     "build_reformulation",
@@ -97,7 +93,6 @@ __all__ = [
     "individual_rationality_rows",
     "monetize",
     "parse_case",
-    "payoff",
     "payoffs",
     "poa_bounds",
     "reward_threshold",

@@ -24,7 +24,6 @@ from .game import (
     DesignPoint,
     EquilibriumResult,
     EquilibriumSweep,
-    LotteryInstance,
     _good_sensitivities,
     solve_equilibrium,
     solve_sweep,
@@ -162,19 +161,12 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
 
 
 def _assured_count(profile: BenefitProfile, c_bar: float, R):
+    # Players whose activity the threshold criterion certifies: the strict
+    # positives of R/(R + G_U - c_bar) + h_i'(G_U) - 1.
     g_upper = max(profile.socially_optimal_good(), c_bar)
     base = R / (R + g_upper - c_bar)
     slopes = _per_player(profile.slopes(g_upper), R)
     return (base + slopes - 1.0 > 0.0).sum(axis=0)
-
-
-def assured_active_count(profile: BenefitProfile, design: DesignPoint) -> int:
-    """Players whose equilibrium activity the threshold criterion certifies.
-
-    Counts strict positives of R/(R + G_U - c_bar) + h_i'(G_U) - 1; a value of
-    exactly zero does not count.
-    """
-    return int(_assured_count(profile, design.perturbation_total, design.reward))
 
 
 def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, strict: bool):
@@ -231,12 +223,11 @@ def poa_bounds(profile: BenefitProfile, design: DesignPoint,
     return PoaBounds(*ends, int(k))
 
 
-def true_poa(instance: LotteryInstance, design: DesignPoint,
+def true_poa(profile: BenefitProfile, design: DesignPoint,
              eq: EquilibriumResult | None = None) -> float:
     """Socially optimal payoff over the solved equilibrium's aggregate payoff."""
     if eq is None:
-        eq = solve_equilibrium(instance, design)
-    profile = instance.profile
+        eq = solve_equilibrium(profile, design)
     return float(_poa(profile.socially_optimal_payoff(), _aggregate_payoff(profile, eq.G)))
 
 
@@ -295,7 +286,7 @@ def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshol
     ]
 
 
-def check_properties(instance: LotteryInstance, design: DesignPoint,
+def check_properties(profile: BenefitProfile, design: DesignPoint,
                      eq: EquilibriumResult, *,
                      bounds: PoaBounds | None = None,
                      threshold: float | None = None) -> list[PropertyCheck]:
@@ -307,7 +298,6 @@ def check_properties(instance: LotteryInstance, design: DesignPoint,
     them, and `threshold` is `reward_threshold(profile, c)`, which does not
     depend on the reward; None computes either here.
     """
-    profile = instance.profile
     if threshold is None:
         threshold = reward_threshold(profile, design.perturbation)
     if bounds is None:

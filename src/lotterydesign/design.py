@@ -22,7 +22,6 @@ from .game import (
     TOLERANCES,
     DesignPoint,
     EquilibriumResult,
-    LotteryInstance,
     payoffs,
     solve_equilibrium,
 )
@@ -97,7 +96,7 @@ class ConstraintSet:
 class DesignProblem:
     """Bi-level design data: game, affine constraints, perturbation weight."""
 
-    instance: LotteryInstance
+    profile: BenefitProfile
     constraints: ConstraintSet
     alpha: float = 1.0
     reward_floor: float = DEFAULT_REWARD_FLOOR
@@ -108,9 +107,9 @@ class DesignProblem:
             raise InvariantViolationError("perturbation weight must be nonnegative")
         if not (self.reward_floor > 0.0):
             raise InvariantViolationError("reward floor must be positive")
-        if self.constraints.n_players != self.instance.n_players:
+        if self.constraints.n_players != self.profile.n_players:
             raise InvariantViolationError("constraints sized for a different player count")
-        object.__setattr__(self, "g_star", self.instance.profile.socially_optimal_good())
+        object.__setattr__(self, "g_star", self.profile.socially_optimal_good())
 
 
 @dataclass(frozen=True)
@@ -150,9 +149,8 @@ def build_reformulation(problem: DesignProblem) -> LinearProgram:
     s = c + R * grad_h(G*). The weighted budget alpha*G* is constant on the
     feasible set and enters as an objective offset.
     """
-    n = problem.instance.n_players
-    profile = problem.instance.profile
-    grad = profile.slopes(problem.g_star)
+    n = problem.profile.n_players
+    grad = problem.profile.slopes(problem.g_star)
 
     cons = problem.constraints
     a_ub = np.zeros((cons.n_rows + 1, n + 1))
@@ -202,7 +200,7 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
             f"optimal perturbation misses the budget by {budget_gap:.3g}"
         )
     design = DesignPoint(reward, c)
-    grad = problem.instance.profile.slopes(problem.g_star)
+    grad = problem.profile.slopes(problem.g_star)
     predicted = c + reward * grad
 
     resid = problem.constraints.residuals(predicted, reward)
@@ -229,18 +227,17 @@ def verify_design(problem: DesignProblem,
     """
     if solution.status != "optimal":
         raise ValueError(f"cannot verify a {solution.status!r} design solution")
-    instance = problem.instance
+    profile = problem.profile
     design = solution.design
-    eq = solve_equilibrium(instance, design)
-    profile = instance.profile
+    eq = solve_equilibrium(profile, design)
 
-    agg_payoff = sum(payoffs(instance, design, eq.s_star).tolist())
+    agg_payoff = sum(payoffs(profile, design, eq.s_star).tolist())
     resid = problem.constraints.residuals(eq.s_star, design.reward)
     worst = float(resid.max()) if resid.size else 0.0
     report = {
         "good_gap": abs(eq.G - problem.g_star),
         "prediction_gap": float(np.max(np.abs(eq.s_star - solution.predicted_investments))),
-        "all_active": len(eq.active_set) == instance.n_players,
+        "all_active": len(eq.active_set) == profile.n_players,
         "worst_constraint_residual": worst,
         "payoff_gap": abs(agg_payoff - profile.socially_optimal_payoff()),
         "aggregate_payoff": float(agg_payoff),

@@ -5,6 +5,8 @@ R, player i receives the reward share (s_i - c_i)/(sum_j s_j - sum_j c_j)*R,
 benefit h_i(sum_j s_j - R) from the financed public good, and pays s_i;
 otherwise the lottery is canceled and everyone gets zero. The designer-chosen
 offsets c_i shift each player's winning odds while the shares still sum to one.
+The game is the players' `BenefitProfile` and a `DesignPoint` (R, c): every
+function here takes the profile first.
 
 The equilibrium is one scalar root in the good G of the players' clipped
 closed-form investments (the share-function method for aggregative games).
@@ -15,9 +17,10 @@ plain floats at one design point (`solve_equilibrium`, 0.05-0.2 ms), and
 (`solve_sweep`). The vector loop pays 60-100 microseconds of array calls per
 step whatever the number of rewards, so it only pays off over many rewards:
 a 200-reward sweep is about ten times faster than a `solve_equilibrium` loop
-over it. Step for step the two loops are the same, so at the same design
-point both drivers return the same bits, the same root included where Phi
-has several.
+over it. Step for step the two loops are the same, and `_sum_players` adds
+the players in one order at every shape, so at the same design point both
+drivers return the same bits (good, pool, investments and largest FOC
+violation), the same root included where Phi has several.
 """
 
 from __future__ import annotations
@@ -75,17 +78,6 @@ _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
 
 
 @dataclass(frozen=True)
-class LotteryInstance:
-    """Game definition: the players' benefit profile."""
-
-    profile: BenefitProfile
-
-    @property
-    def n_players(self) -> int:
-        return self.profile.n_players
-
-
-@dataclass(frozen=True)
 class DesignPoint:
     """The planner's decision: reward R > 0 and perturbation vector c >= 0."""
 
@@ -139,9 +131,9 @@ class EquilibriumSweep:
     iterations: np.ndarray
 
 
-def _check_profile_shape(instance: LotteryInstance, design: DesignPoint, s) -> np.ndarray:
+def _check_profile_shape(profile: BenefitProfile, design: DesignPoint, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    n = instance.n_players
+    n = profile.n_players
     if s.shape != (n,):
         raise DomainError(f"investment vector must have length {n}, got shape {s.shape}")
     if design.perturbation.shape != (n,):
@@ -151,7 +143,7 @@ def _check_profile_shape(instance: LotteryInstance, design: DesignPoint, s) -> n
     return s
 
 
-def payoffs(instance: LotteryInstance, design: DesignPoint, s) -> np.ndarray:
+def payoffs(profile: BenefitProfile, design: DesignPoint, s) -> np.ndarray:
     """Every player's payoff at investment profile s, in player order.
 
     All zeros when total investment falls short of the reward (the lottery is
@@ -159,44 +151,40 @@ def payoffs(instance: LotteryInstance, design: DesignPoint, s) -> np.ndarray:
     classic proportional-odds payoff. A negative reward share is kept as-is:
     the player pays that amount back to the planner.
     """
-    s = _check_profile_shape(instance, design, s)
+    s = _check_profile_shape(profile, design, s)
     R = design.reward
     total = float(s.sum())
     if total < R:
-        return np.zeros(instance.n_players)
+        return np.zeros(profile.n_players)
     pool = total - design.perturbation_total
     if pool == 0.0:
         raise SingularPoolError(
             "total investment equals total perturbation: reward shares are undefined"
         )
     share = (s - design.perturbation) / pool
-    return share * R + instance.profile.values(total - R) - s
-
-
-def payoff(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
-    """Player i's payoff at investment profile s; see `payoffs`."""
-    return float(payoffs(instance, design, s)[i])
+    return share * R + profile.values(total - R) - s
 
 
 def _foc_residuals(a, c, c_bar, R, s) -> np.ndarray:
     # Every player's marginal payoff dU_k/ds_k at a validated profile s. Over
     # a sweep, s is players x rewards, a and c are columns and R is a vector.
-    total = np.add.reduce(s)
+    total = _sum_players(s)
     if np.count_nonzero(total < R):
         raise DomainError("first-order condition undefined while the lottery is canceled")
     pool = total - c_bar
     if np.count_nonzero(pool <= 0.0):
         raise SingularPoolError("first-order condition requires a positive pool")
-    return R * (pool - (s - c)) / pool**2 + a / (total - R + 1.0) - 1.0
+    # pool * pool: a numpy float's pool**2 is not always the rounded product.
+    return R * (pool - (s - c)) / (pool * pool) + a / (total - R + 1.0) - 1.0
 
 
-def foc_residual(instance: LotteryInstance, design: DesignPoint, s, i: int) -> float:
+def foc_residual(profile: BenefitProfile, design: DesignPoint, s, i: int) -> float:
     """Marginal payoff dU_i/ds_i at profile s (the first-order-condition residual).
 
     Zero for active equilibrium players, nonpositive for inactive ones.
     """
-    s = _check_profile_shape(instance, design, s)
-    res = _foc_residuals(instance.profile.coefficients, design.perturbation,
+    s = _check_profile_shape(profile, design, s)
+    res = _foc_residuals(profile.coefficients, design.perturbation,
                          design.perturbation_total, design.reward, s)
     return float(res[i])
 
@@ -210,16 +198,20 @@ def _phi(G, R, c_bar, a, neg_rc):
     """
     S = G + R - c_bar
     q = R / S
-    terms = np.maximum(q - 1.0 + a / (G + 1.0), neg_rc / (S * S))
-    # The players are added in index order at every shape, so a reward's Phi,
-    # and so its root, has the same bits at one point, in a sweep and as a
-    # sweep's last open bracket. np.add.reduce adds in that order down the
-    # columns of a players x rewards array, but sums one column or a vector
-    # pairwise; np.add.accumulate adds in order and is no slower there. Both
-    # skip the ndarray.sum wrapper: small games spend most of a solve here.
-    if terms.ndim == 1 or terms.shape[1] == 1:
-        return np.add.accumulate(terms)[-1] - q
-    return np.add.reduce(terms) - q
+    return _sum_players(np.maximum(q - 1.0 + a / (G + 1.0), neg_rc / (S * S))) - q
+
+
+def _sum_players(x):
+    # Sum over the players (axis 0), added in index order at every shape, so
+    # a reward's Phi, root and FOC residuals have the same bits at one point,
+    # in a sweep and as a sweep's last open bracket. np.add.reduce adds in
+    # that order down the columns of a players x rewards array, but sums one
+    # column or a vector pairwise; np.add.accumulate adds in order and is no
+    # slower there. Both skip the ndarray.sum wrapper: small games spend most
+    # of a solve here.
+    if x.ndim == 1 or x.shape[1] == 1:
+        return np.add.accumulate(x)[-1]
+    return np.add.reduce(x)
 
 
 def _elementwise_max(x):
@@ -246,7 +238,7 @@ def _settle(a, c, c_bar, R, G):
     """
     S = G + R - c_bar
     s = np.maximum(0.0, c + S - S * S * (1.0 - a / (G + 1.0)) / R)
-    total = np.add.reduce(s)
+    total = _sum_players(s)
     bad = abs(total - (G + R)) > FOC_TOL * _elementwise_max(G)(1.0, G + R)
     if np.count_nonzero(bad):
         k = np.argmax(bad)
@@ -260,7 +252,7 @@ def _settle(a, c, c_bar, R, G):
     return S, s, active, violation
 
 
-def solve_equilibrium(instance: LotteryInstance, design: DesignPoint) -> EquilibriumResult:
+def solve_equilibrium(profile: BenefitProfile, design: DesignPoint) -> EquilibriumResult:
     """Compute the equilibrium at a design point by the share-function method.
 
     Given the good G, with pool S = G + R - c_bar, player k's first-order
@@ -286,15 +278,14 @@ def solve_equilibrium(instance: LotteryInstance, design: DesignPoint) -> Equilib
     first-order-condition point there need not be a Nash equilibrium.
     `iterations` counts evaluations of Phi.
     """
-    n = instance.n_players
     R = design.reward
     c = design.perturbation
-    if c.shape != (n,):
+    if c.shape != (profile.n_players,):
         raise InvariantViolationError("design point does not match the player count")
     c_bar = design.perturbation_total
-    a = instance.profile.coefficients
+    a = profile.coefficients
     neg_rc = -R * c
-    lo, hi = _bracket(R, c_bar, instance.profile.socially_optimal_good())
+    lo, hi = _bracket(R, c_bar, profile.socially_optimal_good())
     G, status, nfev = _chandrupatla_scalar(
         lambda G: float(_phi(G, R, c_bar, a, neg_rc)), lo, hi)
     if status == -1:
@@ -469,7 +460,7 @@ def _chandrupatla_scalar(f, x1, x2):
     return math.nan, -2, 2 + _MAX_STEPS
 
 
-def _payoff_grid(instance, design, others_sum: float, c_i: float, a_i: float,
+def _payoff_grid(design, others_sum: float, c_i: float, a_i: float,
                  x: np.ndarray) -> np.ndarray:
     # Vectorized own-payoff over candidate investments x, opponents fixed.
     R = design.reward
@@ -484,7 +475,7 @@ def _payoff_grid(instance, design, others_sum: float, c_i: float, a_i: float,
     return out
 
 
-def best_response_oracle(instance: LotteryInstance, design: DesignPoint,
+def best_response_oracle(profile: BenefitProfile, design: DesignPoint,
                          s_minus_i, i: int, tol: float = 1e-9) -> float:
     """Brute-force best response of player i to fixed opponent investments.
 
@@ -494,16 +485,15 @@ def best_response_oracle(instance: LotteryInstance, design: DesignPoint,
     use of first-order conditions.
     """
     s_minus_i = np.asarray(s_minus_i, dtype=float)
-    n = instance.n_players
+    n = profile.n_players
     if s_minus_i.shape != (n - 1,):
         raise DomainError(f"expected {n - 1} opponent investments, got {s_minus_i.shape}")
     others_sum = float(s_minus_i.sum())
     c_i = float(design.perturbation[i])
-    a_i = float(instance.profile.coefficients[i])
+    a_i = float(profile.coefficients[i])
 
     def u(x):
-        return float(_payoff_grid(instance, design, others_sum, c_i, a_i,
-                                  np.array([x]))[0])
+        return float(_payoff_grid(design, others_sum, c_i, a_i, np.array([x]))[0])
 
     hi = max(1.0, 2.0 * (design.reward + design.perturbation_total + others_sum + 10.0))
     for _ in range(200):
@@ -515,7 +505,7 @@ def best_response_oracle(instance: LotteryInstance, design: DesignPoint,
     kink = max(0.0, design.reward - others_sum)
     if 0.0 < kink < hi:
         xs = np.sort(np.append(xs, [kink, np.nextafter(kink, hi)]))
-    vals = _payoff_grid(instance, design, others_sum, c_i, a_i, xs)
+    vals = _payoff_grid(design, others_sum, c_i, a_i, xs)
     k = int(np.argmax(vals))
     lo = xs[max(k - 1, 0)]
     up = xs[min(k + 1, xs.size - 1)]
@@ -550,7 +540,7 @@ def _good_sensitivities(a_sum: float, n: int, R, c_bar: float, G):
     return -(G - c_bar) * (n - 1) / den, -R * (n - 1) / den
 
 
-def equilibrium_sensitivities(instance: LotteryInstance, design: DesignPoint,
+def equilibrium_sensitivities(profile: BenefitProfile, design: DesignPoint,
                               eq: EquilibriumResult) -> tuple[float, np.ndarray]:
     """Closed-form dG/dR and dG/dc_i at an all-active equilibrium.
 
@@ -558,12 +548,12 @@ def equilibrium_sensitivities(instance: LotteryInstance, design: DesignPoint,
     dG/dR = -(G - c_bar)(N-1) / D and dG/dc_i = -R(N-1) / D with
     D = (R + G - c_bar)^2 * sum_i h_i''(G) - R(N-1) < 0.
     """
-    n = instance.n_players
+    n = profile.n_players
     if len(eq.active_set) != n:
         raise UnsupportedRegimeError(
             "sensitivity formulas require every player active; "
             f"only {len(eq.active_set)} of {n} are"
         )
-    dG_dR, dG_dc = _good_sensitivities(instance.profile.marginal_at_zero, n, design.reward,
+    dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, design.reward,
                                        design.perturbation_total, eq.G)
     return float(dG_dR), np.full(n, dG_dc)

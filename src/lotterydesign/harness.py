@@ -40,7 +40,7 @@ import yaml
 from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
 from .errors import ConfigError, ExactnessViolationError
-from .game import TOLERANCES, DesignPoint, LotteryInstance, payoff, payoffs, solve_equilibrium
+from .game import TOLERANCES, DesignPoint, payoffs, solve_equilibrium
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present: several times faster on large scenario
@@ -324,13 +324,12 @@ def _properties_ok(checks) -> bool:
 
 def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
-    instance = LotteryInstance(profile)
     point = cfg.require("design_point")
     c = np.asarray(point.get("perturbation", [0.0] * profile.n_players), dtype=float)
     dp = DesignPoint(float(point["reward"]), c)
-    eq = solve_equilibrium(instance, dp)
-    checks = analysis.check_properties(instance, dp, eq)
-    agg = sum(payoffs(instance, dp, eq.s_star).tolist())
+    eq = solve_equilibrium(profile, dp)
+    checks = analysis.check_properties(profile, dp, eq)
+    agg = sum(payoffs(profile, dp, eq.s_star).tolist())
     results = {
         "player_ids": ids,
         "reward": dp.reward,
@@ -343,17 +342,17 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "max_foc_violation": eq.max_foc_violation,
         "iterations": eq.iterations,
         "aggregate_payoff": agg,
-        "poa_true": analysis.true_poa(instance, dp, eq),
+        "poa_true": analysis.true_poa(profile, dp, eq),
     }
     ok = eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"] and _properties_ok(checks)
     return ("ok" if ok else "verification_failed"), results, _property_dicts(checks), {}
 
 
-_BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper", "assured_active_count")
+_BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
 
 
 def _bound_rows(bounds) -> list[dict]:
-    # One dict per reward from bounds held as vectors over a sweep.
+    # One dict of the four bounds per reward, from vectors over a sweep.
     columns = [getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
     return [dict(zip(_BOUND_FIELDS, row)) for row in zip(*columns)]
 
@@ -365,14 +364,13 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     c = np.asarray(sweep.get("perturbation", [0.0] * profile.n_players), dtype=float)
     graded = analysis.analyze_sweep(profile, c, rewards)
     # Statement-form bounds are primary; the tightened variant is reported
-    # alongside, never silently substituted.
+    # alongside, never silently substituted. Both certify the same players.
     rows = [
         {"reward": reward, "public_good": good, "poa_true": poa,
-         "poa_lower": bounds["poa_lower"], "poa_upper": bounds["poa_upper"],
-         "g_lower": bounds["g_lower"], "g_upper": bounds["g_upper"],
-         "bounds": {"statement": bounds, "proof_tightened": proof}}
-        for reward, good, poa, bounds, proof in zip(
+         "assured_active_count": k, **bounds, "proof_tightened": proof}
+        for reward, good, poa, k, bounds, proof in zip(
             rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist(),
+            graded.bounds.assured_active_count.tolist(),
             _bound_rows(graded.bounds), _bound_rows(graded.proof_bounds))
     ]
 
@@ -402,7 +400,7 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
     if ir.get("enabled", False):
         constraints = constraints.stacked(design_mod.individual_rationality_rows(profile))
     return design_mod.DesignProblem(
-        LotteryInstance(profile),
+        profile,
         constraints,
         alpha=float(cfg.get("alpha", 1.0)),
         reward_floor=float(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR)),
@@ -603,15 +601,14 @@ def _selftest_cases(seed: int):
     from .game import best_response_oracle
 
     profile2 = BenefitProfile.scaled_log([1.0, 1.0])
-    inst2 = LotteryInstance(profile2)
 
-    eq = solve_equilibrium(inst2, DesignPoint(1.0, np.zeros(2)))
+    eq = solve_equilibrium(profile2, DesignPoint(1.0, np.zeros(2)))
     yield ("two_player_equilibrium",
            abs(eq.G - 0.5) <= 1e-9 and np.allclose(eq.s_star, 0.75, atol=1e-9),
            f"G={eq.G:.12f}")
 
     dp = DesignPoint(1.0, np.array([0.5, 0.5]))
-    eq = solve_equilibrium(inst2, dp)
+    eq = solve_equilibrium(profile2, dp)
     yield ("optimal_budget_hits_optimum",
            abs(eq.G - 1.0) <= 1e-9 and np.allclose(eq.s_star, 1.0, atol=1e-9),
            f"G={eq.G:.12f}")
@@ -619,14 +616,14 @@ def _selftest_cases(seed: int):
     rl = analysis.reward_threshold(profile2, np.zeros(2))
     yield ("reward_threshold", abs(rl - 1.0) <= 1e-9, f"R_L={rl:.12f}")
 
-    poa1 = analysis.true_poa(inst2, DesignPoint(1.0, np.zeros(2)))
+    poa1 = analysis.true_poa(profile2, DesignPoint(1.0, np.zeros(2)))
     yield ("poa_at_unit_reward", abs(poa1 - 1.2425) <= 1e-3, f"PoA={poa1:.6f}")
 
-    poa_inf = analysis.true_poa(inst2, DesignPoint(1e6, np.zeros(2)))
+    poa_inf = analysis.true_poa(profile2, DesignPoint(1e6, np.zeros(2)))
     yield ("poa_limit", abs(poa_inf - 1.0) <= 1e-3, f"PoA={poa_inf:.8f}")
 
     problem = design_mod.DesignProblem(
-        inst2, design_mod.ConstraintSet.empty(2), alpha=1.0)
+        profile2, design_mod.ConstraintSet.empty(2), alpha=1.0)
     sol = design_mod.solve_design(problem)
     design_mod.verify_design(problem, sol)
     yield ("unconstrained_design",
@@ -643,7 +640,6 @@ def _selftest_cases(seed: int):
         while coeffs.sum() <= 1.1:
             coeffs = rng.uniform(0.6, 3.0, n)
         profile = BenefitProfile.scaled_log(coeffs)
-        inst = LotteryInstance(profile)
         g_star = profile.socially_optimal_good()
         if rng.random() < 0.5:
             c = np.zeros(n)
@@ -653,24 +649,24 @@ def _selftest_cases(seed: int):
             reward = max(analysis.reward_threshold(profile, c), float(c.sum()))
             reward += float(rng.uniform(0.1, 10.0))
         dp = DesignPoint(reward, c)
-        eq = solve_equilibrium(inst, dp)
+        eq = solve_equilibrium(profile, dp)
         # Skip, and count, points where voiding the lottery beats a negative
         # payoff: the literal payoff has no pure equilibrium there.
-        pay = payoffs(inst, dp, eq.s_star)
+        pay = payoffs(profile, dp, eq.s_star)
         total = float(eq.s_star.sum())
         if np.any((pay < -1e-6) & (total - eq.s_star < reward)):
             skipped += 1
             continue
         done += 1
         worst_foc = max(worst_foc, eq.max_foc_violation)
-        for check in analysis.check_properties(inst, dp, eq):
+        for check in analysis.check_properties(profile, dp, eq):
             if check.holds is not None:
                 worst_margin = min(worst_margin, check.margin)
         i = int(rng.integers(0, n))
-        br = best_response_oracle(inst, dp, np.delete(eq.s_star, i), i)
+        br = best_response_oracle(profile, dp, np.delete(eq.s_star, i), i)
         trial = eq.s_star.copy()
         trial[i] = br
-        gain = payoff(inst, dp, trial, i) - float(pay[i])
+        gain = float(payoffs(profile, dp, trial)[i]) - float(pay[i])
         worst_gain = max(worst_gain, gain)
     corpus = f"{done} points, {skipped} without a pure equilibrium skipped"
     yield ("random_corpus_foc", worst_foc <= 1e-8,

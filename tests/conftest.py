@@ -5,7 +5,6 @@ import pytest
 
 from lotterydesign import (
     BenefitProfile,
-    LotteryInstance,
     monetize,
     parse_case,
 )
@@ -40,11 +39,6 @@ def random_profile(rng, n=None, lo=0.6, hi=3.0):
 @pytest.fixture(scope="session")
 def i2_profile():
     return BenefitProfile.scaled_log([1.0, 1.0])
-
-
-@pytest.fixture(scope="session")
-def i2_instance(i2_profile):
-    return LotteryInstance(i2_profile)
 
 
 @pytest.fixture(scope="session")

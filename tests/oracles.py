@@ -32,7 +32,7 @@ def _compositions(total: float, n: int, step: float):
 def _evaluate_point(problem, reward, c, g_tol, feas_tol):
     try:
         design = DesignPoint(reward, c)
-        eq = solve_equilibrium(problem.instance, design)
+        eq = solve_equilibrium(problem.profile, design)
     except (InfeasibleRegimeError, InvariantViolationError):
         return None
     if abs(eq.G - problem.g_star) > g_tol:
@@ -57,7 +57,7 @@ def brute_force_bilevel(problem: DesignProblem, r_lo: float, r_hi: float,
     the player count, so restricted to N <= 3; used only to validate the
     reformulation.
     """
-    n = problem.instance.n_players
+    n = problem.profile.n_players
     if n > 3:
         raise ValueError("brute-force oracle is limited to 3 players")
     if g_tolerance is None:

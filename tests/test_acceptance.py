@@ -17,13 +17,12 @@ from lotterydesign import (
     ConstraintSet,
     DesignPoint,
     DesignProblem,
-    LotteryInstance,
     best_response_oracle,
     build_dr_constraints,
     check_properties,
     equilibrium_sensitivities,
     monetize,
-    payoff,
+    payoffs,
     poa_bounds,
     reward_threshold,
     shift_factor_matrix,
@@ -49,7 +48,7 @@ def report(criterion: str, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def equilibrium_corpus():
-    """200 well-posed (instance, design, equilibrium) triples, fixed seed.
+    """200 well-posed (profile, design, equilibrium) triples, fixed seed.
 
     A fifth of the draws pin the perturbation budget at the optimum so the
     design point attains the socially optimal good and the feasibility check
@@ -59,11 +58,10 @@ def equilibrium_corpus():
     corpus = []
     while len(corpus) < 200:
         profile = random_profile(rng, n=int(rng.integers(1, 7)))
-        instance = LotteryInstance(profile)
         n = profile.n_players
         if n == 1:
             d = DesignPoint(float(rng.uniform(0.1, 50.0)), np.zeros(1))
-            corpus.append((instance, d, solve_equilibrium(instance, d)))
+            corpus.append((profile, d, solve_equilibrium(profile, d)))
             continue
         if rng.random() < 0.2:
             g_star = profile.socially_optimal_good()
@@ -72,12 +70,12 @@ def equilibrium_corpus():
             reward = max(reward_threshold(profile, c), float(c.sum()))
             reward += float(rng.uniform(0.1, 10.0))
             d = DesignPoint(reward, c)
-            eq = solve_equilibrium(instance, d)
-            if cancellation_escape_exists(instance, d, eq):
+            eq = solve_equilibrium(profile, d)
+            if cancellation_escape_exists(profile, d, eq):
                 continue
         else:
-            d, eq = sample_sound_pair(rng, profile, instance)
-        corpus.append((instance, d, eq))
+            d, eq = sample_sound_pair(rng, profile)
+        corpus.append((profile, d, eq))
     return corpus
 
 
@@ -85,8 +83,7 @@ class TestCriterion1CaseStudy:
     def test_case_study_golden_numbers(self, case30, i30_profile):
         t0 = time.time()
         scenario = monetize(case30, 1.3, 0.1, 1.0)
-        problem = DesignProblem(
-            LotteryInstance(i30_profile), build_dr_constraints(scenario), alpha=1.0)
+        problem = DesignProblem(i30_profile, build_dr_constraints(scenario), alpha=1.0)
         sol = solve_design(problem)
         verification, _ = verify_design(problem, sol)
         elapsed = time.time() - t0
@@ -138,13 +135,13 @@ class TestCriterion2Exactness:
 class TestCriterion3EquilibriumCorrectness:
     def test_foc_and_no_profitable_deviation(self, equilibrium_corpus):
         worst_foc, worst_gain = 0.0, -math.inf
-        for instance, d, eq in equilibrium_corpus:
+        for profile, d, eq in equilibrium_corpus:
             worst_foc = max(worst_foc, eq.max_foc_violation)
-            for i in range(instance.n_players):
-                br = best_response_oracle(instance, d, np.delete(eq.s_star, i), i)
+            for i in range(profile.n_players):
+                br = best_response_oracle(profile, d, np.delete(eq.s_star, i), i)
                 trial = eq.s_star.copy()
                 trial[i] = br
-                gain = payoff(instance, d, trial, i) - payoff(instance, d, eq.s_star, i)
+                gain = payoffs(profile, d, trial)[i] - payoffs(profile, d, eq.s_star)[i]
                 worst_gain = max(worst_gain, gain)
         ok = worst_foc <= 1e-8 and worst_gain <= 1e-5
         report("3 equilibrium correctness", ok,
@@ -159,8 +156,8 @@ class TestCriterion4PropertySuite:
                  "investment_lower_bound")
         worst = {name: math.inf for name in names}
         counted = {name: 0 for name in names}
-        for instance, d, eq in equilibrium_corpus:
-            for check in check_properties(instance, d, eq):
+        for profile, d, eq in equilibrium_corpus:
+            for check in check_properties(profile, d, eq):
                 if check.name in worst and check.holds is not None:
                     worst[check.name] = min(worst[check.name], check.margin)
                     counted[check.name] += 1
@@ -172,8 +169,7 @@ class TestCriterion4PropertySuite:
 class TestCriterion5PoaSandwich:
     def test_bound_containment(self, equilibrium_corpus):
         worst = math.inf
-        for instance, d, eq in equilibrium_corpus:
-            profile = instance.profile
+        for profile, d, eq in equilibrium_corpus:
             pb = poa_bounds(profile, d)
             payoff_eq = profile.aggregate_value(eq.G) - eq.G
             ends = sorted(profile.aggregate_value(g) - g
@@ -182,8 +178,8 @@ class TestCriterion5PoaSandwich:
         report("5a sandwich containment", worst >= -1e-7,
                f"200 pairs, min containment margin {worst:.2e}")
 
-    def test_poa_values_and_limit(self, i2_instance):
-        values = {r: true_poa(i2_instance, DesignPoint(r, np.zeros(2)))
+    def test_poa_values_and_limit(self, i2_profile):
+        values = {r: true_poa(i2_profile, DesignPoint(r, np.zeros(2)))
                   for r in (1.0, 10.0, 100.0, 1e6)}
         seq = [values[r] for r in (1.0, 10.0, 100.0, 1e6)]
         checks = [
@@ -202,19 +198,18 @@ class TestCriterion6Sensitivities:
         worst_rel = 0.0
         for _ in range(50):
             profile = random_profile(rng, n=int(rng.integers(2, 6)))
-            instance = LotteryInstance(profile)
             n = profile.n_players
             g_star = profile.socially_optimal_good()
             c = rng.uniform(0.0, g_star / n, n)
             reward = reward_threshold(profile, c) + float(rng.uniform(0.2, 10.0))
             d = DesignPoint(reward, c)
-            eq = solve_equilibrium(instance, d)
+            eq = solve_equilibrium(profile, d)
             assert len(eq.active_set) == n
-            dG_dR, dG_dc = equilibrium_sensitivities(instance, d, eq)
+            dG_dR, dG_dc = equilibrium_sensitivities(profile, d, eq)
 
             h = 1e-5 * max(1.0, reward)
-            fd = (solve_equilibrium(instance, DesignPoint(reward + h, c)).G
-                  - solve_equilibrium(instance, DesignPoint(reward - h, c)).G) / (2 * h)
+            fd = (solve_equilibrium(profile, DesignPoint(reward + h, c)).G
+                  - solve_equilibrium(profile, DesignPoint(reward - h, c)).G) / (2 * h)
             tol = max(1e-6, 1e-4 * abs(dG_dR))
             worst_rel = max(worst_rel, abs(dG_dR - fd) / tol)
 
@@ -223,8 +218,8 @@ class TestCriterion6Sensitivities:
             c_hi, c_lo = c.copy(), c.copy()
             c_hi[i] += h
             c_lo[i] = max(c_lo[i] - h, 0.0)
-            fd = (solve_equilibrium(instance, DesignPoint(reward, c_hi)).G
-                  - solve_equilibrium(instance, DesignPoint(reward, c_lo)).G) / (
+            fd = (solve_equilibrium(profile, DesignPoint(reward, c_hi)).G
+                  - solve_equilibrium(profile, DesignPoint(reward, c_lo)).G) / (
                       c_hi[i] - c_lo[i])
             tol = max(1e-6, 1e-4 * abs(dG_dc[i]))
             worst_rel = max(worst_rel, abs(dG_dc[i] - fd) / tol)

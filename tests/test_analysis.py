@@ -7,8 +7,6 @@ import pytest
 from lotterydesign import (
     BenefitProfile,
     DesignPoint,
-    LotteryInstance,
-    assured_active_count,
     check_properties,
     poa_bounds,
     reward_threshold,
@@ -50,10 +48,10 @@ class TestRewardThreshold:
 class TestAssuredActiveCount:
     def test_boundary_is_excluded(self, i2_profile):
         # At R = 1, c = 0 the criterion evaluates to exactly zero: not counted.
-        assert assured_active_count(i2_profile, _design(1.0, [0, 0])) == 0
+        assert poa_bounds(i2_profile, _design(1.0, [0, 0])).assured_active_count == 0
 
     def test_larger_reward_counts_all(self, i2_profile):
-        assert assured_active_count(i2_profile, _design(2.0, [0, 0])) == 2
+        assert poa_bounds(i2_profile, _design(2.0, [0, 0])).assured_active_count == 2
 
 
 class TestPublicGoodBounds:
@@ -62,7 +60,7 @@ class TestPublicGoodBounds:
         assert pb.g_lower == 0.0  # argument hits H(0) exactly
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
         # The solved good lands inside.
-        eq = solve_equilibrium(LotteryInstance(i2_profile), _design(1.0, [0, 0]))
+        eq = solve_equilibrium(i2_profile, _design(1.0, [0, 0]))
         assert pb.g_lower - 1e-9 <= eq.G <= pb.g_upper + 1e-9
 
     def test_budget_at_optimum_collapses_bracket(self, i2_profile):
@@ -86,7 +84,7 @@ class TestPublicGoodBounds:
         proof = poa_bounds(i2_profile, d, variant="proof", strict=True)
         assert statement.g_upper == pytest.approx(1.0, abs=1e-9)
         assert proof.g_upper < statement.g_upper
-        eq = solve_equilibrium(LotteryInstance(i2_profile), d)
+        eq = solve_equilibrium(i2_profile, d)
         assert eq.G <= proof.g_upper + 1e-9
 
 
@@ -102,14 +100,14 @@ class TestPoaBounds:
         assert pb.poa_lower == pytest.approx(1.0, abs=1e-9)
         assert pb.poa_upper == pytest.approx(1.0, abs=1e-9)
 
-    def test_large_reward_sandwiches_true_poa(self, i2_profile, i2_instance):
+    def test_large_reward_sandwiches_true_poa(self, i2_profile):
         d = _design(100.0, [0, 0])
         pb = poa_bounds(i2_profile, d)
         opt = i2_profile.socially_optimal_payoff()
         g = 2.0 / 1.01 - 1.0
         expected_upper = opt / (2.0 * math.log1p(g) - g)
         assert pb.poa_upper == pytest.approx(expected_upper, rel=1e-9)
-        actual = true_poa(i2_instance, d)
+        actual = true_poa(i2_profile, d)
         assert pb.poa_lower - 1e-9 <= actual <= pb.poa_upper + 1e-9
 
     def test_degenerate_maps_to_infinity(self, i2_profile):
@@ -119,54 +117,54 @@ class TestPoaBounds:
 
 
 class TestTruePoa:
-    def test_unit_reward_value(self, i2_instance):
-        value = true_poa(i2_instance, _design(1.0, [0, 0]))
+    def test_unit_reward_value(self, i2_profile):
+        value = true_poa(i2_profile, _design(1.0, [0, 0]))
         expected = (2.0 * math.log(2.0) - 1.0) / (2.0 * math.log(1.5) - 0.5)
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(1.2425, abs=1e-3)
 
-    def test_optimal_budget_is_efficient(self, i2_instance):
+    def test_optimal_budget_is_efficient(self, i2_profile):
         for reward in (0.5, 1.0, 7.0):
-            assert true_poa(i2_instance, _design(reward, [0.5, 0.5])) == (
+            assert true_poa(i2_profile, _design(reward, [0.5, 0.5])) == (
                 pytest.approx(1.0, abs=1e-9))
 
-    def test_improves_with_reward(self, i2_instance):
-        poa_1 = true_poa(i2_instance, _design(1.0, [0, 0]))
-        poa_10 = true_poa(i2_instance, _design(10.0, [0, 0]))
+    def test_improves_with_reward(self, i2_profile):
+        poa_1 = true_poa(i2_profile, _design(1.0, [0, 0]))
+        poa_10 = true_poa(i2_profile, _design(10.0, [0, 0]))
         assert 1.0 < poa_10 < poa_1
 
 
 class TestCheckProperties:
-    def test_optimal_design_point_all_pass(self, i2_instance):
+    def test_optimal_design_point_all_pass(self, i2_profile):
         d = _design(1.0, [0.5, 0.5])
-        eq = solve_equilibrium(i2_instance, d)
-        report = check_properties(i2_instance, d, eq)
+        eq = solve_equilibrium(i2_profile, d)
+        report = check_properties(i2_profile, d, eq)
         assert all(c.holds is not False for c in report)
         by_name = {c.name: c for c in report}
         assert by_name["pool_covers_perturbation"].holds is True
         assert by_name["perturbation_sensitivity_sign"].skipped_reason is not None
 
-    def test_threshold_boundary_skips_floor_check(self, i2_instance):
+    def test_threshold_boundary_skips_floor_check(self, i2_profile):
         d = _design(1.0, [0, 0])  # R equals the threshold exactly
-        eq = solve_equilibrium(i2_instance, d)
-        by_name = {c.name: c for c in check_properties(i2_instance, d, eq)}
+        eq = solve_equilibrium(i2_profile, d)
+        by_name = {c.name: c for c in check_properties(i2_profile, d, eq)}
         assert by_name["investment_lower_bound"].holds is None
         assert "threshold" in by_name["investment_lower_bound"].skipped_reason
 
-    def test_above_threshold_asserts_floor(self, i2_instance):
+    def test_above_threshold_asserts_floor(self, i2_profile):
         d = _design(1.5, [0, 0])
-        eq = solve_equilibrium(i2_instance, d)
-        by_name = {c.name: c for c in check_properties(i2_instance, d, eq)}
+        eq = solve_equilibrium(i2_profile, d)
+        by_name = {c.name: c for c in check_properties(i2_profile, d, eq)}
         assert by_name["investment_lower_bound"].holds is True
         assert by_name["reward_sensitivity_sign"].holds is True
 
     def test_inactive_player_skips_sensitivities(self):
         # The weak player of (3, 0.6) invests nothing at R = 1.
-        inst = LotteryInstance(BenefitProfile.scaled_log([3.0, 0.6]))
+        profile = BenefitProfile.scaled_log([3.0, 0.6])
         d = _design(1.0, [0, 0])
-        eq = solve_equilibrium(inst, d)
+        eq = solve_equilibrium(profile, d)
         assert eq.active_set == (0,)
-        by_name = {c.name: c for c in check_properties(inst, d, eq)}
+        by_name = {c.name: c for c in check_properties(profile, d, eq)}
         for name in ("reward_sensitivity_sign", "perturbation_sensitivity_sign"):
             assert by_name[name].holds is None
             assert by_name[name].skipped_reason == (
@@ -177,22 +175,22 @@ class TestCheckProperties:
         ("payoff_sandwich_margin", "payoff_sandwich"),
         ("equality_reward_sensitivity", "reward_sensitivity_sign"),
     ])
-    def test_margins_come_from_tolerance_table(self, i2_instance, monkeypatch, row, check):
+    def test_margins_come_from_tolerance_table(self, i2_profile, monkeypatch, row, check):
         # At the optimal budget every check passes; moving the stated row
         # past the observed margin must flip the check that applies it.
         d = _design(1.0, [0.5, 0.5])
-        eq = solve_equilibrium(i2_instance, d)
-        before = {c.name: c.holds for c in check_properties(i2_instance, d, eq)}
+        eq = solve_equilibrium(i2_profile, d)
+        before = {c.name: c.holds for c in check_properties(i2_profile, d, eq)}
         assert before[check] is True
         shift = -1.0 if row == "equality_reward_sensitivity" else 1.0
         monkeypatch.setitem(TOLERANCES[row], "value", shift)
-        after = {c.name: c.holds for c in check_properties(i2_instance, d, eq)}
+        after = {c.name: c.holds for c in check_properties(i2_profile, d, eq)}
         assert after[check] is False
 
-    def test_report_serializes(self, i2_instance):
+    def test_report_serializes(self, i2_profile):
         d = _design(1.5, [0, 0])
-        eq = solve_equilibrium(i2_instance, d)
-        payload = json.dumps([c.to_dict() for c in check_properties(i2_instance, d, eq)])
+        eq = solve_equilibrium(i2_profile, d)
+        payload = json.dumps([c.to_dict() for c in check_properties(i2_profile, d, eq)])
         entries = json.loads(payload)
         assert {"property", "holds", "margin", "skipped_reason"} == set(entries[0])
 
@@ -203,24 +201,23 @@ class TestSandwichInvariants:
         for _ in range(25):
             profile = random_profile(rng)
             n = profile.n_players
-            inst = LotteryInstance(profile)
             g_star = profile.socially_optimal_good()
             c = rng.uniform(0.0, g_star / n, n) if rng.random() < 0.7 else np.zeros(n)
             r_l = reward_threshold(profile, c)
             d = _design(r_l + 0.1 + float(rng.uniform(0.0, 50.0)), c)
-            eq = solve_equilibrium(inst, d)
+            eq = solve_equilibrium(profile, d)
             pb = poa_bounds(profile, d)
             payoff_eq = profile.aggregate_value(eq.G) - eq.G
             ends = sorted(profile.aggregate_value(g) - g
                           for g in (pb.g_lower, pb.g_upper))
             assert ends[0] - 1e-7 <= payoff_eq <= ends[1] + 1e-7
-            actual = true_poa(inst, d, eq)
+            actual = true_poa(profile, d, eq)
             assert pb.poa_lower - 1e-9 <= actual
             if math.isfinite(pb.poa_upper):
                 assert actual <= pb.poa_upper + 1e-9
 
-    def test_asymptotic_efficiency(self, i2_instance):
-        values = [true_poa(i2_instance, _design(r, [0, 0]))
+    def test_asymptotic_efficiency(self, i2_profile):
+        values = [true_poa(i2_profile, _design(r, [0, 0]))
                   for r in (1.0, 10.0, 100.0, 1e6)]
         assert all(v > 1.0 for v in values[:3])
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -247,12 +244,11 @@ class TestSandwichInvariants:
         for _ in range(15):
             profile = random_profile(rng)
             n = profile.n_players
-            inst = LotteryInstance(profile)
             g_star = profile.socially_optimal_good()
             c = rng.uniform(1.05, 1.6) * g_star / n * np.ones(n)
             reward = float(c.sum()) + float(rng.uniform(0.5, 20.0))
             d = _design(reward, c)
-            eq = solve_equilibrium(inst, d)
+            eq = solve_equilibrium(profile, d)
             assert g_star - 1e-9 <= eq.G <= d.perturbation_total + 1e-9
             pb = poa_bounds(profile, d)
             assert pb.g_lower - 1e-9 <= eq.G <= pb.g_upper + 1e-9

@@ -9,10 +9,10 @@ from lotterydesign import (
     ConstraintSet,
     DesignPoint,
     DesignProblem,
-    LotteryInstance,
     build_reformulation,
     design,
     individual_rationality_rows,
+    payoffs,
     solve_design,
     solve_equilibrium,
     verify_design,
@@ -24,12 +24,12 @@ from test_simplex import lexicographic_vertex_oracle
 
 
 @pytest.fixture
-def i2_problem(i2_instance):
-    return DesignProblem(i2_instance, ConstraintSet.empty(2), alpha=1.0)
+def i2_problem(i2_profile):
+    return DesignProblem(i2_profile, ConstraintSet.empty(2), alpha=1.0)
 
 
 def random_feasible_problem(rng, n):
-    """Random instance plus affine rows slack at a seeded optimal-budget point."""
+    """Random profile plus affine rows slack at a seeded optimal-budget point."""
     coeffs = rng.uniform(0.7, 2.5, n)
     while coeffs.sum() <= 1.1:
         coeffs = rng.uniform(0.7, 2.5, n)
@@ -44,7 +44,7 @@ def random_feasible_problem(rng, n):
     b = a @ np.append(s0, r0) + rng.uniform(0.3, 1.0, m)
     labels = tuple(f"row{k}" for k in range(m))
     problem = DesignProblem(
-        LotteryInstance(profile), ConstraintSet(a, b, labels),
+        profile, ConstraintSet(a, b, labels),
         alpha=float(rng.choice([0.0, 1.0])))
     return problem, r0
 
@@ -76,7 +76,7 @@ def group_floor_problem(seed, n=60):
     a = np.vstack([-eye, eye, groups])
     b = np.concatenate([-floors, caps, group_rhs])
     labels = tuple(f"row{k}" for k in range(b.size))
-    return DesignProblem(LotteryInstance(BenefitProfile.scaled_log(coeffs)),
+    return DesignProblem(BenefitProfile.scaled_log(coeffs),
                          ConstraintSet(a, b, labels), alpha=1.0)
 
 
@@ -127,10 +127,10 @@ class TestBuildReformulation:
         assert lp.b_eq == pytest.approx([1.0], abs=1e-9)
         assert lp.objective_offset == pytest.approx(1.0, abs=1e-9)
 
-    def test_row_composition_with_equilibrium_map(self, i2_instance):
+    def test_row_composition_with_equilibrium_map(self, i2_profile):
         # s_1 >= 2 becomes -c_1 - h_1'(G*)*R <= -2 with h_1'(1) = 0.5.
         cs = ConstraintSet.from_rows([("min_s1", [-1.0, 0.0], 0.0, -2.0)])
-        lp = build_reformulation(DesignProblem(i2_instance, cs, alpha=1.0))
+        lp = build_reformulation(DesignProblem(i2_profile, cs, alpha=1.0))
         assert lp.a_ub[0] == pytest.approx([-0.5, -1.0, 0.0], abs=1e-9)
         assert lp.b_ub[0] == -2.0
 
@@ -138,7 +138,7 @@ class TestBuildReformulation:
         from lotterydesign import build_dr_constraints
 
         cons = build_dr_constraints(case30_scenario)
-        problem = DesignProblem(LotteryInstance(i30_profile), cons, alpha=1.0)
+        problem = DesignProblem(i30_profile, cons, alpha=1.0)
         lp = build_reformulation(problem)
         # 20 demand caps + 1 balance + 82 line rows, plus the reward floor.
         assert cons.n_rows == 103
@@ -156,9 +156,9 @@ class TestSolveDesign:
         assert sol.objective == pytest.approx(i2_problem.reward_floor + 1.0, abs=1e-9)
         assert "reward_floor" in sol.binding
 
-    def test_forced_investment(self, i2_instance):
+    def test_forced_investment(self, i2_profile):
         cs = ConstraintSet.from_rows([("min_s1", [-1.0, 0.0], 0.0, -2.0)])
-        problem = DesignProblem(i2_instance, cs, alpha=1.0)
+        problem = DesignProblem(i2_profile, cs, alpha=1.0)
         sol = solve_design(problem)
         assert sol.design.reward == pytest.approx(2.0, abs=1e-9)
         assert sol.design.perturbation == pytest.approx([1.0, 0.0], abs=1e-9)
@@ -166,18 +166,18 @@ class TestSolveDesign:
         assert "min_s1" in sol.binding
         assert sol.predicted_investments == pytest.approx([2.0, 1.0], abs=1e-9)
 
-    def test_infeasible_rows_reported(self, i2_instance):
+    def test_infeasible_rows_reported(self, i2_profile):
         cs = ConstraintSet.from_rows([
             ("lo", [-1.0, 0.0], 0.0, -2.0),  # s_1 >= 2
             ("hi", [1.0, 0.0], 0.0, 1.0),    # s_1 <= 1
         ])
-        sol = solve_design(DesignProblem(i2_instance, cs, alpha=1.0))
+        sol = solve_design(DesignProblem(i2_profile, cs, alpha=1.0))
         assert sol.status == "infeasible"
         assert sol.design is None
 
-    def test_alpha_enters_objective_as_constant(self, i2_instance):
+    def test_alpha_enters_objective_as_constant(self, i2_profile):
         for alpha in (0.0, 2.5):
-            problem = DesignProblem(i2_instance, ConstraintSet.empty(2), alpha=alpha)
+            problem = DesignProblem(i2_profile, ConstraintSet.empty(2), alpha=alpha)
             sol = solve_design(problem)
             assert sol.objective == pytest.approx(
                 problem.reward_floor + alpha * 1.0, abs=1e-8)
@@ -221,7 +221,7 @@ class TestLexicographicOptimum:
             return results[-1]
 
         monkeypatch.setattr(design, "solve_lp", counted)
-        problem = DesignProblem(LotteryInstance(i30_profile),
+        problem = DesignProblem(i30_profile,
                                 build_dr_constraints(case30_scenario), alpha=1.0)
         sol = solve_design(problem)
         assert len(results) == 1
@@ -238,24 +238,21 @@ class TestIndividualRationality:
         assert rows.b == pytest.approx([math.log(2.0)] * 2, abs=1e-9)
         assert rows.a[0] == pytest.approx([1.0, 0.0, -0.5], abs=1e-9)
 
-    def test_rows_cut_off_greedy_budget(self, i2_instance, i2_profile):
+    def test_rows_cut_off_greedy_budget(self, i2_profile):
         # Forcing c_1 = 1 > ln 2 violates individual rationality.
         ir = individual_rationality_rows(i2_profile)
         force = ConstraintSet.from_rows(
             [("force_c1", [-1.0, 0.0], 0.5, -1.0)])  # -s_1 + 0.5 R <= -1, i.e. c_1 >= 1
-        problem = DesignProblem(i2_instance, ir.stacked(force), alpha=1.0)
+        problem = DesignProblem(i2_profile, ir.stacked(force), alpha=1.0)
         assert solve_design(problem).status == "infeasible"
         # Without the rationality rows the same forcing is fine.
         assert solve_design(
-            DesignProblem(i2_instance, force, alpha=1.0)).status == "optimal"
+            DesignProblem(i2_profile, force, alpha=1.0)).status == "optimal"
 
-    def test_even_split_is_rational(self, i2_instance):
-        eq = solve_equilibrium(i2_instance, DesignPoint(1.0, np.array([0.5, 0.5])))
-        from lotterydesign import payoff
-
-        for i in range(2):
-            u = payoff(i2_instance, DesignPoint(1.0, np.array([0.5, 0.5])),
-                       eq.s_star, i)
+    def test_even_split_is_rational(self, i2_profile):
+        d = DesignPoint(1.0, np.array([0.5, 0.5]))
+        eq = solve_equilibrium(i2_profile, d)
+        for u in payoffs(i2_profile, d, eq.s_star):
             assert u == pytest.approx(math.log(2.0) - 0.5, abs=1e-9)
             assert u > 0.0
 
@@ -271,20 +268,20 @@ class TestVerifyDesign:
         assert report["aggregate_payoff"] == pytest.approx(
             2.0 * math.log(2.0) - 1.0, abs=1e-9)
 
-    def test_rejects_unsolved_input(self, i2_instance):
+    def test_rejects_unsolved_input(self, i2_profile):
         cs = ConstraintSet.from_rows([("lo", [-1.0, 0.0], 0.0, -2.0),
                                       ("hi", [1.0, 0.0], 0.0, 1.0)])
-        problem = DesignProblem(i2_instance, cs, alpha=1.0)
+        problem = DesignProblem(i2_profile, cs, alpha=1.0)
         sol = solve_design(problem)
         with pytest.raises(ValueError):
             verify_design(problem, sol)
 
-    def test_detects_constraint_violation(self, i2_problem, i2_instance):
+    def test_detects_constraint_violation(self, i2_problem, i2_profile):
         sol = solve_design(i2_problem)
         # Verify against a *different* problem whose rows the point violates:
         # the tie-break parks the whole budget on player 2, so cap s_2.
         tight = DesignProblem(
-            i2_instance,
+            i2_profile,
             ConstraintSet.from_rows([("cap", [0.0, 1.0], 0.0, 0.1)]),
             alpha=1.0)
         with pytest.raises(ExactnessViolationError) as excinfo:
@@ -294,9 +291,9 @@ class TestVerifyDesign:
 
 
 class TestBruteForceOracle:
-    def test_matches_lp_on_forced_investment(self, i2_instance):
+    def test_matches_lp_on_forced_investment(self, i2_profile):
         cs = ConstraintSet.from_rows([("min_s1", [-1.0, 0.0], 0.0, -2.0)])
-        problem = DesignProblem(i2_instance, cs, alpha=1.0)
+        problem = DesignProblem(i2_profile, cs, alpha=1.0)
         lp_sol = solve_design(problem)
         oracle = brute_force_bilevel(problem, r_lo=0.05, r_hi=4.0, resolution=0.02)
         assert oracle.status == "optimal"
@@ -304,23 +301,22 @@ class TestBruteForceOracle:
         assert oracle.design.reward == pytest.approx(2.0, abs=0.05)
         assert oracle.design.perturbation[0] == pytest.approx(1.0, abs=0.05)
 
-    def test_budget_off_optimum_never_reaches_it(self, i2_instance):
+    def test_budget_off_optimum_never_reaches_it(self, i2_profile):
         # Slices with sum(c) pinned away from G* cannot induce the optimal
         # good: the grid finds nothing within 1e-3 of it.
-        problem = DesignProblem(i2_instance, ConstraintSet.empty(2), alpha=1.0)
+        problem = DesignProblem(i2_profile, ConstraintSet.empty(2), alpha=1.0)
         hits = []
         for reward in np.linspace(0.2, 5.0, 25):
             for t in np.linspace(0.0, 0.6, 7):
-                eq = solve_equilibrium(i2_instance,
+                eq = solve_equilibrium(i2_profile,
                                        DesignPoint(float(reward),
                                                    np.array([t, 0.6 - t])))
                 hits.append(abs(eq.G - problem.g_star) <= 1e-3)
         assert not any(hits)
 
-    def test_player_cap(self, i2_instance):
+    def test_player_cap(self):
         profile = BenefitProfile.scaled_log([1.0] * 4)
-        problem = DesignProblem(LotteryInstance(profile),
-                                ConstraintSet.empty(4), alpha=1.0)
+        problem = DesignProblem(profile, ConstraintSet.empty(4), alpha=1.0)
         with pytest.raises(ValueError):
             brute_force_bilevel(problem, 0.1, 1.0, 0.1)
 

@@ -7,11 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from lotterydesign import (
     BenefitProfile,
     DesignPoint,
-    LotteryInstance,
     best_response_oracle,
     equilibrium_sensitivities,
     foc_residual,
-    payoff,
     payoffs,
     reward_threshold,
     solve_equilibrium,
@@ -47,7 +45,7 @@ def sample_design(rng, profile, allow_perturbation=True):
     return _design(reward, c)
 
 
-def cancellation_escape_exists(instance, design, eq):
+def cancellation_escape_exists(profile, design, eq):
     """True when some player profits by unilaterally canceling the lottery.
 
     With perturbations, a player whose equilibrium payoff is negative and
@@ -57,14 +55,14 @@ def cancellation_escape_exists(instance, design, eq):
     cancellation branch admits no pure equilibrium at such design points).
     """
     total = float(eq.s_star.sum())
-    for i in range(instance.n_players):
+    for i in range(profile.n_players):
         if total - eq.s_star[i] < design.reward - 1e-12:
-            if payoff(instance, design, eq.s_star, i) < -1e-6:
+            if payoffs(profile, design, eq.s_star)[i] < -1e-6:
                 return True
     return False
 
 
-def sample_sound_pair(rng, profile, instance, max_tries=60):
+def sample_sound_pair(rng, profile, max_tries=60):
     """(design, equilibrium) pairs on which the Nash property is well posed.
 
     Besides keeping the reward above the perturbation total (otherwise a
@@ -84,8 +82,8 @@ def sample_sound_pair(rng, profile, instance, max_tries=60):
             floor = max(reward_threshold(profile, c), float(c.sum()))
             reward = floor + float(rng.uniform(0.1, 20.0))
         d = _design(reward, c)
-        eq = solve_equilibrium(instance, d)
-        if not cancellation_escape_exists(instance, d, eq):
+        eq = solve_equilibrium(profile, d)
+        if not cancellation_escape_exists(profile, d, eq):
             return d, eq
     raise AssertionError("could not sample a well-posed design point")
 
@@ -106,12 +104,12 @@ def all_active_good(profile, design):
     return x - 1.0
 
 
-def assert_equilibrium_conditions(instance, design, eq):
+def assert_equilibrium_conditions(profile, design, eq):
     """Every FOC holds to 1e-8 and the investments add up to G + R."""
     total = eq.G + design.reward
     assert abs(float(eq.s_star.sum()) - total) <= 1e-9 * max(1.0, total)
-    for i in range(instance.n_players):
-        r = foc_residual(instance, design, eq.s_star, i)
+    for i in range(profile.n_players):
+        r = foc_residual(profile, design, eq.s_star, i)
         assert (abs(r) if eq.s_star[i] > TOL_ACTIVE else r) <= 1e-8
     assert eq.max_foc_violation <= 1e-8
 
@@ -133,33 +131,33 @@ def game_points(draw):
 
 
 class TestPayoff:
-    def test_direct_substitution(self, i2_instance):
-        value = payoff(i2_instance, _design(1.0, [0, 0]), [0.75, 0.75], 0)
+    def test_direct_substitution(self, i2_profile):
+        value = payoffs(i2_profile, _design(1.0, [0, 0]), [0.75, 0.75])[0]
         expected = 0.75 / 1.5 + math.log(1.5) - 0.75
         assert value == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(0.155465, abs=1e-6)
 
-    def test_canceled_lottery_pays_zero(self, i2_instance):
-        assert payoff(i2_instance, _design(1.0, [0, 0]), [0.2, 0.3], 0) == 0.0
+    def test_canceled_lottery_pays_zero(self, i2_profile):
+        assert payoffs(i2_profile, _design(1.0, [0, 0]), [0.2, 0.3])[0] == 0.0
 
-    def test_perturbed_point(self, i2_instance):
+    def test_perturbed_point(self, i2_profile):
         # Share 0.5/1, good G = 2 - 1 = 1, benefit ln(G+1): matches the
         # closed-form equilibrium payoff h_i(G*) - c_i at this design point.
-        value = payoff(i2_instance, _design(1.0, [0.5, 0.5]), [1.0, 1.0], 0)
+        value = payoffs(i2_profile, _design(1.0, [0.5, 0.5]), [1.0, 1.0])[0]
         assert value == pytest.approx(0.5 / 1.0 + math.log(2.0) - 1.0, abs=1e-12)
         assert value == pytest.approx(math.log(2.0) - 0.5, abs=1e-12)
 
-    def test_singular_pool_raises(self, i2_instance):
+    def test_singular_pool_raises(self, i2_profile):
         with pytest.raises(SingularPoolError):
-            payoff(i2_instance, _design(1.0, [1.0, 1.0]), [1.0, 1.0], 0)
+            payoffs(i2_profile, _design(1.0, [1.0, 1.0]), [1.0, 1.0])
 
-    def test_negative_investment_rejected(self, i2_instance):
+    def test_negative_investment_rejected(self, i2_profile):
         with pytest.raises(DomainError):
-            payoff(i2_instance, _design(1.0, [0, 0]), [-0.1, 0.5], 0)
+            payoffs(i2_profile, _design(1.0, [0, 0]), [-0.1, 0.5])
 
     @pytest.mark.parametrize("perturbed", [False, True], ids=["c_zero", "c_positive"])
     def test_payoffs_match_per_player_formula_bitwise(self, perturbed):
-        def reference(instance, design, s, i):
+        def reference(profile, design, s, i):
             # Player i's payoff, one scalar at a time, in the order payoffs uses.
             R = design.reward
             total = float(s.sum())
@@ -167,33 +165,30 @@ class TestPayoff:
                 return 0.0
             pool = total - design.perturbation_total
             share = (s[i] - design.perturbation[i]) / pool
-            return float(share * R + instance.profile.values(total - R)[i] - s[i])
+            return float(share * R + profile.values(total - R)[i] - s[i])
 
         rng = np.random.default_rng(31 if perturbed else 30)
         for _ in range(60):
             profile = random_profile(rng)
-            instance = LotteryInstance(profile)
             n = profile.n_players
             g_star = profile.socially_optimal_good()
             c = rng.uniform(0.0, 2.0 * g_star / n, n) if perturbed else np.zeros(n)
             d = _design(float(rng.uniform(0.05, 20.0)), c)
             s = rng.uniform(0.0, 2.0 * (d.reward + d.perturbation_total) / n, n)
-            values = payoffs(instance, d, s)
+            values = payoffs(profile, d, s)
             assert values.shape == (n,)
             for i in range(n):
-                expected = reference(instance, d, s, i).hex()
-                assert float(values[i]).hex() == expected
-                assert payoff(instance, d, s, i).hex() == expected
+                assert float(values[i]).hex() == reference(profile, d, s, i).hex()
 
-    def test_payoffs_of_a_canceled_lottery_are_zero(self, i2_instance):
-        values = payoffs(i2_instance, _design(1.0, [0.3, 0.1]), [0.2, 0.3])
+    def test_payoffs_of_a_canceled_lottery_are_zero(self, i2_profile):
+        values = payoffs(i2_profile, _design(1.0, [0.3, 0.1]), [0.2, 0.3])
         assert values.tolist() == [0.0, 0.0]
 
-    def test_payoffs_singular_pool_raises(self, i2_instance):
+    def test_payoffs_singular_pool_raises(self, i2_profile):
         with pytest.raises(SingularPoolError):
-            payoffs(i2_instance, _design(1.0, [1.0, 1.0]), [1.0, 1.0])
+            payoffs(i2_profile, _design(1.0, [1.0, 1.0]), [1.0, 1.0])
 
-    def test_zero_perturbation_reduces_to_classic(self, i2_instance):
+    def test_zero_perturbation_reduces_to_classic(self, i2_profile):
         rng = np.random.default_rng(11)
         d = _design(1.0, [0, 0])
         for _ in range(25):
@@ -203,72 +198,71 @@ class TestPayoff:
                 classic = s[0] / total * 1.0 + math.log1p(total - 1.0) - s[0]
             else:
                 classic = 0.0
-            assert payoff(i2_instance, d, s, 0) == classic
+            assert payoffs(i2_profile, d, s)[0] == classic
 
 
 class TestFocResidual:
-    def test_equilibrium_residual_vanishes(self, i2_instance):
-        assert foc_residual(i2_instance, _design(1.0, [0, 0]), [0.75, 0.75], 0) == (
+    def test_equilibrium_residual_vanishes(self, i2_profile):
+        assert foc_residual(i2_profile, _design(1.0, [0, 0]), [0.75, 0.75], 0) == (
             pytest.approx(0.0, abs=1e-12))
 
-    def test_perturbed_equilibrium_residual(self, i2_instance):
-        assert foc_residual(i2_instance, _design(1.0, [0.5, 0.5]), [1.0, 1.0], 0) == (
+    def test_perturbed_equilibrium_residual(self, i2_profile):
+        assert foc_residual(i2_profile, _design(1.0, [0.5, 0.5]), [1.0, 1.0], 0) == (
             pytest.approx(0.0, abs=1e-12))
 
-    def test_overinvestment_is_negative(self, i2_instance):
-        value = foc_residual(i2_instance, _design(1.0, [0, 0]), [1.0, 1.0], 0)
+    def test_overinvestment_is_negative(self, i2_profile):
+        value = foc_residual(i2_profile, _design(1.0, [0, 0]), [1.0, 1.0], 0)
         assert value == pytest.approx(0.25 + 0.5 - 1.0, abs=1e-12)
 
-    def test_nonpositive_pool_raises(self, i2_instance):
+    def test_nonpositive_pool_raises(self, i2_profile):
         with pytest.raises(SingularPoolError):
-            foc_residual(i2_instance, _design(1.0, [1.5, 1.5]), [1.0, 1.0], 0)
+            foc_residual(i2_profile, _design(1.0, [1.5, 1.5]), [1.0, 1.0], 0)
 
 
 class TestSolveEquilibrium:
-    def test_symmetric_zero_perturbation(self, i2_instance):
-        eq = solve_equilibrium(i2_instance, _design(1.0, [0, 0]))
+    def test_symmetric_zero_perturbation(self, i2_profile):
+        eq = solve_equilibrium(i2_profile, _design(1.0, [0, 0]))
         assert eq.s_star == pytest.approx([0.75, 0.75], abs=1e-9)
         assert eq.G == pytest.approx(0.5, abs=1e-10)
         assert eq.active_set == (0, 1)
         assert eq.max_foc_violation <= 1e-8
 
-    def test_budget_at_optimum_pins_good(self, i2_instance):
-        eq = solve_equilibrium(i2_instance, _design(1.0, [0.5, 0.5]))
+    def test_budget_at_optimum_pins_good(self, i2_profile):
+        eq = solve_equilibrium(i2_profile, _design(1.0, [0.5, 0.5]))
         assert eq.s_star == pytest.approx([1.0, 1.0], abs=1e-9)
         assert eq.G == pytest.approx(1.0, abs=1e-9)
 
-    def test_asymmetric_budget(self, i2_instance):
-        eq = solve_equilibrium(i2_instance, _design(1.0, [1.0, 0.0]))
+    def test_asymmetric_budget(self, i2_profile):
+        eq = solve_equilibrium(i2_profile, _design(1.0, [1.0, 0.0]))
         assert eq.s_star == pytest.approx([1.5, 0.5], abs=1e-9)
         assert eq.G == pytest.approx(1.0, abs=1e-9)
 
     def test_drops_weak_player(self):
-        inst = LotteryInstance(BenefitProfile.scaled_log([3.0, 0.05]))
-        eq = solve_equilibrium(inst, _design(1.0, [0, 0]))
+        profile = BenefitProfile.scaled_log([3.0, 0.05])
+        eq = solve_equilibrium(profile, _design(1.0, [0, 0]))
         assert eq.active_set == (0,)
         assert eq.s_star[1] == 0.0
         assert eq.G == pytest.approx(2.0, abs=1e-9)  # 3/(G+1) = 1
         # The inactive player's marginal payoff must not be positive.
-        assert foc_residual(inst, _design(1.0, [0, 0]), eq.s_star, 1) <= 1e-8
+        assert foc_residual(profile, _design(1.0, [0, 0]), eq.s_star, 1) <= 1e-8
 
     def test_single_player(self):
-        inst = LotteryInstance(BenefitProfile.scaled_log([5.0]))
-        eq = solve_equilibrium(inst, _design(1.0, [0.0]))
+        profile = BenefitProfile.scaled_log([5.0])
+        eq = solve_equilibrium(profile, _design(1.0, [0.0]))
         assert eq.G == pytest.approx(4.0, abs=1e-9)
         assert eq.s_star[0] == pytest.approx(5.0, abs=1e-9)
 
     def test_single_player_infeasible_regime(self):
-        inst = LotteryInstance(BenefitProfile.scaled_log([5.0]))
+        profile = BenefitProfile.scaled_log([5.0])
         with pytest.raises(InfeasibleRegimeError):
-            solve_equilibrium(inst, _design(1.0, [6.0]))
+            solve_equilibrium(profile, _design(1.0, [6.0]))
 
     def test_randomized_foc_and_bracket(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
             profile = random_profile(rng)
-            inst = LotteryInstance(profile)
             d = sample_design(rng, profile)
-            eq = solve_equilibrium(inst, d)
+            eq = solve_equilibrium(profile, d)
             assert eq.max_foc_violation <= 1e-8
             g_star = profile.socially_optimal_good()
             lo = min(d.perturbation_total, g_star)
@@ -283,7 +277,6 @@ class TestShareFunctionRoot:
     @given(game_points())
     def test_bracket_foc_and_consistency(self, point):
         profile, d = point
-        inst = LotteryInstance(profile)
         g_star = profile.socially_optimal_good()
         c_bar = d.perturbation_total
         if profile.n_players == 1 and c_bar > g_star:
@@ -291,12 +284,12 @@ class TestShareFunctionRoot:
             assume(abs(c_bar - g_star - d.reward) > 1e-9 * c_bar)
             if c_bar > g_star + d.reward:
                 with pytest.raises(InfeasibleRegimeError):
-                    solve_equilibrium(inst, d)
+                    solve_equilibrium(profile, d)
                 return
-        eq = solve_equilibrium(inst, d)
+        eq = solve_equilibrium(profile, d)
         lo, hi = min(c_bar, g_star), max(c_bar, g_star)
         assert lo - 1e-9 * max(1.0, hi) <= eq.G <= hi + 1e-9 * max(1.0, hi)
-        assert_equilibrium_conditions(inst, d, eq)
+        assert_equilibrium_conditions(profile, d, eq)
         if len(eq.active_set) == profile.n_players:
             assert eq.G == pytest.approx(all_active_good(profile, d), rel=1e-9, abs=1e-9)
 
@@ -307,8 +300,8 @@ class TestShareFunctionRoot:
         assert all_active_good(i2_profile, _design(1.0, [0.5, 0.5])) == pytest.approx(1.0)
         assert all_active_good(i2_profile, _design(1.0, [1.0, 0.0])) == pytest.approx(1.0)
 
-    def test_iterations_count_root_evaluations(self, i2_instance):
-        eq = solve_equilibrium(i2_instance, _design(1.0, [0, 0]))
+    def test_iterations_count_root_evaluations(self, i2_profile):
+        eq = solve_equilibrium(i2_profile, _design(1.0, [0, 0]))
         assert 2 <= eq.iterations <= 100
 
     def test_corpus_point_without_an_active_set_fixed_point(self):
@@ -316,11 +309,10 @@ class TestShareFunctionRoot:
         # active-set loop cycles here. Phi has one root in the bracket, with
         # only the first player active. It is not a Nash equilibrium (the
         # first player gains by cutting the pool toward zero).
-        inst = LotteryInstance(BenefitProfile.scaled_log(
-            [2.8740232296623827, 1.303960853439135]))
+        profile = BenefitProfile.scaled_log([2.8740232296623827, 1.303960853439135])
         d = _design(0.2141498351420209, [1.2984209678250491, 0.08086677276657708])
-        eq = solve_equilibrium(inst, d)
-        assert_equilibrium_conditions(inst, d, eq)
+        eq = solve_equilibrium(profile, d)
+        assert_equilibrium_conditions(profile, d, eq)
         assert eq.active_set == (0,)
         assert eq.G == pytest.approx(1.7220201072263, rel=1e-12)
 
@@ -330,9 +322,8 @@ class TestShareFunctionRoot:
         rng = np.random.default_rng(seed)
         profile = BenefitProfile.scaled_log(rng.uniform(0.6, 3.0, 1000))
         c = rng.uniform(0.0, profile.socially_optimal_good() / 1000, 1000)
-        inst = LotteryInstance(profile)
         d = _design(reward, c)
-        assert_equilibrium_conditions(inst, d, solve_equilibrium(inst, d))
+        assert_equilibrium_conditions(profile, d, solve_equilibrium(profile, d))
 
     def test_consistency_is_relative_at_the_reward_threshold(self):
         # At R near 3e6 the sum of investments carries rounding far above an
@@ -341,41 +332,39 @@ class TestShareFunctionRoot:
         profile = BenefitProfile.scaled_log(rng.uniform(0.6, 3.0, 1000))
         c = rng.uniform(0.0, profile.socially_optimal_good() / 1000, 1000)
         d = _design(reward_threshold(profile, c), c)
-        inst = LotteryInstance(profile)
-        eq = solve_equilibrium(inst, d)
+        eq = solve_equilibrium(profile, d)
         assert d.reward > 1e6
-        assert_equilibrium_conditions(inst, d, eq)
+        assert_equilibrium_conditions(profile, d, eq)
 
 
 class TestBestResponseOracle:
-    def test_equilibrium_is_a_fixed_point(self, i2_instance):
+    def test_equilibrium_is_a_fixed_point(self, i2_profile):
         d = _design(1.0, [0, 0])
-        br = best_response_oracle(i2_instance, d, [0.75], 0)
+        br = best_response_oracle(i2_profile, d, [0.75], 0)
         assert br == pytest.approx(0.75, abs=1e-5)
 
-    def test_flooded_opponent_forces_zero(self, i2_instance):
+    def test_flooded_opponent_forces_zero(self, i2_profile):
         d = _design(1.0, [0, 0])
-        br = best_response_oracle(i2_instance, d, [10.0], 0)
+        br = best_response_oracle(i2_profile, d, [10.0], 0)
         # Marginal payoff at zero is already negative, so the boundary wins.
-        assert foc_residual(i2_instance, d, np.array([0.0, 10.0]), 0) < 0.0
+        assert foc_residual(i2_profile, d, np.array([0.0, 10.0]), 0) < 0.0
         assert br == pytest.approx(0.0, abs=1e-6)
 
     def test_single_player_matches_foc(self):
-        inst = LotteryInstance(BenefitProfile.scaled_log([5.0]))
-        br = best_response_oracle(inst, _design(1.0, [0.0]), [], 0)
+        profile = BenefitProfile.scaled_log([5.0])
+        br = best_response_oracle(profile, _design(1.0, [0.0]), [], 0)
         assert br == pytest.approx(5.0, abs=1e-5)  # R + G* with h'(G*) = 1
 
     def test_no_profitable_deviation_randomized(self):
         rng = np.random.default_rng(14)
         for _ in range(15):
             profile = random_profile(rng, n=int(rng.integers(2, 5)))
-            inst = LotteryInstance(profile)
-            d, eq = sample_sound_pair(rng, profile, inst)
+            d, eq = sample_sound_pair(rng, profile)
             for i in range(profile.n_players):
-                br = best_response_oracle(inst, d, np.delete(eq.s_star, i), i)
+                br = best_response_oracle(profile, d, np.delete(eq.s_star, i), i)
                 trial = eq.s_star.copy()
                 trial[i] = br
-                gain = payoff(inst, d, trial, i) - payoff(inst, d, eq.s_star, i)
+                gain = payoffs(profile, d, trial)[i] - payoffs(profile, d, eq.s_star)[i]
                 assert gain <= 1e-5
 
     def test_cancellation_escape_is_detected(self):
@@ -386,59 +375,57 @@ class TestBestResponseOracle:
         profile = BenefitProfile.scaled_log(
             [2.527198457618032, 2.21153181508266, 0.9638223231898635,
              0.7285512391693785])
-        inst = LotteryInstance(profile)
         d = _design(30.57563285110171,
                     [0.00797228, 0.24058479, 1.58776761, 1.1356116])
-        eq = solve_equilibrium(inst, d)
+        eq = solve_equilibrium(profile, d)
         assert eq.max_foc_violation <= 1e-8
-        assert cancellation_escape_exists(inst, d, eq)
+        assert cancellation_escape_exists(profile, d, eq)
         i = 2
-        assert payoff(inst, d, eq.s_star, i) < 0.0
+        assert payoffs(profile, d, eq.s_star)[i] < 0.0
         assert eq.s_star.sum() - eq.s_star[i] < d.reward
-        br = best_response_oracle(inst, d, np.delete(eq.s_star, i), i)
+        br = best_response_oracle(profile, d, np.delete(eq.s_star, i), i)
         trial = eq.s_star.copy()
         trial[i] = br
-        assert payoff(inst, d, trial, i) == 0.0  # canceling beats playing on
+        assert payoffs(profile, d, trial)[i] == 0.0  # canceling beats playing on
 
 
 class TestSensitivities:
-    def test_closed_form_values(self, i2_instance):
+    def test_closed_form_values(self, i2_profile):
         d = _design(1.0, [0, 0])
-        eq = solve_equilibrium(i2_instance, d)
-        dG_dR, dG_dc = equilibrium_sensitivities(i2_instance, d, eq)
+        eq = solve_equilibrium(i2_profile, d)
+        dG_dR, dG_dc = equilibrium_sensitivities(i2_profile, d, eq)
         assert dG_dR == pytest.approx(1.0 / 6.0, abs=1e-9)
         assert dG_dc == pytest.approx([1.0 / 3.0] * 2, abs=1e-9)
 
-    def test_zero_reward_sensitivity_at_optimal_budget(self, i2_instance):
+    def test_zero_reward_sensitivity_at_optimal_budget(self, i2_profile):
         d = _design(1.0, [0.5, 0.5])
-        eq = solve_equilibrium(i2_instance, d)
-        dG_dR, dG_dc = equilibrium_sensitivities(i2_instance, d, eq)
+        eq = solve_equilibrium(i2_profile, d)
+        dG_dR, dG_dc = equilibrium_sensitivities(i2_profile, d, eq)
         assert dG_dR == pytest.approx(0.0, abs=1e-9)
         assert np.all(dG_dc > 0.0)
 
     def test_requires_all_players_active(self):
-        inst = LotteryInstance(BenefitProfile.scaled_log([3.0, 0.05]))
+        profile = BenefitProfile.scaled_log([3.0, 0.05])
         d = _design(1.0, [0, 0])
-        eq = solve_equilibrium(inst, d)
+        eq = solve_equilibrium(profile, d)
         with pytest.raises(UnsupportedRegimeError):
-            equilibrium_sensitivities(inst, d, eq)
+            equilibrium_sensitivities(profile, d, eq)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
             profile = random_profile(rng, n=int(rng.integers(2, 6)))
-            inst = LotteryInstance(profile)
             g_star = profile.socially_optimal_good()
             c = rng.uniform(0.0, g_star / profile.n_players, profile.n_players)
             reward = reward_threshold(profile, c) + float(rng.uniform(0.2, 10.0))
             d = _design(reward, c)
-            eq = solve_equilibrium(inst, d)
+            eq = solve_equilibrium(profile, d)
             assert len(eq.active_set) == profile.n_players
-            dG_dR, dG_dc = equilibrium_sensitivities(inst, d, eq)
+            dG_dR, dG_dc = equilibrium_sensitivities(profile, d, eq)
 
             h = 1e-5 * max(1.0, reward)
-            g_hi = solve_equilibrium(inst, _design(reward + h, c)).G
-            g_lo = solve_equilibrium(inst, _design(reward - h, c)).G
+            g_hi = solve_equilibrium(profile, _design(reward + h, c)).G
+            g_lo = solve_equilibrium(profile, _design(reward - h, c)).G
             fd = (g_hi - g_lo) / (2.0 * h)
             assert abs(dG_dR - fd) <= max(1e-6, 1e-4 * abs(dG_dR))
 
@@ -447,8 +434,8 @@ class TestSensitivities:
             c_hi, c_lo = c.copy(), c.copy()
             c_hi[i] += h
             c_lo[i] = max(c_lo[i] - h, 0.0)
-            g_hi = solve_equilibrium(inst, _design(reward, c_hi)).G
-            g_lo = solve_equilibrium(inst, _design(reward, c_lo)).G
+            g_hi = solve_equilibrium(profile, _design(reward, c_hi)).G
+            g_lo = solve_equilibrium(profile, _design(reward, c_lo)).G
             fd = (g_hi - g_lo) / (c_hi[i] - c_lo[i])
             assert abs(dG_dc[i] - fd) <= max(1e-6, 1e-4 * abs(dG_dc[i]))
 
@@ -459,31 +446,29 @@ class TestMonotonicity:
         for _ in range(15):
             profile = random_profile(rng)
             n = profile.n_players
-            inst = LotteryInstance(profile)
             g_star = profile.socially_optimal_good()
             c = rng.uniform(0.0, 0.8 * g_star / n, n)  # keep the total below G*
             reward = reward_threshold(profile, c) + float(rng.uniform(0.2, 10.0))
             d = _design(reward, c)
-            eq = solve_equilibrium(inst, d)
+            eq = solve_equilibrium(profile, d)
             assert len(eq.active_set) == n
-            bumped = solve_equilibrium(inst, _design(reward * 1.01, c))
+            bumped = solve_equilibrium(profile, _design(reward * 1.01, c))
             assert bumped.G >= eq.G - 1e-9
             if abs(d.perturbation_total - g_star) > 1e-9:
                 c_up = c.copy()
                 c_up[int(rng.integers(0, n))] += 0.01
-                assert solve_equilibrium(inst, _design(reward, c_up)).G > eq.G
+                assert solve_equilibrium(profile, _design(reward, c_up)).G > eq.G
 
     def test_investment_floor_above_threshold(self):
         rng = np.random.default_rng(17)
         for _ in range(15):
             profile = random_profile(rng)
             n = profile.n_players
-            inst = LotteryInstance(profile)
             g_star = profile.socially_optimal_good()
             c = rng.uniform(0.0, g_star / n, n)
             r_l = reward_threshold(profile, c)
             reward = r_l + float(rng.uniform(0.05, 5.0))
-            eq = solve_equilibrium(inst, _design(reward, c))
+            eq = solve_equilibrium(profile, _design(reward, c))
             g_upper = max(g_star, float(c.sum()))
             base = reward / (reward + g_upper - c.sum())
             for i in range(n):

@@ -201,15 +201,14 @@ class TestCaseStudyFeasibility:
     def test_designed_point_satisfies_all_rows(self, case30_scenario, i30_profile):
         from lotterydesign import (
             DesignProblem,
-            LotteryInstance,
             solve_design,
             solve_equilibrium,
         )
 
         cons = build_dr_constraints(case30_scenario)
-        problem = DesignProblem(LotteryInstance(i30_profile), cons, alpha=1.0)
+        problem = DesignProblem(i30_profile, cons, alpha=1.0)
         sol = solve_design(problem)
-        eq = solve_equilibrium(problem.instance, sol.design)
+        eq = solve_equilibrium(i30_profile, sol.design)
         assert cons.residuals(eq.s_star, sol.design.reward).max() <= 1e-6
         # Line headroom stays strictly positive (mirrors the utilization plot).
         flows = (case30_scenario.shift_factors_gen @ case30_scenario.generation_dollars

@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
-from lotterydesign import run_scenario, run_selftest
+from lotterydesign import DesignPoint, poa_bounds, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError, InvariantViolationError
 from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json, load_report_schema
@@ -147,6 +147,35 @@ class TestAnalyzeVerb:
         jsonschema.validate(report, schema)
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert len(lines) == 1
+
+    def test_rows_hold_each_bound_once(self, tmp_path):
+        # Statement bounds at the top of a row, the tightened variant under
+        # proof_tightened, and the assured count, which both share, once.
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
+        profile, _ = harness._profile_from_config(cfg)
+        c = np.asarray(cfg.require("sweep")["perturbation"], dtype=float)
+        rows = run_scenario("analyze", cfg, out_dir=tmp_path).report["results"]["sweep"]
+        names = {"g_lower", "g_upper", "poa_lower", "poa_upper"}
+
+        def assert_bounds(values, bounds):
+            # The good bounds match exactly; the prices of anarchy go through
+            # numpy's log1p over a sweep and math.log1p at one point.
+            assert [values["g_lower"], values["g_upper"]] == [bounds.g_lower, bounds.g_upper]
+            assert [values["poa_lower"], values["poa_upper"]] == pytest.approx(
+                [bounds.poa_lower, bounds.poa_upper], rel=1e-13)
+
+        assert len(rows) == 5
+        for row in rows:
+            point = DesignPoint(row["reward"], c)
+            statement = poa_bounds(profile, point, "statement")
+            proof = poa_bounds(profile, point, "proof")
+            assert set(row) == names | {"reward", "public_good", "poa_true",
+                                        "assured_active_count", "proof_tightened"}
+            assert set(row["proof_tightened"]) == names
+            assert_bounds(row, statement)
+            assert_bounds(row["proof_tightened"], proof)
+            assert row["assured_active_count"] == statement.assured_active_count
+            assert row["assured_active_count"] == proof.assured_active_count
 
     def test_nonpositive_reward_is_rejected(self, tmp_path):
         text = I2_PLAYERS + "sweep: {rewards: [1, 0], perturbation: [0, 0]}\n"

@@ -9,9 +9,11 @@ plain-float Chandrupatla loop, one reward at a time), one `solve_sweep` call
 (its numpy Chandrupatla loop over all rewards) and, as a reference, scipy's
 elementwise `find_root` on the same brackets and tolerances (scipy >= 1.15).
 Prints one JSON object with the median seconds of each, the most evaluations
-of Phi any reward took, and whether `solve_sweep`'s goods and evaluation
-counts are bitwise equal to `find_root`'s and to the `solve_equilibrium`
-loop's.
+of Phi any reward took, whether `solve_sweep`'s goods and evaluation counts
+are bitwise equal to `find_root`'s, and whether its goods, evaluation counts
+and largest FOC violations are bitwise equal to the `solve_equilibrium`
+loop's. Exits 1 when the last comparison fails; the `find_root` one is
+report-only.
 """
 
 import argparse
@@ -29,7 +31,7 @@ import numpy as np  # noqa: E402
 from scipy.optimize.elementwise import find_root  # noqa: E402
 
 import workloads  # noqa: E402
-from lotterydesign import BenefitProfile, DesignPoint, LotteryInstance  # noqa: E402
+from lotterydesign import BenefitProfile, DesignPoint  # noqa: E402
 from lotterydesign.game import (  # noqa: E402
     _RTOL, _XTOL, _bracket, _phi, solve_equilibrium, solve_sweep)
 
@@ -61,17 +63,23 @@ def main():
     with tempfile.TemporaryDirectory() as work:
         sweeps.generate(args.seed, Path(work))
     out = {"seed": args.seed, "players": sweeps.players, "rewards": len(sweeps.rewards)}
+    parity = True
     for regime, _, a, c in sweeps.sweeps:
         profile = BenefitProfile.scaled_log(a)
-        instance = LotteryInstance(profile)
         rewards = np.sort(sweeps.rewards)
         loop_s, points = median_seconds(
-            lambda: [solve_equilibrium(instance, DesignPoint(float(r), c)) for r in rewards],
+            lambda: [solve_equilibrium(profile, DesignPoint(float(r), c)) for r in rewards],
             args.repeats)
         sweep_s, sweep = median_seconds(lambda: solve_sweep(profile, c, rewards), args.repeats)
         find_root_s, root = median_seconds(lambda: find_root_sweep(profile, c, rewards),
                                            args.repeats)
         goods = np.array([p.G for p in points])
+        violations = np.array([p.max_foc_violation for p in points])
+        equal_to_loop = bool(
+            sweep.G.tobytes() == goods.tobytes()
+            and sweep.iterations.tolist() == [p.iterations for p in points]
+            and sweep.max_foc_violation.tobytes() == violations.tobytes())
+        parity = parity and equal_to_loop
         out[regime] = {
             "solve_equilibrium_loop_s": loop_s,
             "solve_sweep_s": sweep_s,
@@ -80,12 +88,11 @@ def main():
             "bitwise_equal_to_find_root": bool(
                 sweep.G.tobytes() == root.x.tobytes()
                 and np.array_equal(sweep.iterations, root.nfev)),
-            "bitwise_equal_to_solve_equilibrium_loop": bool(
-                sweep.G.tobytes() == goods.tobytes()
-                and sweep.iterations.tolist() == [p.iterations for p in points]),
+            "bitwise_equal_to_solve_equilibrium_loop": equal_to_loop,
         }
     print(json.dumps(out, indent=2))
+    return 0 if parity else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
