@@ -2,9 +2,10 @@
 
 Public surface, by concern:
 
-- benefit: BenefitProfile, the game (a vector of scaled-log coefficients a;
-  aggregate marginal H(G) = sum(a)/(G+1), social optimum G* = sum(a) - 1);
-  every function that reads a game, at one point or over a sweep, takes it first
+- benefit: BenefitProfile, the game (a vector of scaled-log coefficients a,
+  with the social optimum g_star = sum(a) - 1, its optimal_payoff and the
+  good_bracket of the equilibrium good); every function that reads a game,
+  at one point or over a sweep, takes it first
 - game: DesignPoint / solve_equilibrium (one share-function root by a
   plain-float Chandrupatla loop; `iterations` counts its root evaluations),
   solve_sweep (the same root and FOC residuals, to the bit, for every reward

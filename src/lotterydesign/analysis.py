@@ -144,29 +144,22 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
     The root of R/(R + G_U - c_bar) = m for the worst-case marginal shortfall
     m = max_i (1 - h_i'(G_U)) with G_U = max(G*, c_bar), in closed form
     m*(G_U - c_bar)/(1 - m). Returns 0 when m <= 0 or when G_U = c_bar
-    (either way any positive reward suffices).
+    (either way any positive reward suffices). Raises InvariantViolationError
+    when c_bar < G* but a slope at G* is too small for m to differ from 1.
     """
     c = np.asarray(c, dtype=float)
     c_bar = float(c.sum())
-    g_upper = max(profile.socially_optimal_good(), c_bar)
-    m = 1.0 - float(profile.slopes(g_upper).min())
-    if m >= 1.0:  # pragma: no cover - slopes are strictly positive
-        raise InvariantViolationError("marginal shortfall reached 1; slopes must be positive")
+    g_upper = profile.good_bracket(c_bar)[1]
     gap = g_upper - c_bar
-    # The computed optimum carries root-solve noise; a budget at the optimum
-    # must yield a zero threshold, not a noise-sized one.
-    if m <= 0.0 or gap <= 1e-9 * max(1.0, g_upper):
+    # The perturbation total carries rounding; a budget at the optimum must
+    # yield a zero threshold, not a rounding-sized one.
+    if gap <= 1e-9 * max(1.0, g_upper):
         return 0.0
-    return m * gap / (1.0 - m)
-
-
-def _assured_count(profile: BenefitProfile, c_bar: float, R):
-    # Players whose activity the threshold criterion certifies: the strict
-    # positives of R/(R + G_U - c_bar) + h_i'(G_U) - 1.
-    g_upper = max(profile.socially_optimal_good(), c_bar)
-    base = R / (R + g_upper - c_bar)
-    slopes = _per_player(profile.slopes(g_upper), R)
-    return (base + slopes - 1.0 > 0.0).sum(axis=0)
+    m = 1.0 - float(profile.slopes(g_upper).min())
+    if m >= 1.0:
+        raise InvariantViolationError(
+            "marginal shortfall rounds to 1 below the optimum: no finite threshold")
+    return 0.0 if m <= 0.0 else m * gap / (1.0 - m)
 
 
 def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, strict: bool):
@@ -179,18 +172,19 @@ def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, stri
     """
     if variant not in ("statement", "proof"):
         raise ValueError(f"unknown bound variant {variant!r}")
-    g_star = profile.socially_optimal_good()
-    gl, gu = min(g_star, c_bar), max(g_star, c_bar)
+    gl, gu = profile.good_bracket(c_bar)
     n = profile.n_players
     h0 = profile.marginal_at_zero
-    k = _assured_count(profile, c_bar, R)
+    # Players whose activity the threshold criterion certifies: the strict
+    # positives of R/(R + gu - c_bar) + h_i'(gu) - 1.
+    k = (R / (R + gu - c_bar) + _per_player(profile.slopes(gu), R) - 1.0 > 0.0).sum(axis=0)
 
     def invert(arg, side):
         if strict and np.count_nonzero(arg > h0 * (1.0 + 1e-9)):
             raise DegenerateBoundError(side, float(np.max(arg)), h0)
         return _invert(h0, arg, gl, gu)
 
-    if c_bar <= g_star:
+    if c_bar <= profile.g_star:
         # Far end: the good can fall short of the optimum by at most this much.
         g_far = invert((n - 1) * (gu - c_bar) / (R + gl - c_bar) + 1.0, "far")
         # Near end: how close to the optimum the good is guaranteed to sit.
@@ -204,7 +198,7 @@ def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, stri
         g_far = invert(_select(positive, arg_far, 0.0), "far")
         g_near = invert((n - 1) * (gu - c_bar) / (R + gu - c_bar) + 1.0, "near")
     p_low, p_high = _order(_aggregate_payoff(profile, g_far), _aggregate_payoff(profile, g_near))
-    opt = profile.socially_optimal_payoff()
+    opt = profile.optimal_payoff
     return (*_order(g_far, g_near), _poa(opt, p_high), _poa(opt, p_low), k)
 
 
@@ -228,7 +222,7 @@ def true_poa(profile: BenefitProfile, design: DesignPoint,
     """Socially optimal payoff over the solved equilibrium's aggregate payoff."""
     if eq is None:
         eq = solve_equilibrium(profile, design)
-    return float(_poa(profile.socially_optimal_payoff(), _aggregate_payoff(profile, eq.G)))
+    return float(_poa(profile.optimal_payoff, _aggregate_payoff(profile, eq.G)))
 
 
 def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshold) -> list:
@@ -244,8 +238,8 @@ def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshol
     floor = tol["property_margin"]
     n = profile.n_players
     c_bar = float(c.sum())
-    g_star = profile.socially_optimal_good()
-    lo, hi = min(c_bar, g_star), max(c_bar, g_star)
+    g_star = profile.g_star
+    lo, hi = profile.good_bracket(c_bar)
 
     pool = G + R - c_bar
     bracketed = _order(G - lo, hi - G)[0]
@@ -337,5 +331,5 @@ def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:
         for skip, _ in rules:
             skipped = skipped | skip
         ok &= holds | skipped
-    poa = _poa(profile.socially_optimal_payoff(), _aggregate_payoff(profile, eq.G))
+    poa = _poa(profile.optimal_payoff, _aggregate_payoff(profile, eq.G))
     return SweepAnalysis(eq, poa, bounds, proof, ok)

@@ -12,7 +12,7 @@ tests the collapse is exact lives with the tests (tests/oracles.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,7 +100,6 @@ class DesignProblem:
     constraints: ConstraintSet
     alpha: float = 1.0
     reward_floor: float = DEFAULT_REWARD_FLOOR
-    g_star: float = field(init=False)
 
     def __post_init__(self):
         if self.alpha < 0.0:
@@ -109,7 +108,6 @@ class DesignProblem:
             raise InvariantViolationError("reward floor must be positive")
         if self.constraints.n_players != self.profile.n_players:
             raise InvariantViolationError("constraints sized for a different player count")
-        object.__setattr__(self, "g_star", self.profile.socially_optimal_good())
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ def individual_rationality_rows(profile: BenefitProfile) -> ConstraintSet:
     s_i - h_i'(G*)*R <= h_i(G*).
     """
     n = profile.n_players
-    g_star = profile.socially_optimal_good()
+    g_star = profile.g_star
     return ConstraintSet(
         np.hstack([np.eye(n), -profile.slopes(g_star)[:, None]]),
         profile.values(g_star),
@@ -150,7 +148,8 @@ def build_reformulation(problem: DesignProblem) -> LinearProgram:
     feasible set and enters as an objective offset.
     """
     n = problem.profile.n_players
-    grad = problem.profile.slopes(problem.g_star)
+    g_star = problem.profile.g_star
+    grad = problem.profile.slopes(g_star)
 
     cons = problem.constraints
     a_ub = np.zeros((cons.n_rows + 1, n + 1))
@@ -172,8 +171,8 @@ def build_reformulation(problem: DesignProblem) -> LinearProgram:
         a_ub=a_ub,
         b_ub=b_ub,
         a_eq=a_eq,
-        b_eq=np.array([problem.g_star]),
-        objective_offset=problem.alpha * problem.g_star,
+        b_eq=np.array([g_star]),
+        objective_offset=problem.alpha * g_star,
     )
 
 
@@ -194,14 +193,14 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
 
     reward = float(res.x[0])
     c = np.maximum(res.x[1:], 0.0)
-    budget_gap = abs(float(c.sum()) - problem.g_star)
-    if budget_gap > 1e-8 * max(1.0, problem.g_star):  # pragma: no cover
+    g_star = problem.profile.g_star
+    budget_gap = abs(float(c.sum()) - g_star)
+    if budget_gap > 1e-8 * max(1.0, g_star):  # pragma: no cover
         raise InvariantViolationError(
             f"optimal perturbation misses the budget by {budget_gap:.3g}"
         )
     design = DesignPoint(reward, c)
-    grad = problem.profile.slopes(problem.g_star)
-    predicted = c + reward * grad
+    predicted = c + reward * problem.profile.slopes(g_star)
 
     resid = problem.constraints.residuals(predicted, reward)
     scale = np.maximum(1.0, np.abs(problem.constraints.b))
@@ -235,11 +234,11 @@ def verify_design(problem: DesignProblem,
     resid = problem.constraints.residuals(eq.s_star, design.reward)
     worst = float(resid.max()) if resid.size else 0.0
     report = {
-        "good_gap": abs(eq.G - problem.g_star),
+        "good_gap": abs(eq.G - profile.g_star),
         "prediction_gap": float(np.max(np.abs(eq.s_star - solution.predicted_investments))),
         "all_active": len(eq.active_set) == profile.n_players,
         "worst_constraint_residual": worst,
-        "payoff_gap": abs(agg_payoff - profile.socially_optimal_payoff()),
+        "payoff_gap": abs(agg_payoff - profile.optimal_payoff),
         "aggregate_payoff": float(agg_payoff),
         "max_foc_violation": eq.max_foc_violation,
     }

@@ -31,10 +31,6 @@ class NonconvergenceError(LotteryDesignError):
     """
 
 
-class OutOfCodomainError(LotteryDesignError, ValueError):
-    """Inverse of the aggregate marginal was asked for a value above its range."""
-
-
 class DegenerateBoundError(LotteryDesignError):
     """A public-good bound formula produced an argument outside the invertible range.
 

@@ -220,14 +220,15 @@ def _elementwise_max(x):
     return np.maximum if isinstance(x, np.ndarray) else max
 
 
-def _bracket(R, c_bar, g_star):
-    # [min(c_bar, G*), max(c_bar, G*)], padded and clipped to a positive
-    # pool; lo is elementwise over a vector of rewards.
+def _bracket(R, c_bar, profile: BenefitProfile):
+    # The profile's good bracket, padded and clipped to a positive pool; lo
+    # is elementwise over a vector of rewards.
     maximum = _elementwise_max(R)
     deficit = c_bar - R
     g_floor = maximum(0.0, deficit + maximum(_POOL_FLOOR, 4e-16 * abs(deficit)))
-    pad = 1e-12 * max(c_bar, g_star)
-    return maximum(g_floor, min(c_bar, g_star) - pad), max(c_bar, g_star) + pad
+    lo, hi = profile.good_bracket(c_bar)
+    pad = 1e-12 * hi
+    return maximum(g_floor, lo - pad), hi + pad
 
 
 def _settle(a, c, c_bar, R, G):
@@ -267,8 +268,8 @@ def solve_equilibrium(profile: BenefitProfile, design: DesignPoint) -> Equilibri
     making the active/inactive choice. The unscaled form has a spurious root
     as S -> 0 and cancels catastrophically there. The good, not the pool, is
     the root variable: at large rewards recovering G from S would cancel
-    catastrophically too. The root is bracketed by
-    [min(c_bar, G*), max(c_bar, G*)], clipped to a positive pool, and found by
+    catastrophically too. The root is bracketed by the profile's
+    `good_bracket(c_bar)`, clipped to a positive pool, and found by
     Chandrupatla's method (`_chandrupatla_scalar`); with no sign change of Phi
     there, InfeasibleRegimeError is raised, and NonconvergenceError where the
     loop meets a non-finite value or its step cap. Where Phi has several roots
@@ -285,7 +286,7 @@ def solve_equilibrium(profile: BenefitProfile, design: DesignPoint) -> Equilibri
     c_bar = design.perturbation_total
     a = profile.coefficients
     neg_rc = -R * c
-    lo, hi = _bracket(R, c_bar, profile.socially_optimal_good())
+    lo, hi = _bracket(R, c_bar, profile)
     G, status, nfev = _chandrupatla_scalar(
         lambda G: float(_phi(G, R, c_bar, a, neg_rc)), lo, hi)
     if status == -1:
@@ -326,7 +327,7 @@ def solve_sweep(profile: BenefitProfile, c, rewards) -> EquilibriumSweep:
     c_bar = float(c.sum())
     a, c = profile.coefficients[:, None], c[:, None]
     neg_rc = -rewards * c
-    lo, hi = _bracket(rewards, c_bar, profile.socially_optimal_good())
+    lo, hi = _bracket(rewards, c_bar, profile)
     G, status, nfev = _chandrupatla(
         lambda G, k: _phi(G, rewards[k], c_bar, a, neg_rc[:, k]), lo, hi)
     if np.any(status == -1):

@@ -85,19 +85,27 @@ class HarnessResult:
     artifacts: list[str]
 
 
+def _mapping(value, name: str, *required: str) -> dict:
+    """`value` if it is a mapping with every `required` key, else ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{name} is missing required key '{key}'")
+    return value
+
+
 def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
-    spec = cfg.require("profile")
-    players = spec.get("players") if isinstance(spec, dict) else None
-    if not players:
+    players = _mapping(cfg.require("profile"), "profile").get("players")
+    if not players or not isinstance(players, list):
         raise ConfigError("profile.players must be a nonempty list")
     ids, coefficients = [], []
-    for entry in players:
+    for k, entry in enumerate(players):
+        entry = _mapping(entry, f"profile.players[{k}]", "coefficient")
         family = entry.get("family", "scaled_log")
         if family != "scaled_log":
             raise ConfigError(f"unsupported benefit family {family!r}")
-        if "coefficient" not in entry:
-            raise ConfigError("each player needs a 'coefficient'")
-        ids.append(entry.get("player_id", len(ids) + 1))
+        ids.append(entry.get("player_id", k + 1))
         coefficients.append(float(entry["coefficient"]))
     return BenefitProfile.scaled_log(coefficients), ids
 
@@ -118,9 +126,8 @@ def _resolve_case_text(cfg: ScenarioConfig, case_file: str) -> str:
 
 
 def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
-    section = cfg.get("constraints", {}).get("grid")
-    if not section:
-        raise ConfigError("constraints.grid section is required for this pipeline")
+    section = _mapping(cfg.get("constraints", {}), "constraints", "grid")["grid"]
+    section = _mapping(section, "constraints.grid")
     case = grid_mod.parse_case(_resolve_case_text(cfg, section.get("case_file", "")))
     return grid_mod.monetize(
         case,
@@ -131,14 +138,16 @@ def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
 
 
 def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
-    section = cfg.get("constraints", {"source": "none"})
+    section = _mapping(cfg.get("constraints", {"source": "none"}), "constraints")
     source = section.get("source", "none")
     if source == "none":
         return design_mod.ConstraintSet.empty(n_players)
     if source == "inline":
         rows = section.get("rows")
-        if not rows:
+        if not rows or not isinstance(rows, list):
             raise ConfigError("constraints.source=inline requires nonempty rows")
+        rows = [_mapping(row, f"constraints.rows[{k}]", "s_coeffs", "rhs")
+                for k, row in enumerate(rows)]
         return design_mod.ConstraintSet.from_rows(
             (row.get("label", f"row{k}"), row["s_coeffs"], row.get("r_coeff", 0.0),
              row["rhs"])
@@ -324,7 +333,7 @@ def _properties_ok(checks) -> bool:
 
 def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
-    point = cfg.require("design_point")
+    point = _mapping(cfg.require("design_point"), "design_point", "reward")
     c = np.asarray(point.get("perturbation", [0.0] * profile.n_players), dtype=float)
     dp = DesignPoint(float(point["reward"]), c)
     eq = solve_equilibrium(profile, dp)
@@ -359,7 +368,7 @@ def _bound_rows(bounds) -> list[dict]:
 
 def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
-    sweep = cfg.require("sweep")
+    sweep = _mapping(cfg.require("sweep"), "sweep")
     rewards = np.sort(np.array([float(r) for r in sweep.get("rewards", [])]))
     c = np.asarray(sweep.get("perturbation", [0.0] * profile.n_players), dtype=float)
     graded = analysis.analyze_sweep(profile, c, rewards)
@@ -393,7 +402,7 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
 def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
                     constraints: design_mod.ConstraintSet) -> design_mod.DesignProblem:
     """The design problem of a scenario, individual-rationality rows stacked."""
-    ir = cfg.get("individual_rationality", {})
+    ir = _mapping(cfg.get("individual_rationality", {}), "individual_rationality")
     if "encoding" in ir:
         raise ConfigError("individual_rationality.encoding was removed; "
                           "delete the key (the rows are always c_i <= h_i(G*))")
@@ -432,7 +441,7 @@ def _design_results(problem, sol, verification) -> dict:
         "objective": sol.objective,
         "predicted_investments": sol.predicted_investments,
         "binding": list(sol.binding),
-        "socially_optimal_good": problem.g_star,
+        "socially_optimal_good": problem.profile.g_star,
         "verification": verification,
     }
 
@@ -450,7 +459,7 @@ def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
 
 def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]:
     table = []
-    golden = cfg.get("golden", {})
+    golden = _mapping(cfg.get("golden", {}), "golden")
     for name, spec in sorted(golden.items()):
         if name not in actual:
             raise ConfigError(f"golden target {name!r} is not produced by this pipeline")
@@ -474,7 +483,7 @@ def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]
 
 def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     scenario = _scenario_from_config(cfg)
-    offset = float(cfg.get("casestudy", {}).get("coefficient_offset", 100.0))
+    offset = float(_mapping(cfg.get("casestudy", {}), "casestudy").get("coefficient_offset", 100.0))
     profile = BenefitProfile.scaled_log(
         [offset + b for b in scenario.load_bus_ids])
     problem = _design_problem(cfg, profile, grid_mod.build_dr_constraints(scenario))
@@ -502,7 +511,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         ),
     })
     golden_table, golden_ok = _golden_checks(cfg, {
-        "socially_optimal_good": problem.g_star,
+        "socially_optimal_good": problem.profile.g_star,
         "reward": sol.design.reward,
         "total_investment": results["total_investment"],
         "aggregate_payoff": results["aggregate_payoff"],
@@ -640,12 +649,11 @@ def _selftest_cases(seed: int):
         while coeffs.sum() <= 1.1:
             coeffs = rng.uniform(0.6, 3.0, n)
         profile = BenefitProfile.scaled_log(coeffs)
-        g_star = profile.socially_optimal_good()
         if rng.random() < 0.5:
             c = np.zeros(n)
             reward = float(rng.uniform(0.1, 50.0))
         else:
-            c = rng.uniform(0.0, g_star / n, n)
+            c = rng.uniform(0.0, profile.g_star / n, n)
             reward = max(analysis.reward_threshold(profile, c), float(c.sum()))
             reward += float(rng.uniform(0.1, 10.0))
         dp = DesignPoint(reward, c)

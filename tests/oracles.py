@@ -35,7 +35,7 @@ def _evaluate_point(problem, reward, c, g_tol, feas_tol):
         eq = solve_equilibrium(problem.profile, design)
     except (InfeasibleRegimeError, InvariantViolationError):
         return None
-    if abs(eq.G - problem.g_star) > g_tol:
+    if abs(eq.G - problem.profile.g_star) > g_tol:
         return None
     resid = problem.constraints.residuals(eq.s_star, reward)
     if resid.size and float(resid.max()) > feas_tol:
@@ -62,7 +62,7 @@ def brute_force_bilevel(problem: DesignProblem, r_lo: float, r_hi: float,
         raise ValueError("brute-force oracle is limited to 3 players")
     if g_tolerance is None:
         g_tolerance = resolution
-    g_star = problem.g_star
+    g_star = problem.profile.g_star
 
     def scan(r_values, slice_totals, c_step, incumbent):
         for reward in r_values:

@@ -64,7 +64,7 @@ def equilibrium_corpus():
             corpus.append((profile, d, solve_equilibrium(profile, d)))
             continue
         if rng.random() < 0.2:
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             weights = rng.uniform(0.2, 1.0, n)
             c = g_star * weights / weights.sum()
             reward = max(reward_threshold(profile, c), float(c.sum()))
@@ -88,7 +88,7 @@ class TestCriterion1CaseStudy:
         verification, _ = verify_design(problem, sol)
         elapsed = time.time() - t0
 
-        g_star = problem.g_star
+        g_star = problem.profile.g_star
         reward = sol.design.reward
         total = float(sol.predicted_investments.sum())
         agg = verification["aggregate_payoff"]
@@ -199,7 +199,7 @@ class TestCriterion6Sensitivities:
         for _ in range(50):
             profile = random_profile(rng, n=int(rng.integers(2, 6)))
             n = profile.n_players
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(0.0, g_star / n, n)
             reward = reward_threshold(profile, c) + float(rng.uniform(0.2, 10.0))
             d = DesignPoint(reward, c)

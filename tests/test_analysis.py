@@ -7,13 +7,14 @@ import pytest
 from lotterydesign import (
     BenefitProfile,
     DesignPoint,
+    analyze_sweep,
     check_properties,
     poa_bounds,
     reward_threshold,
     solve_equilibrium,
     true_poa,
 )
-from lotterydesign.errors import DegenerateBoundError
+from lotterydesign.errors import DegenerateBoundError, InvariantViolationError
 from lotterydesign.game import TOLERANCES
 
 from conftest import bisect_root, random_profile
@@ -36,13 +37,31 @@ class TestRewardThreshold:
     def test_case_study_threshold(self, i30_profile):
         # Weakest player is bus 2 (coefficient 102); closed form from the
         # worst-case marginal shortfall at G* = 2317.
-        g_star = i30_profile.socially_optimal_good()
+        g_star = i30_profile.g_star
         m = 1.0 - 102.0 / 2318.0
         closed = m * g_star / (1.0 - m)
         value = reward_threshold(i30_profile, np.zeros(20))
         assert value == pytest.approx(closed, rel=1e-9)
         oracle = bisect_root(lambda r: r / (r + g_star) - m, 1.0, 1e7, tol=1e-7)
         assert value == pytest.approx(oracle, abs=1e-4)
+
+    def test_total_above_the_optimum_gives_zero(self, i2_profile):
+        # c_bar = 1e17 > G* = 1, so G_U = c_bar and any positive reward
+        # suffices, although 1 - h_i'(c_bar) rounds to 1 there.
+        c = [1e17, 0.0]
+        assert reward_threshold(i2_profile, c) == 0.0
+        design = _design(2e17, c)
+        eq = solve_equilibrium(i2_profile, design)
+        assert eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
+        assert len(check_properties(i2_profile, design, eq)) == 6
+        assert analyze_sweep(i2_profile, c, [2e17]).equilibria.G.tolist() == [eq.G]
+
+    def test_shortfall_rounding_to_one_below_the_optimum_raises(self):
+        # G* = 1e17, where player 2's slope 1e-17 leaves 1 - slope = 1: a
+        # positive gap G* - c_bar over 1 - m = 0 has no finite threshold.
+        profile = BenefitProfile.scaled_log([1e17, 1.0])
+        with pytest.raises(InvariantViolationError, match="rounds to 1"):
+            reward_threshold(profile, [0.0, 0.0])
 
 
 class TestAssuredActiveCount:
@@ -103,7 +122,7 @@ class TestPoaBounds:
     def test_large_reward_sandwiches_true_poa(self, i2_profile):
         d = _design(100.0, [0, 0])
         pb = poa_bounds(i2_profile, d)
-        opt = i2_profile.socially_optimal_payoff()
+        opt = i2_profile.optimal_payoff
         g = 2.0 / 1.01 - 1.0
         expected_upper = opt / (2.0 * math.log1p(g) - g)
         assert pb.poa_upper == pytest.approx(expected_upper, rel=1e-9)
@@ -201,7 +220,7 @@ class TestSandwichInvariants:
         for _ in range(25):
             profile = random_profile(rng)
             n = profile.n_players
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(0.0, g_star / n, n) if rng.random() < 0.7 else np.zeros(n)
             r_l = reward_threshold(profile, c)
             d = _design(r_l + 0.1 + float(rng.uniform(0.0, 50.0)), c)
@@ -232,7 +251,7 @@ class TestSandwichInvariants:
             c = rng.uniform(0.0, 0.5, n)
             r_l = reward_threshold(profile, c)
             reward = r_l * (1.0 + 1e-6) if r_l > 0.0 else 1e-6
-            g_upper = max(profile.socially_optimal_good(), float(c.sum()))
+            g_upper = max(profile.g_star, float(c.sum()))
             base = reward / (reward + g_upper - c.sum())
             floors = c + reward * (base + profile.slopes(g_upper) - 1.0)
             assert min(floors) > 0.0
@@ -244,7 +263,7 @@ class TestSandwichInvariants:
         for _ in range(15):
             profile = random_profile(rng)
             n = profile.n_players
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(1.05, 1.6) * g_star / n * np.ones(n)
             reward = float(c.sum()) + float(rng.uniform(0.5, 20.0))
             d = _design(reward, c)

@@ -1,14 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from lotterydesign import BenefitProfile
-from lotterydesign.errors import (
-    DomainError,
-    InvariantViolationError,
-    OutOfCodomainError,
-)
+from lotterydesign.errors import DomainError, InvariantViolationError
 
 from conftest import bisect_root, random_profile
 
@@ -33,9 +30,7 @@ class TestBenefitFunction:
         assert profile.slopes(math.e - 1.0) == pytest.approx([1.0 / math.e] * 2, abs=1e-12)
 
     def test_negative_good_rejected(self, i2_profile):
-        for method in (i2_profile.values, i2_profile.slopes, i2_profile.curvatures,
-                       i2_profile.aggregate_value, i2_profile.aggregate_marginal,
-                       i2_profile.aggregate_curvature):
+        for method in (i2_profile.values, i2_profile.slopes, i2_profile.aggregate_value):
             with pytest.raises(DomainError):
                 method(-0.1)
 
@@ -54,8 +49,10 @@ class TestBenefitFunction:
             v = float(rng.uniform(eps, 50.0))
             fd = (profile.values(v + eps) - profile.values(v - eps)) / (2.0 * eps)
             assert np.max(np.abs(profile.slopes(v) - fd)) <= 1e-6
+            # Strict concavity: the slopes fall, at the rate -a_i/(v+1)^2.
             fd = (profile.slopes(v + eps) - profile.slopes(v - eps)) / (2.0 * eps)
-            assert np.max(np.abs(profile.curvatures(v) - fd)) <= 1e-6
+            second = -profile.coefficients / (v + 1.0) ** 2
+            assert np.max(np.abs(second - fd)) <= 1e-6
 
     def test_coefficients_are_read_only(self):
         a = np.array([1.0, 2.0])
@@ -67,11 +64,11 @@ class TestBenefitFunction:
 
 
 class TestBenefitProfile:
-    def test_aggregate_marginal_examples(self, i2_profile, i30_profile):
-        assert i2_profile.aggregate_marginal(0.0) == pytest.approx(2.0, abs=1e-12)
-        assert i2_profile.aggregate_marginal(1.0) == pytest.approx(1.0, abs=1e-12)
+    def test_slope_sum_examples(self, i2_profile, i30_profile):
+        assert i2_profile.slopes(0.0).sum() == pytest.approx(2.0, abs=1e-12)
+        assert i2_profile.slopes(1.0).sum() == pytest.approx(1.0, abs=1e-12)
         # Case-study coefficients sum to 2318, so H(2317) = 1 exactly.
-        assert i30_profile.aggregate_marginal(2317.0) == pytest.approx(1.0, abs=1e-12)
+        assert i30_profile.slopes(2317.0).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_empty_and_weak_profiles(self):
         with pytest.raises(InvariantViolationError):
@@ -80,57 +77,43 @@ class TestBenefitProfile:
             BenefitProfile.scaled_log([0.4, 0.5])  # H(0) = 0.9 <= 1
 
     def test_socially_optimal_good_two_player(self, i2_profile):
-        assert i2_profile.socially_optimal_good() == pytest.approx(1.0, abs=1e-9)
+        assert i2_profile.g_star == pytest.approx(1.0, abs=1e-9)
 
     def test_socially_optimal_good_case_study(self, i30_profile):
-        assert i30_profile.socially_optimal_good() == pytest.approx(2317.0, abs=0.5)
+        assert i30_profile.g_star == pytest.approx(2317.0, abs=0.5)
 
     def test_socially_optimal_good_single_player(self):
         profile = BenefitProfile.scaled_log([5.0])
-        oracle = bisect_root(lambda g: profile.aggregate_marginal(g) - 1.0, 0.0, 100.0)
+        oracle = bisect_root(lambda g: profile.slopes(g).sum() - 1.0, 0.0, 100.0)
         assert oracle == pytest.approx(4.0, abs=1e-9)
-        assert profile.socially_optimal_good() == pytest.approx(oracle, abs=1e-9)
-
-    def test_invert_aggregate_examples(self, i2_profile):
-        assert i2_profile.invert_aggregate(1.0) == pytest.approx(1.0, abs=1e-9)
-        assert i2_profile.invert_aggregate(2.0) == 0.0
-        oracle = bisect_root(lambda g: i2_profile.aggregate_marginal(g) - 0.5, 0.0, 100.0)
-        assert oracle == pytest.approx(3.0, abs=1e-9)
-        assert i2_profile.invert_aggregate(0.5) == pytest.approx(oracle, abs=1e-9)
-
-    def test_invert_aggregate_edges(self, i2_profile):
-        assert math.isinf(i2_profile.invert_aggregate(0.0))
-        assert math.isinf(i2_profile.invert_aggregate(-3.0))
-        with pytest.raises(OutOfCodomainError):
-            i2_profile.invert_aggregate(2.5)
+        assert profile.g_star == pytest.approx(oracle, abs=1e-9)
 
     def test_socially_optimal_payoff_examples(self, i2_profile, i30_profile):
-        assert i2_profile.socially_optimal_payoff() == pytest.approx(
+        assert i2_profile.optimal_payoff == pytest.approx(
             2.0 * math.log(2.0) - 1.0, abs=1e-9)
         single = BenefitProfile.scaled_log([5.0])
-        assert single.socially_optimal_payoff() == pytest.approx(
+        assert single.optimal_payoff == pytest.approx(
             5.0 * math.log(5.0) - 4.0, abs=1e-9)
         # Case-study aggregate payoff at the optimum.
-        assert i30_profile.socially_optimal_payoff() == pytest.approx(15644.0, abs=1.0)
+        assert i30_profile.optimal_payoff == pytest.approx(15644.0, abs=1.0)
+
+    def test_good_bracket_orders_the_total_and_the_optimum(self, i2_profile):
+        # G* = 1 for the two-player profile.
+        assert i2_profile.good_bracket(0.25) == (0.25, 1.0)
+        assert i2_profile.good_bracket(3.0) == (1.0, 3.0)
+        assert i2_profile.good_bracket(1.0) == (1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            i2_profile.g_star = 2.0
 
 
 class TestProfileInvariants:
-    def test_aggregate_marginal_strictly_decreasing(self):
+    def test_slope_sum_strictly_decreasing(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             profile = random_profile(rng)
             grid = np.sort(rng.uniform(0.0, 30.0, 8))
-            values = [profile.aggregate_marginal(g) for g in grid]
+            values = [profile.slopes(g).sum() for g in grid]
             assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_invert_round_trip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            profile = random_profile(rng)
-            h0 = profile.marginal_at_zero
-            for y in np.linspace(1e-3, h0, 9):
-                g = profile.invert_aggregate(float(y))
-                assert abs(profile.aggregate_marginal(g) - y) <= 1e-8
 
     def test_aggregates_sum_the_player_vectors(self):
         rng = np.random.default_rng(7)
@@ -139,24 +122,22 @@ class TestProfileInvariants:
             for g in rng.uniform(0.0, 30.0, 4):
                 assert profile.aggregate_value(g) == pytest.approx(
                     profile.values(g).sum(), rel=1e-13)
-                assert profile.aggregate_marginal(g) == pytest.approx(
-                    profile.slopes(g).sum(), rel=1e-13)
-                assert profile.aggregate_curvature(g) == pytest.approx(
-                    profile.curvatures(g).sum(), rel=1e-13)
+            assert profile.marginal_at_zero == pytest.approx(
+                profile.slopes(0.0).sum(), rel=1e-13)
 
     def test_optimum_is_a_fixed_point(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             profile = random_profile(rng)
-            g_star = profile.socially_optimal_good()
-            assert abs(profile.aggregate_marginal(g_star) - 1.0) <= 1e-10
+            assert abs(profile.slopes(profile.g_star).sum() - 1.0) <= 1e-10
 
     def test_optimum_maximizes_aggregate_payoff(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             profile = random_profile(rng)
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             best = profile.aggregate_value(g_star) - g_star
+            assert profile.optimal_payoff == best
             for factor in (0.5, 0.9, 1.1, 2.0):
                 g = factor * g_star
                 assert profile.aggregate_value(g) - g < best

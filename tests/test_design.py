@@ -34,7 +34,7 @@ def random_feasible_problem(rng, n):
     while coeffs.sum() <= 1.1:
         coeffs = rng.uniform(0.7, 2.5, n)
     profile = BenefitProfile.scaled_log(coeffs)
-    g_star = profile.socially_optimal_good()
+    g_star = profile.g_star
     weights = rng.uniform(0.2, 1.0, n)
     c0 = g_star * weights / weights.sum()
     r0 = float(rng.uniform(0.5, 2.0))
@@ -194,7 +194,7 @@ class TestLexicographicOptimum:
             assert sol.status == "optimal"
             assert sol.design.reward == pytest.approx(x[0], rel=1e-7, abs=1e-9)
             assert sol.design.perturbation == pytest.approx(
-                x[1:], abs=1e-7 * max(1.0, problem.g_star))
+                x[1:], abs=1e-7 * max(1.0, problem.profile.g_star))
 
     @pytest.mark.parametrize("n, seed", [(60, s) for s in range(8)] + [(30, 8), (45, 9)])
     def test_group_floors_match_highs(self, n, seed):
@@ -206,7 +206,7 @@ class TestLexicographicOptimum:
         assert sol.status == "optimal"
         x = highs_lexicographic(build_reformulation(problem))
         assert sol.design.reward == pytest.approx(x[0], rel=1e-9)
-        assert np.max(np.abs(sol.design.perturbation - x[1:])) <= 1e-6 * problem.g_star
+        assert np.max(np.abs(sol.design.perturbation - x[1:])) <= 1e-6 * problem.profile.g_star
         verify_design(problem, sol)
 
     def test_case_study_one_solve_within_pivot_budget(self, case30_scenario, i30_profile,
@@ -261,7 +261,7 @@ class TestVerifyDesign:
     def test_passes_on_unconstrained_optimum(self, i2_problem):
         sol = solve_design(i2_problem)
         report, eq = verify_design(i2_problem, sol)
-        assert eq.G == pytest.approx(i2_problem.g_star, abs=1e-9)
+        assert eq.G == pytest.approx(i2_problem.profile.g_star, abs=1e-9)
         assert eq.s_star == pytest.approx(sol.predicted_investments, abs=1e-9)
         assert report["all_active"]
         assert report["payoff_gap"] <= 1e-9
@@ -311,7 +311,7 @@ class TestBruteForceOracle:
                 eq = solve_equilibrium(i2_profile,
                                        DesignPoint(float(reward),
                                                    np.array([t, 0.6 - t])))
-                hits.append(abs(eq.G - problem.g_star) <= 1e-3)
+                hits.append(abs(eq.G - problem.profile.g_star) <= 1e-3)
         assert not any(hits)
 
     def test_player_cap(self):

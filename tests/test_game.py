@@ -33,7 +33,7 @@ def _design(reward, c):
 def sample_design(rng, profile, allow_perturbation=True):
     """Design points covering the zero-perturbation and all-active regimes."""
     n = profile.n_players
-    g_star = profile.socially_optimal_good()
+    g_star = profile.g_star
     if not allow_perturbation or rng.random() < 0.5:
         c = np.zeros(n)
         reward = float(rng.uniform(0.05, 100.0))
@@ -72,7 +72,7 @@ def sample_sound_pair(rng, profile, max_tries=60):
     there every payoff is nonnegative and the classic equilibrium is genuine.
     """
     n = profile.n_players
-    g_star = profile.socially_optimal_good()
+    g_star = profile.g_star
     for _ in range(max_tries):
         if rng.random() < 0.5:
             c = np.zeros(n)
@@ -125,7 +125,7 @@ def game_points(draw):
     if draw(st.booleans()):
         c = np.zeros(n)
     else:
-        g_star = profile.socially_optimal_good()
+        g_star = profile.g_star
         c = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))) * g_star / n
     return profile, _design(reward, c)
 
@@ -147,10 +147,6 @@ class TestPayoff:
         assert value == pytest.approx(0.5 / 1.0 + math.log(2.0) - 1.0, abs=1e-12)
         assert value == pytest.approx(math.log(2.0) - 0.5, abs=1e-12)
 
-    def test_singular_pool_raises(self, i2_profile):
-        with pytest.raises(SingularPoolError):
-            payoffs(i2_profile, _design(1.0, [1.0, 1.0]), [1.0, 1.0])
-
     def test_negative_investment_rejected(self, i2_profile):
         with pytest.raises(DomainError):
             payoffs(i2_profile, _design(1.0, [0, 0]), [-0.1, 0.5])
@@ -171,7 +167,7 @@ class TestPayoff:
         for _ in range(60):
             profile = random_profile(rng)
             n = profile.n_players
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(0.0, 2.0 * g_star / n, n) if perturbed else np.zeros(n)
             d = _design(float(rng.uniform(0.05, 20.0)), c)
             s = rng.uniform(0.0, 2.0 * (d.reward + d.perturbation_total) / n, n)
@@ -264,7 +260,7 @@ class TestSolveEquilibrium:
             d = sample_design(rng, profile)
             eq = solve_equilibrium(profile, d)
             assert eq.max_foc_violation <= 1e-8
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             lo = min(d.perturbation_total, g_star)
             hi = max(d.perturbation_total, g_star)
             assert lo - 1e-9 <= eq.G <= hi + 1e-9
@@ -277,7 +273,7 @@ class TestShareFunctionRoot:
     @given(game_points())
     def test_bracket_foc_and_consistency(self, point):
         profile, d = point
-        g_star = profile.socially_optimal_good()
+        g_star = profile.g_star
         c_bar = d.perturbation_total
         if profile.n_players == 1 and c_bar > g_star:
             # A lone player's good is G*, which needs a positive pool there.
@@ -321,7 +317,7 @@ class TestShareFunctionRoot:
         # c_i uniform in [0, G*/N]: an active-set loop fails to settle here.
         rng = np.random.default_rng(seed)
         profile = BenefitProfile.scaled_log(rng.uniform(0.6, 3.0, 1000))
-        c = rng.uniform(0.0, profile.socially_optimal_good() / 1000, 1000)
+        c = rng.uniform(0.0, profile.g_star / 1000, 1000)
         d = _design(reward, c)
         assert_equilibrium_conditions(profile, d, solve_equilibrium(profile, d))
 
@@ -330,7 +326,7 @@ class TestShareFunctionRoot:
         # absolute 1e-8; the consistency check must scale with G + R.
         rng = np.random.default_rng(3)
         profile = BenefitProfile.scaled_log(rng.uniform(0.6, 3.0, 1000))
-        c = rng.uniform(0.0, profile.socially_optimal_good() / 1000, 1000)
+        c = rng.uniform(0.0, profile.g_star / 1000, 1000)
         d = _design(reward_threshold(profile, c), c)
         eq = solve_equilibrium(profile, d)
         assert d.reward > 1e6
@@ -415,7 +411,7 @@ class TestSensitivities:
         rng = np.random.default_rng(15)
         for _ in range(20):
             profile = random_profile(rng, n=int(rng.integers(2, 6)))
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(0.0, g_star / profile.n_players, profile.n_players)
             reward = reward_threshold(profile, c) + float(rng.uniform(0.2, 10.0))
             d = _design(reward, c)
@@ -446,7 +442,7 @@ class TestMonotonicity:
         for _ in range(15):
             profile = random_profile(rng)
             n = profile.n_players
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(0.0, 0.8 * g_star / n, n)  # keep the total below G*
             reward = reward_threshold(profile, c) + float(rng.uniform(0.2, 10.0))
             d = _design(reward, c)
@@ -464,7 +460,7 @@ class TestMonotonicity:
         for _ in range(15):
             profile = random_profile(rng)
             n = profile.n_players
-            g_star = profile.socially_optimal_good()
+            g_star = profile.g_star
             c = rng.uniform(0.0, g_star / n, n)
             r_l = reward_threshold(profile, c)
             reward = r_l + float(rng.uniform(0.05, 5.0))

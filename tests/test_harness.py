@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +45,33 @@ golden:
   aggregate_payoff: {value: 15644, tol_rel: 0.001}
   generation_total: {value: 18921, tol_abs: 0.5}
 """
+
+
+# (verb, scenario text, key the ConfigError names): sections that are not
+# mappings, and mappings without a key the pipeline reads.
+INLINE = I2_PLAYERS + "constraints: {source: inline, rows: [%s]}\n"
+MALFORMED = [
+    pytest.param("equilibrium", "profile: {players: [1.0, 2.0]}\ndesign_point: {reward: 1}\n",
+                 "profile.players[0]", id="player"),
+    pytest.param("equilibrium", I2_PLAYERS + "design_point: 3\n", "design_point",
+                 id="design_point"),
+    pytest.param("equilibrium", I2_PLAYERS + "design_point: {perturbation: [0, 0]}\n",
+                 "reward", id="reward"),
+    pytest.param("analyze", I2_PLAYERS + "sweep: [1, 2]\n", "sweep", id="sweep"),
+    pytest.param("design", I2_PLAYERS + "constraints: inline\n", "constraints",
+                 id="constraints"),
+    pytest.param("design", INLINE % "3", "constraints.rows[0]", id="row"),
+    pytest.param("design", INLINE % "{s_coeffs: [-1, 0]}", "rhs", id="row_rhs"),
+    pytest.param("design", INLINE % "{rhs: -2.0}", "s_coeffs", id="row_s_coeffs"),
+    pytest.param("design", I2_PLAYERS + "individual_rationality: true\n",
+                 "individual_rationality", id="individual_rationality"),
+    pytest.param("casestudy", CASESTUDY.replace("  grid:\n", "  grid: builtin:case30\n  x:\n"),
+                 "constraints.grid", id="grid"),
+    pytest.param("casestudy", CASESTUDY.replace("casestudy:\n  coefficient_offset: 100",
+                                                "casestudy: 100"), "casestudy", id="casestudy"),
+    pytest.param("casestudy", CASESTUDY.split("golden:")[0] + "golden: [reward]\n", "golden",
+                 id="golden"),
+]
 
 
 def write_config(tmp_path, text, name="scenario.yaml"):
@@ -97,6 +125,20 @@ class TestConfig:
         cfg = ScenarioConfig.from_file(write_config(tmp_path, I2_PLAYERS))
         with pytest.raises(ConfigError, match="verb"):
             run_scenario("optimize", cfg, out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("verb, text, key", MALFORMED)
+    def test_malformed_section_raises_config_error(self, tmp_path, verb, text, key):
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run_scenario(verb, cfg, out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("verb, text, key", MALFORMED)
+    def test_malformed_section_exits_one_via_cli(self, tmp_path, capsys, verb, text, key):
+        path = write_config(tmp_path, text)
+        code = cli_main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
 
     def test_missing_case_file(self, tmp_path):
         text = CASESTUDY.replace("builtin:case30", "missing.m")

@@ -153,7 +153,7 @@ def _find_root_sweep(profile, c, rewards):
     rewards = np.asarray(rewards, dtype=float)
     c = np.asarray(c, dtype=float)
     c_bar = float(c.sum())
-    lo, hi = game._bracket(rewards, c_bar, profile.socially_optimal_good())
+    lo, hi = game._bracket(rewards, c_bar, profile)
     a, c = profile.coefficients[:, None], c[:, None]
     return find_root(lambda G, R: game._phi(G, R, c_bar, a, -R * c), (lo, hi),
                      args=(rewards,), tolerances=_TOLERANCES)
@@ -266,7 +266,7 @@ class TestFindRootOracle:
         profile = BenefitProfile.scaled_log([1.0, 1.0])
         rewards = np.array([1.0, 10.0])
         c_bar = 0.0
-        lo, hi = game._bracket(rewards, c_bar, profile.socially_optimal_good())
+        lo, hi = game._bracket(rewards, c_bar, profile)
         a, neg_rc = profile.coefficients[:, None], np.zeros((2, 1))
         for name, (run, driver) in LOOPS.items():
             status = _assert_port_matches_find_root(
@@ -307,8 +307,8 @@ class TestRegressions:
         c = np.array([0.06413673358952242, 0.25447370361265004])
         reward = 0.12713782077137897
         eq = solve_equilibrium(profile, DesignPoint(reward, c))
-        floors = c + reward * (reward / (reward + profile.socially_optimal_good() - c.sum())
-                               + profile.slopes(profile.socially_optimal_good()) - 1.0)
+        floors = c + reward * (reward / (reward + profile.g_star - c.sum())
+                               + profile.slopes(profile.g_star) - 1.0)
         assert reward < reward_threshold(profile, c) and np.min(eq.s_star - floors) < 0.0
         assert analyze_sweep(profile, c, [reward, 10.0]).ok.tolist() == [True, True]
 

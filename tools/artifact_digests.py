@@ -1,0 +1,79 @@
+"""Print the sha256 of every artifact the program writes on a fixed set of inputs.
+
+    python3 tools/artifact_digests.py
+
+Runs every verb that each `configs/*.yaml` configures (a verb whose run
+raises ConfigError is not configured and is left out), `run_selftest` at
+seeds 0 and 4, and every input of benchmark seed 7: the design_lp design
+problems, the small_games sweeps and its equilibrium corpus, built with the
+benchmark's own input generator in a temporary directory, as
+`tools/emit_time.py` does. Prints one line `<sha256>  <run>/<artifact>` per
+artifact, in a fixed order, and `raised  <run>: <error>` for a run that
+raises. Two trees that print the same lines wrote the same bytes. Takes no
+options.
+"""
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from lotterydesign import ScenarioConfig, run_scenario, run_selftest  # noqa: E402
+from lotterydesign.errors import ConfigError, LotteryDesignError  # noqa: E402
+
+VERBS = ("equilibrium", "analyze", "design", "casestudy")
+BENCH_SEED = 7
+
+
+def digest(out: Path, run: str, names) -> None:
+    for name in names:
+        print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {run}/{name}")
+
+
+def scenario(run: str, verb: str, cfg: ScenarioConfig, out: Path, optional=False) -> None:
+    # An optional verb that raises ConfigError is one the config does not
+    # configure, and prints nothing.
+    try:
+        result = run_scenario(verb, cfg, out_dir=out)
+    except LotteryDesignError as exc:
+        if not (optional and isinstance(exc, ConfigError)):
+            print(f"raised  {run}: {type(exc).__name__}: {exc}")
+        return
+    digest(out, run, result.artifacts)
+
+
+def main():
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        for path in sorted((ROOT / "configs").glob("*.yaml")):
+            for verb in VERBS:
+                scenario(f"configs/{path.name}:{verb}", verb, ScenarioConfig.from_file(path),
+                         work / "configs" / path.stem / verb, optional=True)
+        for seed in (0, 4):
+            out = work / "selftest" / str(seed)
+            run_selftest(seed=seed, out_dir=out)
+            digest(out, f"selftest:{seed}", ["report.json"])
+
+        inputs = work / "inputs"
+        design_lp = workloads.DesignLp(ROOT)
+        design_lp.generate(BENCH_SEED, inputs)
+        for k, problem in enumerate(design_lp.problems):
+            scenario(f"design_lp:{k}", "design", ScenarioConfig.from_file(problem.config),
+                     work / "design_lp" / str(k))
+        small_games = workloads.SmallGames(ROOT)
+        small_games.generate(BENCH_SEED, inputs)
+        for regime, path, *_ in small_games.sweeps:
+            scenario(f"small_games:{regime}", "analyze", ScenarioConfig.from_file(path),
+                     work / "small_games" / regime)
+        out = work / "small_games" / "equilibrium"
+        for k, (config, *_) in enumerate(small_games.corpus):
+            scenario(f"small_games:corpus:{k}", "equilibrium",
+                     ScenarioConfig(config, inputs), out)
+
+
+if __name__ == "__main__":
+    main()

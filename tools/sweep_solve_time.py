@@ -48,7 +48,7 @@ def median_seconds(fn, repeats):
 def find_root_sweep(profile, c, rewards):
     # solve_sweep's root-find as scipy's find_root runs it.
     c_bar = float(np.sum(c))
-    lo, hi = _bracket(rewards, c_bar, profile.socially_optimal_good())
+    lo, hi = _bracket(rewards, c_bar, profile)
     a, c = profile.coefficients[:, None], np.asarray(c, dtype=float)[:, None]
     return find_root(lambda G, R: _phi(G, R, c_bar, a, -R * c), (lo, hi),
                      args=(rewards,), tolerances={"xatol": _XTOL, "xrtol": _RTOL})
