@@ -147,6 +147,11 @@ class TestPayoff:
         assert value == pytest.approx(0.5 / 1.0 + math.log(2.0) - 1.0, abs=1e-12)
         assert value == pytest.approx(math.log(2.0) - 0.5, abs=1e-12)
 
+    def test_singular_pool_raises(self, i2_profile):
+        # Uneven perturbations, each player investing exactly its own c_i.
+        with pytest.raises(SingularPoolError):
+            payoffs(i2_profile, _design(1.0, [0.5, 1.5]), [0.5, 1.5])
+
     def test_negative_investment_rejected(self, i2_profile):
         with pytest.raises(DomainError):
             payoffs(i2_profile, _design(1.0, [0, 0]), [-0.1, 0.5])
