@@ -175,9 +175,10 @@ def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, stri
     gl, gu = profile.good_bracket(c_bar)
     n = profile.n_players
     h0 = profile.marginal_at_zero
-    # Players whose activity the threshold criterion certifies: the strict
-    # positives of R/(R + gu - c_bar) + h_i'(gu) - 1.
-    k = (R / (R + gu - c_bar) + _per_player(profile.slopes(gu), R) - 1.0 > 0.0).sum(axis=0)
+    # Players whose activity the threshold criterion certifies: those with
+    # R/(R + gu - c_bar) + h_i'(gu) - 1 > 0, compared without the subtraction,
+    # which would lose a slope below the float spacing of 1.
+    k = (_per_player(profile.slopes(gu), R) > (gu - c_bar) / (R + gu - c_bar)).sum(axis=0)
 
     def invert(arg, side):
         if strict and np.count_nonzero(arg > h0 * (1.0 + 1e-9)):

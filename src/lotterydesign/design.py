@@ -62,12 +62,13 @@ class ConstraintSet:
         rows = list(rows)
         if not rows:
             raise InvariantViolationError("from_rows needs at least one row")
-        labels, a, b = [], [], []
-        for label, s_coeffs, r_coeff, rhs in rows:
-            labels.append(str(label))
-            a.append(list(np.asarray(s_coeffs, dtype=float)) + [float(r_coeff)])
-            b.append(float(rhs))
-        return cls(np.asarray(a), np.asarray(b), tuple(labels))
+        labels, s_coeffs, r_coeffs, rhs = zip(*rows)
+        s_coeffs = np.array(s_coeffs, dtype=float)
+        if s_coeffs.ndim != 2:
+            raise InvariantViolationError("each row needs one coefficient per player")
+        r_coeffs = [float(r) for r in r_coeffs]
+        return cls(np.column_stack((s_coeffs, r_coeffs)), [float(v) for v in rhs],
+                   tuple(map(str, labels)))
 
     @property
     def n_rows(self) -> int:

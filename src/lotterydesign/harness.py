@@ -30,6 +30,7 @@ import io
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,13 +40,118 @@ import yaml
 
 from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
-from .errors import ConfigError, ExactnessViolationError
+from .errors import ConfigError, ExactnessViolationError, InvariantViolationError
 from .game import TOLERANCES, DesignPoint, payoffs, solve_equilibrium
 
 SCHEMA_VERSION = 1
-# libyaml's safe loader when present: several times faster on large scenario
-# files, and it builds the same documents as the pure-Python one.
+# libyaml's safe loader when present. Its events come from C, and
+# `_load_yaml` builds documents from them; the pure-Python loader reads the
+# same documents more slowly.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# The plain decimals whose `float`/`int` is what SafeConstructor builds for the
+# tag they resolve to: no underscore, sexagesimal part, infinity or NaN, and
+# for an int no leading zero or base prefix. Other forms go to the constructor.
+_DECIMAL = {
+    "tag:yaml.org,2002:float": (re.compile(r"[-+]?[0-9]*\.[0-9]*(?:[eE][-+][0-9]+)?\Z"), float),
+    "tag:yaml.org,2002:int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z"), int),
+}
+_SAFE_CONSTRUCTOR = yaml.constructor.SafeConstructor()
+_NO_KEY = object()
+
+
+class _Fallback(Exception):
+    """The document holds something `_load_yaml` leaves to yaml.load."""
+
+
+def _plain_scalar(text: str, loader):
+    """A plain scalar's value: its implicitly resolved tag, then that tag's constructor."""
+    resolvers = loader.yaml_implicit_resolvers
+    for tag, regexp in resolvers.get(text[:1], []) + resolvers.get(None, []):
+        if regexp.match(text):
+            break
+    else:
+        return text
+    construct = loader.yaml_constructors.get(tag)  # none for the merge key "<<" or "="
+    if construct is None:
+        raise _Fallback
+    decimal = _DECIMAL.get(tag)
+    try:
+        if decimal is not None and decimal[0].match(text):
+            return decimal[1](text)
+        return construct(_SAFE_CONSTRUCTOR, yaml.ScalarNode(tag, text))
+    except (ValueError, OverflowError, yaml.YAMLError):
+        # A date out of range, say: yaml.load raises its own error for it,
+        # unless the stream fails to parse first.
+        raise _Fallback from None
+
+
+def _load_yaml(text: str, loader=_YAML_LOADER):
+    """`yaml.load(text, Loader=loader)`, built from the parser's events.
+
+    PyYAML turns the events into nodes and the nodes into values in Python,
+    which costs more than twice what parsing does on a large scenario file. This builds
+    the dicts and lists straight from the events. A stream it does not build
+    (an anchor, alias or explicit tag, the merge key, a non-scalar key, more
+    than one document, or a scalar the constructors reject) goes to yaml.load
+    whole, which accepts or rejects it exactly as before. A syntax error
+    raises the same yaml.YAMLError from the event stream as from yaml.load.
+    """
+    try:
+        return _build_document(text, loader)
+    except _Fallback:
+        return yaml.load(text, Loader=loader)
+
+
+def _build_document(text: str, loader):
+    """The stream's one document, or _Fallback for what it leaves to yaml.load."""
+    scalar, mapping, sequence = yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent
+    ends = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
+    plain = {}  # plain scalar text -> value; a large scenario repeats most of them
+    root = container = None
+    key = _NO_KEY  # in a mapping: the key whose value comes next
+    stack = []
+    documents = 0
+    for event in yaml.parse(text, Loader=loader):
+        kind = type(event)
+        if kind is scalar or kind is mapping or kind is sequence:
+            if event.anchor is not None or event.tag is not None:
+                raise _Fallback
+        elif kind in ends:
+            container, key = stack.pop()
+            continue
+        elif kind is yaml.DocumentStartEvent:
+            documents += 1
+            if documents > 1:
+                raise _Fallback
+            continue
+        elif kind is yaml.AliasEvent:
+            raise _Fallback
+        else:
+            continue
+        if kind is not scalar:
+            value = {} if kind is mapping else []
+        elif not event.implicit[0]:
+            value = event.value  # quoted or block: a str
+        elif event.value in plain:
+            value = plain[event.value]
+        else:
+            value = plain[event.value] = _plain_scalar(event.value, loader)
+        if container is None:
+            root = value
+        elif type(container) is list:
+            container.append(value)
+        elif key is not _NO_KEY:
+            container[key] = value
+            key = _NO_KEY
+        elif kind is scalar:
+            key = value
+        else:
+            raise _Fallback
+        if kind is not scalar:
+            stack.append((container, key))
+            container, key = value, _NO_KEY
+    return root
 
 
 @dataclass
@@ -61,7 +167,7 @@ class ScenarioConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
+            raw = _load_yaml(path.read_text())
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         if not isinstance(raw, dict):
@@ -137,6 +243,34 @@ def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
     )
 
 
+def _inline_constraints(rows: list[dict], n_players: int):
+    """A config's inline rows as a ConstraintSet, or ConfigError naming a bad field.
+
+    The matrix is built in one pass; only when that fails are the rows read
+    one at a time, to name the first field that is not finite numbers.
+    """
+    expected = {"s_coeffs": f"a list of {n_players} finite numbers",
+                "r_coeff": "a finite number", "rhs": "a finite number"}
+    for k, row in enumerate(rows):
+        if not isinstance(row["s_coeffs"], list) or len(row["s_coeffs"]) != n_players:
+            raise ConfigError(f"constraints.rows[{k}].s_coeffs must be {expected['s_coeffs']}")
+    try:
+        return design_mod.ConstraintSet.from_rows(
+            (row.get("label", f"row{k}"), row["s_coeffs"], row.get("r_coeff", 0.0), row["rhs"])
+            for k, row in enumerate(rows))
+    except (TypeError, ValueError, InvariantViolationError):
+        for k, row in enumerate(rows):
+            for key, ndim in (("s_coeffs", 1), ("r_coeff", 0), ("rhs", 0)):
+                try:
+                    value = np.array(row.get(key, 0.0), dtype=float)
+                except (TypeError, ValueError):
+                    value = None
+                if value is None or value.ndim != ndim or not np.isfinite(value).all():
+                    raise ConfigError(
+                        f"constraints.rows[{k}].{key} must be {expected[key]}") from None
+        raise
+
+
 def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
     section = _mapping(cfg.get("constraints", {"source": "none"}), "constraints")
     source = section.get("source", "none")
@@ -148,11 +282,7 @@ def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
             raise ConfigError("constraints.source=inline requires nonempty rows")
         rows = [_mapping(row, f"constraints.rows[{k}]", "s_coeffs", "rhs")
                 for k, row in enumerate(rows)]
-        return design_mod.ConstraintSet.from_rows(
-            (row.get("label", f"row{k}"), row["s_coeffs"], row.get("r_coeff", 0.0),
-             row["rhs"])
-            for k, row in enumerate(rows)
-        )
+        return _inline_constraints(rows, n_players)
     if source == "grid":
         return grid_mod.build_dr_constraints(_scenario_from_config(cfg))
     raise ConfigError(f"unknown constraints source {source!r}")

@@ -72,6 +72,16 @@ class TestAssuredActiveCount:
     def test_larger_reward_counts_all(self, i2_profile):
         assert poa_bounds(i2_profile, _design(2.0, [0, 0])).assured_active_count == 2
 
+    def test_slopes_below_float_spacing_of_one_count(self):
+        # gu = c_bar = 1e17, where each slope is 1e-17 and R/(R + gu - c_bar)
+        # is 1: the criterion 1 + 1e-17 - 1 rounds to zero in floats.
+        profile = BenefitProfile.scaled_log([1.0, 1.0])
+        d = _design(2e17, [1e17, 0.0])
+        assert poa_bounds(profile, d).assured_active_count == 2
+        report = check_properties(profile, d, solve_equilibrium(profile, d))
+        assert all(c.holds is not False for c in report)
+        assert {c.name: c for c in report}["payoff_sandwich"].holds is True
+
 
 class TestPublicGoodBounds:
     def test_two_player_unit_reward(self, i2_profile):

@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import jsonschema
 import numpy as np
@@ -17,7 +19,8 @@ from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError, InvariantViolationError
 from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json, load_report_schema
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 I2_PLAYERS = """\
 profile:
@@ -63,6 +66,14 @@ MALFORMED = [
     pytest.param("design", INLINE % "3", "constraints.rows[0]", id="row"),
     pytest.param("design", INLINE % "{s_coeffs: [-1, 0]}", "rhs", id="row_rhs"),
     pytest.param("design", INLINE % "{rhs: -2.0}", "s_coeffs", id="row_s_coeffs"),
+    pytest.param("design", INLINE % "{s_coeffs: [-1, 0], rhs: -2.0}, {s_coeffs: [1], rhs: 5}",
+                 "constraints.rows[1].s_coeffs", id="row_s_coeffs_ragged"),
+    pytest.param("design", INLINE % "{s_coeffs: [1.0, x], rhs: 1}",
+                 "constraints.rows[0].s_coeffs", id="row_s_coeffs_not_a_number"),
+    pytest.param("design", INLINE % "{s_coeffs: 5, rhs: 1}", "constraints.rows[0].s_coeffs",
+                 id="row_s_coeffs_scalar"),
+    pytest.param("design", INLINE % "{s_coeffs: [1, 0, 0], rhs: 1}",
+                 "constraints.rows[0].s_coeffs", id="row_s_coeffs_player_count"),
     pytest.param("design", I2_PLAYERS + "individual_rationality: true\n",
                  "individual_rationality", id="individual_rationality"),
     pytest.param("casestudy", CASESTUDY.replace("  grid:\n", "  grid: builtin:case30\n  x:\n"),
@@ -72,6 +83,13 @@ MALFORMED = [
     pytest.param("casestudy", CASESTUDY.split("golden:")[0] + "golden: [reward]\n", "golden",
                  id="golden"),
 ]
+
+
+def read_yaml(text, loader=harness._YAML_LOADER):
+    """`harness._load_yaml(text, loader)`, and whether it handed the text to yaml.load."""
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+        value = harness._load_yaml(text, loader)
+    return value, load.called
 
 
 def write_config(tmp_path, text, name="scenario.yaml"):
@@ -110,11 +128,16 @@ class TestConfig:
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not built")
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
     def test_loaders_agree_on_shipped_configs(self, path):
-        # The C loader is used when present; it must read the same dict.
+        # The C loader's events are used when present; the reader must build
+        # the same dict from them and from the pure-Python parser's events,
+        # without handing the file to yaml.load.
         text = path.read_text()
-        assert (ScenarioConfig.from_file(path).raw
-                == yaml.load(text, Loader=yaml.SafeLoader)
-                == yaml.load(text, Loader=yaml.CSafeLoader))
+        expected = repr(yaml.load(text, Loader=yaml.CSafeLoader))
+        assert repr(yaml.load(text, Loader=yaml.SafeLoader)) == expected
+        assert repr(ScenarioConfig.from_file(path).raw) == expected
+        for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+            value, fell_back = read_yaml(text, loader)
+            assert repr(value) == expected and not fell_back
 
     def test_missing_profile_key(self, tmp_path):
         cfg = ScenarioConfig.from_file(write_config(tmp_path, "alpha: 1\n"))
@@ -145,6 +168,114 @@ class TestConfig:
         cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
         with pytest.raises(ConfigError, match="missing.m"):
             run_scenario("casestudy", cfg, out_dir=tmp_path / "out")
+
+
+# Plain scalars that resolve to something other than a str, or look as if
+# they might: YAML 1.1 reads "1e3" as a str and "012" as octal.
+_TRICKY = ["1e3", "1.0e3", "012", "0x1F", "0b101", "1_000", "1:30", "190:20:30.15", "yes", "Off",
+           "~", "null", "", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "-0.0", ".inf",
+           "-.inf", ".NaN", "+1", "-0", ".5", "1.", "1.5e+3", "<<", "=", "- a", "a: b", "#"]
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.sampled_from(_TRICKY) | st.text(max_size=6))
+_KEYS = st.sampled_from(_TRICKY) | st.text(max_size=6) | st.integers() | st.floats()
+_DOCUMENTS = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
+    max_leaves=24)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+_LARGE = yaml.dump({"rows": [{"s_coeffs": [0.5] * 60, "rhs": 1.0}] * 40}, Dumper=_DUMPER)
+
+
+def outcome(call):
+    """repr of what `call()` returns, or the type and text of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def bench_inputs(seed, work):
+    """The file inputs of one benchmark seed, written by the benchmark's generator."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    workloads.DesignLp(ROOT).generate(seed, work)
+    workloads.SmallGames(ROOT).generate(seed, work)
+    return sorted(work.glob("*.yaml"))
+
+
+class TestYamlReader:
+    """`harness._load_yaml` builds what yaml.load builds from the same text.
+
+    Values are compared by repr, not ==: 1 == 1.0 == True and nan != nan
+    would hide a difference in type or a NaN.
+    """
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(document=_DOCUMENTS, flow=st.sampled_from([False, None, True]))
+    def test_dumped_documents(self, loader, document, flow):
+        text = yaml.dump(document, Dumper=_DUMPER, default_flow_style=flow)
+        value, fell_back = read_yaml(text, loader)
+        assert repr(value) == repr(yaml.load(text, Loader=loader))
+        assert not fell_back
+
+    def test_bench_inputs(self, tmp_path):
+        paths = bench_inputs(7, tmp_path)
+        assert len(paths) == 10
+        for path in paths:
+            text = path.read_text()
+            value, fell_back = read_yaml(text)
+            assert repr(value) == repr(yaml.load(text, Loader=harness._YAML_LOADER))
+            assert not fell_back
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    def test_built_without_fallback(self, loader):
+        # A duplicate key keeps its first place and takes its last value; a
+        # quoted "<<" is a plain key, not a merge.
+        text = ("a: 1\na: 2\n'<<': 3\n1: x\n1.0: y\n.nan: 1\n.NaN: 2\nb: [1e3, 012, 0x1F, "
+                "1_000, -0.0, .inf, ~, yes, 2001-12-14, '1.5', \"\"]\nc: |\n  x\n")
+        value, fell_back = read_yaml(text, loader)
+        assert repr(value) == repr(yaml.load(text, Loader=loader))
+        assert list(value)[:2] == ["a", "<<"] and value["a"] == 2
+        assert not fell_back
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("text", [
+        "a: &x [1, 2]\nb: *x\n",
+        "a: !!str 1\nb: ! 2\n",
+        "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  y: 3\n",
+        "a: [1, {<<: 2}]\n",
+        "? [a, b]\n: 1\n",
+        "=: 1\n",
+        "a: 1\n---\nb: 2\n",
+        "a: 2001-13-45\n",
+    ], ids=["alias", "tag", "merge", "merge_without_alias", "complex_key", "value_key",
+            "two_documents", "bad_timestamp"])
+    def test_fallback_constructs(self, loader, text):
+        # Each is handed to yaml.load, which builds it or raises as before.
+        with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+            got = outcome(lambda: harness._load_yaml(text, loader))
+        assert load.called
+        assert got == outcome(lambda: yaml.load(text, Loader=loader))
+
+    @pytest.mark.parametrize("text", [_LARGE + "tail: [1, 2\n", "", "- 1\n- 2\n",
+                                      "a: 1\n---\nb: 2\n"],
+                             ids=["deep_syntax_error", "empty", "top_level_list",
+                                  "two_documents"])
+    def test_parse_errors_keep_their_message(self, tmp_path, text):
+        # The message yaml.load's error or value gave before the reader.
+        path = write_config(tmp_path, text)
+        try:
+            yaml.load(text, Loader=harness._YAML_LOADER)
+            expected = f"config {path} must be a mapping"
+        except yaml.YAMLError as exc:
+            expected = f"cannot parse config {path}: {exc}"
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_file(path)
+        assert str(info.value) == expected
 
 
 class TestEquilibriumVerb:

@@ -1,0 +1,74 @@
+"""Time reading scenario files, and check the reader against yaml.load.
+
+    python3 tools/parse_time.py [--repeats 5]
+
+Reads every `configs/*.yaml` and every file input of benchmark seed 7 (the
+design_lp design problems and the small_games sweeps, built with the
+benchmark's own input generator in a temporary directory, as
+`tools/artifact_digests.py` does) with `ScenarioConfig.from_file` and with
+`yaml.load` on libyaml's safe loader (the pure-Python one when libyaml is not
+built). Prints one JSON object with each file's size and the median
+milliseconds of each over the repeats. Exits 1 when, for any file, the
+`from_file` document is not repr-equal to yaml.load's: repr tells 1 from 1.0
+and True, and a NaN from anything else, where == does not.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+import workloads  # noqa: E402
+from lotterydesign import harness  # noqa: E402
+
+BENCH_SEED = 7
+
+
+def median_ms(call, repeats):
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) * 1e3, 3)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    args = parser.parse_args()
+    loader = harness._YAML_LOADER
+    files, mismatches = {}, []
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        workloads.DesignLp(ROOT).generate(BENCH_SEED, work)
+        workloads.SmallGames(ROOT).generate(BENCH_SEED, work)
+        paths = [(f"configs/{p.name}", p) for p in sorted((ROOT / "configs").glob("*.yaml"))]
+        paths += [(f"bench:{BENCH_SEED}/{p.name}", p) for p in sorted(work.glob("*.yaml"))]
+        for name, path in paths:
+            text = path.read_text()
+            if repr(harness.ScenarioConfig.from_file(path).raw) != repr(
+                    yaml.load(text, Loader=loader)):
+                mismatches.append(name)
+            files[name] = {
+                "kb": round(len(text.encode()) / 1024, 1),
+                "from_file_ms": median_ms(lambda: harness.ScenarioConfig.from_file(path),
+                                          args.repeats),
+                "yaml_load_ms": median_ms(lambda: yaml.load(text, Loader=loader),
+                                          args.repeats),
+            }
+    print(json.dumps({"loader": loader.__name__, "repeats": args.repeats, "files": files,
+                      "mismatches": mismatches}, indent=2))
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
