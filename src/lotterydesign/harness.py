@@ -12,14 +12,16 @@ or sweep, the constraint source, and output options. Pipelines:
   per-bus and per-line figure data
 
 Artifacts (report.json plus CSVs) are byte-deterministic for a fixed config
-and seed. Each is overwritten in place: the new bytes go over the old ones and
-the file is then truncated to their length. Truncating first (open "w") and
-renaming a new file over the old one both cost far more on ext4: with its
-default `auto_da_alloc` option, a file truncated to zero or replaced by a
-rename has its data written back when it is closed, about 110 us per
-artifact against 6 us for an in-place rewrite. The rewrite is not atomic: a
-crash mid-write can leave new bytes followed by the rest of the old file,
-where truncating first could leave a short file.
+and seed. report.json is encoded in one pass, sorting and encoding the keys of
+each dict shape once per process. Each artifact is overwritten in place: the
+new bytes go over the old ones and the file is then truncated to their length.
+The output directory is made only when the first write finds it missing.
+Truncating first (open "w") and renaming a new file over the old one both cost
+far more on ext4: with its default `auto_da_alloc` option, a file truncated to
+zero or replaced by a rename has its data written back when it is closed,
+about 110 us per artifact against 6 us for an in-place rewrite. The rewrite is
+not atomic: a crash mid-write can leave new bytes followed by the rest of the
+old file, where truncating first could leave a short file.
 """
 
 from __future__ import annotations
@@ -27,8 +29,10 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import io
+import itertools
 import json
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -201,6 +205,25 @@ def _mapping(value, name: str, *required: str) -> dict:
     return value
 
 
+def _number(value, name: str) -> float:
+    """`float(value)`, or ConfigError naming the field."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number") from None
+
+
+def _vector(value, name: str, n: int) -> np.ndarray:
+    """`value` as a vector of n floats, or ConfigError naming the field."""
+    try:
+        vector = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        vector = None
+    if vector is None or vector.shape != (n,):
+        raise ConfigError(f"{name} must be a list of {n} numbers")
+    return vector
+
+
 def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
     players = _mapping(cfg.require("profile"), "profile").get("players")
     if not players or not isinstance(players, list):
@@ -212,7 +235,7 @@ def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
         if family != "scaled_log":
             raise ConfigError(f"unsupported benefit family {family!r}")
         ids.append(entry.get("player_id", k + 1))
-        coefficients.append(float(entry["coefficient"]))
+        coefficients.append(_number(entry["coefficient"], f"profile.players[{k}].coefficient"))
     return BenefitProfile.scaled_log(coefficients), ids
 
 
@@ -237,9 +260,10 @@ def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
     case = grid_mod.parse_case(_resolve_case_text(cfg, section.get("case_file", "")))
     return grid_mod.monetize(
         case,
-        demand_scale=float(section.get("demand_scale", 1.0)),
-        rate=float(section.get("rate_dollars_per_kwh", 0.1)),
-        hours=float(section.get("horizon_hours", 1.0)),
+        demand_scale=_number(section.get("demand_scale", 1.0), "constraints.grid.demand_scale"),
+        rate=_number(section.get("rate_dollars_per_kwh", 0.1),
+                     "constraints.grid.rate_dollars_per_kwh"),
+        hours=_number(section.get("horizon_hours", 1.0), "constraints.grid.horizon_hours"),
     )
 
 
@@ -288,33 +312,54 @@ def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
     raise ConfigError(f"unknown constraints source {source!r}")
 
 
-class _Encoded(str):
-    """A value's JSON text, already indented for the place it goes."""
+# Dict layouts by shape (key types, keys, indent): the key heads in output
+# order (separator, line break and indent, encoded key, ": "), a getter of the
+# values in that order, the values' line break and indent, and the closing text.
+# Reports repeat a few shapes many times: each sweep row, the tolerance table,
+# each property dict.
+_LAYOUTS: dict = {}
+_LAYOUT_LIMIT = 1024
 
 
-# The last tolerance table encoded, as (rows, text). Every report carries the
-# same table, and encoding it was about 40 % of an equilibrium report's cost.
-_encoded_tolerances = (None, "")
+def _layout(shape) -> tuple:
+    """A dict shape's layout, kept in `_LAYOUTS` if every key is an exact str or int.
 
-
-def _tolerance_rows(table):
-    """A key that fixes the encoding of a tolerance table, or None.
-
-    The key is the table's (name, value, origin) rows, with each value as
-    `float.hex`, which tells -0.0 from 0.0. It is None unless every row is a
-    dict of exactly a float "value" and a str "origin" under a str name.
+    Equal keys of those two types always have the same text; a str subclass
+    equal to a str, say, need not.
     """
-    if type(table) is not dict:
-        return None
-    rows = []
-    for name, row in table.items():
-        if type(row) is not dict or len(row) != 2:
-            return None
-        value, origin = row.get("value"), row.get("origin")
-        if type(name) is not str or type(value) is not float or type(origin) is not str:
-            return None
-        rows.append((name, value.hex(), origin))
-    return tuple(rows)
+    kinds, keys, newline = shape
+    names = {str(k): k for k in keys}  # of keys with one text, the last wins
+    order = sorted(names)
+    inner = newline + "  "
+    heads = tuple(("," if n else "{") + inner + encode_basestring_ascii(name) + ": "
+                  for n, name in enumerate(order))
+    # An itemgetter of two or more keys returns a tuple of their values. The
+    # first key is asked for twice so that one key gives a tuple too; the
+    # zip with the heads drops the extra value.
+    values = operator.itemgetter(*(names[name] for name in order), names[order[0]])
+    layout = (heads, values, inner, newline + "}")
+    if all(kind is str or kind is int for kind in kinds):
+        if len(_LAYOUTS) >= _LAYOUT_LIMIT:
+            _LAYOUTS.clear()
+        _LAYOUTS[shape] = layout
+    return layout
+
+
+def _builtin(value):
+    """A numpy value, builtin subclass or tuple as the builtin value it is encoded as."""
+    if isinstance(value, np.ndarray):
+        return list(value.tolist())  # a 0-d array's tolist() is a scalar: list() rejects it
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, str):
+        return str.__str__(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _report_json(report: dict) -> str:
@@ -324,87 +369,45 @@ def _report_json(report: dict) -> str:
     report with keys made `str(k)`, numpy scalars and arrays made Python
     numbers and lists, tuples made lists, and non-finite floats made the
     strings "+inf", "-inf" and "nan". Any other type raises TypeError.
-    A top-level "tolerances" table is encoded once per distinct table.
+    Keys are sorted and encoded once per dict shape (`_layout`), and strs,
+    ints and floats are written in the loop over their dict or list.
     """
-    global _encoded_tolerances
     parts = []
     append = parts.append
+    isfinite, text = math.isfinite, encode_basestring_ascii
 
-    def encode(value, newline):
-        # `newline` is the line break plus the indent of the current level.
-        # Exact builtin types take the first branches; numpy values and
-        # subclasses are made builtin and encoded again.
-        kind = type(value)
-        if kind is str:
-            append(encode_basestring_ascii(value))
-        elif kind is float:
-            if math.isinf(value):
-                append('"+inf"' if value > 0 else '"-inf"')
-            elif math.isnan(value):
-                append('"nan"')
+    def write(pairs, newline):
+        # Each (head, value) pair of a dict or list: the head, then the
+        # value's text. `newline` is the line break plus the values' indent.
+        for head, value in pairs:
+            append(head)
+            kind = type(value)
+            if kind is float:
+                append(repr(value) if isfinite(value) else '"nan"' if value != value
+                       else '"+inf"' if value > 0 else '"-inf"')
+            elif kind is str:
+                append(text(value))
+            elif kind is int:
+                append(repr(value))
+            elif value is None or value is True or value is False:
+                append("null" if value is None else "true" if value else "false")
+            elif kind is dict and value:
+                keys = tuple(value)
+                shape = (tuple(map(type, keys)), keys, newline)
+                heads, values, inner, close = _LAYOUTS.get(shape) or _layout(shape)
+                write(zip(heads, values(value)), inner)
+                append(close)
+            elif kind is list and value:
+                inner = newline + "  "
+                write(zip(itertools.chain(("[" + inner,), itertools.repeat("," + inner)), value),
+                      inner)
+                append(newline + "]")
+            elif kind is dict or kind is list:
+                append("{}" if kind is dict else "[]")
             else:
-                append(float.__repr__(value))
-        elif kind is dict:
-            if not value:
-                append("{}")
-                return
-            items = {str(k): v for k, v in value.items()}
-            inner = newline + "  "
-            sep = "{" + inner
-            for key in sorted(items):
-                append(sep + encode_basestring_ascii(key) + ": ")
-                encode(items[key], inner)
-                sep = "," + inner
-            append(newline + "}")
-        elif kind is list:
-            if not value:
-                append("[]")
-                return
-            inner = newline + "  "
-            sep = "[" + inner
-            for item in value:
-                append(sep)
-                encode(item, inner)
-                sep = "," + inner
-            append(newline + "]")
-        elif kind is int:
-            append(int.__repr__(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif kind is _Encoded:
-            append(value)
-        elif isinstance(value, (float, np.floating)):
-            encode(float(value), newline)
-        elif isinstance(value, str):
-            append(encode_basestring_ascii(value))
-        elif isinstance(value, (int, np.integer)):
-            encode(int(value), newline)
-        elif isinstance(value, dict):
-            encode(dict(value), newline)
-        elif isinstance(value, (list, tuple)):
-            encode(list(value), newline)
-        elif isinstance(value, np.ndarray):
-            # A 0-d array's tolist() is a scalar, which list() rejects.
-            encode(list(value.tolist()), newline)
-        else:
-            raise TypeError(
-                f"Object of type {type(value).__name__} is not JSON serializable")
+                write((("", _builtin(value)),), newline)
 
-    if type(report) is dict and "tolerances" in report:
-        rows = _tolerance_rows(report["tolerances"])
-        if rows is not None:
-            cached_rows, text = _encoded_tolerances
-            if rows != cached_rows:
-                encode(report["tolerances"], "\n  ")
-                text = "".join(parts)
-                parts.clear()
-                _encoded_tolerances = (rows, text)
-            report = {**report, "tolerances": _Encoded(text)}
-    encode(report, "\n")
+    write((("", report),), "\n")
     append("\n")
     return "".join(parts)
 
@@ -433,10 +436,14 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
     rows). The report's artifact list is filled in here.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = ["report.json"] + sorted(csv_files)
     report["artifacts"] = artifacts
-    _write_artifact(out_dir / "report.json", _report_json(report))
+    text = _report_json(report)
+    try:
+        _write_artifact(out_dir / "report.json", text)
+    except FileNotFoundError:  # the directory is made only when missing
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_artifact(out_dir / "report.json", text)
     for name in sorted(csv_files):
         header, rows = csv_files[name]
         text = io.StringIO(newline="")
@@ -453,19 +460,12 @@ def _money(v: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
-def _property_dicts(checks) -> list[dict]:
-    return [c.to_dict() for c in checks]
-
-
-def _properties_ok(checks) -> bool:
-    return all(c.holds is not False for c in checks)
-
-
 def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     point = _mapping(cfg.require("design_point"), "design_point", "reward")
-    c = np.asarray(point.get("perturbation", [0.0] * profile.n_players), dtype=float)
-    dp = DesignPoint(float(point["reward"]), c)
+    c = _vector(point.get("perturbation", [0.0] * profile.n_players),
+                "design_point.perturbation", profile.n_players)
+    dp = DesignPoint(_number(point["reward"], "design_point.reward"), c)
     eq = solve_equilibrium(profile, dp)
     checks = analysis.check_properties(profile, dp, eq)
     agg = sum(payoffs(profile, dp, eq.s_star).tolist())
@@ -483,48 +483,52 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "aggregate_payoff": agg,
         "poa_true": analysis.true_poa(profile, dp, eq),
     }
-    ok = eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"] and _properties_ok(checks)
-    return ("ok" if ok else "verification_failed"), results, _property_dicts(checks), {}
+    ok = (eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
+          and all(check.holds is not False for check in checks))
+    return ("ok" if ok else "verification_failed"), results, [c.to_dict() for c in checks], {}
 
 
 _BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
 
 
-def _bound_rows(bounds) -> list[dict]:
-    # One dict of the four bounds per reward, from vectors over a sweep.
-    columns = [getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
-    return [dict(zip(_BOUND_FIELDS, row)) for row in zip(*columns)]
+def _sweep_csv_rows(reward, good, poa, g_lower, g_upper, poa_lower, poa_upper) -> list[tuple]:
+    """The rows of sweep.csv from lists of floats, formatted a column at a time."""
+
+    def money(values):  # `_money` of each value
+        return ["0.00" if text == "-0.00" else text for text in map("%.2f".__mod__, values)]
+
+    def ratio(values):
+        return [repr(v) if math.isfinite(v) else "+inf" for v in values]
+
+    return list(zip(money(reward), money(good), ratio(poa), ratio(poa_lower), ratio(poa_upper),
+                    money(g_lower), money(g_upper)))
 
 
 def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     sweep = _mapping(cfg.require("sweep"), "sweep")
-    rewards = np.sort(np.array([float(r) for r in sweep.get("rewards", [])]))
-    c = np.asarray(sweep.get("perturbation", [0.0] * profile.n_players), dtype=float)
+    try:
+        rewards = np.sort(np.array([float(r) for r in sweep.get("rewards", [])]))
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("sweep.rewards must be a list of numbers") from None
+    c = _vector(sweep.get("perturbation", [0.0] * profile.n_players),
+                "sweep.perturbation", profile.n_players)
     graded = analysis.analyze_sweep(profile, c, rewards)
+    reward, good, poa = rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist()
+    statement, proof = ([getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
+                        for bounds in (graded.bounds, graded.proof_bounds))
     # Statement-form bounds are primary; the tightened variant is reported
     # alongside, never silently substituted. Both certify the same players.
     rows = [
-        {"reward": reward, "public_good": good, "poa_true": poa,
-         "assured_active_count": k, **bounds, "proof_tightened": proof}
-        for reward, good, poa, k, bounds, proof in zip(
-            rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist(),
-            graded.bounds.assured_active_count.tolist(),
-            _bound_rows(graded.bounds), _bound_rows(graded.proof_bounds))
-    ]
-
-    def fmt(v):
-        return repr(float(v)) if math.isfinite(v) else "+inf"
-
-    csv_rows = [
-        [_money(r["reward"]), _money(r["public_good"]), fmt(r["poa_true"]),
-         fmt(r["poa_lower"]), fmt(r["poa_upper"]), _money(r["g_lower"]),
-         _money(r["g_upper"])]
-        for r in rows
+        {"reward": r, "public_good": g, "poa_true": p, "assured_active_count": k,
+         **dict(zip(_BOUND_FIELDS, bounds)), "proof_tightened": dict(zip(_BOUND_FIELDS, tight))}
+        for r, g, p, k, bounds, tight in zip(
+            reward, good, poa, graded.bounds.assured_active_count.tolist(),
+            zip(*statement), zip(*proof))
     ]
     csvs = {"sweep.csv": (
         ["reward", "public_good", "poa_true", "poa_lower", "poa_upper",
-         "g_lower", "g_upper"], csv_rows)}
+         "g_lower", "g_upper"], _sweep_csv_rows(reward, good, poa, *statement))}
     results = {"player_ids": ids, "perturbation": c, "sweep": rows}
     return ("ok" if graded.ok.all() else "verification_failed"), results, [], csvs
 
@@ -541,8 +545,9 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
     return design_mod.DesignProblem(
         profile,
         constraints,
-        alpha=float(cfg.get("alpha", 1.0)),
-        reward_floor=float(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR)),
+        alpha=_number(cfg.get("alpha", 1.0), "alpha"),
+        reward_floor=_number(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
+                             "reward_floor"),
     )
 
 
@@ -594,11 +599,12 @@ def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]
         if name not in actual:
             raise ConfigError(f"golden target {name!r} is not produced by this pipeline")
         value = actual[name]
-        expected = float(spec["value"])
+        spec = _mapping(spec, f"golden.{name}", "value")
+        expected = _number(spec["value"], f"golden.{name}.value")
         if "tol_abs" in spec:
-            tol = float(spec["tol_abs"])
+            tol = _number(spec["tol_abs"], f"golden.{name}.tol_abs")
         elif "tol_rel" in spec:
-            tol = float(spec["tol_rel"]) * abs(expected)
+            tol = _number(spec["tol_rel"], f"golden.{name}.tol_rel") * abs(expected)
         else:
             raise ConfigError(f"golden target {name!r} needs tol_abs or tol_rel")
         table.append({
@@ -613,9 +619,9 @@ def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]
 
 def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     scenario = _scenario_from_config(cfg)
-    offset = float(_mapping(cfg.get("casestudy", {}), "casestudy").get("coefficient_offset", 100.0))
-    profile = BenefitProfile.scaled_log(
-        [offset + b for b in scenario.load_bus_ids])
+    offset = _mapping(cfg.get("casestudy", {}), "casestudy").get("coefficient_offset", 100.0)
+    offset = _number(offset, "casestudy.coefficient_offset")
+    profile = BenefitProfile.scaled_log([offset + b for b in scenario.load_bus_ids])
     problem = _design_problem(cfg, profile, grid_mod.build_dr_constraints(scenario))
     status, sol, verification, eq = _solve_and_verify(problem)
     if sol.status != "optimal":
@@ -682,28 +688,29 @@ _PIPELINES = {
 }
 
 
+def _report(verb: str, seed: int, status: str, results: dict, properties: list) -> dict:
+    """A run's report, less the artifact list that `emit_report` fills in."""
+    return {"schema_version": SCHEMA_VERSION, "verb": verb, "seed": seed, "status": status,
+            "tolerances": TOLERANCES, "results": results, "properties": properties}
+
+
 def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> HarnessResult:
     """Execute one pipeline and write its artifacts.
 
     Returns a HarnessResult whose status is "ok" only when every verification
     in the pipeline passed; config errors raise ConfigError instead.
     """
-    seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
+    try:
+        seed = int(cfg.get("seed", 0) if seed is None else seed)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("seed must be an integer") from None
     out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
 
     if verb not in _PIPELINES:
         raise ConfigError(f"unknown pipeline verb {verb!r}")
     status, results, properties, csvs = _PIPELINES[verb](cfg)
 
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": verb,
-        "seed": seed,
-        "status": status,
-        "tolerances": TOLERANCES,
-        "results": results,
-        "properties": properties,
-    }
+    report = _report(verb, seed, status, results, properties)
     artifacts = emit_report(out_dir, report, csvs)
     return HarnessResult(status, report, out_dir, artifacts)
 
@@ -835,16 +842,9 @@ def run_selftest(seed: int = 0, out_dir=None) -> tuple[bool, list[str], dict]:
         ok = ok and passed
         lines.append(f"SELFTEST {name}: {'PASS' if passed else 'FAIL'} ({detail})")
         entries.append({"name": name, "ok": bool(passed), "detail": detail})
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "verb": "selftest",
-        "seed": int(seed),
-        "status": "ok" if ok else "verification_failed",
-        "tolerances": TOLERANCES,
-        "results": {"checks": entries},
-        "properties": [],
-        "artifacts": [],
-    }
+    report = _report("selftest", int(seed), "ok" if ok else "verification_failed",
+                     {"checks": entries}, [])
+    report["artifacts"] = []
     if out_dir is not None:
         emit_report(Path(out_dir), report, {})
     return ok, lines, report

@@ -51,8 +51,11 @@ golden:
 
 
 # (verb, scenario text, key the ConfigError names): sections that are not
-# mappings, and mappings without a key the pipeline reads.
+# mappings, mappings without a key the pipeline reads, and fields that are not
+# numbers or not of the players' length.
 INLINE = I2_PLAYERS + "constraints: {source: inline, rows: [%s]}\n"
+POINT = I2_PLAYERS + "design_point: {reward: 1, perturbation: %s}\n"
+SWEEP = I2_PLAYERS + "sweep: {rewards: %s, perturbation: %s}\n"
 MALFORMED = [
     pytest.param("equilibrium", "profile: {players: [1.0, 2.0]}\ndesign_point: {reward: 1}\n",
                  "profile.players[0]", id="player"),
@@ -82,6 +85,48 @@ MALFORMED = [
                                                 "casestudy: 100"), "casestudy", id="casestudy"),
     pytest.param("casestudy", CASESTUDY.split("golden:")[0] + "golden: [reward]\n", "golden",
                  id="golden"),
+    pytest.param("equilibrium", I2_PLAYERS.replace("coefficient: 1.0}", "coefficient: x}", 1)
+                 + "design_point: {reward: 1}\n", "profile.players[0].coefficient",
+                 id="coefficient_not_a_number"),
+    pytest.param("equilibrium", I2_PLAYERS + "design_point: {reward: x}\n",
+                 "design_point.reward", id="reward_not_a_number"),
+    pytest.param("equilibrium", POINT % "[0, x]", "design_point.perturbation",
+                 id="perturbation_not_a_number"),
+    pytest.param("equilibrium", POINT % "[0, 0, 0]", "design_point.perturbation",
+                 id="perturbation_player_count"),
+    pytest.param("equilibrium", POINT % "0", "design_point.perturbation",
+                 id="perturbation_scalar"),
+    pytest.param("equilibrium", POINT % "[0, 0]" + "seed: x\n", "seed", id="seed_not_a_number"),
+    pytest.param("analyze", SWEEP % ("[1, x]", "[0, 0]"), "sweep.rewards",
+                 id="rewards_not_a_number"),
+    pytest.param("analyze", SWEEP % ("5", "[0, 0]"), "sweep.rewards", id="rewards_scalar"),
+    pytest.param("analyze", SWEEP % ("[1]", "x"), "sweep.perturbation",
+                 id="sweep_perturbation_not_a_number"),
+    pytest.param("analyze", SWEEP % ("[1]", "[0]"), "sweep.perturbation",
+                 id="sweep_perturbation_player_count"),
+    pytest.param("design", I2_PLAYERS + "alpha: x\n", "alpha", id="alpha_not_a_number"),
+    pytest.param("design", I2_PLAYERS + "reward_floor: x\n", "reward_floor",
+                 id="reward_floor_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("coefficient_offset: 100", "coefficient_offset: x"),
+                 "casestudy.coefficient_offset", id="coefficient_offset_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("demand_scale: 1.3", "demand_scale: x"),
+                 "constraints.grid.demand_scale", id="demand_scale_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("rate_dollars_per_kwh: 0.1",
+                                                "rate_dollars_per_kwh: [0.1]"),
+                 "constraints.grid.rate_dollars_per_kwh", id="rate_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("horizon_hours: 1.0", "horizon_hours: x"),
+                 "constraints.grid.horizon_hours", id="horizon_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 2317, tol_abs: 0.5}",
+                                                "{value: x, tol_abs: 0.5}"),
+                 "golden.socially_optimal_good.value", id="golden_value_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 2317, tol_abs: 0.5}",
+                                                "{value: 2317, tol_abs: x}"),
+                 "golden.socially_optimal_good.tol_abs", id="golden_tol_abs_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 3358, tol_rel: 0.005}",
+                                                "{value: 3358, tol_rel: x}"),
+                 "golden.reward.tol_rel", id="golden_tol_rel_not_a_number"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 3358, tol_rel: 0.005}", "3358"),
+                 "golden.reward", id="golden_row"),
 ]
 
 
@@ -538,6 +583,17 @@ _SCALARS = (
     | st.floats(width=32).map(np.float32) | st.floats().map(np.float64)
     | st.integers(-2**63, 2**63 - 1).map(np.int64)
 )
+# Dict keys, among them an int and a str with the same text.
+_KEY_LISTS = st.lists(st.sampled_from(["a", "b", "1", 1, -1, "-1"]) | st.text(max_size=3),
+                      min_size=1, max_size=4, unique=True)
+
+
+def _same_shape_dicts(values, max_size=3):
+    # Lists of dicts that share one key tuple: one dict layout, reused.
+    return _KEY_LISTS.flatmap(lambda keys: st.lists(
+        st.fixed_dictionaries({key: values for key in keys}), min_size=1, max_size=max_size))
+
+
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: (
@@ -545,9 +601,17 @@ _VALUES = st.recursive(
         | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(st.text(max_size=6) | st.integers(-9, 9), inner, max_size=4)
         | st.lists(st.floats(), max_size=4).map(np.array)
+        | _same_shape_dicts(inner)
     ),
     max_leaves=25,
 )
+
+
+class _Label(str):
+    """A str whose str() is not its value, as a report key."""
+
+    def __str__(self):
+        return "label " + str.__str__(self)
 
 
 class TestReportEncoding:
@@ -584,8 +648,31 @@ class TestReportEncoding:
             "strings": ['quote " and backslash \\', "tab\tnewline\n\x00\x1f",
                         "caf\u00e9 \u2713 \U0001f600", ""],
             "literals": [True, False, None, 0, -12345678901234567890],
+            # An int and a str key with the same text: the later value wins.
+            "same_text": [{1: "int first", "1": "str later"}, {"1": "str first", 1: "int later"}],
+            # The exact-str shape comes first, so its layout is memoized when
+            # the _Label key, equal to "a" but with other text, is encoded.
+            "labels": [{"a": 1, "b": 2}, {_Label("a"): 1, "b": 2}, {"b": 3, _Label("a"): 4}],
         }
         assert _report_json(report) == reference_report_json(report)
+
+    def test_equal_keys_of_other_types_get_their_own_text(self):
+        # Keys equal to a memoized shape's keys, but of another type, have
+        # other text: 1.0 and True equal 1, and a _Label equals its str.
+        shapes = [{"a": 0, 1: 1}, {"a": 0, 1.0: 1}, {"a": 0, True: 1}, {"a": 0, np.int64(1): 1},
+                  {_Label("a"): 0, 1: 1}, {"a": 0, 1: 1}]
+        for value in shapes:
+            assert _report_json(value) == reference_report_json(value), value
+            assert _report_json([value]) == reference_report_json([value]), value
+
+    @settings(max_examples=100, deadline=None)
+    @given(_KEY_LISTS, st.lists(_SCALARS, min_size=8, max_size=8),
+           st.lists(_SCALARS, min_size=8, max_size=8))
+    def test_one_shape_reused(self, keys, first, second):
+        # Two dicts of one shape, back to back and then at two depths.
+        a, b = dict(zip(keys, first)), dict(zip(keys, second))
+        for value in (a, b, {"x": a, "y": [b]}, [b, {"z": a}]):
+            assert _report_json(value) == reference_report_json(value)
 
     @settings(max_examples=300, deadline=None)
     @given(_VALUES)
@@ -660,6 +747,26 @@ class TestArtifactWrites:
             assert patched != original
         monkeypatch.undo()
         assert report_text("restored") == original
+
+    def test_missing_nested_out_dir_is_made(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.EQUILIBRIUM)
+        out = tmp_path / "a" / "b" / "c"
+        result = run_scenario("equilibrium", ScenarioConfig.from_file(path), out_dir=out)
+        assert (out / "report.json").read_text() == reference_report_json(result.report)
+        out = tmp_path / "d" / "e"
+        assert cli_main(["equilibrium", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "report.json").is_file()
+
+    def test_out_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.EQUILIBRIUM)
+        out = tmp_path / "out"
+        out.write_text("a regular file\n")
+        with pytest.raises(OSError):
+            run_scenario("equilibrium", ScenarioConfig.from_file(path), out_dir=out)
+        code = cli_main(["equilibrium", "--config", str(path), "--out", str(out)])
+        assert code == 1
+        assert "i/o error" in capsys.readouterr().err
+        assert out.read_text() == "a regular file\n"
 
     def test_write_error_raises_and_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, self.EQUILIBRIUM)
