@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benefit import BenefitProfile
-from .errors import DegenerateBoundError, InvariantViolationError
+from .errors import InvariantViolationError
 from .game import (
     TOL_ACTIVE,
     TOLERANCES,
@@ -25,7 +25,6 @@ from .game import (
     EquilibriumResult,
     EquilibriumSweep,
     _good_sensitivities,
-    solve_equilibrium,
     solve_sweep,
 )
 
@@ -162,13 +161,12 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
     return 0.0 if m <= 0.0 else m * gap / (1.0 - m)
 
 
-def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, strict: bool):
+def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str):
     """(g_lower, g_upper, poa_lower, poa_upper, assured count) at reward(s) R.
 
     Each bound inverts H at a formula's argument and clamps the good to the
     feasible bracket [gl, gu]. An argument above H(0) would place the good
-    below zero: the bound is vacuous there, and `strict` raises
-    DegenerateBoundError unless it is within root-solve noise of H(0).
+    below zero: the bound is vacuous there and clamps to gl.
     """
     if variant not in ("statement", "proof"):
         raise ValueError(f"unknown bound variant {variant!r}")
@@ -180,49 +178,39 @@ def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str, stri
     # which would lose a slope below the float spacing of 1.
     k = (_per_player(profile.slopes(gu), R) > (gu - c_bar) / (R + gu - c_bar)).sum(axis=0)
 
-    def invert(arg, side):
-        if strict and np.count_nonzero(arg > h0 * (1.0 + 1e-9)):
-            raise DegenerateBoundError(side, float(np.max(arg)), h0)
-        return _invert(h0, arg, gl, gu)
-
     if c_bar <= profile.g_star:
         # Far end: the good can fall short of the optimum by at most this much.
-        g_far = invert((n - 1) * (gu - c_bar) / (R + gl - c_bar) + 1.0, "far")
+        g_far = _invert(h0, (n - 1) * (gu - c_bar) / (R + gl - c_bar) + 1.0, gl, gu)
         # Near end: how close to the optimum the good is guaranteed to sit.
         near = gl - c_bar if variant == "statement" else g_far
-        g_near = invert((k - 1) * near / (R + gu - c_bar) + 1.0, "near")
+        g_near = _invert(h0, (k - 1) * near / (R + gu - c_bar) + 1.0, gl, gu)
     else:
         den_far = R + gl - c_bar  # can be nonpositive when c_bar >= R + G*
         # There the far end stays at gu, where a zero argument inverts to.
         positive = den_far > 0.0
         arg_far = (k - 1) * (gl - c_bar) / _select(positive, den_far, 1.0) + 1.0
-        g_far = invert(_select(positive, arg_far, 0.0), "far")
-        g_near = invert((n - 1) * (gu - c_bar) / (R + gu - c_bar) + 1.0, "near")
+        g_far = _invert(h0, _select(positive, arg_far, 0.0), gl, gu)
+        g_near = _invert(h0, (n - 1) * (gu - c_bar) / (R + gu - c_bar) + 1.0, gl, gu)
     p_low, p_high = _order(_aggregate_payoff(profile, g_far), _aggregate_payoff(profile, g_near))
     opt = profile.optimal_payoff
     return (*_order(g_far, g_near), _poa(opt, p_high), _poa(opt, p_low), k)
 
 
 def poa_bounds(profile: BenefitProfile, design: DesignPoint,
-               variant: str = "statement", *, strict: bool = False) -> PoaBounds:
+               variant: str = "statement") -> PoaBounds:
     """Closed-form public-good bracket and price-of-anarchy sandwich.
 
     A bound formula that leaves the invertible range of H is vacuous at this
-    design point: it maps to +inf, or with `strict` raises
-    DegenerateBoundError. The "proof" variant substitutes the far bound into
-    the near-bound numerator, which tightens it whenever at least two players
-    are certifiably active.
+    design point: it maps to +inf. The "proof" variant substitutes the far
+    bound into the near-bound numerator, which tightens it whenever at least
+    two players are certifiably active.
     """
-    *ends, k = _compute_bounds(profile, design.perturbation_total, design.reward,
-                               variant, strict)
+    *ends, k = _compute_bounds(profile, design.perturbation_total, design.reward, variant)
     return PoaBounds(*ends, int(k))
 
 
-def true_poa(profile: BenefitProfile, design: DesignPoint,
-             eq: EquilibriumResult | None = None) -> float:
+def true_poa(profile: BenefitProfile, eq: EquilibriumResult) -> float:
     """Socially optimal payoff over the solved equilibrium's aggregate payoff."""
-    if eq is None:
-        eq = solve_equilibrium(profile, design)
     return float(_poa(profile.optimal_payoff, _aggregate_payoff(profile, eq.G)))
 
 
@@ -256,7 +244,7 @@ def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshol
         margin = math.copysign(1.0, g_star - c_bar) * dG_dR
         reward_sensitivity = (margin, margin >= floor, [inactive])
         # A lone player's good is pinned by its own first-order condition;
-        # perturbations cannot move it, so strict positivity is vacuous there.
+        # perturbations cannot move it, so a positive sensitivity is vacuous there.
         perturbation_sensitivity = (dG_dc, dG_dc > 0.0, [inactive, (
             n == 1, "single-player instance: perturbations cannot move the good")])
     # Per-player investment floor, asserted above the reward threshold.
@@ -282,21 +270,14 @@ def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshol
 
 
 def check_properties(profile: BenefitProfile, design: DesignPoint,
-                     eq: EquilibriumResult, *,
-                     bounds: PoaBounds | None = None,
-                     threshold: float | None = None) -> list[PropertyCheck]:
+                     eq: EquilibriumResult) -> list[PropertyCheck]:
     """Grade a solved equilibrium against the feasibility and bound properties.
 
     Report-only: every entry carries a margin (negative means violated) or a
-    reason the property does not apply at this design point. `bounds` are the
-    statement-variant `poa_bounds` at this point when the caller already holds
-    them, and `threshold` is `reward_threshold(profile, c)`, which does not
-    depend on the reward; None computes either here.
+    reason the property does not apply at this design point.
     """
-    if threshold is None:
-        threshold = reward_threshold(profile, design.perturbation)
-    if bounds is None:
-        bounds = poa_bounds(profile, design)
+    threshold = reward_threshold(profile, design.perturbation)
+    bounds = poa_bounds(profile, design)
     checks = []
     for name, margin, holds, rules in _graded(
             profile, design.perturbation, design.reward, eq.G, eq.s_star,
@@ -322,7 +303,7 @@ def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:
     c = np.asarray(c, dtype=float)
     R = eq.rewards
     bounds, proof = (
-        PoaBounds(*_compute_bounds(profile, float(c.sum()), R, variant, False))
+        PoaBounds(*_compute_bounds(profile, float(c.sum()), R, variant))
         for variant in ("statement", "proof"))
     ok = np.ones(R.shape, dtype=bool)
     for _, _, holds, rules in _graded(profile, c, R, eq.G, eq.s_star.T,

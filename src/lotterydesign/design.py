@@ -12,6 +12,7 @@ tests the collapse is exact lives with the tests (tests/oracles.py).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,10 +104,10 @@ class DesignProblem:
     reward_floor: float = DEFAULT_REWARD_FLOOR
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise InvariantViolationError("perturbation weight must be nonnegative")
-        if not (self.reward_floor > 0.0):
-            raise InvariantViolationError("reward floor must be positive")
+        if not 0.0 <= self.alpha < math.inf:
+            raise InvariantViolationError("perturbation weight must be finite and nonnegative")
+        if not 0.0 < self.reward_floor < math.inf:
+            raise InvariantViolationError("reward floor must be finite and positive")
         if self.constraints.n_players != self.profile.n_players:
             raise InvariantViolationError("constraints sized for a different player count")
 

@@ -31,22 +31,6 @@ class NonconvergenceError(LotteryDesignError):
     """
 
 
-class DegenerateBoundError(LotteryDesignError):
-    """A public-good bound formula produced an argument outside the invertible range.
-
-    Carries the offending argument and the range limit for diagnostics.
-    """
-
-    def __init__(self, side: str, argument: float, limit: float):
-        self.side = side
-        self.argument = argument
-        self.limit = limit
-        super().__init__(
-            f"{side} bound argument {argument:.6g} exceeds aggregate marginal "
-            f"at zero ({limit:.6g}); bound is vacuous at this design point"
-        )
-
-
 class UnsupportedRegimeError(LotteryDesignError):
     """An operation requires all players active but some are not."""
 

@@ -73,6 +73,8 @@ _MAX_STEPS = 2046
 # a few ulps at any scale: a fixed 1e-14 left a good near 0.01 with 1e-12
 # relative error.
 _XTOL, _RTOL = _TINY, 8.9e-16
+# Width at which the best-response oracle's golden-section search stops.
+_ORACLE_TOL = 1e-9
 _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
             "total perturbation exceeds what the reward and public good can cover")
 
@@ -477,13 +479,13 @@ def _payoff_grid(design, others_sum: float, c_i: float, a_i: float,
 
 
 def best_response_oracle(profile: BenefitProfile, design: DesignPoint,
-                         s_minus_i, i: int, tol: float = 1e-9) -> float:
+                         s_minus_i, i: int) -> float:
     """Brute-force best response of player i to fixed opponent investments.
 
     Coarse grid scan over [0, s_hi] followed by golden-section refinement to
-    `tol`; s_hi is expanded until the payoff is decreasing beyond it (the
-    payoff falls like -s_i for large investments). Test oracle only: makes no
-    use of first-order conditions.
+    a bracket of width `_ORACLE_TOL`; s_hi is expanded until the payoff is
+    decreasing beyond it (the payoff falls like -s_i for large investments).
+    Test oracle only: makes no use of first-order conditions.
     """
     s_minus_i = np.asarray(s_minus_i, dtype=float)
     n = profile.n_players
@@ -517,7 +519,7 @@ def best_response_oracle(profile: BenefitProfile, design: DesignPoint,
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = u(x1), u(x2)
-    while b - a > tol:
+    while b - a > _ORACLE_TOL:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)

@@ -105,12 +105,6 @@ class GridCase:
     def bus_index(self) -> dict[int, int]:
         return {b.bus_id: k for k, b in enumerate(self.buses)}
 
-    def demand_of(self, bus_id: int) -> float:
-        return next(b.demand_mw for b in self.buses if b.bus_id == bus_id)
-
-    def generation_at(self, bus_id: int) -> float:
-        return sum(g.output_mw for g in self.generators if g.bus_id == bus_id)
-
     def to_case_text(self) -> str:
         """Emit the MATPOWER-subset tables; parse_case inverts this exactly."""
         lines = ["function mpc = case", "mpc.version = '2';",
@@ -250,8 +244,12 @@ class DrScenario:
         case = self.case
         load_ids = case.load_bus_ids
         gen_ids = case.gen_bus_ids
-        demand = np.array([case.demand_of(b) for b in load_ids])
-        generation = np.array([case.generation_at(b) for b in gen_ids])
+        demand_mw = {b.bus_id: b.demand_mw for b in case.buses}
+        demand = np.array([demand_mw[b] for b in load_ids])
+        generation_mw = dict.fromkeys(gen_ids, 0.0)  # summed over each bus's generators
+        for g in case.generators:
+            generation_mw[g.bus_id] += g.output_mw
+        generation = np.array([generation_mw[b] for b in gen_ids])
         limits = np.array([
             br.limit_mw if br.limit_mw > 0.0 else math.inf for br in case.branches
         ])

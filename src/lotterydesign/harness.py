@@ -213,14 +213,24 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number") from None
 
 
-def _vector(value, name: str, n: int) -> np.ndarray:
-    """`value` as a vector of n floats, or ConfigError naming the field."""
+def _positive(value, name: str) -> float:
+    """`value` as a finite float > 0, or ConfigError naming the field."""
+    number = _number(value, name)
+    if not 0.0 < number < math.inf:
+        raise ConfigError(f"{name} must be a finite number > 0")
+    return number
+
+
+def _perturbation(value, name: str, n: int) -> np.ndarray:
+    """`value` as a vector of n finite floats >= 0, or ConfigError naming the field."""
     try:
         vector = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         vector = None
     if vector is None or vector.shape != (n,):
         raise ConfigError(f"{name} must be a list of {n} numbers")
+    if np.count_nonzero(vector < 0.0) or not np.isfinite(vector).all():
+        raise ConfigError(f"{name} entries must be finite numbers >= 0")
     return vector
 
 
@@ -235,7 +245,7 @@ def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
         if family != "scaled_log":
             raise ConfigError(f"unsupported benefit family {family!r}")
         ids.append(entry.get("player_id", k + 1))
-        coefficients.append(_number(entry["coefficient"], f"profile.players[{k}].coefficient"))
+        coefficients.append(_positive(entry["coefficient"], f"profile.players[{k}].coefficient"))
     return BenefitProfile.scaled_log(coefficients), ids
 
 
@@ -260,10 +270,10 @@ def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
     case = grid_mod.parse_case(_resolve_case_text(cfg, section.get("case_file", "")))
     return grid_mod.monetize(
         case,
-        demand_scale=_number(section.get("demand_scale", 1.0), "constraints.grid.demand_scale"),
-        rate=_number(section.get("rate_dollars_per_kwh", 0.1),
-                     "constraints.grid.rate_dollars_per_kwh"),
-        hours=_number(section.get("horizon_hours", 1.0), "constraints.grid.horizon_hours"),
+        demand_scale=_positive(section.get("demand_scale", 1.0), "constraints.grid.demand_scale"),
+        rate=_positive(section.get("rate_dollars_per_kwh", 0.1),
+                       "constraints.grid.rate_dollars_per_kwh"),
+        hours=_positive(section.get("horizon_hours", 1.0), "constraints.grid.horizon_hours"),
     )
 
 
@@ -454,18 +464,17 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
     return artifacts
 
 
-def _money(v: float) -> str:
-    text = f"{float(v):.2f}"
-    # A tiny negative rounds to "-0.00"; print zero without a sign.
-    return "0.00" if text == "-0.00" else text
+def _money(values) -> list[str]:
+    """Each value with two decimals; a tiny negative prints as "0.00", not "-0.00"."""
+    return ["0.00" if text == "-0.00" else text for text in map("%.2f".__mod__, values)]
 
 
 def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     point = _mapping(cfg.require("design_point"), "design_point", "reward")
-    c = _vector(point.get("perturbation", [0.0] * profile.n_players),
-                "design_point.perturbation", profile.n_players)
-    dp = DesignPoint(_number(point["reward"], "design_point.reward"), c)
+    c = _perturbation(point.get("perturbation", [0.0] * profile.n_players),
+                      "design_point.perturbation", profile.n_players)
+    dp = DesignPoint(_positive(point["reward"], "design_point.reward"), c)
     eq = solve_equilibrium(profile, dp)
     checks = analysis.check_properties(profile, dp, eq)
     agg = sum(payoffs(profile, dp, eq.s_star).tolist())
@@ -481,7 +490,7 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "max_foc_violation": eq.max_foc_violation,
         "iterations": eq.iterations,
         "aggregate_payoff": agg,
-        "poa_true": analysis.true_poa(profile, dp, eq),
+        "poa_true": analysis.true_poa(profile, eq),
     }
     ok = (eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
           and all(check.holds is not False for check in checks))
@@ -494,14 +503,11 @@ _BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
 def _sweep_csv_rows(reward, good, poa, g_lower, g_upper, poa_lower, poa_upper) -> list[tuple]:
     """The rows of sweep.csv from lists of floats, formatted a column at a time."""
 
-    def money(values):  # `_money` of each value
-        return ["0.00" if text == "-0.00" else text for text in map("%.2f".__mod__, values)]
-
     def ratio(values):
         return [repr(v) if math.isfinite(v) else "+inf" for v in values]
 
-    return list(zip(money(reward), money(good), ratio(poa), ratio(poa_lower), ratio(poa_upper),
-                    money(g_lower), money(g_upper)))
+    return list(zip(_money(reward), _money(good), ratio(poa), ratio(poa_lower), ratio(poa_upper),
+                    _money(g_lower), _money(g_upper)))
 
 
 def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
@@ -510,9 +516,11 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     try:
         rewards = np.sort(np.array([float(r) for r in sweep.get("rewards", [])]))
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("sweep.rewards must be a list of numbers") from None
-    c = _vector(sweep.get("perturbation", [0.0] * profile.n_players),
-                "sweep.perturbation", profile.n_players)
+        rewards = None
+    if rewards is None or not rewards.size or not (0.0 < rewards[0] and rewards[-1] < math.inf):
+        raise ConfigError("sweep.rewards must be a nonempty list of finite numbers > 0")
+    c = _perturbation(sweep.get("perturbation", [0.0] * profile.n_players),
+                      "sweep.perturbation", profile.n_players)
     graded = analysis.analyze_sweep(profile, c, rewards)
     reward, good, poa = rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist()
     statement, proof = ([getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
@@ -530,7 +538,11 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         ["reward", "public_good", "poa_true", "poa_lower", "poa_upper",
          "g_lower", "g_upper"], _sweep_csv_rows(reward, good, poa, *statement))}
     results = {"player_ids": ids, "perturbation": c, "sweep": rows}
-    return ("ok" if graded.ok.all() else "verification_failed"), results, [], csvs
+    # The equilibrium verb's rule, row by row: FOC residuals within the
+    # solver contract and every property that applies holding.
+    ok = (graded.ok.all() and (graded.equilibria.max_foc_violation
+                               <= TOLERANCES["foc_residual"]["value"]).all())
+    return ("ok" if ok else "verification_failed"), results, [], csvs
 
 
 def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
@@ -542,12 +554,15 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
                           "delete the key (the rows are always c_i <= h_i(G*))")
     if ir.get("enabled", False):
         constraints = constraints.stacked(design_mod.individual_rationality_rows(profile))
+    alpha = _number(cfg.get("alpha", 1.0), "alpha")
+    if not 0.0 <= alpha < math.inf:
+        raise ConfigError("alpha must be a finite number >= 0")
     return design_mod.DesignProblem(
         profile,
         constraints,
-        alpha=_number(cfg.get("alpha", 1.0), "alpha"),
-        reward_floor=_number(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
-                             "reward_floor"),
+        alpha=alpha,
+        reward_floor=_positive(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
+                               "reward_floor"),
     )
 
 
@@ -655,22 +670,16 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     })
     results["golden"] = golden_table
 
-    allocation_rows = [
-        [str(bus), _money(c[k]), _money(s[k])]
-        for k, bus in enumerate(scenario.load_bus_ids)
-    ]
-    demand_rows = [
-        [str(bus), _money(demand[k]), _money(demand[k] - s[k])]
-        for k, bus in enumerate(scenario.load_bus_ids)
-    ]
+    buses = list(map(str, scenario.load_bus_ids))
+    allocation_rows = list(zip(buses, _money(c), _money(s)))
+    demand_rows = list(zip(buses, _money(demand), _money(demand - s)))
     line_rows = []
-    for k, br in enumerate(scenario.case.branches):
-        limit = limits[k]
-        util = abs(flows[k]) / limit * 100.0 if math.isfinite(limit) else 0.0
-        line_rows.append([
-            f"{br.from_bus}-{br.to_bus}", _money(flows[k]),
-            _money(limit) if math.isfinite(limit) else "+inf", f"{util:.4f}",
-        ])
+    for br, flow, limit, flow_text, limit_text in zip(
+            scenario.case.branches, flows, limits, _money(flows), _money(limits)):
+        finite = math.isfinite(limit)
+        util = abs(flow) / limit * 100.0 if finite else 0.0
+        line_rows.append([f"{br.from_bus}-{br.to_bus}", flow_text,
+                          limit_text if finite else "+inf", f"{util:.4f}"])
     csvs = {
         "allocation.csv": (["bus", "c_star", "s_star"], allocation_rows),
         "demand.csv": (["bus", "demand", "adjusted"], demand_rows),
@@ -700,10 +709,10 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
     Returns a HarnessResult whose status is "ok" only when every verification
     in the pipeline passed; config errors raise ConfigError instead.
     """
-    try:
-        seed = int(cfg.get("seed", 0) if seed is None else seed)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("seed must be an integer") from None
+    seed = cfg.get("seed", 0) if seed is None else seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError("seed must be an integer")
+    seed = int(seed)
     out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
 
     if verb not in _PIPELINES:
@@ -748,10 +757,10 @@ def _selftest_cases(seed: int):
 
     profile2 = BenefitProfile.scaled_log([1.0, 1.0])
 
-    eq = solve_equilibrium(profile2, DesignPoint(1.0, np.zeros(2)))
+    unit = solve_equilibrium(profile2, DesignPoint(1.0, np.zeros(2)))
     yield ("two_player_equilibrium",
-           abs(eq.G - 0.5) <= 1e-9 and np.allclose(eq.s_star, 0.75, atol=1e-9),
-           f"G={eq.G:.12f}")
+           abs(unit.G - 0.5) <= 1e-9 and np.allclose(unit.s_star, 0.75, atol=1e-9),
+           f"G={unit.G:.12f}")
 
     dp = DesignPoint(1.0, np.array([0.5, 0.5]))
     eq = solve_equilibrium(profile2, dp)
@@ -762,10 +771,11 @@ def _selftest_cases(seed: int):
     rl = analysis.reward_threshold(profile2, np.zeros(2))
     yield ("reward_threshold", abs(rl - 1.0) <= 1e-9, f"R_L={rl:.12f}")
 
-    poa1 = analysis.true_poa(profile2, DesignPoint(1.0, np.zeros(2)))
+    poa1 = analysis.true_poa(profile2, unit)
     yield ("poa_at_unit_reward", abs(poa1 - 1.2425) <= 1e-3, f"PoA={poa1:.6f}")
 
-    poa_inf = analysis.true_poa(profile2, DesignPoint(1e6, np.zeros(2)))
+    poa_inf = analysis.true_poa(
+        profile2, solve_equilibrium(profile2, DesignPoint(1e6, np.zeros(2))))
     yield ("poa_limit", abs(poa_inf - 1.0) <= 1e-3, f"PoA={poa_inf:.8f}")
 
     problem = design_mod.DesignProblem(

@@ -51,10 +51,6 @@ class LinearProgram:
     def n_vars(self) -> int:
         return self.objective.size
 
-    @property
-    def n_rows(self) -> int:
-        return self.a_ub.shape[0] + self.a_eq.shape[0]
-
 
 @dataclass(frozen=True)
 class SimplexResult:

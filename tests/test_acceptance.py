@@ -179,7 +179,8 @@ class TestCriterion5PoaSandwich:
                f"200 pairs, min containment margin {worst:.2e}")
 
     def test_poa_values_and_limit(self, i2_profile):
-        values = {r: true_poa(i2_profile, DesignPoint(r, np.zeros(2)))
+        values = {r: true_poa(i2_profile,
+                              solve_equilibrium(i2_profile, DesignPoint(r, np.zeros(2))))
                   for r in (1.0, 10.0, 100.0, 1e6)}
         seq = [values[r] for r in (1.0, 10.0, 100.0, 1e6)]
         checks = [

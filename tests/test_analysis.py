@@ -14,7 +14,7 @@ from lotterydesign import (
     solve_equilibrium,
     true_poa,
 )
-from lotterydesign.errors import DegenerateBoundError, InvariantViolationError
+from lotterydesign.errors import InvariantViolationError
 from lotterydesign.game import TOLERANCES
 
 from conftest import bisect_root, random_profile
@@ -22,6 +22,10 @@ from conftest import bisect_root, random_profile
 
 def _design(reward, c):
     return DesignPoint(reward, np.asarray(c, dtype=float))
+
+
+def _solved_poa(profile, design):
+    return true_poa(profile, solve_equilibrium(profile, design))
 
 
 class TestRewardThreshold:
@@ -85,7 +89,7 @@ class TestAssuredActiveCount:
 
 class TestPublicGoodBounds:
     def test_two_player_unit_reward(self, i2_profile):
-        pb = poa_bounds(i2_profile, _design(1.0, [0, 0]), strict=True)
+        pb = poa_bounds(i2_profile, _design(1.0, [0, 0]))
         assert pb.g_lower == 0.0  # argument hits H(0) exactly
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
         # The solved good lands inside.
@@ -93,24 +97,20 @@ class TestPublicGoodBounds:
         assert pb.g_lower - 1e-9 <= eq.G <= pb.g_upper + 1e-9
 
     def test_budget_at_optimum_collapses_bracket(self, i2_profile):
-        pb = poa_bounds(i2_profile, _design(1.0, [0.5, 0.5]), strict=True)
+        pb = poa_bounds(i2_profile, _design(1.0, [0.5, 0.5]))
         assert pb.g_lower == pytest.approx(1.0, abs=1e-9)
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
 
     def test_large_reward_tightens(self, i2_profile):
-        pb = poa_bounds(i2_profile, _design(100.0, [0, 0]), strict=True)
+        pb = poa_bounds(i2_profile, _design(100.0, [0, 0]))
         # Far bound solves 2/(G+1) = 1.01.
         assert pb.g_lower == pytest.approx(2.0 / 1.01 - 1.0, abs=1e-9)
         assert pb.g_upper == pytest.approx(1.0, abs=1e-9)
 
-    def test_small_reward_is_degenerate(self, i2_profile):
-        with pytest.raises(DegenerateBoundError):
-            poa_bounds(i2_profile, _design(0.5, [0, 0]), strict=True)
-
     def test_proof_variant_tightens_with_assured_players(self, i2_profile):
         d = _design(10.0, [0, 0])
-        statement = poa_bounds(i2_profile, d, strict=True)
-        proof = poa_bounds(i2_profile, d, variant="proof", strict=True)
+        statement = poa_bounds(i2_profile, d)
+        proof = poa_bounds(i2_profile, d, variant="proof")
         assert statement.g_upper == pytest.approx(1.0, abs=1e-9)
         assert proof.g_upper < statement.g_upper
         eq = solve_equilibrium(i2_profile, d)
@@ -136,7 +136,7 @@ class TestPoaBounds:
         g = 2.0 / 1.01 - 1.0
         expected_upper = opt / (2.0 * math.log1p(g) - g)
         assert pb.poa_upper == pytest.approx(expected_upper, rel=1e-9)
-        actual = true_poa(i2_profile, d)
+        actual = _solved_poa(i2_profile, d)
         assert pb.poa_lower - 1e-9 <= actual <= pb.poa_upper + 1e-9
 
     def test_degenerate_maps_to_infinity(self, i2_profile):
@@ -147,19 +147,19 @@ class TestPoaBounds:
 
 class TestTruePoa:
     def test_unit_reward_value(self, i2_profile):
-        value = true_poa(i2_profile, _design(1.0, [0, 0]))
+        value = _solved_poa(i2_profile, _design(1.0, [0, 0]))
         expected = (2.0 * math.log(2.0) - 1.0) / (2.0 * math.log(1.5) - 0.5)
         assert value == pytest.approx(expected, abs=1e-9)
         assert value == pytest.approx(1.2425, abs=1e-3)
 
     def test_optimal_budget_is_efficient(self, i2_profile):
         for reward in (0.5, 1.0, 7.0):
-            assert true_poa(i2_profile, _design(reward, [0.5, 0.5])) == (
+            assert _solved_poa(i2_profile, _design(reward, [0.5, 0.5])) == (
                 pytest.approx(1.0, abs=1e-9))
 
     def test_improves_with_reward(self, i2_profile):
-        poa_1 = true_poa(i2_profile, _design(1.0, [0, 0]))
-        poa_10 = true_poa(i2_profile, _design(10.0, [0, 0]))
+        poa_1 = _solved_poa(i2_profile, _design(1.0, [0, 0]))
+        poa_10 = _solved_poa(i2_profile, _design(10.0, [0, 0]))
         assert 1.0 < poa_10 < poa_1
 
 
@@ -240,13 +240,13 @@ class TestSandwichInvariants:
             ends = sorted(profile.aggregate_value(g) - g
                           for g in (pb.g_lower, pb.g_upper))
             assert ends[0] - 1e-7 <= payoff_eq <= ends[1] + 1e-7
-            actual = true_poa(profile, d, eq)
+            actual = true_poa(profile, eq)
             assert pb.poa_lower - 1e-9 <= actual
             if math.isfinite(pb.poa_upper):
                 assert actual <= pb.poa_upper + 1e-9
 
     def test_asymptotic_efficiency(self, i2_profile):
-        values = [true_poa(i2_profile, _design(r, [0, 0]))
+        values = [_solved_poa(i2_profile, _design(r, [0, 0]))
                   for r in (1.0, 10.0, 100.0, 1e6)]
         assert all(v > 1.0 for v in values[:3])
         assert all(a > b for a, b in zip(values, values[1:]))

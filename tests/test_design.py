@@ -118,6 +118,14 @@ class TestConstraintSet:
         assert a.stacked(b).labels == ("r",)
 
 
+class TestDesignProblem:
+    @pytest.mark.parametrize("alpha, floor", [(-1.0, 1e-3), (math.nan, 1e-3), (math.inf, 1e-3),
+                                              (1.0, 0.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_weight_and_floor_must_be_finite_and_in_range(self, i2_profile, alpha, floor):
+        with pytest.raises(InvariantViolationError):
+            DesignProblem(i2_profile, ConstraintSet.empty(2), alpha=alpha, reward_floor=floor)
+
+
 class TestBuildReformulation:
     def test_unconstrained_shape(self, i2_problem):
         lp = build_reformulation(i2_problem)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
 from lotterydesign import DesignPoint, poa_bounds, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
-from lotterydesign.errors import ConfigError, InvariantViolationError
+from lotterydesign.errors import ConfigError
 from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json, load_report_schema
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -127,6 +127,43 @@ MALFORMED = [
                  "golden.reward.tol_rel", id="golden_tol_rel_not_a_number"),
     pytest.param("casestudy", CASESTUDY.replace("{value: 3358, tol_rel: 0.005}", "3358"),
                  "golden.reward", id="golden_row"),
+    # Numbers out of their field's range.
+    pytest.param("equilibrium", I2_PLAYERS.replace("coefficient: 1.0}", "coefficient: 0}", 1)
+                 + "design_point: {reward: 1}\n", "profile.players[0].coefficient",
+                 id="coefficient_nonpositive"),
+    pytest.param("equilibrium", I2_PLAYERS + "design_point: {reward: 0}\n",
+                 "design_point.reward", id="reward_nonpositive"),
+    pytest.param("equilibrium", I2_PLAYERS + "design_point: {reward: .inf}\n",
+                 "design_point.reward", id="reward_not_finite"),
+    pytest.param("equilibrium", POINT % "[-1, 0]", "design_point.perturbation",
+                 id="perturbation_negative"),
+    pytest.param("equilibrium", POINT % "[0, .nan]", "design_point.perturbation",
+                 id="perturbation_nan"),
+    pytest.param("analyze", SWEEP % ("[1]", "[0, -1]"), "sweep.perturbation",
+                 id="sweep_perturbation_negative"),
+    pytest.param("analyze", SWEEP % ("[1]", "[.nan, 0]"), "sweep.perturbation",
+                 id="sweep_perturbation_nan"),
+    pytest.param("analyze", SWEEP % ("[1, 0]", "[0, 0]"), "sweep.rewards",
+                 id="rewards_nonpositive"),
+    pytest.param("analyze", SWEEP % ("[]", "[0, 0]"), "sweep.rewards", id="rewards_empty"),
+    pytest.param("analyze", I2_PLAYERS + "sweep: {perturbation: [0, 0]}\n", "sweep.rewards",
+                 id="rewards_missing"),
+    pytest.param("design", I2_PLAYERS + "alpha: -1\n", "alpha", id="alpha_negative"),
+    pytest.param("design", I2_PLAYERS + "alpha: .nan\n", "alpha", id="alpha_nan"),
+    pytest.param("design", I2_PLAYERS + "reward_floor: 0\n", "reward_floor",
+                 id="reward_floor_nonpositive"),
+    pytest.param("design", I2_PLAYERS + "reward_floor: .inf\n", "reward_floor",
+                 id="reward_floor_inf"),
+    pytest.param("casestudy", CASESTUDY.replace("demand_scale: 1.3", "demand_scale: 0"),
+                 "constraints.grid.demand_scale", id="demand_scale_nonpositive"),
+    pytest.param("casestudy", CASESTUDY.replace("rate_dollars_per_kwh: 0.1",
+                                                "rate_dollars_per_kwh: -0.1"),
+                 "constraints.grid.rate_dollars_per_kwh", id="rate_nonpositive"),
+    pytest.param("casestudy", CASESTUDY.replace("horizon_hours: 1.0", "horizon_hours: 0"),
+                 "constraints.grid.horizon_hours", id="horizon_nonpositive"),
+    pytest.param("equilibrium", POINT % "[0, 0]" + "seed: 1.5\n", "seed",
+                 id="seed_not_an_integer"),
+    pytest.param("equilibrium", POINT % "[0, 0]" + "seed: true\n", "seed", id="seed_bool"),
 ]
 
 
@@ -356,16 +393,6 @@ class TestAnalyzeVerb:
         assert len(lines) == 6
         assert lines[1].split(",")[4] == "+inf"  # vacuous bound at R = 1
 
-    def test_empty_sweep_writes_header_only(self, tmp_path, schema):
-        text = I2_PLAYERS + "sweep: {rewards: [], perturbation: [0, 0]}\n"
-        cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
-        result = run_scenario("analyze", cfg, out_dir=tmp_path / "out")
-        assert result.status == "ok"
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        jsonschema.validate(report, schema)
-        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
-        assert len(lines) == 1
-
     def test_rows_hold_each_bound_once(self, tmp_path):
         # Statement bounds at the top of a row, the tightened variant under
         # proof_tightened, and the assured count, which both share, once.
@@ -398,8 +425,16 @@ class TestAnalyzeVerb:
     def test_nonpositive_reward_is_rejected(self, tmp_path):
         text = I2_PLAYERS + "sweep: {rewards: [1, 0], perturbation: [0, 0]}\n"
         cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
-        with pytest.raises(InvariantViolationError):
+        with pytest.raises(ConfigError, match=re.escape("sweep.rewards")):
             run_scenario("analyze", cfg, out_dir=tmp_path / "out")
+
+    def test_foc_residual_above_contract_fails_the_sweep(self, tmp_path, monkeypatch):
+        # The equilibrium verb's FOC rule: a tolerance no residual meets
+        # fails every row.
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
+        assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
+        monkeypatch.setitem(game.TOLERANCES["foc_residual"], "value", -1.0)
+        assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "verification_failed"
 
 
 class TestDesignVerb:
@@ -483,11 +518,8 @@ class TestCasestudyVerb:
             assert "-0.00" not in row.split(",")
 
     def test_money_never_prints_negative_zero(self):
-        assert _money(-0.0) == "0.00"
-        assert _money(-1e-9) == "0.00"
-        assert _money(-0.004) == "0.00"
-        assert _money(-0.006) == "-0.01"
-        assert _money(2317.0) == "2317.00"
+        assert _money([-0.0, -1e-9, -0.004, -0.006, 2317.0]) == [
+            "0.00", "0.00", "0.00", "-0.01", "2317.00"]
 
     def test_golden_mismatch_reported_not_forced(self, tmp_path):
         text = CASESTUDY.replace("{value: 3358, tol_rel: 0.005}",
@@ -510,7 +542,7 @@ class TestSinglePass:
             calls.append(args)
             return game.solve_equilibrium(*args, **kwargs)
 
-        for module in (harness, design, analysis):
+        for module in (harness, design):
             monkeypatch.setattr(module, "solve_equilibrium", counted)
         cfg = ScenarioConfig.from_file(CONFIGS / "case30.yaml")
         assert run_scenario("casestudy", cfg, out_dir=tmp_path).status == "ok"
@@ -522,9 +554,9 @@ class TestSinglePass:
         raw = analysis._compute_bounds
         calls = []
 
-        def counted(profile, c_bar, rewards, variant, strict):
+        def counted(profile, c_bar, rewards, variant):
             calls.append((variant, np.shape(rewards)))
-            return raw(profile, c_bar, rewards, variant, strict)
+            return raw(profile, c_bar, rewards, variant)
 
         monkeypatch.setattr(analysis, "_compute_bounds", counted)
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")

@@ -97,7 +97,6 @@ class TestParity:
             return
         sweep = analyze_sweep(profile, c, rewards)
         eq = sweep.equilibria
-        threshold = reward_threshold(profile, c)
         for k, (reward, point) in enumerate(zip(rewards.tolist(), points)):
             # Entries do not depend on the rest of the batch.
             same = rewards == reward
@@ -117,8 +116,8 @@ class TestParity:
             assert np.array_equal(eq.s_star[k], point.s_star)
             assert eq.max_foc_violation[k] == point.max_foc_violation
             assert sweep.poa_true[k] == pytest.approx(
-                true_poa(profile, design, point), rel=POA_REL)
-            checks = check_properties(profile, design, point, threshold=threshold)
+                true_poa(profile, point), rel=POA_REL)
+            checks = check_properties(profile, design, point)
             assert sweep.ok[k] == all(check.holds is not False for check in checks)
 
     def test_several_roots_both_drivers_return_the_same_one(self):

@@ -8,9 +8,10 @@ seeds 0 and 4, and every input of benchmark seed 7: the design_lp design
 problems, the small_games sweeps and its equilibrium corpus, built with the
 benchmark's own input generator in a temporary directory, as
 `tools/emit_time.py` does. Prints one line `<sha256>  <run>/<artifact>` per
-artifact, in a fixed order, and `raised  <run>: <error>` for a run that
-raises. Two trees that print the same lines wrote the same bytes. Takes no
-options.
+artifact, in a fixed order, `raised  <run>: <error>` for a run that raises,
+and `no verb  configs/<file>: <errors>` for a config file that configures no
+verb. Two trees that print the same lines wrote the same bytes. Takes no
+options. Exits 1 if a run raised or a config file configures no verb, else 0.
 """
 
 import hashlib
@@ -34,25 +35,35 @@ def digest(out: Path, run: str, names) -> None:
         print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {run}/{name}")
 
 
-def scenario(run: str, verb: str, cfg: ScenarioConfig, out: Path, optional=False) -> None:
-    # An optional verb that raises ConfigError is one the config does not
-    # configure, and prints nothing.
+def scenario(run: str, verb: str, cfg: ScenarioConfig, out: Path, optional=False):
+    """Run one verb and print its digests, or the error it raised; return that error.
+
+    An optional verb that raises ConfigError is one the config does not
+    configure, and prints nothing.
+    """
     try:
         result = run_scenario(verb, cfg, out_dir=out)
     except LotteryDesignError as exc:
         if not (optional and isinstance(exc, ConfigError)):
             print(f"raised  {run}: {type(exc).__name__}: {exc}")
-        return
+        return exc
     digest(out, run, result.artifacts)
+    return None
 
 
-def main():
+def main() -> int:
+    failed = False
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for path in sorted((ROOT / "configs").glob("*.yaml")):
-            for verb in VERBS:
-                scenario(f"configs/{path.name}:{verb}", verb, ScenarioConfig.from_file(path),
-                         work / "configs" / path.stem / verb, optional=True)
+            errors = [scenario(f"configs/{path.name}:{verb}", verb, ScenarioConfig.from_file(path),
+                               work / "configs" / path.stem / verb, optional=True)
+                      for verb in VERBS]
+            failed |= any(exc is not None and not isinstance(exc, ConfigError) for exc in errors)
+            if all(errors):
+                failed = True
+                print(f"no verb  configs/{path.name}: "
+                      + "; ".join(f"{verb}: {exc}" for verb, exc in zip(VERBS, errors)))
         for seed in (0, 4):
             out = work / "selftest" / str(seed)
             run_selftest(seed=seed, out_dir=out)
@@ -62,18 +73,21 @@ def main():
         design_lp = workloads.DesignLp(ROOT)
         design_lp.generate(BENCH_SEED, inputs)
         for k, problem in enumerate(design_lp.problems):
-            scenario(f"design_lp:{k}", "design", ScenarioConfig.from_file(problem.config),
-                     work / "design_lp" / str(k))
+            failed |= scenario(f"design_lp:{k}", "design",
+                               ScenarioConfig.from_file(problem.config),
+                               work / "design_lp" / str(k)) is not None
         small_games = workloads.SmallGames(ROOT)
         small_games.generate(BENCH_SEED, inputs)
         for regime, path, *_ in small_games.sweeps:
-            scenario(f"small_games:{regime}", "analyze", ScenarioConfig.from_file(path),
-                     work / "small_games" / regime)
+            failed |= scenario(f"small_games:{regime}", "analyze",
+                               ScenarioConfig.from_file(path),
+                               work / "small_games" / regime) is not None
         out = work / "small_games" / "equilibrium"
         for k, (config, *_) in enumerate(small_games.corpus):
-            scenario(f"small_games:corpus:{k}", "equilibrium",
-                     ScenarioConfig(config, inputs), out)
+            failed |= scenario(f"small_games:corpus:{k}", "equilibrium",
+                               ScenarioConfig(config, inputs), out) is not None
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
