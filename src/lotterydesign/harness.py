@@ -11,6 +11,11 @@ or sweep, the constraint source, and output options. Pipelines:
 - casestudy: ingest a grid case, monetize it, design, verify, and emit the
   per-bus and per-line figure data
 
+A scenario file reads to the document `yaml.load` builds with the safe
+loader, by the first of three readers that takes it: a line reader for the
+block layout PyYAML's dumper writes, a walker over the parser's events for any
+other single document, and yaml.load itself (see `_load_yaml`).
+
 Artifacts (report.json plus CSVs) are byte-deterministic for a fixed config
 and seed. report.json is encoded in one pass, sorting and encoding the keys of
 each dict shape once per process. Each artifact is overwritten in place: the
@@ -49,8 +54,8 @@ from .game import TOLERANCES, DesignPoint, payoffs, solve_equilibrium
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present. Its events come from C, and
-# `_load_yaml` builds documents from them; the pure-Python loader reads the
-# same documents more slowly.
+# `_build_document` builds documents from them; the pure-Python loader reads
+# the same documents more slowly.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # The plain decimals whose `float`/`int` is what SafeConstructor builds for the
@@ -91,20 +96,115 @@ def _plain_scalar(text: str, loader):
 
 
 def _load_yaml(text: str, loader=_YAML_LOADER):
-    """`yaml.load(text, Loader=loader)`, built from the parser's events.
+    """`yaml.load(text, Loader=loader)`, built by the first of three readers that takes it.
 
-    PyYAML turns the events into nodes and the nodes into values in Python,
-    which costs more than twice what parsing does on a large scenario file. This builds
-    the dicts and lists straight from the events. A stream it does not build
-    (an anchor, alias or explicit tag, the merge key, a non-scalar key, more
-    than one document, or a scalar the constructors reject) goes to yaml.load
-    whole, which accepts or rejects it exactly as before. A syntax error
-    raises the same yaml.YAMLError from the event stream as from yaml.load.
+    PyYAML turns the parser's events into nodes and the nodes into values in
+    Python, and on a large scenario file even making one Python event object
+    per node is most of the parse. `_read_block` reads a block-style document
+    whose scalars are all plain tokens, the layout PyYAML's dumper writes, a
+    line at a time without the parser. `_build_document` builds the dicts and
+    lists of any other single document straight from the events. A stream
+    neither builds (an anchor, alias or explicit tag, the merge key, a
+    non-scalar key, more than one document, or a scalar the constructors
+    reject) goes to yaml.load whole, which accepts or rejects it exactly as
+    before. A syntax error raises the same yaml.YAMLError from the event
+    stream as from yaml.load. The text alone chooses the reader.
     """
-    try:
-        return _build_document(text, loader)
-    except _Fallback:
-        return yaml.load(text, Loader=loader)
+    for read in (_read_block, _build_document):
+        try:
+            return read(text, loader)
+        except _Fallback:
+            pass
+    return yaml.load(text, Loader=loader)
+
+
+_TOKEN = r"(?:[\w.+]|-(?=[\w.+]))[\w.+-]*"
+# A line `_read_block` reads: its indent, at most one "- ", then "key:",
+# "key: token" or "token".
+_BLOCK_LINE = re.compile(rf"( *)(- )?(?:({_TOKEN}):(?: ({_TOKEN}))?|({_TOKEN}))\Z")
+# Characters that no such line holds and that hand-written files often do:
+# comments, quotes, flow collections, anchors, aliases, tags, block scalars.
+_NOT_BLOCK = "#'\"[]{}&*!|>\t\r"
+_SIMPLE_KEY_LENGTH = 1024  # the longest implicit key libyaml and PyYAML accept
+
+
+def _read_block(text: str, loader):
+    """A block-style mapping whose scalars are all plain tokens, or _Fallback.
+
+    Block rules: a sequence at its key's column is that key's value, "- key:"
+    opens a compact mapping two columns in, a key with no deeper line below it
+    is null, and a repeated key keeps its first place and its last value. A
+    comment, blank line, empty or nested "- ", or a line indented past the
+    structure (a plain scalar's continuation) raises _Fallback, as does any
+    other line outside the subset, before a value is returned.
+    """
+    if any(char in text for char in _NOT_BLOCK):
+        raise _Fallback
+    lines = text.removesuffix("\n").split("\n")  # an empty text is one blank line
+    plain = {}  # token -> value, as in `_build_document`
+
+    def scalar(token):
+        value = plain.get(token, _NO_KEY)
+        if value is _NO_KEY:
+            value = plain[token] = _plain_scalar(token, loader)
+        return value
+
+    root = container = {}
+    column, key, stack = 0, _NO_KEY, []  # key: the container's key whose value is below
+    i, end = 0, len(lines)
+    while i < end:
+        match = _BLOCK_LINE.match(lines[i])
+        i += 1
+        if match is None:
+            raise _Fallback
+        indent, dash, name, value, token = match.groups()
+        at = len(indent)
+        if key is not _NO_KEY:
+            if at > column or dash and at == column:  # the key's value starts here
+                if not dash and token is not None:
+                    container[key], key = scalar(token), _NO_KEY
+                    continue
+                new = [] if dash else {}
+                container[key] = new
+                stack.append((column, container))
+                column, container = at, new
+            else:
+                container[key] = None
+            key = _NO_KEY
+        while at < column:
+            column, container = stack.pop()
+        if not dash and type(container) is list:  # a sequence at its key's column ends
+            column, container = stack.pop()
+        if at != column or (type(container) is list) != bool(dash) or not (dash or name):
+            raise _Fallback
+        if dash and name is None:
+            append, get, start = container.append, plain.get, at + 2
+            prefix = lines[i - 1][:start]
+            append(scalar(token))
+            while i < end:  # the items that follow with a token already read
+                line = lines[i]
+                if not line.startswith(prefix):
+                    break
+                item = get(line[start:], _NO_KEY)
+                if item is _NO_KEY:
+                    break
+                append(item)
+                i += 1
+            continue
+        if dash:
+            new = {}
+            container.append(new)
+            stack.append((column, container))
+            column, container = at + 2, new
+        if len(name) > _SIMPLE_KEY_LENGTH:
+            raise _Fallback
+        if value is None:
+            key = scalar(name)
+        else:
+            container[scalar(name)] = scalar(value)
+    if key is not _NO_KEY:
+        container[key] = None
+    return root
 
 
 def _build_document(text: str, loader):
@@ -246,7 +346,15 @@ def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
             raise ConfigError(f"unsupported benefit family {family!r}")
         ids.append(entry.get("player_id", k + 1))
         coefficients.append(_positive(entry["coefficient"], f"profile.players[{k}].coefficient"))
-    return BenefitProfile.scaled_log(coefficients), ids
+    return _benefit_profile(coefficients, "profile.players"), ids
+
+
+def _benefit_profile(coefficients: list, name: str) -> BenefitProfile:
+    """The profile of these coefficients, or ConfigError naming the field they come from."""
+    try:
+        return BenefitProfile.scaled_log(coefficients)
+    except InvariantViolationError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _resolve_case_text(cfg: ScenarioConfig, case_file: str) -> str:
@@ -636,7 +744,8 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     scenario = _scenario_from_config(cfg)
     offset = _mapping(cfg.get("casestudy", {}), "casestudy").get("coefficient_offset", 100.0)
     offset = _number(offset, "casestudy.coefficient_offset")
-    profile = BenefitProfile.scaled_log([offset + b for b in scenario.load_bus_ids])
+    profile = _benefit_profile([offset + b for b in scenario.load_bus_ids],
+                               "casestudy.coefficient_offset")
     problem = _design_problem(cfg, profile, grid_mod.build_dr_constraints(scenario))
     status, sol, verification, eq = _solve_and_verify(problem)
     if sol.status != "optimal":

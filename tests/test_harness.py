@@ -131,6 +131,14 @@ MALFORMED = [
     pytest.param("equilibrium", I2_PLAYERS.replace("coefficient: 1.0}", "coefficient: 0}", 1)
                  + "design_point: {reward: 1}\n", "profile.players[0].coefficient",
                  id="coefficient_nonpositive"),
+    pytest.param("equilibrium", I2_PLAYERS.replace("coefficient: 1.0}", "coefficient: 0.3}")
+                 + "design_point: {reward: 1}\n", "profile.players", id="coefficients_sum_to_one"),
+    pytest.param("casestudy", CASESTUDY.replace("coefficient_offset: 100",
+                                                "coefficient_offset: -1000"),
+                 "casestudy.coefficient_offset", id="coefficient_offset_nonpositive"),
+    pytest.param("casestudy", CASESTUDY.replace("coefficient_offset: 100",
+                                                "coefficient_offset: -1.0e400"),
+                 "casestudy.coefficient_offset", id="coefficient_offset_not_finite"),
     pytest.param("equilibrium", I2_PLAYERS + "design_point: {reward: 0}\n",
                  "design_point.reward", id="reward_nonpositive"),
     pytest.param("equilibrium", I2_PLAYERS + "design_point: {reward: .inf}\n",
@@ -168,10 +176,15 @@ MALFORMED = [
 
 
 def read_yaml(text, loader=harness._YAML_LOADER):
-    """`harness._load_yaml(text, loader)`, and whether it handed the text to yaml.load."""
-    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+    """`harness._load_yaml(text, loader)`, and the reader that built it.
+
+    "block" for the line reader, "events" for the event walker, "yaml.load"
+    when both handed the text on.
+    """
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load, mock.patch.object(
+            harness, "_build_document", wraps=harness._build_document) as events:
         value = harness._load_yaml(text, loader)
-    return value, load.called
+    return value, "yaml.load" if load.called else "events" if events.called else "block"
 
 
 def write_config(tmp_path, text, name="scenario.yaml"):
@@ -218,8 +231,8 @@ class TestConfig:
         assert repr(yaml.load(text, Loader=yaml.SafeLoader)) == expected
         assert repr(ScenarioConfig.from_file(path).raw) == expected
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            value, fell_back = read_yaml(text, loader)
-            assert repr(value) == expected and not fell_back
+            value, reader = read_yaml(text, loader)
+            assert repr(value) == expected and reader != "yaml.load"
 
     def test_missing_profile_key(self, tmp_path):
         cfg = ScenarioConfig.from_file(write_config(tmp_path, "alpha: 1\n"))
@@ -266,6 +279,20 @@ _DOCUMENTS = st.recursive(
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 _LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 _LARGE = yaml.dump({"rows": [{"s_coeffs": [0.5] * 60, "rhs": 1.0}] * 40}, Dumper=_DUMPER)
+_BLOCK = yaml.dump({"rows": [{"rhs": float(k), "s_coeffs": [0.5] * 60} for k in range(40)]},
+                   Dumper=_DUMPER)
+# Documents the dumper writes as plain tokens in block style: no nested list
+# (written "- - "), no empty collection (written "[]" or "{}"), no string it
+# would quote, and keys short enough to be written without "? ".
+_NAMES = st.from_regex(r"[A-Za-z0-9_.+][A-Za-z0-9_.+-]{0,7}", fullmatch=True).filter(
+    lambda name: yaml.load(name, Loader=yaml.SafeLoader) == name)
+_TOKENS = st.none() | st.booleans() | st.integers() | st.floats() | _NAMES
+_TOKEN_MAPPINGS = st.recursive(
+    st.dictionaries(_TOKENS, _TOKENS, min_size=1, max_size=4),
+    lambda kids: st.dictionaries(_TOKENS, _TOKENS | kids | st.lists(_TOKENS | kids, min_size=1,
+                                                                    max_size=4),
+                                 min_size=1, max_size=4),
+    max_leaves=24)
 
 
 def outcome(call):
@@ -300,18 +327,50 @@ class TestYamlReader:
     @given(document=_DOCUMENTS, flow=st.sampled_from([False, None, True]))
     def test_dumped_documents(self, loader, document, flow):
         text = yaml.dump(document, Dumper=_DUMPER, default_flow_style=flow)
-        value, fell_back = read_yaml(text, loader)
+        value, reader = read_yaml(text, loader)
         assert repr(value) == repr(yaml.load(text, Loader=loader))
-        assert not fell_back
+        assert reader != "yaml.load"
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(document=_TOKEN_MAPPINGS)
+    def test_token_documents_are_read_by_lines(self, loader, document):
+        text = yaml.dump(document, Dumper=_DUMPER, default_flow_style=False)
+        value, reader = read_yaml(text, loader)
+        assert repr(value) == repr(yaml.load(text, Loader=loader))
+        assert reader == "block"
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @settings(max_examples=150, deadline=None)
+    @given(document=_TOKEN_MAPPINGS,
+           edits=st.lists(st.tuples(st.sampled_from(["in", "out", "drop", "copy"]),
+                                    st.integers(0, 10 ** 6)), min_size=1, max_size=3))
+    def test_reindented_dumps(self, loader, document, edits):
+        # Lines moved in or out, dropped or copied: whatever the line reader
+        # accepts must be what yaml.load builds, and the rest must fall back.
+        lines = yaml.dump(document, Dumper=_DUMPER, default_flow_style=False).splitlines()
+        for edit, k in edits:
+            k %= len(lines)
+            if edit == "in":
+                lines[k] = " " + lines[k]
+            elif edit == "out":
+                lines[k] = lines[k].removeprefix(" ")
+            elif edit == "drop" and len(lines) > 1:
+                del lines[k]
+            elif edit == "copy":
+                lines.insert(k, lines[(k * 7) % len(lines)])
+        text = "\n".join(lines) + "\n"
+        assert outcome(lambda: harness._load_yaml(text, loader)) == outcome(
+            lambda: yaml.load(text, Loader=loader))
 
     def test_bench_inputs(self, tmp_path):
         paths = bench_inputs(7, tmp_path)
         assert len(paths) == 10
         for path in paths:
             text = path.read_text()
-            value, fell_back = read_yaml(text)
+            value, reader = read_yaml(text)
             assert repr(value) == repr(yaml.load(text, Loader=harness._YAML_LOADER))
-            assert not fell_back
+            assert reader == "block"
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     def test_built_without_fallback(self, loader):
@@ -319,10 +378,47 @@ class TestYamlReader:
         # quoted "<<" is a plain key, not a merge.
         text = ("a: 1\na: 2\n'<<': 3\n1: x\n1.0: y\n.nan: 1\n.NaN: 2\nb: [1e3, 012, 0x1F, "
                 "1_000, -0.0, .inf, ~, yes, 2001-12-14, '1.5', \"\"]\nc: |\n  x\n")
-        value, fell_back = read_yaml(text, loader)
+        value, reader = read_yaml(text, loader)
         assert repr(value) == repr(yaml.load(text, Loader=loader))
         assert list(value)[:2] == ["a", "<<"] and value["a"] == 2
-        assert not fell_back
+        assert reader == "events"
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("text", [
+        "a: 1\na: 2\nb:\n- c: 1\n  c: 2\n  d:\n- e\na: 3\n",
+        "a:\n  - 1\n  - b:\n      c: 1\n    d:\n    - 2\nf:\n  g\nh:\n",
+        "null: 1\n1: 2\n1.0: 3\n.nan: 4\n.NaN: 5\n-a: 6\n+: 7\n.: 8\n...: 9\n",
+        "a:\n- 1e3\n- 012\n- 0x1F\n- 1_000\n- -0.0\n- -.inf\n- yes\n- 2001-12-14\n- x-y.z",
+        "k" * 1024 + ": 1\n",
+    ], ids=["duplicates", "nesting", "scalar_keys", "scalars", "longest_key"])
+    def test_read_by_lines(self, loader, text):
+        # A repeated key keeps its first place and its last value; a key with
+        # no deeper line below it is null.
+        value, reader = read_yaml(text, loader)
+        assert repr(value) == repr(yaml.load(text, Loader=loader))
+        assert reader == "block"
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("text", [
+        "k" * 1025 + ": 1\n",
+        "a: 1\n  b\n",
+        "a: 1\n...\n",
+        "---\na: 1\n",
+        "a: 1\n# note\n",
+        "a: 1\n\nb: 2\n",
+        "a:\t1\n",
+        "a: 1\r\nb: 2\r\n",
+        "a:\n- - 1\n",
+        "a:\n- 1\n-\n",
+        "- 1\n- 2\n",
+    ], ids=["long_key", "continuation", "document_end", "document_start", "comment", "blank_line",
+            "tab", "crlf", "nested_item", "empty_item", "top_level_list"])
+    def test_line_reader_fallbacks(self, loader, text):
+        # The line reader hands these on; the document or error is yaml.load's.
+        with pytest.raises(harness._Fallback):
+            harness._read_block(text, loader)
+        assert outcome(lambda: harness._load_yaml(text, loader)) == outcome(
+            lambda: yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     @pytest.mark.parametrize("text", [
@@ -344,9 +440,10 @@ class TestYamlReader:
         assert got == outcome(lambda: yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("text", [_LARGE + "tail: [1, 2\n", "", "- 1\n- 2\n",
-                                      "a: 1\n---\nb: 2\n"],
+                                      "a: 1\n---\nb: 2\n",
+                                      _BLOCK.replace("\n- rhs: 30.0\n", "\n - rhs: 30.0\n")],
                              ids=["deep_syntax_error", "empty", "top_level_list",
-                                  "two_documents"])
+                                  "two_documents", "deep_block_indent"])
     def test_parse_errors_keep_their_message(self, tmp_path, text):
         # The message yaml.load's error or value gave before the reader.
         path = write_config(tmp_path, text)

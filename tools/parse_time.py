@@ -7,10 +7,12 @@ design_lp design problems and the small_games sweeps, built with the
 benchmark's own input generator in a temporary directory, as
 `tools/artifact_digests.py` does) with `ScenarioConfig.from_file` and with
 `yaml.load` on libyaml's safe loader (the pure-Python one when libyaml is not
-built). Prints one JSON object with each file's size and the median
-milliseconds of each over the repeats. Exits 1 when, for any file, the
-`from_file` document is not repr-equal to yaml.load's: repr tells 1 from 1.0
-and True, and a NaN from anything else, where == does not.
+built). Prints one JSON object with each file's size, the reader that built
+it (`block` for the line reader, `events` for the event walker, `yaml.load`
+when both hand it on) and the median milliseconds of each over the repeats.
+Exits 1 when, for any file, the `from_file` document is not repr-equal to
+yaml.load's (repr tells 1 from 1.0 and True, and a NaN from anything else,
+where == does not), or when a benchmark input is not built by `block`.
 """
 
 import argparse
@@ -32,6 +34,17 @@ from lotterydesign import harness  # noqa: E402
 BENCH_SEED = 7
 
 
+def reader(text, loader):
+    """The first of `harness._load_yaml`'s readers that builds `text`."""
+    for name, read in (("block", harness._read_block), ("events", harness._build_document)):
+        try:
+            read(text, loader)
+            return name
+        except harness._Fallback:
+            pass
+    return "yaml.load"
+
+
 def median_ms(call, repeats):
     times = []
     for _ in range(repeats):
@@ -46,7 +59,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args()
     loader = harness._YAML_LOADER
-    files, mismatches = {}, []
+    files, mismatches, unread = {}, [], []
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         workloads.DesignLp(ROOT).generate(BENCH_SEED, work)
@@ -60,14 +73,17 @@ def main():
                 mismatches.append(name)
             files[name] = {
                 "kb": round(len(text.encode()) / 1024, 1),
+                "reader": reader(text, loader),
                 "from_file_ms": median_ms(lambda: harness.ScenarioConfig.from_file(path),
                                           args.repeats),
                 "yaml_load_ms": median_ms(lambda: yaml.load(text, Loader=loader),
                                           args.repeats),
             }
+            if name.startswith("bench:") and files[name]["reader"] != "block":
+                unread.append(name)
     print(json.dumps({"loader": loader.__name__, "repeats": args.repeats, "files": files,
-                      "mismatches": mismatches}, indent=2))
-    return 1 if mismatches else 0
+                      "mismatches": mismatches, "not_read_by_lines": unread}, indent=2))
+    return 1 if mismatches or unread else 0
 
 
 if __name__ == "__main__":
