@@ -116,7 +116,7 @@ class DesignProblem:
 class DesignSolution:
     """Designed point with its objective, predicted equilibrium, and status."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     design: DesignPoint | None
     objective: float | None
     predicted_investments: np.ndarray | None

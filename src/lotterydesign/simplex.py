@@ -1,14 +1,18 @@
-"""Dense two-phase simplex solver for small linear programs.
+"""Dense dual simplex solver for small linear programs with nonnegative costs.
 
-Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0 on an explicit
-tableau. Bland's rule (smallest index enters, smallest basic index breaks
-ratio ties) rules out cycling; rows are max-abs equilibrated so the pivot
-tolerance is scale-free. A lexicographic pass then minimizes each structural
-column in turn over the optimal face, re-optimizing from the phase-2 basis
+Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, with c >= 0,
+on an explicit tableau. Equality rows become pairs of opposed inequalities, so
+the all-slack basis, whose reduced costs are c, is dual feasible and the dual
+simplex (Lemke 1954; Chvatal, Linear Programming, 1983, ch. 10) starts there
+with no phase 1 and no artificial columns; c >= 0 is bounded below, so a solve
+ends optimal or infeasible. Bland's rule for the dual (the infeasible row with
+the smallest basic index leaves, the smallest index among minimum ratios
+enters) rules out cycling; rows are max-abs equilibrated so the pivot
+tolerance is scale-free. A primal lexicographic pass then minimizes each
+structural column in turn over the optimal face from the optimal basis
 (Isermann, Linear lexicographic optimization, OR Spektrum 4, 1982), so ties
 between optimal vertices break the same way on every run. Sized for the
-few-hundred-row programs produced by the design reformulation, not for sparse
-or large-scale work.
+few-hundred-row programs of the design reformulation, not for large ones.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import numpy as np
 from .errors import SimplexFailureError
 
 PIVOT_TOL = 1e-9
-FEAS_TOL = 1e-7
 
 
 @dataclass
 class LinearProgram:
-    """min objective.x + offset s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0."""
+    """min objective.x + offset s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0,
+    for a nonnegative objective."""
 
     objective: np.ndarray
     a_ub: np.ndarray
@@ -46,6 +50,8 @@ class LinearProgram:
         for block in (self.objective, self.a_ub, self.b_ub, self.a_eq, self.b_eq):
             if not np.all(np.isfinite(block)):
                 raise ValueError("linear program data must be finite")
+        if np.any(self.objective < 0.0):
+            raise ValueError("objective coefficients must be nonnegative")
 
     @property
     def n_vars(self) -> int:
@@ -54,10 +60,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
-    """Solve outcome; `iterations` counts phase 1 and 2 pivots and
+    """Solve outcome; `iterations` counts dual simplex pivots and
     `lex_iterations` those of the lexicographic pass."""
 
-    status: str  # "optimal" | "infeasible" | "unbounded"
+    status: str  # "optimal" | "infeasible"
     x: np.ndarray | None
     objective: float | None
     iterations: int
@@ -84,12 +90,31 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     return int(ties[np.argmin(basis[ties])])
 
 
-def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-               enter: np.ndarray, max_iter: int) -> tuple[str, int]:
-    """Minimize cost over the tableau, letting only `enter` columns enter.
+def _dual_phase(tableau: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
+    """Dual simplex from a dual-feasible basis under Bland's rule; returns
+    "optimal" or "infeasible" and the number of pivots taken."""
+    m = tableau.shape[0] - 1
+    it = 0
+    while True:
+        rows = np.nonzero(tableau[:m, -1] < -PIVOT_TOL)[0]
+        if rows.size == 0:
+            return "optimal", it
+        row = int(rows[np.argmin(basis[rows])])
+        cols = np.nonzero(tableau[row, :-1] < -PIVOT_TOL)[0]
+        if cols.size == 0:
+            # The row sets a sum of nonnegative terms to a negative value.
+            return "infeasible", it
+        ratios = tableau[m, cols] / -tableau[row, cols]
+        it += 1
+        if it > max_iter:
+            raise SimplexFailureError(f"simplex stalled after {it} iterations (cap {max_iter})")
+        _pivot(tableau, basis, row, int(cols[np.argmin(ratios)]))  # first = smallest index
 
-    Returns the status and the number of pivots taken.
-    """
+
+def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+               enter: np.ndarray, max_iter: int) -> int:
+    """Minimize a nonnegative cost over the tableau by the primal simplex,
+    letting only `enter` columns enter; returns the number of pivots taken."""
     m = tableau.shape[0] - 1
     n_cols = cost.size
     # Rebuild the reduced-cost row for the given cost vector.
@@ -102,101 +127,55 @@ def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     while True:
         candidates = np.nonzero(enter & (tableau[m, :n_cols] < -PIVOT_TOL))[0]
         if candidates.size == 0:
-            return "optimal", it
+            return it
         col = int(candidates[0])  # Bland: smallest improving index
         row = _leaving_row(tableau, basis, col)
-        if row is None:
-            return "unbounded", it
+        if row is None:  # pragma: no cover - a nonnegative cost is bounded below
+            raise SimplexFailureError("lexicographic stage found no leaving row")
         it += 1
         if it > max_iter:
-            raise SimplexFailureError(
-                f"simplex stalled after {it} iterations (cap {max_iter})"
-            )
+            raise SimplexFailureError(f"simplex stalled after {it} iterations (cap {max_iter})")
         _pivot(tableau, basis, row, col)
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
-    """Two-phase simplex solve of a LinearProgram.
+    """Dual simplex solve of a LinearProgram from its all-slack basis.
 
     Returns the lexicographically smallest optimal basic solution, or an
-    explicit infeasible/unbounded status. Raises SimplexFailureError past the
-    iteration cap, which defaults to 10 * (rows + structural variables) per
-    phase and per lexicographic stage.
+    explicit infeasible status. Raises SimplexFailureError past the iteration
+    cap, which defaults to 10 * (rows + structural variables) for the dual
+    phase and for each lexicographic stage.
     """
     n = lp.n_vars
-    m_ub, m_eq = lp.a_ub.shape[0], lp.a_eq.shape[0]
-    m = m_ub + m_eq
     if max_iter is None:
-        max_iter = max(10 * (m + n), 100)
+        max_iter = max(10 * (lp.b_ub.size + lp.b_eq.size + n), 100)
 
-    A = np.vstack([lp.a_ub, lp.a_eq]) if m else np.zeros((0, n))
-    b = np.concatenate([lp.b_ub, lp.b_eq])
+    A = np.vstack([lp.a_ub, lp.a_eq, -lp.a_eq])
+    b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
+    m = b.size
+    n_cols = n + m
     # Row equilibration keeps pivot tolerances meaningful across scales.
     scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), 1e-12)
-    A = A / scale[:, None]
-    b = b / scale
-
-    # Slack columns for inequality rows.
-    cols = np.hstack([A, np.vstack([np.eye(m_ub), np.zeros((m_eq, m_ub))])])
-    flip = b < 0.0
-    cols[flip] *= -1.0
-    b = np.abs(b)
-
-    # Artificial columns wherever no identity column is available.
-    needs_art = [bool(flip[r]) or r >= m_ub for r in range(m)]
-    art_cols = [r for r in range(m) if needs_art[r]]
-    n_art = len(art_cols)
-    full = np.hstack([cols, np.zeros((m, n_art))])
-    for j, r in enumerate(art_cols):
-        full[r, n + m_ub + j] = 1.0
-
-    basis = n + np.arange(m)  # each inequality row's slack
-    basis[art_cols] = n + m_ub + np.arange(n_art)
-
-    n_cols = n + m_ub + n_art
     tableau = np.zeros((m + 1, n_cols + 1))
-    tableau[:m, :n_cols] = full
-    tableau[:m, n_cols] = b
+    tableau[:m, :n] = A / scale[:, None]
+    tableau[:m, n:n_cols] = np.eye(m)
+    tableau[:m, n_cols] = b / scale
+    tableau[m, :n] = lp.objective
+    basis = n + np.arange(m)  # each row's slack
 
-    iterations = 0
-    if n_art:
-        cost1 = np.zeros(n_cols)
-        cost1[n + m_ub:] = 1.0
-        status, iterations = _run_phase(tableau, basis, cost1,
-                                        np.ones(n_cols, dtype=bool), max_iter)
-        if status == "unbounded":  # pragma: no cover - phase 1 is bounded below
-            raise SimplexFailureError("phase 1 reported unbounded")
-        if tableau[m, n_cols] < -FEAS_TOL:
-            return SimplexResult("infeasible", None, None, iterations)
-        # Drive remaining artificials out of the basis.
-        for r in range(m):
-            if basis[r] >= n + m_ub:
-                piv = np.nonzero(np.abs(tableau[r, : n + m_ub]) > PIVOT_TOL)[0]
-                if piv.size:
-                    _pivot(tableau, basis, r, int(piv[0]))
-                # Otherwise the row is redundant; its artificial stays basic
-                # at zero and never re-enters (phase-2 cost ignores it).
-
-    # Artificial columns are barred from re-entering in phase 2.
-    enter = np.arange(n_cols) < n + m_ub
-    cost2 = np.zeros(n_cols)
-    cost2[:n] = lp.objective
-    status, pivots = _run_phase(tableau, basis, cost2, enter, max_iter)
-    iterations += pivots
-    if status == "unbounded":
-        return SimplexResult("unbounded", None, None, iterations)
+    status, iterations = _dual_phase(tableau, basis, max_iter)
+    if status == "infeasible":
+        return SimplexResult("infeasible", None, None, iterations)
 
     # Columns with a positive reduced cost are zero on the optimal face;
     # barring them keeps every later stage on that face.
+    enter = np.ones(n_cols, dtype=bool)
     lex_iterations = 0
     for j in range(n):
         enter &= tableau[m, :n_cols] <= PIVOT_TOL
         cost = np.zeros(n_cols)
         cost[j] = 1.0
-        status, pivots = _run_phase(tableau, basis, cost, enter, max_iter)
-        if status != "optimal":  # pragma: no cover - x_j >= 0 bounds the stage
-            raise SimplexFailureError("lexicographic stage reported unbounded")
-        lex_iterations += pivots
+        lex_iterations += _run_phase(tableau, basis, cost, enter, max_iter)
 
     x = np.zeros(n_cols)
     x[basis] = tableau[:m, n_cols]

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lotterydesign.errors import SimplexFailureError
 from lotterydesign.simplex import PIVOT_TOL, LinearProgram, _leaving_row, _pivot, solve_lp
@@ -56,25 +57,30 @@ def lexicographic_vertex_oracle(lp: LinearProgram, lex_order, tol=1e-7):
 
 
 def random_bounded_lp(rng, n):
-    """Feasible LP with a bounded minimum: box row keeps the polytope compact."""
+    """Feasible LP with a nonnegative cost on a compact polytope.
+
+    A box row keeps the polytope compact, and a row -sum(x) <= -t cuts off the
+    origin, so the all-slack start is infeasible and the solve must pivot.
+    """
     m = int(rng.integers(1, 4))
     a_ub = rng.uniform(-1.0, 1.0, (m, n))
     x0 = rng.uniform(0.2, 1.5, n)  # interior certificate
     b_ub = a_ub @ x0 + rng.uniform(0.1, 1.0, m)
-    a_ub = np.vstack([a_ub, np.ones(n)])
-    b_ub = np.append(b_ub, x0.sum() + rng.uniform(1.0, 4.0))
-    c = rng.uniform(-1.0, 1.0, n)
+    a_ub = np.vstack([a_ub, np.ones(n), -np.ones(n)])
+    b_ub = np.append(b_ub, [x0.sum() + rng.uniform(1.0, 4.0),
+                            -rng.uniform(0.1, 0.9) * x0.sum()])
+    c = rng.uniform(0.0, 1.0, n)
     return LinearProgram(c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0))
 
 
 class TestKnownPrograms:
     def test_simple_minimum(self):
-        # min -x - y s.t. x + y <= 4, x <= 3: optimum -4 on the x + y face.
-        lp = LinearProgram([-1.0, -1.0], [[1, 1], [1, 0]], [4, 3],
+        # min x + y s.t. x + y >= 4, x <= 3: optimum 4 on the x + y face.
+        lp = LinearProgram([1.0, 1.0], [[-1, -1], [1, 0]], [-4, 3],
                            np.zeros((0, 2)), np.zeros(0))
         res = solve_lp(lp)
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(-4.0, abs=1e-9)
+        assert res.objective == pytest.approx(4.0, abs=1e-9)
 
     def test_equality_row(self):
         # min x + 2y s.t. x + y = 1: optimum at (1, 0).
@@ -96,21 +102,18 @@ class TestKnownPrograms:
                            np.zeros((0, 2)), np.zeros(0))
         assert solve_lp(lp).status == "infeasible"
 
-    def test_unbounded(self):
-        lp = LinearProgram([-1.0, 0.0], [[0, 1]], [1.0],
-                           np.zeros((0, 2)), np.zeros(0))
-        assert solve_lp(lp).status == "unbounded"
-
     def test_degenerate_vertex_terminates(self):
-        # Three faces through one point; Bland's rule must not cycle.
-        lp = LinearProgram([-1.0, -1.0], [[1, 0], [0, 1], [1, 1]],
-                           [1.0, 1.0, 2.0], np.zeros((0, 2)), np.zeros(0))
+        # Three faces through one point (x >= 1, y >= 1, x + y >= 2); Bland's
+        # rule must not cycle.
+        lp = LinearProgram([1.0, 1.0], [[-1, 0], [0, -1], [-1, -1]],
+                           [-1.0, -1.0, -2.0], np.zeros((0, 2)), np.zeros(0))
         res = solve_lp(lp)
         assert res.status == "optimal"
-        assert res.objective == pytest.approx(-2.0, abs=1e-9)
+        assert res.objective == pytest.approx(2.0, abs=1e-9)
 
     def test_iteration_cap_raises(self):
-        lp = LinearProgram([-1.0, -1.0], [[1, 1]], [1.0],
+        # x + y >= 1 cuts off the all-slack start, so one dual pivot is needed.
+        lp = LinearProgram([1.0, 1.0], [[-1, -1]], [-1.0],
                            np.zeros((0, 2)), np.zeros(0))
         with pytest.raises(SimplexFailureError):
             solve_lp(lp, max_iter=0)
@@ -120,11 +123,16 @@ class TestKnownPrograms:
             LinearProgram([1.0, np.inf], [[1, 1]], [1.0],
                           np.zeros((0, 2)), np.zeros(0))
 
+    def test_rejects_negative_objective(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            LinearProgram([1.0, -0.5], [[1, 1]], [1.0],
+                          np.zeros((0, 2)), np.zeros(0))
+
 
 class TestAgainstVertexOracle:
     def test_fifty_random_programs(self):
         rng = np.random.default_rng(31)
-        checked = 0
+        checked = pivots = 0
         while checked < 50:
             n = int(rng.integers(2, 6))
             lp = random_bounded_lp(rng, n)
@@ -135,7 +143,9 @@ class TestAgainstVertexOracle:
             assert abs(res.objective - oracle) <= 1e-7
             assert np.all(lp.a_ub @ res.x <= lp.b_ub + 1e-8)
             assert np.all(res.x >= -1e-12)
+            pivots += res.iterations
             checked += 1
+        assert pivots > 0  # the dual phase moved off the slack basis
 
     def test_random_programs_with_equalities(self):
         rng = np.random.default_rng(32)
@@ -161,36 +171,73 @@ class TestAgainstVertexOracle:
 
 
 def random_tied_lp(rng, n):
-    """Bounded LP with small-integer data: ties and degenerate vertices abound."""
+    """Feasible bounded LP with small-integer data: ties and degenerate
+    vertices abound. A 0/1 point x0 is feasible, a box row bounds the
+    polytope, and a row -sum(x) <= -t with t >= 1 cuts off the origin."""
     m = int(rng.integers(1, 4))
-    a_ub = np.vstack([rng.integers(-2, 3, (m, n)), np.ones((1, n))]).astype(float)
-    b_ub = np.append(rng.integers(0, 4, m), rng.integers(2, 6)).astype(float)
-    c = rng.integers(-1, 2, n).astype(float)
-    return LinearProgram(c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0))
+    x0 = rng.integers(0, 2, n)
+    x0[rng.integers(n)] = 1
+    a = rng.integers(-2, 3, (m, n))
+    a_ub = np.vstack([a, np.ones((1, n)), -np.ones((1, n))]).astype(float)
+    b_ub = np.concatenate([a @ x0 + rng.integers(0, 3, m),
+                           [x0.sum() + rng.integers(0, 4), -rng.integers(1, x0.sum() + 1)]])
+    c = rng.integers(0, 2, n).astype(float)
+    return LinearProgram(c, a_ub, b_ub.astype(float), np.zeros((0, n)), np.zeros(0))
 
 
 class TestLexicographicPass:
     def test_breaks_ties_toward_smallest_coordinates(self):
-        # min -x0 s.t. x0 <= 1, x0 + x1 + x2 = 3: the optimal face is
+        # min x0 s.t. x0 >= 1, x0 + x1 + x2 = 3: the optimal face is
         # x0 = 1, x1 + x2 = 2; x1 is minimized before x2.
-        lp = LinearProgram([-1.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], [1.0],
+        lp = LinearProgram([1.0, 0.0, 0.0], [[-1.0, 0.0, 0.0]], [-1.0],
                            [[1.0, 1.0, 1.0]], [3.0])
         res = solve_lp(lp)
         assert res.x == pytest.approx([1.0, 0.0, 2.0], abs=1e-12)
-        assert res.objective == -1.0
+        assert res.objective == 1.0
 
     def test_random_tied_programs_match_vertex_oracle(self):
         rng = np.random.default_rng(34)
-        lex_pivots = 0
+        pivots = lex_pivots = 0
         for _ in range(60):
             n = int(rng.integers(2, 6))
-            lp = random_tied_lp(rng, n)  # x = 0 is feasible
+            lp = random_tied_lp(rng, n)
             res = solve_lp(lp)
             assert res.status == "optimal"
             assert res.objective == pytest.approx(vertex_enumeration_oracle(lp), abs=1e-9)
             assert res.x == pytest.approx(lexicographic_vertex_oracle(lp, range(n)), abs=1e-7)
+            pivots += res.iterations
             lex_pivots += res.lex_iterations
-        assert lex_pivots > 0  # the pass moved off the phase-2 vertex
+        assert pivots > 0  # the dual phase moved off the slack basis
+        assert lex_pivots > 0  # the pass moved off the dual phase's vertex
+
+
+@st.composite
+def small_integer_programs(draw):
+    """Nonnegative-cost programs with n <= 4, up to 3 inequality and 0-2
+    equality rows of small integers: ties, degenerate vertices and
+    infeasible programs all occur."""
+    n = draw(st.integers(1, 4))
+    m_ub, m_eq = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+
+    def ints(k, lo, hi):
+        return draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k))
+
+    return LinearProgram(ints(n, 0, 2), np.reshape(ints(m_ub * n, -2, 2), (m_ub, n)),
+                         ints(m_ub, -3, 3), np.reshape(ints(m_eq * n, -2, 2), (m_eq, n)),
+                         ints(m_eq, -3, 3))
+
+
+class TestPropertyAgainstOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(small_integer_programs())
+    def test_status_objective_and_lexicographic_point(self, lp):
+        oracle = vertex_enumeration_oracle(lp)
+        res = solve_lp(lp)
+        assert (res.status == "infeasible") == (oracle is None)
+        if oracle is not None:
+            assert abs(res.objective - oracle) <= 1e-7
+            assert res.x == pytest.approx(
+                lexicographic_vertex_oracle(lp, range(lp.n_vars)), abs=1e-7)
 
 
 class TestVectorizedKernels:
