@@ -33,8 +33,6 @@ from .game import (
     EquilibriumResult,
     EquilibriumSweep,
     best_response_oracle,
-    equilibrium_sensitivities,
-    foc_residual,
     payoffs,
     solve_equilibrium,
     solve_sweep,
@@ -89,8 +87,6 @@ __all__ = [
     "build_dr_constraints",
     "build_reformulation",
     "check_properties",
-    "equilibrium_sensitivities",
-    "foc_residual",
     "individual_rationality_rows",
     "monetize",
     "parse_case",

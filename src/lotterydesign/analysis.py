@@ -52,7 +52,7 @@ class PoaBounds:
         if np.count_nonzero(self.g_lower > self.g_upper + 1e-9):
             raise InvariantViolationError("public-good bounds are out of order")
         ordered = (1.0 - 1e-9 <= self.poa_lower) & (self.poa_lower <= self.poa_upper)
-        if not np.logical_and.reduce(ordered, axis=None):
+        if ordered is not True and not np.all(ordered):  # True: one point, in order
             raise InvariantViolationError("price-of-anarchy bounds are out of order")
 
 
@@ -90,13 +90,26 @@ class SweepAnalysis:
 
 
 # The closed forms below take one reward as a float or a sweep's rewards as a
-# vector. The few elementwise steps that branch dispatch on that: at one
-# design point plain floats are several times cheaper than numpy calls.
+# vector. The few elementwise steps that branch dispatch on that: at one design
+# point plain floats (per player, a list) are several times cheaper than numpy.
 
 
-def _per_player(v: np.ndarray, R):
-    # A per-player vector shaped to broadcast against R: a column over a sweep.
-    return v[:, None] if isinstance(R, np.ndarray) else v
+def _terms(profile: BenefitProfile, c_bar: float, R=0.0) -> tuple:
+    # What every closed form at c_bar reads, computed once: c_bar, the good
+    # bracket (lo, hi) and each player's slope at hi, per player.
+    lo, hi = profile.good_bracket(c_bar)
+    slopes = profile.slopes(hi)
+    return c_bar, lo, hi, slopes[:, None] if isinstance(R, np.ndarray) else slopes.tolist()
+
+
+def _player_min(R, f, *per_player):
+    # min over the players of f of their entries (`_player_count`: how many f
+    # holds for): a vector over a sweep's rewards R, a number at one reward.
+    return f(*per_player).min(axis=0) if isinstance(R, np.ndarray) else min(map(f, *per_player))
+
+
+def _player_count(R, f, *per_player):
+    return f(*per_player).sum(axis=0) if isinstance(R, np.ndarray) else sum(map(f, *per_player))
 
 
 def _aggregate_payoff(profile: BenefitProfile, g):
@@ -146,22 +159,25 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
     (either way any positive reward suffices). Raises InvariantViolationError
     when c_bar < G* but a slope at G* is too small for m to differ from 1.
     """
-    c = np.asarray(c, dtype=float)
-    c_bar = float(c.sum())
-    g_upper = profile.good_bracket(c_bar)[1]
+    return _threshold(_terms(profile, float(np.asarray(c, dtype=float).sum())))
+
+
+def _threshold(terms: tuple) -> float:
+    # `reward_threshold` from the `_terms` at one reward.
+    c_bar, _, g_upper, slopes = terms
     gap = g_upper - c_bar
     # The perturbation total carries rounding; a budget at the optimum must
     # yield a zero threshold, not a rounding-sized one.
     if gap <= 1e-9 * max(1.0, g_upper):
         return 0.0
-    m = 1.0 - float(profile.slopes(g_upper).min())
+    m = 1.0 - min(slopes)
     if m >= 1.0:
         raise InvariantViolationError(
             "marginal shortfall rounds to 1 below the optimum: no finite threshold")
     return 0.0 if m <= 0.0 else m * gap / (1.0 - m)
 
 
-def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str):
+def _compute_bounds(profile: BenefitProfile, terms: tuple, R, variant: str):
     """(g_lower, g_upper, poa_lower, poa_upper, assured count) at reward(s) R.
 
     Each bound inverts H at a formula's argument and clamps the good to the
@@ -170,13 +186,14 @@ def _compute_bounds(profile: BenefitProfile, c_bar: float, R, variant: str):
     """
     if variant not in ("statement", "proof"):
         raise ValueError(f"unknown bound variant {variant!r}")
-    gl, gu = profile.good_bracket(c_bar)
+    c_bar, gl, gu, slopes = terms
     n = profile.n_players
     h0 = profile.marginal_at_zero
     # Players whose activity the threshold criterion certifies: those with
     # R/(R + gu - c_bar) + h_i'(gu) - 1 > 0, compared without the subtraction,
     # which would lose a slope below the float spacing of 1.
-    k = (_per_player(profile.slopes(gu), R) > (gu - c_bar) / (R + gu - c_bar)).sum(axis=0)
+    share = (gu - c_bar) / (R + gu - c_bar)
+    k = _player_count(R, lambda slope: slope > share, slopes)
 
     if c_bar <= profile.g_star:
         # Far end: the good can fall short of the optimum by at most this much.
@@ -205,8 +222,8 @@ def poa_bounds(profile: BenefitProfile, design: DesignPoint,
     bound into the near-bound numerator, which tightens it whenever at least
     two players are certifiably active.
     """
-    *ends, k = _compute_bounds(profile, design.perturbation_total, design.reward, variant)
-    return PoaBounds(*ends, int(k))
+    terms = _terms(profile, design.perturbation_total)
+    return PoaBounds(*_compute_bounds(profile, terms, design.reward, variant))
 
 
 def true_poa(profile: BenefitProfile, eq: EquilibriumResult) -> float:
@@ -214,11 +231,12 @@ def true_poa(profile: BenefitProfile, eq: EquilibriumResult) -> float:
     return float(_poa(profile.optimal_payoff, _aggregate_payoff(profile, eq.G)))
 
 
-def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshold) -> list:
+def _graded(profile: BenefitProfile, terms: tuple, c, R, G, s, g_bracket, threshold) -> list:
     """Each property as (name, margin, holds, rules) at reward(s) R.
 
-    R and G are floats, or vectors over a sweep's rewards with s players x
-    rewards; `g_bracket` is the statement-variant (g_lower, g_upper). A rule
+    R and G are floats, or vectors over a sweep's rewards; c, s and the
+    slopes in `terms` are per player, s players x rewards over a sweep;
+    `g_bracket` is the statement-variant (g_lower, g_upper). A rule
     (condition, reason) marks where the property does not apply; the first
     rule that holds gives the reason, a format string over `reward` and
     `threshold`.
@@ -226,13 +244,12 @@ def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshol
     tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
     floor = tol["property_margin"]
     n = profile.n_players
-    c_bar = float(c.sum())
+    c_bar, lo, hi, slopes = terms
     g_star = profile.g_star
-    lo, hi = profile.good_bracket(c_bar)
 
     pool = G + R - c_bar
     bracketed = _order(G - lo, hi - G)[0]
-    inactive = (s.min(axis=0) <= TOL_ACTIVE,
+    inactive = (_player_min(R, lambda x: x, s) <= TOL_ACTIVE,
                 "sensitivity formulas require every player active")
     dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, R, c_bar, G)
     if abs(c_bar - g_star) <= tol["equality_case"]:
@@ -247,10 +264,11 @@ def _graded(profile: BenefitProfile, c: np.ndarray, R, G, s, g_bracket, threshol
         # perturbations cannot move it, so a positive sensitivity is vacuous there.
         perturbation_sensitivity = (dG_dc, dG_dc > 0.0, [inactive, (
             n == 1, "single-player instance: perturbations cannot move the good")])
-    # Per-player investment floor, asserted above the reward threshold.
-    floors = _per_player(c, R) + R * (
-        R / (R + hi - c_bar) + _per_player(profile.slopes(hi), R) - 1.0)
-    floor_margin = (s - floors).min(axis=0)
+    # Per-player investment floor c_i + R (R/(R + hi - c_bar) + h_i'(hi) - 1),
+    # asserted above the reward threshold.
+    base = R / (R + hi - c_bar)
+    floor_margin = _player_min(
+        R, lambda s_i, c_i, slope: s_i - (c_i + R * (base + slope - 1.0)), s, c, slopes)
     # Aggregate payoff must land inside the closed-form sandwich.
     p_eq = _aggregate_payoff(profile, G)
     p_low, p_high = _order(*(_aggregate_payoff(profile, g) for g in g_bracket))
@@ -274,18 +292,21 @@ def check_properties(profile: BenefitProfile, design: DesignPoint,
     """Grade a solved equilibrium against the feasibility and bound properties.
 
     Report-only: every entry carries a margin (negative means violated) or a
-    reason the property does not apply at this design point.
+    reason the property does not apply at this design point. The bracket,
+    slopes, threshold and statement bounds are computed once, on floats.
     """
-    threshold = reward_threshold(profile, design.perturbation)
-    bounds = poa_bounds(profile, design)
+    R = design.reward
+    terms = _terms(profile, design.perturbation_total)
+    threshold = _threshold(terms)
+    bounds = PoaBounds(*_compute_bounds(profile, terms, R, "statement"))
     checks = []
     for name, margin, holds, rules in _graded(
-            profile, design.perturbation, design.reward, eq.G, eq.s_star,
+            profile, terms, design.perturbation.tolist(), R, eq.G, eq.s_star.tolist(),
             (bounds.g_lower, bounds.g_upper), threshold):
         reasons = [why for skip, why in rules if skip]
         if reasons:
             checks.append(PropertyCheck(name, None, None, reasons[0].format(
-                reward=design.reward, threshold=threshold)))
+                reward=R, threshold=threshold)))
         else:
             checks.append(PropertyCheck(name, bool(holds), float(margin)))
     return checks
@@ -302,11 +323,11 @@ def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:
     eq = solve_sweep(profile, c, rewards)
     c = np.asarray(c, dtype=float)
     R = eq.rewards
-    bounds, proof = (
-        PoaBounds(*_compute_bounds(profile, float(c.sum()), R, variant))
-        for variant in ("statement", "proof"))
+    terms = _terms(profile, float(c.sum()), R)
+    bounds, proof = (PoaBounds(*_compute_bounds(profile, terms, R, variant))
+                     for variant in ("statement", "proof"))
     ok = np.ones(R.shape, dtype=bool)
-    for _, _, holds, rules in _graded(profile, c, R, eq.G, eq.s_star.T,
+    for _, _, holds, rules in _graded(profile, terms, c[:, None], R, eq.G, eq.s_star.T,
                                       (bounds.g_lower, bounds.g_upper),
                                       reward_threshold(profile, c)):
         skipped = False

@@ -43,7 +43,7 @@ class BenefitProfile:
         a = np.array(self.coefficients, dtype=float)
         if a.ndim != 1 or a.size < 1:
             raise InvariantViolationError("profile needs a nonempty vector of coefficients")
-        if not (np.isfinite(a).all() and (a > 0.0).all()):
+        if np.count_nonzero((a > 0.0) & (a < math.inf)) != a.size:  # NaN fails both
             raise InvariantViolationError(
                 f"benefit coefficients must be positive and finite, got {a.tolist()!r}"
             )

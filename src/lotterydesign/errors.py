@@ -31,10 +31,6 @@ class NonconvergenceError(LotteryDesignError):
     """
 
 
-class UnsupportedRegimeError(LotteryDesignError):
-    """An operation requires all players active but some are not."""
-
-
 class SimplexFailureError(LotteryDesignError):
     """The simplex solver stalled beyond its iteration cap."""
 

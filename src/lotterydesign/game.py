@@ -1,4 +1,4 @@
-"""Perturbed fixed-prize lottery game: payoffs, equilibrium, sensitivities.
+"""Perturbed fixed-prize lottery game: payoffs and equilibrium.
 
 Players simultaneously invest s_i >= 0. If total investment covers the reward
 R, player i receives the reward share (s_i - c_i)/(sum_j s_j - sum_j c_j)*R,
@@ -37,7 +37,6 @@ from .errors import (
     InvariantViolationError,
     NonconvergenceError,
     SingularPoolError,
-    UnsupportedRegimeError,
 )
 
 # Investments below this are reported as inactive.
@@ -95,11 +94,18 @@ class DesignPoint:
         object.__setattr__(self, "perturbation_total", float(c.sum()))
 
 
+def _design_point(reward: float, c: np.ndarray) -> DesignPoint:
+    # DesignPoint(reward, c), unchecked: R is finite > 0, `_checked_perturbation` made c.
+    point = object.__new__(DesignPoint)
+    point.__dict__.update(reward=reward, perturbation=c, perturbation_total=float(c.sum()))
+    return point
+
+
 def _checked_perturbation(c) -> np.ndarray:
     c = np.asarray(c, dtype=float).copy()
     if c.ndim != 1 or c.size < 1:
         raise InvariantViolationError("perturbation must be a nonempty vector")
-    if np.count_nonzero(c < 0.0) or not np.isfinite(c).all():
+    if np.count_nonzero((c >= 0.0) & (c < math.inf)) != c.size:  # NaN fails both
         raise InvariantViolationError("perturbation entries must be finite and >= 0")
     c.setflags(write=False)
     return c
@@ -153,7 +159,11 @@ def payoffs(profile: BenefitProfile, design: DesignPoint, s) -> np.ndarray:
     classic proportional-odds payoff. A negative reward share is kept as-is:
     the player pays that amount back to the planner.
     """
-    s = _check_profile_shape(profile, design, s)
+    return _payoffs(profile, design, _check_profile_shape(profile, design, s))
+
+
+def _payoffs(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> np.ndarray:
+    # `payoffs` at a profile s already known to fit the game, such as a solved one.
     R = design.reward
     total = float(s.sum())
     if total < R:
@@ -178,17 +188,6 @@ def _foc_residuals(a, c, c_bar, R, s) -> np.ndarray:
         raise SingularPoolError("first-order condition requires a positive pool")
     # pool * pool: a numpy float's pool**2 is not always the rounded product.
     return R * (pool - (s - c)) / (pool * pool) + a / (total - R + 1.0) - 1.0
-
-
-def foc_residual(profile: BenefitProfile, design: DesignPoint, s, i: int) -> float:
-    """Marginal payoff dU_i/ds_i at profile s (the first-order-condition residual).
-
-    Zero for active equilibrium players, nonpositive for inactive ones.
-    """
-    s = _check_profile_shape(profile, design, s)
-    res = _foc_residuals(profile.coefficients, design.perturbation,
-                         design.perturbation_total, design.reward, s)
-    return float(res[i])
 
 
 def _phi(G, R, c_bar, a, neg_rc):
@@ -541,22 +540,3 @@ def _good_sensitivities(a_sum: float, n: int, R, c_bar: float, G):
     S = R + G - c_bar
     den = S * S * (-a_sum / (G + 1.0) ** 2) - R * (n - 1)
     return -(G - c_bar) * (n - 1) / den, -R * (n - 1) / den
-
-
-def equilibrium_sensitivities(profile: BenefitProfile, design: DesignPoint,
-                              eq: EquilibriumResult) -> tuple[float, np.ndarray]:
-    """Closed-form dG/dR and dG/dc_i at an all-active equilibrium.
-
-    Implicit differentiation of the aggregate first-order condition gives
-    dG/dR = -(G - c_bar)(N-1) / D and dG/dc_i = -R(N-1) / D with
-    D = (R + G - c_bar)^2 * sum_i h_i''(G) - R(N-1) < 0.
-    """
-    n = profile.n_players
-    if len(eq.active_set) != n:
-        raise UnsupportedRegimeError(
-            "sensitivity formulas require every player active; "
-            f"only {len(eq.active_set)} of {n} are"
-        )
-    dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, design.reward,
-                                       design.perturbation_total, eq.G)
-    return float(dG_dR), np.full(n, dG_dc)

@@ -50,7 +50,8 @@ import yaml
 from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
 from .errors import ConfigError, ExactnessViolationError, InvariantViolationError
-from .game import TOLERANCES, DesignPoint, payoffs, solve_equilibrium
+from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point, _payoffs,
+                   payoffs, solve_equilibrium)
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present. Its events come from C, and
@@ -329,9 +330,10 @@ def _perturbation(value, name: str, n: int) -> np.ndarray:
         vector = None
     if vector is None or vector.shape != (n,):
         raise ConfigError(f"{name} must be a list of {n} numbers")
-    if np.count_nonzero(vector < 0.0) or not np.isfinite(vector).all():
-        raise ConfigError(f"{name} entries must be finite numbers >= 0")
-    return vector
+    try:
+        return _checked_perturbation(vector)
+    except InvariantViolationError:
+        raise ConfigError(f"{name} entries must be finite numbers >= 0") from None
 
 
 def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
@@ -480,6 +482,24 @@ def _builtin(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+_TOLERANCE_TEXT = [None, ""]  # the last key and text of `_tolerance_text`
+
+
+def _tolerance_text(newline: str) -> str:
+    """TOLERANCES encoded at this indent, once per distinct content.
+
+    A row is a value and an origin (the report schema). Values of one type
+    that compare equal encode alike but for the float zeros, so the key holds
+    each value's type and sign: 1, 1.0 and True key apart, as do 0.0 and -0.0.
+    A copy of the table is encoded in full; its line breaks are all indents.
+    """
+    key = newline, tuple([(name, type(v := row["value"]), v, v == 0 and math.copysign(1.0, v),
+                           row["origin"]) for name, row in TOLERANCES.items()])
+    if key != _TOLERANCE_TEXT[0]:
+        _TOLERANCE_TEXT[:] = key, _report_json(dict(TOLERANCES))[:-1].replace("\n", newline)
+    return _TOLERANCE_TEXT[1]
+
+
 def _report_json(report: dict) -> str:
     """The bytes of report.json, built in one pass over the report.
 
@@ -487,8 +507,9 @@ def _report_json(report: dict) -> str:
     report with keys made `str(k)`, numpy scalars and arrays made Python
     numbers and lists, tuples made lists, and non-finite floats made the
     strings "+inf", "-inf" and "nan". Any other type raises TypeError.
-    Keys are sorted and encoded once per dict shape (`_layout`), and strs,
-    ints and floats are written in the loop over their dict or list.
+    Keys are sorted and encoded once per dict shape (`_layout`), the
+    tolerance table once per content (`_tolerance_text`), and strs, ints and
+    floats are written in the loop over their dict or list.
     """
     parts = []
     append = parts.append
@@ -509,6 +530,8 @@ def _report_json(report: dict) -> str:
                 append(repr(value))
             elif value is None or value is True or value is False:
                 append("null" if value is None else "true" if value else "false")
+            elif value is TOLERANCES:
+                append(_tolerance_text(newline))
             elif kind is dict and value:
                 keys = tuple(value)
                 shape = (tuple(map(type, keys)), keys, newline)
@@ -553,7 +576,6 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
     `csv_files` maps file name -> (header row, iterable of preformatted string
     rows). The report's artifact list is filled in here.
     """
-    out_dir = Path(out_dir)
     artifacts = ["report.json"] + sorted(csv_files)
     report["artifacts"] = artifacts
     text = _report_json(report)
@@ -582,10 +604,10 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     point = _mapping(cfg.require("design_point"), "design_point", "reward")
     c = _perturbation(point.get("perturbation", [0.0] * profile.n_players),
                       "design_point.perturbation", profile.n_players)
-    dp = DesignPoint(_positive(point["reward"], "design_point.reward"), c)
+    dp = _design_point(_positive(point["reward"], "design_point.reward"), c)
     eq = solve_equilibrium(profile, dp)
     checks = analysis.check_properties(profile, dp, eq)
-    agg = sum(payoffs(profile, dp, eq.s_star).tolist())
+    agg = sum(_payoffs(profile, dp, eq.s_star).tolist())
     results = {
         "player_ids": ids,
         "reward": dp.reward,
@@ -822,7 +844,8 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ConfigError("seed must be an integer")
     seed = int(seed)
-    out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
+    if not isinstance(out_dir, Path):
+        out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
 
     if verb not in _PIPELINES:
         raise ConfigError(f"unknown pipeline verb {verb!r}")

@@ -168,11 +168,14 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
         return SimplexResult("infeasible", None, None, iterations)
 
     # Columns with a positive reduced cost are zero on the optimal face;
-    # barring them keeps every later stage on that face.
+    # barring them keeps every later stage on that face. Once only basic
+    # columns, whose reduced costs are exactly 0, may enter, no stage can pivot.
     enter = np.ones(n_cols, dtype=bool)
     lex_iterations = 0
     for j in range(n):
         enter &= tableau[m, :n_cols] <= PIVOT_TOL
+        if np.count_nonzero(enter) == np.count_nonzero(enter[basis]):
+            break
         cost = np.zeros(n_cols)
         cost[j] = 1.0
         lex_iterations += _run_phase(tableau, basis, cost, enter, max_iter)

@@ -1,5 +1,8 @@
 """Test-only oracles, kept out of the library.
 
+`foc_residual` is one player's marginal payoff at a profile, from the
+solver's own residual formula, and `equilibrium_sensitivities` the closed-form
+dG/dR and dG/dc_i at an all-active equilibrium; only the tests use them.
 `brute_force_bilevel` searches the bi-level design problem over a grid of
 design points, solving the true game at each one with `solve_equilibrium`;
 it shares no code with the reformulated LP that the tests compare against it.
@@ -9,8 +12,49 @@ import itertools
 
 import numpy as np
 
-from lotterydesign import DesignPoint, DesignProblem, DesignSolution, solve_equilibrium
-from lotterydesign.errors import InfeasibleRegimeError, InvariantViolationError
+from lotterydesign import (
+    BenefitProfile, DesignPoint, DesignProblem, DesignSolution, solve_equilibrium,
+)
+from lotterydesign.errors import (
+    InfeasibleRegimeError, InvariantViolationError, LotteryDesignError,
+)
+from lotterydesign.game import (
+    EquilibriumResult, _check_profile_shape, _foc_residuals, _good_sensitivities,
+)
+
+
+class UnsupportedRegimeError(LotteryDesignError):
+    """An operation requires all players active but some are not."""
+
+
+def foc_residual(profile: BenefitProfile, design: DesignPoint, s, i: int) -> float:
+    """Marginal payoff dU_i/ds_i at profile s (the first-order-condition residual).
+
+    Zero for active equilibrium players, nonpositive for inactive ones.
+    """
+    s = _check_profile_shape(profile, design, s)
+    res = _foc_residuals(profile.coefficients, design.perturbation,
+                         design.perturbation_total, design.reward, s)
+    return float(res[i])
+
+
+def equilibrium_sensitivities(profile: BenefitProfile, design: DesignPoint,
+                              eq: EquilibriumResult) -> tuple[float, np.ndarray]:
+    """Closed-form dG/dR and dG/dc_i at an all-active equilibrium.
+
+    Implicit differentiation of the aggregate first-order condition gives
+    dG/dR = -(G - c_bar)(N-1) / D and dG/dc_i = -R(N-1) / D with
+    D = (R + G - c_bar)^2 * sum_i h_i''(G) - R(N-1) < 0.
+    """
+    n = profile.n_players
+    if len(eq.active_set) != n:
+        raise UnsupportedRegimeError(
+            "sensitivity formulas require every player active; "
+            f"only {len(eq.active_set)} of {n} are"
+        )
+    dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, design.reward,
+                                       design.perturbation_total, eq.G)
+    return float(dG_dR), np.full(n, dG_dc)
 
 
 def _compositions(total: float, n: int, step: float):

@@ -20,7 +20,6 @@ from lotterydesign import (
     best_response_oracle,
     build_dr_constraints,
     check_properties,
-    equilibrium_sensitivities,
     monetize,
     payoffs,
     poa_bounds,
@@ -34,7 +33,7 @@ from lotterydesign import (
 from lotterydesign.simplex import solve_lp
 
 from conftest import random_profile
-from oracles import brute_force_bilevel
+from oracles import brute_force_bilevel, equilibrium_sensitivities
 from test_design import random_feasible_problem
 from test_game import cancellation_escape_exists, sample_sound_pair
 from test_grid import RADIAL, RING

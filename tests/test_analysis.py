@@ -203,18 +203,25 @@ class TestCheckProperties:
         ("property_margin", "good_bracketed"),
         ("payoff_sandwich_margin", "payoff_sandwich"),
         ("equality_reward_sensitivity", "reward_sensitivity_sign"),
+        ("optimum_attained", "pool_covers_perturbation"),
+        ("equality_case", "perturbation_sensitivity_sign"),
     ])
     def test_margins_come_from_tolerance_table(self, i2_profile, monkeypatch, row, check):
-        # At the optimal budget every check passes; moving the stated row
-        # past the observed margin must flip the check that applies it.
+        # At the optimal budget every check that applies passes; moving the
+        # stated row past the observed margin must flip the check that
+        # applies it. G = G* there, so a negative optimum_attained skips the
+        # pool check, and c_bar = G*, so a negative equality_case leaves the
+        # equality branch, which skips the perturbation check.
+        flips = {"optimum_attained": (True, None), "equality_case": (None, True)}
+        expected_before, expected_after = flips.get(row, (True, False))
         d = _design(1.0, [0.5, 0.5])
         eq = solve_equilibrium(i2_profile, d)
         before = {c.name: c.holds for c in check_properties(i2_profile, d, eq)}
-        assert before[check] is True
-        shift = -1.0 if row == "equality_reward_sensitivity" else 1.0
+        assert before[check] is expected_before
+        shift = 1.0 if row in ("property_margin", "payoff_sandwich_margin") else -1.0
         monkeypatch.setitem(TOLERANCES[row], "value", shift)
         after = {c.name: c.holds for c in check_properties(i2_profile, d, eq)}
-        assert after[check] is False
+        assert after[check] is expected_after
 
     def test_report_serializes(self, i2_profile):
         d = _design(1.5, [0, 0])

@@ -8,8 +8,6 @@ from lotterydesign import (
     BenefitProfile,
     DesignPoint,
     best_response_oracle,
-    equilibrium_sensitivities,
-    foc_residual,
     payoffs,
     reward_threshold,
     solve_equilibrium,
@@ -19,11 +17,11 @@ from lotterydesign.errors import (
     InfeasibleRegimeError,
     InvariantViolationError,
     SingularPoolError,
-    UnsupportedRegimeError,
 )
 from lotterydesign.game import TOL_ACTIVE
 
 from conftest import random_profile
+from oracles import UnsupportedRegimeError, equilibrium_sensitivities, foc_residual
 
 
 def _design(reward, c):

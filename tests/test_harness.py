@@ -645,15 +645,28 @@ class TestSinglePass:
         assert run_scenario("casestudy", cfg, out_dir=tmp_path).status == "ok"
         assert len(calls) == 1
 
+    def test_equilibrium_checks_each_vector_once(self, tmp_path, monkeypatch):
+        # The config reader checks the perturbation, and neither the design
+        # point nor the aggregate payoff checks it, or the solved
+        # investments, again.
+        calls = Counter()
+        for module, name in ((harness, "_checked_perturbation"),
+                             (game, "_checked_perturbation"), (game, "_check_profile_shape")):
+            monkeypatch.setattr(module, name, lambda *args, raw=getattr(module, name), name=name:
+                                calls.update([name]) or raw(*args))
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_equilibrium.yaml")
+        assert run_scenario("equilibrium", cfg, out_dir=tmp_path).status == "ok"
+        assert calls == {"_checked_perturbation": 1}
+
     def test_analyze_bounds_each_variant_once_per_sweep(self, tmp_path, monkeypatch):
         # The bounds are closed forms in R: one evaluation per variant covers
         # every reward of the sweep.
         raw = analysis._compute_bounds
         calls = []
 
-        def counted(profile, c_bar, rewards, variant):
+        def counted(profile, terms, rewards, variant):
             calls.append((variant, np.shape(rewards)))
-            return raw(profile, c_bar, rewards, variant)
+            return raw(profile, terms, rewards, variant)
 
         monkeypatch.setattr(analysis, "_compute_bounds", counted)
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
@@ -858,24 +871,34 @@ class TestArtifactWrites:
         for p in reused.iterdir():
             assert p.stat().st_size < long_sizes[p.name]
 
+    ANALYZE = I2_PLAYERS + "sweep: {rewards: [1, 5], perturbation: [0.25, 0]}\n"
+
     def test_tolerance_table_is_never_stale(self, tmp_path, monkeypatch):
-        cfg = ScenarioConfig.from_file(write_config(tmp_path, self.EQUILIBRIUM))
+        # Each patch follows one that compares equal but is written apart
+        # (0.0 and -0.0; 1, 1.0 and True), so a cache keyed on equality
+        # alone would write the previous text.
+        patches = [("value", 3.25e-6, "3.25e-06"), ("value", 0.0, "0.0"),
+                   ("value", -0.0, "-0.0"), ("value", 1, "1"), ("value", 1.0, "1.0"),
+                   ("value", True, "true"), ("origin", "patched origin", '"patched origin"')]
+        for verb, text in (("equilibrium", self.EQUILIBRIUM), ("analyze", self.ANALYZE)):
+            cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
 
-        def report_text(name):
-            result = run_scenario("equilibrium", cfg, out_dir=tmp_path / name)
-            text = (tmp_path / name / "report.json").read_text()
-            assert text == reference_report_json(result.report)
-            return text
+            def report_text(name):
+                out = tmp_path / verb / name
+                result = run_scenario(verb, cfg, out_dir=out)
+                text = (out / "report.json").read_text()
+                assert text == reference_report_json(result.report)
+                return text
 
-        original = report_text("original")
-        assert '"value": 1e-06' in original
-        for k, value in enumerate((3.25e-6, 0.0, -0.0)):
-            monkeypatch.setitem(game.TOLERANCES["good_gap"], "value", value)
-            patched = report_text(f"patched{k}")
-            assert f'"value": {value!r}' in patched
-            assert patched != original
-        monkeypatch.undo()
-        assert report_text("restored") == original
+            original = report_text("original")
+            assert '"value": 1e-06' in original
+            for k, (field, value, written) in enumerate(patches):
+                monkeypatch.setitem(game.TOLERANCES["good_gap"], field, value)
+                patched = report_text(f"patched{k}")
+                assert f'"{field}": {written}' in patched
+                assert patched != original
+            monkeypatch.undo()
+            assert report_text("restored") == original
 
     def test_missing_nested_out_dir_is_made(self, tmp_path, capsys):
         path = write_config(tmp_path, self.EQUILIBRIUM)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lotterydesign import simplex
 from lotterydesign.errors import SimplexFailureError
 from lotterydesign.simplex import PIVOT_TOL, LinearProgram, _leaving_row, _pivot, solve_lp
 
@@ -194,6 +195,21 @@ class TestLexicographicPass:
         res = solve_lp(lp)
         assert res.x == pytest.approx([1.0, 0.0, 2.0], abs=1e-12)
         assert res.objective == 1.0
+
+    def test_unique_optimum_runs_no_stage(self, monkeypatch):
+        # min x0 + x1 s.t. x0 >= 1, x1 >= 2: both slacks leave the basis with
+        # reduced cost 1, so the optimal face is one vertex and no stage runs.
+        stages = []
+        monkeypatch.setattr(simplex, "_run_phase",
+                            lambda *args: stages.append(args) or 0)
+        lp = LinearProgram([1.0, 1.0], [[-1.0, 0.0], [0.0, -1.0]], [-1.0, -2.0],
+                           np.zeros((0, 2)), np.zeros(0))
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        assert res.x.tolist() == [1.0, 2.0]
+        assert res.iterations == 2
+        assert res.lex_iterations == 0
+        assert stages == []
 
     def test_random_tied_programs_match_vertex_oracle(self):
         rng = np.random.default_rng(34)
