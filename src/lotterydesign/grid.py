@@ -71,21 +71,16 @@ class GridCase:
                 raise CaseValidationError(
                     f"branch {br.from_bus}-{br.to_bus} needs positive reactance"
                 )
-        # Connectivity via breadth-first search over the branch graph.
+        # Connectivity via depth-first search over the branch graph.
         adjacency: dict[int, set[int]] = {i: set() for i in ids}
         for br in self.branches:
             adjacency[br.from_bus].add(br.to_bus)
             adjacency[br.to_bus].add(br.from_bus)
-        seen = {slacks[0]}
-        frontier = [slacks[0]]
+        seen, frontier = {slacks[0]}, [slacks[0]]
         while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adjacency[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
+            reached = adjacency[frontier.pop()] - seen
+            seen |= reached
+            frontier += reached
         if seen != known:
             missing = sorted(known - seen)
             raise CaseValidationError(f"network is disconnected; unreachable buses {missing}")
@@ -105,37 +100,16 @@ class GridCase:
     def bus_index(self) -> dict[int, int]:
         return {b.bus_id: k for k, b in enumerate(self.buses)}
 
-    def to_case_text(self) -> str:
-        """Emit the MATPOWER-subset tables; parse_case inverts this exactly."""
-        lines = ["function mpc = case", "mpc.version = '2';",
-                 f"mpc.baseMVA = {self.base_mva:g};", "mpc.bus = ["]
-        for b in self.buses:
-            lines.append(f"\t{b.bus_id}\t{b.bus_type}\t{b.demand_mw:g}\t0\t0\t0\t1\t1\t0\t135\t1\t1.05\t0.95;")
-        lines.append("];")
-        lines.append("mpc.gen = [")
-        for g in self.generators:
-            lines.append(f"\t{g.bus_id}\t{g.output_mw:g}\t0\t0\t0\t1\t100\t1\t0\t0;")
-        lines.append("];")
-        lines.append("mpc.branch = [")
-        for br in self.branches:
-            lines.append(
-                f"\t{br.from_bus}\t{br.to_bus}\t0\t{br.reactance:g}\t0\t{br.limit_mw:g}"
-                f"\t0\t0\t0\t0\t1\t-360\t360;"
-            )
-        lines.append("];")
-        return "\n".join(lines) + "\n"
 
-
-_TABLE_RE = r"mpc\.{name}\s*=\s*\[(.*?)\];"
-
-
-def _parse_table(text: str, name: str, min_cols: int) -> list[tuple[int, list[float]]]:
-    match = re.search(_TABLE_RE.format(name=name), text, re.S)
-    if match is None:
+def _parse_table(text: str, name: str, min_cols: int) -> list[list[float]]:
+    # The table runs from its header to the first "];" after it.
+    match = re.search(rf"mpc\.{name}\s*=\s*\[", text)
+    end = -1 if match is None else text.find("];", match.end())
+    if end < 0:
         raise CaseParseError(f"missing table '{name}'")
-    offset = text[: match.start(1)].count("\n")
+    offset = text.count("\n", 0, match.end())
     rows = []
-    for k, raw in enumerate(match.group(1).splitlines()):
+    for k, raw in enumerate(text[match.end():end].splitlines()):
         line = raw.split("%")[0].strip().rstrip(";").strip()
         if not line:
             continue
@@ -153,7 +127,7 @@ def _parse_table(text: str, name: str, min_cols: int) -> list[tuple[int, list[fl
                 f"line {lineno}: table '{name}' row has {len(fields)} columns, "
                 f"needs at least {min_cols}"
             )
-        rows.append((lineno, fields))
+        rows.append(fields)
     if not rows:
         raise CaseParseError(f"table '{name}' is empty")
     return rows
@@ -168,15 +142,15 @@ def parse_case(text: str) -> GridCase:
 
     buses = tuple(
         Bus(bus_id=int(f[0]), bus_type=int(f[1]), demand_mw=f[2])
-        for _, f in _parse_table(text, "bus", 3)
+        for f in _parse_table(text, "bus", 3)
     )
     generators = tuple(
         Generator(bus_id=int(f[0]), output_mw=f[1])
-        for _, f in _parse_table(text, "gen", 2)
+        for f in _parse_table(text, "gen", 2)
     )
     branches = tuple(
         Branch(from_bus=int(f[0]), to_bus=int(f[1]), reactance=f[3], limit_mw=f[5])
-        for _, f in _parse_table(text, "branch", 6)
+        for f in _parse_table(text, "branch", 6)
     )
     return GridCase(base_mva, buses, generators, branches)
 
@@ -190,15 +164,11 @@ def shift_factor_matrix(case: GridCase) -> np.ndarray:
     """
     index = case.bus_index()
     nb, nl = len(case.buses), len(case.branches)
-    b_f = np.zeros((nl, nb))
-    for k, br in enumerate(case.branches):
-        susceptance = 1.0 / br.reactance
-        b_f[k, index[br.from_bus]] = susceptance
-        b_f[k, index[br.to_bus]] = -susceptance
+    lines = np.arange(nl)
     incidence = np.zeros((nl, nb))
-    for k, br in enumerate(case.branches):
-        incidence[k, index[br.from_bus]] = 1.0
-        incidence[k, index[br.to_bus]] = -1.0
+    incidence[lines, [index[br.from_bus] for br in case.branches]] = 1.0
+    incidence[lines, [index[br.to_bus] for br in case.branches]] = -1.0
+    b_f = incidence / np.array([[br.reactance] for br in case.branches])
     b_bus = incidence.T @ b_f
 
     slack = index[case.slack_bus]
@@ -289,23 +259,22 @@ def build_dr_constraints(scenario: DrScenario) -> ConstraintSet:
     throughout (the grid does not see R directly).
     """
     n = scenario.n_players
-    rows = []
-    for k, bus in enumerate(scenario.load_bus_ids):
-        coeffs = np.zeros(n)
-        coeffs[k] = 1.0
-        rows.append((f"demand_cap[bus{bus}]", coeffs, 0.0, scenario.demand_dollars[k]))
-
-    total_gap = scenario.generation_dollars.sum() - scenario.demand_dollars.sum()
-    rows.append(("generation_balance", -np.ones(n), 0.0, total_gap))
-
+    limited = np.flatnonzero(np.isfinite(scenario.line_limit_dollars))  # the rest: no limit
+    limits = scenario.line_limit_dollars[limited]
     base_flow = (scenario.shift_factors_gen @ scenario.generation_dollars
-                 - scenario.shift_factors_load @ scenario.demand_dollars)
-    for k, br in enumerate(scenario.case.branches):
-        limit = scenario.line_limit_dollars[k]
-        if not math.isfinite(limit):
-            continue  # unlimited in the source data
-        tag = f"{k}:{br.from_bus}-{br.to_bus}"
-        response = scenario.shift_factors_load[k]
-        rows.append((f"line_upper[{tag}]", response, 0.0, limit - base_flow[k]))
-        rows.append((f"line_lower[{tag}]", -response, 0.0, limit + base_flow[k]))
-    return ConstraintSet.from_rows(rows)
+                 - scenario.shift_factors_load @ scenario.demand_dollars)[limited]
+    response = scenario.shift_factors_load[limited]
+    # Each limited line's upper row, then its lower row, in branch order.
+    a = np.zeros((n + 1 + 2 * limited.size, n + 1))
+    a[:n, :n] = np.eye(n)
+    a[n, :n] = -1.0
+    a[n + 1:, :n] = np.stack((response, -response), axis=1).reshape(-1, n)
+    total_gap = scenario.generation_dollars.sum() - scenario.demand_dollars.sum()
+    line_rhs = np.stack((limits - base_flow, limits + base_flow), axis=1)
+    b = np.concatenate((scenario.demand_dollars, [total_gap], line_rhs.reshape(-1)))
+    branches = scenario.case.branches
+    tags = [f"{k}:{branches[k].from_bus}-{branches[k].to_bus}" for k in limited.tolist()]
+    labels = ([f"demand_cap[bus{bus}]" for bus in scenario.load_bus_ids]
+              + ["generation_balance"]
+              + [f"{side}[{tag}]" for tag in tags for side in ("line_upper", "line_lower")])
+    return ConstraintSet(a, b, tuple(labels))

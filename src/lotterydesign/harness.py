@@ -12,9 +12,8 @@ or sweep, the constraint source, and output options. Pipelines:
   per-bus and per-line figure data
 
 A scenario file reads to the document `yaml.load` builds with the safe
-loader, by the first of three readers that takes it: a line reader for the
-block layout PyYAML's dumper writes, a walker over the parser's events for any
-other single document, and yaml.load itself (see `_load_yaml`).
+loader: a line reader takes the block layout PyYAML's dumper writes, and
+yaml.load itself reads any other file (see `_load_yaml`).
 
 Artifacts (report.json plus CSVs) are byte-deterministic for a fixed config
 and seed. report.json is encoded in one pass, sorting and encoding the keys of
@@ -35,7 +34,6 @@ import csv
 import importlib.resources
 import io
 import itertools
-import json
 import math
 import operator
 import os
@@ -54,9 +52,8 @@ from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point
                    payoffs, solve_equilibrium)
 
 SCHEMA_VERSION = 1
-# libyaml's safe loader when present. Its events come from C, and
-# `_build_document` builds documents from them; the pure-Python loader reads
-# the same documents more slowly.
+# libyaml's safe loader when present; the pure-Python loader reads the same
+# documents more slowly.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # The plain decimals whose `float`/`int` is what SafeConstructor builds for the
@@ -97,25 +94,20 @@ def _plain_scalar(text: str, loader):
 
 
 def _load_yaml(text: str, loader=_YAML_LOADER):
-    """`yaml.load(text, Loader=loader)`, built by the first of three readers that takes it.
+    """`yaml.load(text, Loader=loader)`, read by `_read_block` when it takes the text.
 
     PyYAML turns the parser's events into nodes and the nodes into values in
     Python, and on a large scenario file even making one Python event object
     per node is most of the parse. `_read_block` reads a block-style document
     whose scalars are all plain tokens, the layout PyYAML's dumper writes, a
-    line at a time without the parser. `_build_document` builds the dicts and
-    lists of any other single document straight from the events. A stream
-    neither builds (an anchor, alias or explicit tag, the merge key, a
-    non-scalar key, more than one document, or a scalar the constructors
-    reject) goes to yaml.load whole, which accepts or rejects it exactly as
-    before. A syntax error raises the same yaml.YAMLError from the event
-    stream as from yaml.load. The text alone chooses the reader.
+    line at a time without the parser. Any other stream goes to yaml.load
+    whole, which accepts or rejects it exactly as before, so a syntax error
+    raises yaml.load's yaml.YAMLError. The text alone chooses the reader.
     """
-    for read in (_read_block, _build_document):
-        try:
-            return read(text, loader)
-        except _Fallback:
-            pass
+    try:
+        return _read_block(text, loader)
+    except _Fallback:
+        pass
     return yaml.load(text, Loader=loader)
 
 
@@ -142,7 +134,7 @@ def _read_block(text: str, loader):
     if any(char in text for char in _NOT_BLOCK):
         raise _Fallback
     lines = text.removesuffix("\n").split("\n")  # an empty text is one blank line
-    plain = {}  # token -> value, as in `_build_document`
+    plain = {}  # token -> value; a large scenario repeats most of them
 
     def scalar(token):
         value = plain.get(token, _NO_KEY)
@@ -205,57 +197,6 @@ def _read_block(text: str, loader):
             container[scalar(name)] = scalar(value)
     if key is not _NO_KEY:
         container[key] = None
-    return root
-
-
-def _build_document(text: str, loader):
-    """The stream's one document, or _Fallback for what it leaves to yaml.load."""
-    scalar, mapping, sequence = yaml.ScalarEvent, yaml.MappingStartEvent, yaml.SequenceStartEvent
-    ends = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
-    plain = {}  # plain scalar text -> value; a large scenario repeats most of them
-    root = container = None
-    key = _NO_KEY  # in a mapping: the key whose value comes next
-    stack = []
-    documents = 0
-    for event in yaml.parse(text, Loader=loader):
-        kind = type(event)
-        if kind is scalar or kind is mapping or kind is sequence:
-            if event.anchor is not None or event.tag is not None:
-                raise _Fallback
-        elif kind in ends:
-            container, key = stack.pop()
-            continue
-        elif kind is yaml.DocumentStartEvent:
-            documents += 1
-            if documents > 1:
-                raise _Fallback
-            continue
-        elif kind is yaml.AliasEvent:
-            raise _Fallback
-        else:
-            continue
-        if kind is not scalar:
-            value = {} if kind is mapping else []
-        elif not event.implicit[0]:
-            value = event.value  # quoted or block: a str
-        elif event.value in plain:
-            value = plain[event.value]
-        else:
-            value = plain[event.value] = _plain_scalar(event.value, loader)
-        if container is None:
-            root = value
-        elif type(container) is list:
-            container.append(value)
-        elif key is not _NO_KEY:
-            container[key] = value
-            key = _NO_KEY
-        elif kind is scalar:
-            key = value
-        else:
-            raise _Fallback
-        if kind is not scalar:
-            stack.append((container, key))
-            container, key = value, _NO_KEY
     return root
 
 
@@ -643,8 +584,9 @@ def _sweep_csv_rows(reward, good, poa, g_lower, g_upper, poa_lower, poa_upper) -
 def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     sweep = _mapping(cfg.require("sweep"), "sweep")
+    rewards = sweep.get("rewards")
     try:
-        rewards = np.sort(np.array([float(r) for r in sweep.get("rewards", [])]))
+        rewards = np.sort([float(r) for r in rewards]) if isinstance(rewards, list) else None
     except (TypeError, ValueError, OverflowError):
         rewards = None
     if rewards is None or not rewards.size or not (0.0 < rewards[0] and rewards[-1] < math.inf):
@@ -682,7 +624,10 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
     if "encoding" in ir:
         raise ConfigError("individual_rationality.encoding was removed; "
                           "delete the key (the rows are always c_i <= h_i(G*))")
-    if ir.get("enabled", False):
+    enabled = ir.get("enabled", False)
+    if not isinstance(enabled, bool):
+        raise ConfigError("individual_rationality.enabled must be true or false")
+    if enabled:
         constraints = constraints.stacked(design_mod.individual_rationality_rows(profile))
     alpha = _number(cfg.get("alpha", 1.0), "alpha")
     if not 0.0 <= alpha < math.inf:
@@ -854,12 +799,6 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
     report = _report(verb, seed, status, results, properties)
     artifacts = emit_report(out_dir, report, csvs)
     return HarnessResult(status, report, out_dir, artifacts)
-
-
-def load_report_schema() -> dict:
-    text = importlib.resources.files("lotterydesign").joinpath(
-        "schemas/report.schema.json").read_text()
-    return json.loads(text)
 
 
 # The IEEE 30-bus case study of configs/case30.yaml, built in so that an

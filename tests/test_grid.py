@@ -23,6 +23,22 @@ def toy_case(branches, demands, gens, slack=1):
     return GridCase(100.0, buses, generators, branch_objs)
 
 
+def case_text(case):
+    """The MATPOWER-subset tables of a case; parse_case inverts this exactly."""
+    lines = ["function mpc = case", "mpc.version = '2';",
+             f"mpc.baseMVA = {case.base_mva:g};", "mpc.bus = ["]
+    lines += [f"\t{b.bus_id}\t{b.bus_type}\t{b.demand_mw:g}\t0\t0\t0\t1\t1\t0\t135\t1\t1.05\t0.95;"
+              for b in case.buses]
+    lines += ["];", "mpc.gen = ["]
+    lines += [f"\t{g.bus_id}\t{g.output_mw:g}\t0\t0\t0\t1\t100\t1\t0\t0;"
+              for g in case.generators]
+    lines += ["];", "mpc.branch = ["]
+    lines += [f"\t{br.from_bus}\t{br.to_bus}\t0\t{br.reactance:g}\t0\t{br.limit_mw:g}"
+              "\t0\t0\t0\t0\t1\t-360\t360;" for br in case.branches]
+    lines.append("];")
+    return "\n".join(lines) + "\n"
+
+
 TWO_BUS = toy_case([(1, 2, 0.1, 50.0)], {2: 10.0}, [(1, 10.0)])
 
 # Star network 1-2, 2-3, 2-4: radial, so flows follow unique paths.
@@ -47,8 +63,8 @@ class TestParseCase:
         assert sum(g.output_mw for g in case30.generators) == pytest.approx(189.21)
 
     def test_round_trip(self):
-        assert parse_case(RADIAL.to_case_text()) == RADIAL
-        assert parse_case(TWO_BUS.to_case_text()) == TWO_BUS
+        assert parse_case(case_text(RADIAL)) == RADIAL
+        assert parse_case(case_text(TWO_BUS)) == TWO_BUS
 
     def test_missing_table_names_it(self, case30_text):
         broken = case30_text.replace("mpc.branch", "mpc.other")
@@ -62,10 +78,10 @@ class TestParseCase:
 
     def test_missing_base_mva(self):
         with pytest.raises(CaseParseError, match="baseMVA"):
-            parse_case(RADIAL.to_case_text().replace("baseMVA", "base"))
+            parse_case(case_text(RADIAL).replace("baseMVA", "base"))
 
     def test_disconnected_network_rejected(self):
-        text = toy_case([(1, 2, 0.1, 10.0)], {2: 1.0}, [(1, 1.0)]).to_case_text()
+        text = case_text(toy_case([(1, 2, 0.1, 10.0)], {2: 1.0}, [(1, 1.0)]))
         text = text.replace("mpc.bus = [", "mpc.bus = [\n\t9\t1\t5\t0\t0\t0\t1\t1\t0\t135\t1\t1.05\t0.95;")
         with pytest.raises(CaseValidationError, match="disconnected"):
             parse_case(text)
@@ -195,6 +211,27 @@ class TestDrConstraints:
         cons = build_dr_constraints(monetize(case, 1.0, 0.1, 1.0))
         assert all(not lab.startswith("line_") for lab in cons.labels)
         assert cons.n_rows == 2  # demand cap + balance
+
+    def test_unlimited_line_between_limited_ones(self):
+        # Ring 1-2-3 with the middle line unlimited: each limited line gives
+        # its upper row, then its lower row, in branch order.
+        case = toy_case([(1, 2, 0.1, 100.0), (2, 3, 0.1, 0.0), (3, 1, 0.1, 50.0)],
+                        {2: 10.0, 3: 5.0}, [(1, 15.0)])
+        scenario = monetize(case, 1.0, 0.1, 1.0)
+        cons = build_dr_constraints(scenario)
+        assert cons.labels == ("demand_cap[bus2]", "demand_cap[bus3]", "generation_balance",
+                               "line_upper[0:1-2]", "line_lower[0:1-2]",
+                               "line_upper[2:3-1]", "line_lower[2:3-1]")
+        base_flow = (scenario.shift_factors_gen @ scenario.generation_dollars
+                     - scenario.shift_factors_load @ scenario.demand_dollars)
+        for row, line in ((3, 0), (5, 2)):
+            response = scenario.shift_factors_load[line]
+            limit = scenario.line_limit_dollars[line]
+            assert np.array_equal(cons.a[row], np.append(response, 0.0))
+            assert np.array_equal(cons.a[row + 1], np.append(-response, 0.0))
+            assert cons.b[row] == limit - base_flow[line]
+            assert cons.b[row + 1] == limit + base_flow[line]
+        assert np.array_equal(cons.a[:3], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
 
 
 class TestCaseStudyFeasibility:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import json
 import math
 import re
@@ -17,7 +18,7 @@ from lotterydesign import ScenarioConfig, analysis, design, game, harness
 from lotterydesign import DesignPoint, poa_bounds, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
-from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json, load_report_schema
+from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -79,6 +80,8 @@ MALFORMED = [
                  "constraints.rows[0].s_coeffs", id="row_s_coeffs_player_count"),
     pytest.param("design", I2_PLAYERS + "individual_rationality: true\n",
                  "individual_rationality", id="individual_rationality"),
+    pytest.param("design", I2_PLAYERS + "individual_rationality: {enabled: 'false'}\n",
+                 "individual_rationality.enabled", id="individual_rationality_enabled_string"),
     pytest.param("casestudy", CASESTUDY.replace("  grid:\n", "  grid: builtin:case30\n  x:\n"),
                  "constraints.grid", id="grid"),
     pytest.param("casestudy", CASESTUDY.replace("casestudy:\n  coefficient_offset: 100",
@@ -100,6 +103,8 @@ MALFORMED = [
     pytest.param("analyze", SWEEP % ("[1, x]", "[0, 0]"), "sweep.rewards",
                  id="rewards_not_a_number"),
     pytest.param("analyze", SWEEP % ("5", "[0, 0]"), "sweep.rewards", id="rewards_scalar"),
+    pytest.param("analyze", SWEEP % ('"25"', "[0, 0]"), "sweep.rewards", id="rewards_string"),
+    pytest.param("analyze", SWEEP % ("{25: 1}", "[0, 0]"), "sweep.rewards", id="rewards_mapping"),
     pytest.param("analyze", SWEEP % ("[1]", "x"), "sweep.perturbation",
                  id="sweep_perturbation_not_a_number"),
     pytest.param("analyze", SWEEP % ("[1]", "[0]"), "sweep.perturbation",
@@ -178,13 +183,11 @@ MALFORMED = [
 def read_yaml(text, loader=harness._YAML_LOADER):
     """`harness._load_yaml(text, loader)`, and the reader that built it.
 
-    "block" for the line reader, "events" for the event walker, "yaml.load"
-    when both handed the text on.
+    "block" for the line reader, "yaml.load" when it handed the text on.
     """
-    with mock.patch.object(yaml, "load", wraps=yaml.load) as load, mock.patch.object(
-            harness, "_build_document", wraps=harness._build_document) as events:
+    with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
         value = harness._load_yaml(text, loader)
-    return value, "yaml.load" if load.called else "events" if events.called else "block"
+    return value, "yaml.load" if load.called else "block"
 
 
 def write_config(tmp_path, text, name="scenario.yaml"):
@@ -202,7 +205,8 @@ def dir_digest(root: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def schema():
-    return load_report_schema()
+    resource = importlib.resources.files("lotterydesign").joinpath("schemas/report.schema.json")
+    return json.loads(resource.read_text())
 
 
 class TestConfig:
@@ -223,16 +227,14 @@ class TestConfig:
     @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="libyaml not built")
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.name)
     def test_loaders_agree_on_shipped_configs(self, path):
-        # The C loader's events are used when present; the reader must build
-        # the same dict from them and from the pure-Python parser's events,
-        # without handing the file to yaml.load.
+        # The C loader is used when present; the reader must build the same
+        # dict with it and with the pure-Python loader.
         text = path.read_text()
         expected = repr(yaml.load(text, Loader=yaml.CSafeLoader))
         assert repr(yaml.load(text, Loader=yaml.SafeLoader)) == expected
         assert repr(ScenarioConfig.from_file(path).raw) == expected
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            value, reader = read_yaml(text, loader)
-            assert repr(value) == expected and reader != "yaml.load"
+            assert repr(harness._load_yaml(text, loader)) == expected
 
     def test_missing_profile_key(self, tmp_path):
         cfg = ScenarioConfig.from_file(write_config(tmp_path, "alpha: 1\n"))
@@ -327,9 +329,7 @@ class TestYamlReader:
     @given(document=_DOCUMENTS, flow=st.sampled_from([False, None, True]))
     def test_dumped_documents(self, loader, document, flow):
         text = yaml.dump(document, Dumper=_DUMPER, default_flow_style=flow)
-        value, reader = read_yaml(text, loader)
-        assert repr(value) == repr(yaml.load(text, Loader=loader))
-        assert reader != "yaml.load"
+        assert repr(harness._load_yaml(text, loader)) == repr(yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     @settings(max_examples=150, deadline=None)
@@ -371,17 +371,6 @@ class TestYamlReader:
             value, reader = read_yaml(text)
             assert repr(value) == repr(yaml.load(text, Loader=harness._YAML_LOADER))
             assert reader == "block"
-
-    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
-    def test_built_without_fallback(self, loader):
-        # A duplicate key keeps its first place and takes its last value; a
-        # quoted "<<" is a plain key, not a merge.
-        text = ("a: 1\na: 2\n'<<': 3\n1: x\n1.0: y\n.nan: 1\n.NaN: 2\nb: [1e3, 012, 0x1F, "
-                "1_000, -0.0, .inf, ~, yes, 2001-12-14, '1.5', \"\"]\nc: |\n  x\n")
-        value, reader = read_yaml(text, loader)
-        assert repr(value) == repr(yaml.load(text, Loader=loader))
-        assert list(value)[:2] == ["a", "<<"] and value["a"] == 2
-        assert reader == "events"
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     @pytest.mark.parametrize("text", [

@@ -8,8 +8,8 @@ benchmark's own input generator in a temporary directory, as
 `tools/artifact_digests.py` does) with `ScenarioConfig.from_file` and with
 `yaml.load` on libyaml's safe loader (the pure-Python one when libyaml is not
 built). Prints one JSON object with each file's size, the reader that built
-it (`block` for the line reader, `events` for the event walker, `yaml.load`
-when both hand it on) and the median milliseconds of each over the repeats.
+it (`block` for the line reader, `yaml.load` when the line reader hands it
+on) and the median milliseconds of each over the repeats.
 Exits 1 when, for any file, the `from_file` document is not repr-equal to
 yaml.load's (repr tells 1 from 1.0 and True, and a NaN from anything else,
 where == does not), or when a benchmark input is not built by `block`.
@@ -35,14 +35,12 @@ BENCH_SEED = 7
 
 
 def reader(text, loader):
-    """The first of `harness._load_yaml`'s readers that builds `text`."""
-    for name, read in (("block", harness._read_block), ("events", harness._build_document)):
-        try:
-            read(text, loader)
-            return name
-        except harness._Fallback:
-            pass
-    return "yaml.load"
+    """The reader of `harness._load_yaml` that builds `text`."""
+    try:
+        harness._read_block(text, loader)
+        return "block"
+    except harness._Fallback:
+        return "yaml.load"
 
 
 def median_ms(call, repeats):
