@@ -12,6 +12,7 @@ tests the collapse is exact lives with the tests (tests/oracles.py).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ class ConstraintSet:
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        if a.ndim != 2 or a.shape[0] != b.size or len(self.labels) != b.size:
+        if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size or len(self.labels) != b.size:
             raise InvariantViolationError("constraint matrix, rhs, and labels disagree")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise InvariantViolationError("constraint rows must be finite")
@@ -56,20 +57,6 @@ class ConstraintSet:
     @classmethod
     def empty(cls, n_players: int) -> "ConstraintSet":
         return cls(np.zeros((0, n_players + 1)), np.zeros(0), ())
-
-    @classmethod
-    def from_rows(cls, rows) -> "ConstraintSet":
-        """Build from (label, s_coefficients, r_coefficient, rhs) tuples."""
-        rows = list(rows)
-        if not rows:
-            raise InvariantViolationError("from_rows needs at least one row")
-        labels, s_coeffs, r_coeffs, rhs = zip(*rows)
-        s_coeffs = np.array(s_coeffs, dtype=float)
-        if s_coeffs.ndim != 2:
-            raise InvariantViolationError("each row needs one coefficient per player")
-        r_coeffs = [float(r) for r in r_coeffs]
-        return cls(np.column_stack((s_coeffs, r_coeffs)), [float(v) for v in rhs],
-                   tuple(map(str, labels)))
 
     @property
     def n_rows(self) -> int:
@@ -146,35 +133,22 @@ def build_reformulation(problem: DesignProblem) -> LinearProgram:
     Variables are [R, c_1..c_N], all nonnegative. The perturbation budget is
     an equality, the reward floor closes the feasible set, and every affine
     constraint row is composed with the designed equilibrium map
-    s = c + R * grad_h(G*). The weighted budget alpha*G* is constant on the
-    feasible set and enters as an objective offset.
+    s = c + R * grad_h(G*). The objective is R alone: the weighted budget
+    alpha*G* is the same at every feasible point.
     """
     n = problem.profile.n_players
     g_star = problem.profile.g_star
-    grad = problem.profile.slopes(g_star)
-
-    cons = problem.constraints
-    a_ub = np.zeros((cons.n_rows + 1, n + 1))
-    b_ub = np.zeros(cons.n_rows + 1)
-    for r in range(cons.n_rows):
-        s_part = cons.a[r, :n]
-        a_ub[r, 0] = float(s_part @ grad + cons.a[r, n])
-        a_ub[r, 1:] = s_part
-        b_ub[r] = cons.b[r]
-    a_ub[cons.n_rows, 0] = -1.0
-    b_ub[cons.n_rows] = -problem.reward_floor
-
-    a_eq = np.zeros((1, n + 1))
-    a_eq[0, 1:] = 1.0
-    objective = np.zeros(n + 1)
-    objective[0] = 1.0
+    a = problem.constraints.a
+    a_ub = np.zeros((a.shape[0] + 1, n + 1))
+    a_ub[:-1, 0] = a[:, :n] @ problem.profile.slopes(g_star) + a[:, n]
+    a_ub[:-1, 1:] = a[:, :n]
+    a_ub[-1, 0] = -1.0  # the reward floor, -R <= -floor
     return LinearProgram(
-        objective=objective,
+        objective=np.append(1.0, np.zeros(n)),
         a_ub=a_ub,
-        b_ub=b_ub,
-        a_eq=a_eq,
-        b_eq=np.array([g_star]),
-        objective_offset=problem.alpha * g_star,
+        b_ub=np.append(problem.constraints.b, -problem.reward_floor),
+        a_eq=np.append(0.0, np.ones(n)),
+        b_eq=g_star,
     )
 
 
@@ -204,12 +178,10 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
     design = DesignPoint(reward, c)
     predicted = c + reward * problem.profile.slopes(g_star)
 
-    resid = problem.constraints.residuals(predicted, reward)
-    scale = np.maximum(1.0, np.abs(problem.constraints.b))
-    binding = tuple(
-        lab for lab, r, s in zip(problem.constraints.labels, resid, scale)
-        if abs(r) <= 1e-7 * s
-    )
+    cons = problem.constraints
+    resid = cons.residuals(predicted, reward)
+    binding = tuple(itertools.compress(
+        cons.labels, np.abs(resid) <= 1e-7 * np.maximum(1.0, np.abs(cons.b))))
     if reward <= problem.reward_floor + 1e-9 * max(1.0, problem.reward_floor):
         binding = binding + ("reward_floor",)
     objective = reward + problem.alpha * float(c.sum())

@@ -138,7 +138,10 @@ def parse_case(text: str) -> GridCase:
     match = re.search(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)\s*;", text)
     if match is None:
         raise CaseParseError("missing scalar 'baseMVA'")
-    base_mva = float(match.group(1))
+    try:
+        base_mva = float(match.group(1))
+    except ValueError:
+        raise CaseParseError(f"non-numeric scalar 'baseMVA' {match.group(1)!r}") from None
 
     buses = tuple(
         Bus(bus_id=int(f[0]), bus_type=int(f[1]), demand_mw=f[2])

@@ -47,7 +47,8 @@ import yaml
 
 from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
-from .errors import ConfigError, ExactnessViolationError, InvariantViolationError
+from .errors import (CaseParseError, CaseValidationError, ConfigError,
+                     ExactnessViolationError, InvariantViolationError)
 from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point, _payoffs,
                    payoffs, solve_equilibrium)
 
@@ -79,9 +80,7 @@ def _plain_scalar(text: str, loader):
             break
     else:
         return text
-    construct = loader.yaml_constructors.get(tag)  # none for the merge key "<<" or "="
-    if construct is None:
-        raise _Fallback
+    construct = loader.yaml_constructors[tag]
     decimal = _DECIMAL.get(tag)
     try:
         if decimal is not None and decimal[0].match(text):
@@ -255,6 +254,15 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number") from None
 
 
+def _finite(value, name: str, low: float = -math.inf) -> float:
+    """`value` as a finite float >= `low`, or ConfigError naming the field."""
+    number = _number(value, name)
+    if not math.isfinite(number) or number < low:
+        bound = "" if low == -math.inf else f" >= {low:g}"
+        raise ConfigError(f"{name} must be a finite number{bound}")
+    return number
+
+
 def _positive(value, name: str) -> float:
     """`value` as a finite float > 0, or ConfigError naming the field."""
     number = _number(value, name)
@@ -318,7 +326,13 @@ def _resolve_case_text(cfg: ScenarioConfig, case_file: str) -> str:
 def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
     section = _mapping(cfg.get("constraints", {}), "constraints", "grid")["grid"]
     section = _mapping(section, "constraints.grid")
-    case = grid_mod.parse_case(_resolve_case_text(cfg, section.get("case_file", "")))
+    case_file = section.get("case_file", "")
+    if not isinstance(case_file, str):
+        raise ConfigError("constraints.grid.case_file must be a string")
+    try:
+        case = grid_mod.parse_case(_resolve_case_text(cfg, case_file))
+    except (CaseParseError, CaseValidationError) as exc:
+        raise ConfigError(f"constraints.grid.case_file: {exc}") from None
     return grid_mod.monetize(
         case,
         demand_scale=_positive(section.get("demand_scale", 1.0), "constraints.grid.demand_scale"),
@@ -340,15 +354,16 @@ def _inline_constraints(rows: list[dict], n_players: int):
         if not isinstance(row["s_coeffs"], list) or len(row["s_coeffs"]) != n_players:
             raise ConfigError(f"constraints.rows[{k}].s_coeffs must be {expected['s_coeffs']}")
     try:
-        return design_mod.ConstraintSet.from_rows(
-            (row.get("label", f"row{k}"), row["s_coeffs"], row.get("r_coeff", 0.0), row["rhs"])
-            for k, row in enumerate(rows))
-    except (TypeError, ValueError, InvariantViolationError):
+        return design_mod.ConstraintSet(
+            [row["s_coeffs"] + [row.get("r_coeff", 0.0)] for row in rows],
+            [row["rhs"] for row in rows],
+            [str(row.get("label", f"row{k}")) for k, row in enumerate(rows)])
+    except (TypeError, ValueError, OverflowError, InvariantViolationError):
         for k, row in enumerate(rows):
             for key, ndim in (("s_coeffs", 1), ("r_coeff", 0), ("rhs", 0)):
                 try:
                     value = np.array(row.get(key, 0.0), dtype=float)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     value = None
                 if value is None or value.ndim != ndim or not np.isfinite(value).all():
                     raise ConfigError(
@@ -629,13 +644,10 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
         raise ConfigError("individual_rationality.enabled must be true or false")
     if enabled:
         constraints = constraints.stacked(design_mod.individual_rationality_rows(profile))
-    alpha = _number(cfg.get("alpha", 1.0), "alpha")
-    if not 0.0 <= alpha < math.inf:
-        raise ConfigError("alpha must be a finite number >= 0")
     return design_mod.DesignProblem(
         profile,
         constraints,
-        alpha=alpha,
+        alpha=_finite(cfg.get("alpha", 1.0), "alpha", 0.0),
         reward_floor=_positive(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
                                "reward_floor"),
     )
@@ -690,11 +702,11 @@ def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]
             raise ConfigError(f"golden target {name!r} is not produced by this pipeline")
         value = actual[name]
         spec = _mapping(spec, f"golden.{name}", "value")
-        expected = _number(spec["value"], f"golden.{name}.value")
+        expected = _finite(spec["value"], f"golden.{name}.value")
         if "tol_abs" in spec:
-            tol = _number(spec["tol_abs"], f"golden.{name}.tol_abs")
+            tol = _finite(spec["tol_abs"], f"golden.{name}.tol_abs", 0.0)
         elif "tol_rel" in spec:
-            tol = _number(spec["tol_rel"], f"golden.{name}.tol_rel") * abs(expected)
+            tol = _finite(spec["tol_rel"], f"golden.{name}.tol_rel", 0.0) * abs(expected)
         else:
             raise ConfigError(f"golden target {name!r} needs tol_abs or tol_rel")
         table.append({

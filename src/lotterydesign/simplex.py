@@ -28,15 +28,14 @@ PIVOT_TOL = 1e-9
 
 @dataclass
 class LinearProgram:
-    """min objective.x + offset s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0,
-    for a nonnegative objective."""
+    """min objective.x s.t. a_ub x <= b_ub, a_eq x = b_eq, x >= 0, for a
+    nonnegative objective."""
 
     objective: np.ndarray
     a_ub: np.ndarray
     b_ub: np.ndarray
     a_eq: np.ndarray
     b_eq: np.ndarray
-    objective_offset: float = 0.0
 
     def __post_init__(self):
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=float))
@@ -183,5 +182,5 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     x = np.zeros(n_cols)
     x[basis] = tableau[:m, n_cols]
     x_struct = np.where(np.abs(x[:n]) < 1e-12, 0.0, x[:n])
-    objective = float(lp.objective @ x_struct + lp.objective_offset)
+    objective = float(lp.objective @ x_struct)
     return SimplexResult("optimal", x_struct, objective, iterations, lex_iterations)

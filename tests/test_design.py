@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,11 @@ from lotterydesign.errors import ExactnessViolationError, InvariantViolationErro
 
 from oracles import brute_force_bilevel
 from test_simplex import lexicographic_vertex_oracle
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+MIN_S1 = ConstraintSet([[-1.0, 0.0, 0.0]], [-2.0], ("min_s1",))  # s_1 >= 2
+# s_1 >= 2 and s_1 <= 1: no design satisfies both.
+CONFLICT = ConstraintSet([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [-2.0, 1.0], ("lo", "hi"))
 
 
 @pytest.fixture
@@ -103,7 +110,7 @@ def highs_lexicographic(lp):
 
 class TestConstraintSet:
     def test_row_builder_and_residuals(self):
-        cs = ConstraintSet.from_rows([("cap", [1.0, 0.0], -0.5, 2.0)])
+        cs = ConstraintSet([[1.0, 0.0, -0.5]], [2.0], ("cap",))
         assert cs.n_rows == 1 and cs.n_players == 2
         res = cs.residuals([3.0, 0.0], 1.0)
         assert res == pytest.approx([3.0 - 0.5 - 2.0])
@@ -114,7 +121,7 @@ class TestConstraintSet:
 
     def test_stacking(self):
         a = ConstraintSet.empty(2)
-        b = ConstraintSet.from_rows([("r", [1.0, 1.0], 0.0, 1.0)])
+        b = ConstraintSet([[1.0, 1.0, 0.0]], [1.0], ("r",))
         assert a.stacked(b).labels == ("r",)
 
 
@@ -133,14 +140,34 @@ class TestBuildReformulation:
         assert lp.a_ub.tolist() == [[-1.0, 0.0, 0.0]]
         assert lp.a_eq.tolist() == [[0.0, 1.0, 1.0]]
         assert lp.b_eq == pytest.approx([1.0], abs=1e-9)
-        assert lp.objective_offset == pytest.approx(1.0, abs=1e-9)
+        assert lp.objective.tolist() == [1.0, 0.0, 0.0]
 
     def test_row_composition_with_equilibrium_map(self, i2_profile):
         # s_1 >= 2 becomes -c_1 - h_1'(G*)*R <= -2 with h_1'(1) = 0.5.
-        cs = ConstraintSet.from_rows([("min_s1", [-1.0, 0.0], 0.0, -2.0)])
-        lp = build_reformulation(DesignProblem(i2_profile, cs, alpha=1.0))
+        lp = build_reformulation(DesignProblem(i2_profile, MIN_S1, alpha=1.0))
         assert lp.a_ub[0] == pytest.approx([-0.5, -1.0, 0.0], abs=1e-9)
         assert lp.b_ub[0] == -2.0
+
+    def test_rows_with_reward_terms(self):
+        # Column 0 of each row is a_s . grad_h(G*) + a_R and the c columns
+        # are a_s, in the given row order; the reward floor comes last.
+        profile = BenefitProfile.scaled_log([1.3, 2.1, 0.9])
+        a = np.array([[1.0, -0.5, 0.25, 2.0],
+                      [0.0, 1.0, -1.0, -0.75],
+                      [-2.0, 0.5, 1.5, 0.5],
+                      [0.3, 0.3, 0.3, -3.0]])
+        b = np.array([4.0, -1.0, 2.5, 0.5])
+        lp = build_reformulation(DesignProblem(
+            profile, ConstraintSet(a, b, ("w", "x", "y", "z")), reward_floor=0.25))
+        grad = profile.slopes(profile.g_star).tolist()
+        for row, lp_row in zip(a.tolist(), lp.a_ub.tolist()):
+            expected = sum(a_i * g_i for a_i, g_i in zip(row[:3], grad)) + row[3]
+            assert lp_row[0] == pytest.approx(expected, rel=1e-12)
+            assert lp_row[1:] == row[:3]
+        assert lp.a_ub[-1].tolist() == [-1.0, 0.0, 0.0, 0.0]
+        assert lp.b_ub.tolist() == [4.0, -1.0, 2.5, 0.5, -0.25]
+        assert lp.a_eq.tolist() == [[0.0, 1.0, 1.0, 1.0]]
+        assert lp.b_eq.tolist() == [profile.g_star]
 
     def test_case_study_row_count(self, case30_scenario, i30_profile):
         from lotterydesign import build_dr_constraints
@@ -165,8 +192,7 @@ class TestSolveDesign:
         assert "reward_floor" in sol.binding
 
     def test_forced_investment(self, i2_profile):
-        cs = ConstraintSet.from_rows([("min_s1", [-1.0, 0.0], 0.0, -2.0)])
-        problem = DesignProblem(i2_profile, cs, alpha=1.0)
+        problem = DesignProblem(i2_profile, MIN_S1, alpha=1.0)
         sol = solve_design(problem)
         assert sol.design.reward == pytest.approx(2.0, abs=1e-9)
         assert sol.design.perturbation == pytest.approx([1.0, 0.0], abs=1e-9)
@@ -175,11 +201,7 @@ class TestSolveDesign:
         assert sol.predicted_investments == pytest.approx([2.0, 1.0], abs=1e-9)
 
     def test_infeasible_rows_reported(self, i2_profile):
-        cs = ConstraintSet.from_rows([
-            ("lo", [-1.0, 0.0], 0.0, -2.0),  # s_1 >= 2
-            ("hi", [1.0, 0.0], 0.0, 1.0),    # s_1 <= 1
-        ])
-        sol = solve_design(DesignProblem(i2_profile, cs, alpha=1.0))
+        sol = solve_design(DesignProblem(i2_profile, CONFLICT, alpha=1.0))
         assert sol.status == "infeasible"
         assert sol.design is None
 
@@ -249,8 +271,8 @@ class TestIndividualRationality:
     def test_rows_cut_off_greedy_budget(self, i2_profile):
         # Forcing c_1 = 1 > ln 2 violates individual rationality.
         ir = individual_rationality_rows(i2_profile)
-        force = ConstraintSet.from_rows(
-            [("force_c1", [-1.0, 0.0], 0.5, -1.0)])  # -s_1 + 0.5 R <= -1, i.e. c_1 >= 1
+        # -s_1 + 0.5 R <= -1, i.e. c_1 >= 1
+        force = ConstraintSet([[-1.0, 0.0, 0.5]], [-1.0], ("force_c1",))
         problem = DesignProblem(i2_profile, ir.stacked(force), alpha=1.0)
         assert solve_design(problem).status == "infeasible"
         # Without the rationality rows the same forcing is fine.
@@ -277,9 +299,7 @@ class TestVerifyDesign:
             2.0 * math.log(2.0) - 1.0, abs=1e-9)
 
     def test_rejects_unsolved_input(self, i2_profile):
-        cs = ConstraintSet.from_rows([("lo", [-1.0, 0.0], 0.0, -2.0),
-                                      ("hi", [1.0, 0.0], 0.0, 1.0)])
-        problem = DesignProblem(i2_profile, cs, alpha=1.0)
+        problem = DesignProblem(i2_profile, CONFLICT, alpha=1.0)
         sol = solve_design(problem)
         with pytest.raises(ValueError):
             verify_design(problem, sol)
@@ -290,7 +310,7 @@ class TestVerifyDesign:
         # the tie-break parks the whole budget on player 2, so cap s_2.
         tight = DesignProblem(
             i2_profile,
-            ConstraintSet.from_rows([("cap", [0.0, 1.0], 0.0, 0.1)]),
+            ConstraintSet([[0.0, 1.0, 0.0]], [0.1], ("cap",)),
             alpha=1.0)
         with pytest.raises(ExactnessViolationError) as excinfo:
             verify_design(tight, sol)
@@ -300,8 +320,7 @@ class TestVerifyDesign:
 
 class TestBruteForceOracle:
     def test_matches_lp_on_forced_investment(self, i2_profile):
-        cs = ConstraintSet.from_rows([("min_s1", [-1.0, 0.0], 0.0, -2.0)])
-        problem = DesignProblem(i2_profile, cs, alpha=1.0)
+        problem = DesignProblem(i2_profile, MIN_S1, alpha=1.0)
         lp_sol = solve_design(problem)
         oracle = brute_force_bilevel(problem, r_lo=0.05, r_hi=4.0, resolution=0.02)
         assert oracle.status == "optimal"
@@ -345,3 +364,19 @@ class TestExactness:
             assert oracle.status == "optimal"
             gap = abs(oracle.objective - lp_sol.objective)
             assert gap <= 2 * resolution * (1 + problem.alpha)
+
+
+class TestReadmeExample:
+    def test_library_example_runs(self, capsys):
+        # The README's "Library example" block, run as written.
+        section = README.read_text().split("## Library example", 1)[1]
+        code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+        namespace = {}
+        exec(compile(code, str(README), "exec"), namespace)
+        # The first line prints s* and G as the comment beside it gives them.
+        first = capsys.readouterr().out.splitlines()[0]
+        assert [float(v) for v in re.findall(r"[\d.e-]+", first)] == pytest.approx(
+            [0.75, 0.75, 0.5], abs=1e-12)
+        sol = namespace["sol"]
+        assert sol.design.reward == pytest.approx(2.0, abs=1e-9)
+        assert sol.design.perturbation == pytest.approx([1.0, 0.0], abs=1e-9)

@@ -76,6 +76,12 @@ MALFORMED = [
                  "constraints.rows[0].s_coeffs", id="row_s_coeffs_not_a_number"),
     pytest.param("design", INLINE % "{s_coeffs: 5, rhs: 1}", "constraints.rows[0].s_coeffs",
                  id="row_s_coeffs_scalar"),
+    pytest.param("design", INLINE % "{s_coeffs: [-1, 0], rhs: [1]}", "constraints.rows[0].rhs",
+                 id="row_rhs_list"),
+    pytest.param("design", INLINE % ("{s_coeffs: [-1, 0], rhs: 1%s}" % ("0" * 400)),
+                 "constraints.rows[0].rhs", id="row_rhs_overflows"),
+    pytest.param("design", INLINE % ("{s_coeffs: [-1, 0], r_coeff: 1%s, rhs: 1}" % ("0" * 400)),
+                 "constraints.rows[0].r_coeff", id="row_r_coeff_overflows"),
     pytest.param("design", INLINE % "{s_coeffs: [1, 0, 0], rhs: 1}",
                  "constraints.rows[0].s_coeffs", id="row_s_coeffs_player_count"),
     pytest.param("design", I2_PLAYERS + "individual_rationality: true\n",
@@ -84,6 +90,8 @@ MALFORMED = [
                  "individual_rationality.enabled", id="individual_rationality_enabled_string"),
     pytest.param("casestudy", CASESTUDY.replace("  grid:\n", "  grid: builtin:case30\n  x:\n"),
                  "constraints.grid", id="grid"),
+    pytest.param("casestudy", CASESTUDY.replace("builtin:case30", "5"),
+                 "constraints.grid.case_file", id="case_file_not_a_string"),
     pytest.param("casestudy", CASESTUDY.replace("casestudy:\n  coefficient_offset: 100",
                                                 "casestudy: 100"), "casestudy", id="casestudy"),
     pytest.param("casestudy", CASESTUDY.split("golden:")[0] + "golden: [reward]\n", "golden",
@@ -174,10 +182,41 @@ MALFORMED = [
                  "constraints.grid.rate_dollars_per_kwh", id="rate_nonpositive"),
     pytest.param("casestudy", CASESTUDY.replace("horizon_hours: 1.0", "horizon_hours: 0"),
                  "constraints.grid.horizon_hours", id="horizon_nonpositive"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 2317, tol_abs: 0.5}",
+                                                "{value: 2317, tol_abs: -0.5}"),
+                 "golden.socially_optimal_good.tol_abs", id="golden_tol_abs_negative"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 2317, tol_abs: 0.5}",
+                                                "{value: 2317, tol_abs: .nan}"),
+                 "golden.socially_optimal_good.tol_abs", id="golden_tol_abs_nan"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 3358, tol_rel: 0.005}",
+                                                "{value: 3358, tol_rel: -1}"),
+                 "golden.reward.tol_rel", id="golden_tol_rel_negative"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 3358, tol_rel: 0.005}",
+                                                "{value: .nan, tol_rel: 0.005}"),
+                 "golden.reward.value", id="golden_value_nan"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 2317, tol_abs: 0.5}",
+                                                "{value: .inf, tol_abs: 0.5}"),
+                 "golden.socially_optimal_good.value", id="golden_value_inf"),
     pytest.param("equilibrium", POINT % "[0, 0]" + "seed: 1.5\n", "seed",
                  id="seed_not_an_integer"),
     pytest.param("equilibrium", POINT % "[0, 0]" + "seed: true\n", "seed", id="seed_bool"),
 ]
+
+
+# A two-bus MATPOWER-subset case: the reference bus 1 feeds a 10 MW load at bus 2.
+TWO_BUS_CASE = """\
+mpc.baseMVA = 100;
+mpc.bus = [
+	1	3	0;
+	2	1	10;
+];
+mpc.gen = [
+	1	10;
+];
+mpc.branch = [
+	1	2	0	0.1	0	50;
+];
+"""
 
 
 def read_yaml(text, loader=harness._YAML_LOADER):
@@ -265,6 +304,21 @@ class TestConfig:
         cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
         with pytest.raises(ConfigError, match="missing.m"):
             run_scenario("casestudy", cfg, out_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("\t2\t1\t10;", "\t2\t1\tten;", "line 4: non-numeric field 'ten' in table 'bus'"),
+        ("\t0.1\t0\t50;", "\t0\t0\t50;", "branch 1-2 needs positive reactance"),
+        ("= 100;", "= 1.0.0;", "non-numeric scalar 'baseMVA' '1.0.0'"),
+    ], ids=["non_numeric_field", "zero_reactance", "non_numeric_base_mva"])
+    def test_bad_case_file_is_a_config_error(self, tmp_path, capsys, old, new, message):
+        (tmp_path / "two_bus.m").write_text(TWO_BUS_CASE.replace(old, new))
+        path = write_config(tmp_path, CASESTUDY.replace("builtin:case30", "two_bus.m"))
+        expected = f"constraints.grid.case_file: {message}"
+        with pytest.raises(ConfigError, match=re.escape(expected)):
+            run_scenario("casestudy", ScenarioConfig.from_file(path), out_dir=tmp_path / "out")
+        code = cli_main(["casestudy", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert expected in capsys.readouterr().err
 
 
 # Plain scalars that resolve to something other than a str, or look as if
@@ -362,6 +416,21 @@ class TestYamlReader:
         text = "\n".join(lines) + "\n"
         assert outcome(lambda: harness._load_yaml(text, loader)) == outcome(
             lambda: yaml.load(text, Loader=loader))
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    def test_token_scalars_resolve_to_constructed_tags(self, loader):
+        # `_plain_scalar` looks up the constructor of whatever tag a token
+        # resolves to, with no fallback: each resolver keyed on a character
+        # that can start a token, or on None, must name a tag with a safe
+        # constructor. The merge key "<<" and value key "=" have none, and
+        # no token starts with "<" or "=".
+        checked = 0
+        for first, resolvers in loader.yaml_implicit_resolvers.items():
+            if first is None or re.fullmatch(harness._TOKEN, first + "0"):
+                for tag, _ in resolvers:
+                    assert tag in loader.yaml_constructors, (first, tag)
+                    checked += 1
+        assert checked > 0
 
     def test_bench_inputs(self, tmp_path):
         paths = bench_inputs(7, tmp_path)
