@@ -101,7 +101,9 @@ class GridCase:
         return {b.bus_id: k for k, b in enumerate(self.buses)}
 
 
-def _parse_table(text: str, name: str, min_cols: int) -> list[list[float]]:
+def _parse_table(text: str, name: str, min_cols: int,
+                 int_fields: tuple[str, ...]) -> list[list[float]]:
+    """The rows of a table as floats, its leading `int_fields` as ints."""
     # The table runs from its header to the first "];" after it.
     match = re.search(rf"mpc\.{name}\s*=\s*\[", text)
     end = -1 if match is None else text.find("];", match.end())
@@ -115,7 +117,8 @@ def _parse_table(text: str, name: str, min_cols: int) -> list[list[float]]:
             continue
         lineno = offset + k + 1
         fields = []
-        for token in line.split():
+        tokens = line.split()
+        for token in tokens:
             try:
                 fields.append(float(token))
             except ValueError:
@@ -127,6 +130,13 @@ def _parse_table(text: str, name: str, min_cols: int) -> list[list[float]]:
                 f"line {lineno}: table '{name}' row has {len(fields)} columns, "
                 f"needs at least {min_cols}"
             )
+        for k, field_name in enumerate(int_fields):
+            if not fields[k].is_integer():  # also False for nan and inf
+                raise CaseParseError(
+                    f"line {lineno}: {field_name} {tokens[k]!r} in table '{name}' "
+                    "is not an integer"
+                )
+            fields[k] = int(fields[k])
         rows.append(fields)
     if not rows:
         raise CaseParseError(f"table '{name}' is empty")
@@ -144,16 +154,16 @@ def parse_case(text: str) -> GridCase:
         raise CaseParseError(f"non-numeric scalar 'baseMVA' {match.group(1)!r}") from None
 
     buses = tuple(
-        Bus(bus_id=int(f[0]), bus_type=int(f[1]), demand_mw=f[2])
-        for f in _parse_table(text, "bus", 3)
+        Bus(bus_id=f[0], bus_type=f[1], demand_mw=f[2])
+        for f in _parse_table(text, "bus", 3, ("bus_id", "bus_type"))
     )
     generators = tuple(
-        Generator(bus_id=int(f[0]), output_mw=f[1])
-        for f in _parse_table(text, "gen", 2)
+        Generator(bus_id=f[0], output_mw=f[1])
+        for f in _parse_table(text, "gen", 2, ("bus_id",))
     )
     branches = tuple(
-        Branch(from_bus=int(f[0]), to_bus=int(f[1]), reactance=f[3], limit_mw=f[5])
-        for f in _parse_table(text, "branch", 6)
+        Branch(from_bus=f[0], to_bus=f[1], reactance=f[3], limit_mw=f[5])
+        for f in _parse_table(text, "branch", 6, ("from_bus", "to_bus"))
     )
     return GridCase(base_mva, buses, generators, branches)
 

@@ -1,18 +1,19 @@
 """Dense dual simplex solver for small linear programs with nonnegative costs.
 
-Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, with c >= 0,
-on an explicit tableau. Equality rows become pairs of opposed inequalities, so
-the all-slack basis, whose reduced costs are c, is dual feasible and the dual
-simplex (Lemke 1954; Chvatal, Linear Programming, 1983, ch. 10) starts there
-with no phase 1 and no artificial columns; c >= 0 is bounded below, so a solve
-ends optimal or infeasible. Bland's rule for the dual (the infeasible row with
-the smallest basic index leaves, the smallest index among minimum ratios
-enters) rules out cycling; rows are max-abs equilibrated so the pivot
-tolerance is scale-free. A primal lexicographic pass then minimizes each
-structural column in turn over the optimal face from the optimal basis
-(Isermann, Linear lexicographic optimization, OR Spektrum 4, 1982), so ties
-between optimal vertices break the same way on every run. Sized for the
-few-hundred-row programs of the design reformulation, not for large ones.
+Solves min c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, with c >= 0.
+Equality rows become pairs of opposed inequalities, so the all-slack basis,
+whose reduced costs are c, is dual feasible and the dual simplex (Lemke 1954;
+Chvatal, Linear Programming, 1983, ch. 10) starts there with no phase 1; c >= 0
+is bounded below, so a solve ends optimal or infeasible. The tableau is
+condensed (Tucker; Chvatal's dictionaries): one row per basic variable
+`basis[r]` plus the reduced costs, one column per nonbasic variable
+`nonbasic[j]` plus the right-hand side. Bland's rule on variable indices (the
+infeasible row with the smallest basic variable leaves, the smallest variable
+among minimum ratios enters) rules out cycling; rows are max-abs equilibrated
+so the pivot tolerance is scale-free. A primal lexicographic pass then
+minimizes each structural variable in turn over the optimal face (Isermann,
+OR Spektrum 4, 1982), so ties between optimal vertices break the same way on
+every run. Sized for the few-hundred-row programs of the design reformulation.
 """
 
 from __future__ import annotations
@@ -69,12 +70,17 @@ class SimplexResult:
     lex_iterations: int = 0
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int):
-    tableau[row] /= tableau[row, col]
+def _pivot(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int, col: int):
+    """Swap basis[row] and nonbasic[col]: the full-tableau pivot with the basic
+    columns dropped, the leaving variable's pivoted unit column taking `col`."""
+    pivot = tableau[row, col]
     factor = tableau[:, col].copy()
     factor[row] = 0.0
+    tableau[row] /= pivot
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0 / pivot
     tableau -= np.outer(factor, tableau[row])
-    basis[row] = col
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
 
 
 def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None:
@@ -89,12 +95,12 @@ def _leaving_row(tableau: np.ndarray, basis: np.ndarray, col: int) -> int | None
     return int(ties[np.argmin(basis[ties])])
 
 
-def _dual_phase(tableau: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[str, int]:
+def _dual_phase(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+                max_iter: int) -> tuple[str, int]:
     """Dual simplex from a dual-feasible basis under Bland's rule; returns
     "optimal" or "infeasible" and the number of pivots taken."""
     m = tableau.shape[0] - 1
-    it = 0
-    while True:
+    for it in range(max_iter + 1):
         rows = np.nonzero(tableau[:m, -1] < -PIVOT_TOL)[0]
         if rows.size == 0:
             return "optimal", it
@@ -104,37 +110,30 @@ def _dual_phase(tableau: np.ndarray, basis: np.ndarray, max_iter: int) -> tuple[
             # The row sets a sum of nonnegative terms to a negative value.
             return "infeasible", it
         ratios = tableau[m, cols] / -tableau[row, cols]
-        it += 1
-        if it > max_iter:
-            raise SimplexFailureError(f"simplex stalled after {it} iterations (cap {max_iter})")
-        _pivot(tableau, basis, row, int(cols[np.argmin(ratios)]))  # first = smallest index
+        ties = cols[ratios == ratios.min()]
+        if it < max_iter:
+            _pivot(tableau, basis, nonbasic, row, int(ties[np.argmin(nonbasic[ties])]))
+    raise SimplexFailureError(f"simplex stalled after {max_iter + 1} iterations (cap {max_iter})")
 
 
-def _run_phase(tableau: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+def _run_phase(tableau: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, row: int,
                enter: np.ndarray, max_iter: int) -> int:
-    """Minimize a nonnegative cost over the tableau by the primal simplex,
-    letting only `enter` columns enter; returns the number of pivots taken."""
+    """Minimize the basic variable of `row` by the primal simplex, letting only
+    `enter` variables enter (Bland: the smallest improving variable index);
+    returns the number of pivots taken."""
     m = tableau.shape[0] - 1
-    n_cols = cost.size
-    # Rebuild the reduced-cost row for the given cost vector.
-    tableau[m, :n_cols] = cost
-    tableau[m, n_cols] = 0.0
-    for r in np.nonzero(cost[basis])[0]:
-        tableau[m] -= cost[basis[r]] * tableau[r]
-
-    it = 0
-    while True:
-        candidates = np.nonzero(enter & (tableau[m, :n_cols] < -PIVOT_TOL))[0]
+    np.subtract(0.0, tableau[row], out=tableau[m])  # reduced costs of a unit cost
+    for it in range(max_iter + 1):
+        candidates = np.nonzero(enter[nonbasic] & (tableau[m, :-1] < -PIVOT_TOL))[0]
         if candidates.size == 0:
             return it
-        col = int(candidates[0])  # Bland: smallest improving index
+        col = int(candidates[np.argmin(nonbasic[candidates])])
         row = _leaving_row(tableau, basis, col)
         if row is None:  # pragma: no cover - a nonnegative cost is bounded below
             raise SimplexFailureError("lexicographic stage found no leaving row")
-        it += 1
-        if it > max_iter:
-            raise SimplexFailureError(f"simplex stalled after {it} iterations (cap {max_iter})")
-        _pivot(tableau, basis, row, col)
+        if it < max_iter:
+            _pivot(tableau, basis, nonbasic, row, col)
+    raise SimplexFailureError(f"simplex stalled after {max_iter + 1} iterations (cap {max_iter})")
 
 
 def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
@@ -152,35 +151,36 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     A = np.vstack([lp.a_ub, lp.a_eq, -lp.a_eq])
     b = np.concatenate([lp.b_ub, lp.b_eq, -lp.b_eq])
     m = b.size
-    n_cols = n + m
     # Row equilibration keeps pivot tolerances meaningful across scales.
     scale = np.maximum(np.abs(A).max(axis=1, initial=0.0), 1e-12)
-    tableau = np.zeros((m + 1, n_cols + 1))
+    tableau = np.zeros((m + 1, n + 1))
     tableau[:m, :n] = A / scale[:, None]
-    tableau[:m, n:n_cols] = np.eye(m)
-    tableau[:m, n_cols] = b / scale
+    tableau[:m, n] = b / scale
     tableau[m, :n] = lp.objective
     basis = n + np.arange(m)  # each row's slack
+    nonbasic = np.arange(n)
 
-    status, iterations = _dual_phase(tableau, basis, max_iter)
+    status, iterations = _dual_phase(tableau, basis, nonbasic, max_iter)
     if status == "infeasible":
         return SimplexResult("infeasible", None, None, iterations)
 
-    # Columns with a positive reduced cost are zero on the optimal face;
-    # barring them keeps every later stage on that face. Once only basic
-    # columns, whose reduced costs are exactly 0, may enter, no stage can pivot.
-    enter = np.ones(n_cols, dtype=bool)
+    # Variables with a positive reduced cost are zero on the optimal face; barring
+    # them keeps later stages on it. A nonbasic x_j is 0 with reduced cost 1, so
+    # its stage only bars it. Once no nonbasic variable may enter, none can pivot.
+    enter = np.ones(n + m, dtype=bool)
     lex_iterations = 0
     for j in range(n):
-        enter &= tableau[m, :n_cols] <= PIVOT_TOL
-        if np.count_nonzero(enter) == np.count_nonzero(enter[basis]):
+        enter[nonbasic] &= tableau[m, :n] <= PIVOT_TOL
+        if not enter[nonbasic].any():
             break
-        cost = np.zeros(n_cols)
-        cost[j] = 1.0
-        lex_iterations += _run_phase(tableau, basis, cost, enter, max_iter)
+        row = np.flatnonzero(basis == j)
+        if row.size:
+            lex_iterations += _run_phase(tableau, basis, nonbasic, int(row[0]), enter, max_iter)
+        else:
+            enter[j] = False
 
-    x = np.zeros(n_cols)
-    x[basis] = tableau[:m, n_cols]
+    x = np.zeros(n + m)
+    x[basis] = tableau[:m, n]
     x_struct = np.where(np.abs(x[:n]) < 1e-12, 0.0, x[:n])
     objective = float(lp.objective @ x_struct)
     return SimplexResult("optimal", x_struct, objective, iterations, lex_iterations)

@@ -66,6 +66,16 @@ class TestParseCase:
         assert parse_case(case_text(RADIAL)) == RADIAL
         assert parse_case(case_text(TWO_BUS)) == TWO_BUS
 
+    def test_integral_float_ids_read_as_ints(self):
+        text = case_text(TWO_BUS).replace("\t2\t1\t10\t", "\t2.0\t1e0\t10\t")
+        assert parse_case(text) == TWO_BUS
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400", "2.5"])
+    def test_non_integral_to_bus_names_the_field(self, token):
+        text = case_text(TWO_BUS).replace("\t1\t2\t0\t", f"\t1\t{token}\t0\t")
+        with pytest.raises(CaseParseError, match=f"to_bus '{token}' in table 'branch'"):
+            parse_case(text)
+
     def test_missing_table_names_it(self, case30_text):
         broken = case30_text.replace("mpc.branch", "mpc.other")
         with pytest.raises(CaseParseError, match="branch"):

@@ -309,7 +309,15 @@ class TestConfig:
         ("\t2\t1\t10;", "\t2\t1\tten;", "line 4: non-numeric field 'ten' in table 'bus'"),
         ("\t0.1\t0\t50;", "\t0\t0\t50;", "branch 1-2 needs positive reactance"),
         ("= 100;", "= 1.0.0;", "non-numeric scalar 'baseMVA' '1.0.0'"),
-    ], ids=["non_numeric_field", "zero_reactance", "non_numeric_base_mva"])
+        ("\t1\t3\t0;", "\tnan\t3\t0;", "line 3: bus_id 'nan' in table 'bus' is not an integer"),
+        ("\t2\t1\t10;", "\t2\tinf\t10;",
+         "line 4: bus_type 'inf' in table 'bus' is not an integer"),
+        ("gen = [\n\t1\t", "gen = [\n\t1e400\t",
+         "line 7: bus_id '1e400' in table 'gen' is not an integer"),
+        ("\t1\t2\t0\t0.1", "\t1.5\t2\t0\t0.1",
+         "line 10: from_bus '1.5' in table 'branch' is not an integer"),
+    ], ids=["non_numeric_field", "zero_reactance", "non_numeric_base_mva", "nan_bus_id",
+            "inf_bus_type", "overflowing_gen_bus", "fractional_branch_end"])
     def test_bad_case_file_is_a_config_error(self, tmp_path, capsys, old, new, message):
         (tmp_path / "two_bus.m").write_text(TWO_BUS_CASE.replace(old, new))
         path = write_config(tmp_path, CASESTUDY.replace("builtin:case30", "two_bus.m"))

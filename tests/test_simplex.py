@@ -257,7 +257,8 @@ class TestPropertyAgainstOracles:
 
 
 class TestVectorizedKernels:
-    """The numpy pivot and ratio test against the row loops they replaced."""
+    """The condensed pivot and the ratio test against the row loops of the
+    full tableau they replaced, and Bland's rule on variable indices."""
 
     @staticmethod
     def loop_pivot(tableau, basis, row, col):
@@ -273,21 +274,56 @@ class TestVectorizedKernels:
                   for r in range(tableau.shape[0] - 1) if tableau[r, col] > PIVOT_TOL]
         return min(ratios)[2] if ratios else None
 
+    @staticmethod
+    def condensed(full, nonbasic):
+        """The nonbasic columns of a full tableau, in `nonbasic` order, and
+        its right-hand side."""
+        return full[:, [*nonbasic, -1]]
+
     def test_bitwise_equal_on_random_tableaux(self):
         rng = np.random.default_rng(35)
         for _ in range(200):
-            m, n_cols = int(rng.integers(1, 8)), int(rng.integers(2, 10))
-            # Small integers and zeros give exact ratio ties and skipped rows.
-            tableau = rng.integers(-3, 4, (m + 1, n_cols + 1)).astype(float)
-            tableau[:m, -1] = rng.integers(0, 3, m)  # nonnegative right-hand sides
-            basis = rng.permutation(n_cols + m)[:m]
-            col = int(rng.integers(n_cols))
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            # A full tableau over n + m variables with an identity basis on
+            # random variables; small integers and zeros give exact ratio
+            # ties and skipped rows.
+            order = rng.permutation(n + m)
+            basis, nonbasic = order[:m], order[m:]
+            full = np.zeros((m + 1, n + m + 1))
+            full[:, nonbasic] = rng.integers(-3, 4, (m + 1, n))
+            full[:m, basis] = np.eye(m)
+            full[:m, -1] = rng.integers(0, 3, m)  # nonnegative right-hand sides
+            tableau = self.condensed(full, nonbasic)
+            col = int(rng.integers(n))
             row = _leaving_row(tableau, basis, col)
-            assert row == self.loop_leaving_row(tableau, basis, col)
+            assert row == self.loop_leaving_row(full, basis, nonbasic[col])
             if row is None:
                 continue
-            expected, expected_basis = tableau.copy(), basis.copy()
-            self.loop_pivot(expected, expected_basis, row, col)
-            _pivot(tableau, basis, row, col)
-            assert np.array_equal(tableau, expected)
-            assert np.array_equal(basis, expected_basis)
+            full_basis = basis.copy()
+            expected_nonbasic = nonbasic.copy()
+            expected_nonbasic[col] = basis[row]
+            self.loop_pivot(full, full_basis, row, nonbasic[col])
+            _pivot(tableau, basis, nonbasic, row, col)
+            assert np.array_equal(full[:m, full_basis], np.eye(m))
+            assert np.array_equal(tableau, self.condensed(full, expected_nonbasic))
+            assert np.array_equal(basis, full_basis)
+            assert np.array_equal(nonbasic, expected_nonbasic)
+
+    def test_dual_tie_enters_the_smallest_variable(self):
+        # Basic x1 = -1 + x2 + x0 is infeasible and both columns have ratio 1;
+        # column 0 holds variable 2 and column 1 variable 0, so column 1 enters.
+        tableau = np.array([[-1.0, -1.0, -1.0], [1.0, 1.0, 0.0]])
+        basis, nonbasic = np.array([1]), np.array([2, 0])
+        assert simplex._dual_phase(tableau, basis, nonbasic, 10) == ("optimal", 1)
+        assert basis.tolist() == [0]
+        assert nonbasic.tolist() == [2, 1]
+
+    def test_primal_entering_is_the_smallest_variable(self):
+        # Minimizing basic x1 = 1 - x2 - x0: both columns improve; column 0
+        # holds variable 2 and column 1 variable 0, so column 1 enters.
+        tableau = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+        basis, nonbasic = np.array([1]), np.array([2, 0])
+        enter = np.ones(3, dtype=bool)
+        assert simplex._run_phase(tableau, basis, nonbasic, 0, enter, 10) == 1
+        assert basis.tolist() == [0]
+        assert nonbasic.tolist() == [2, 1]
