@@ -17,15 +17,17 @@ yaml.load itself reads any other file (see `_load_yaml`).
 
 Artifacts (report.json plus CSVs) are byte-deterministic for a fixed config
 and seed. report.json is encoded in one pass, sorting and encoding the keys of
-each dict shape once per process. Each artifact is overwritten in place: the
-new bytes go over the old ones and the file is then truncated to their length.
-The output directory is made only when the first write finds it missing.
-Truncating first (open "w") and renaming a new file over the old one both cost
-far more on ext4: with its default `auto_da_alloc` option, a file truncated to
-zero or replaced by a rename has its data written back when it is closed,
-about 110 us per artifact against 6 us for an in-place rewrite. The rewrite is
-not atomic: a crash mid-write can leave new bytes followed by the rest of the
-old file, where truncating first could leave a short file.
+each dict shape once per process. The encoder takes only the values a report
+holds (see `_report_json`), so the config values a report echoes are checked
+where they are read. Each artifact is overwritten in place: the new bytes go
+over the old ones and the file is then truncated to their length. The output
+directory is made only when the first write finds it missing. Truncating
+first (open "w") and renaming a new file over the old one both cost far more
+on ext4: with its default `auto_da_alloc` option, a file truncated to zero or
+replaced by a rename has its data written back when it is closed, about
+110 us per artifact against 6 us for an in-place rewrite. The rewrite is not
+atomic: a crash mid-write can leave new bytes followed by the rest of the old
+file, where truncating first could leave a short file.
 """
 
 from __future__ import annotations
@@ -295,9 +297,18 @@ def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
         family = entry.get("family", "scaled_log")
         if family != "scaled_log":
             raise ConfigError(f"unsupported benefit family {family!r}")
-        ids.append(entry.get("player_id", k + 1))
-        coefficients.append(_positive(entry["coefficient"], f"profile.players[{k}].coefficient"))
-    return _benefit_profile(coefficients, "profile.players"), ids
+        player_id = entry.get("player_id", k + 1)
+        if type(player_id) is not int and type(player_id) is not str:
+            raise ConfigError(f"profile.players[{k}].player_id must be an integer or a string")
+        ids.append(player_id)
+        coefficients.append(entry["coefficient"])
+    try:
+        profile = BenefitProfile.scaled_log(coefficients)
+    except (TypeError, ValueError, OverflowError, InvariantViolationError):
+        # Read one at a time only to name the first coefficient out of range.
+        profile = _benefit_profile([_positive(a, f"profile.players[{k}].coefficient")
+                                    for k, a in enumerate(coefficients)], "profile.players")
+    return profile, ids
 
 
 def _benefit_profile(coefficients: list, name: str) -> BenefitProfile:
@@ -388,54 +399,33 @@ def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
     raise ConfigError(f"unknown constraints source {source!r}")
 
 
-# Dict layouts by shape (key types, keys, indent): the key heads in output
-# order (separator, line break and indent, encoded key, ": "), a getter of the
-# values in that order, the values' line break and indent, and the closing text.
-# Reports repeat a few shapes many times: each sweep row, the tolerance table,
-# each property dict.
+# Dict layouts by shape (keys, indent): the key heads in output order
+# (separator, line break and indent, encoded key, ": "), a getter of the values
+# in that order, the values' line break and indent, and the closing text.
+# Reports repeat a few fixed shapes many times: each sweep row, the tolerance
+# table, each property dict.
 _LAYOUTS: dict = {}
-_LAYOUT_LIMIT = 1024
 
 
 def _layout(shape) -> tuple:
-    """A dict shape's layout, kept in `_LAYOUTS` if every key is an exact str or int.
+    """A dict shape's layout, kept in `_LAYOUTS`; TypeError if a key is not a str.
 
-    Equal keys of those two types always have the same text; a str subclass
-    equal to a str, say, need not.
+    Only a new shape's keys are checked: a str subclass equal to the keys of a
+    shape already laid out is written as those keys.
     """
-    kinds, keys, newline = shape
-    names = {str(k): k for k in keys}  # of keys with one text, the last wins
-    order = sorted(names)
+    keys, newline = shape
+    if any(type(key) is not str for key in keys):
+        raise TypeError(f"report keys must be str, got {keys!r}")
+    order = sorted(keys)
     inner = newline + "  "
-    heads = tuple(("," if n else "{") + inner + encode_basestring_ascii(name) + ": "
-                  for n, name in enumerate(order))
+    heads = tuple(("," if n else "{") + inner + encode_basestring_ascii(key) + ": "
+                  for n, key in enumerate(order))
     # An itemgetter of two or more keys returns a tuple of their values. The
     # first key is asked for twice so that one key gives a tuple too; the
     # zip with the heads drops the extra value.
-    values = operator.itemgetter(*(names[name] for name in order), names[order[0]])
-    layout = (heads, values, inner, newline + "}")
-    if all(kind is str or kind is int for kind in kinds):
-        if len(_LAYOUTS) >= _LAYOUT_LIMIT:
-            _LAYOUTS.clear()
-        _LAYOUTS[shape] = layout
+    layout = _LAYOUTS[shape] = (heads, operator.itemgetter(*order, order[0]), inner,
+                                newline + "}")
     return layout
-
-
-def _builtin(value):
-    """A numpy value, builtin subclass or tuple as the builtin value it is encoded as."""
-    if isinstance(value, np.ndarray):
-        return list(value.tolist())  # a 0-d array's tolist() is a scalar: list() rejects it
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, str):
-        return str.__str__(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 _TOLERANCE_TEXT = [None, ""]  # the last key and text of `_tolerance_text`
@@ -459,13 +449,15 @@ def _tolerance_text(newline: str) -> str:
 def _report_json(report: dict) -> str:
     """The bytes of report.json, built in one pass over the report.
 
-    Matches `json.dumps(indent=2, sort_keys=True) + "\n"` applied to the
-    report with keys made `str(k)`, numpy scalars and arrays made Python
-    numbers and lists, tuples made lists, and non-finite floats made the
-    strings "+inf", "-inf" and "nan". Any other type raises TypeError.
-    Keys are sorted and encoded once per dict shape (`_layout`), the
-    tolerance table once per content (`_tolerance_text`), and strs, ints and
-    floats are written in the loop over their dict or list.
+    A report holds dicts with str keys, lists, strs, ints, floats, bools,
+    None, numpy arrays of one or more dimensions and the TOLERANCES table; any
+    other value or key (a subclass, a tuple, a numpy scalar, a 0-d array)
+    raises TypeError. Matches `json.dumps(indent=2, sort_keys=True) + "\n"`
+    with arrays made `tolist()` and non-finite floats made the strings
+    "+inf", "-inf" and "nan". Keys are sorted and encoded once per dict
+    shape (`_layout`), the tolerance table once per content
+    (`_tolerance_text`), and strs, ints and floats are written in the loop
+    over their dict or list.
     """
     parts = []
     append = parts.append
@@ -489,8 +481,7 @@ def _report_json(report: dict) -> str:
             elif value is TOLERANCES:
                 append(_tolerance_text(newline))
             elif kind is dict and value:
-                keys = tuple(value)
-                shape = (tuple(map(type, keys)), keys, newline)
+                shape = (tuple(value), newline)
                 heads, values, inner, close = _LAYOUTS.get(shape) or _layout(shape)
                 write(zip(heads, values(value)), inner)
                 append(close)
@@ -501,8 +492,10 @@ def _report_json(report: dict) -> str:
                 append(newline + "]")
             elif kind is dict or kind is list:
                 append("{}" if kind is dict else "[]")
+            elif kind is np.ndarray and value.ndim:
+                write((("", value.tolist()),), newline)
             else:
-                write((("", _builtin(value)),), newline)
+                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
     write((("", report),), "\n")
     append("\n")
@@ -697,6 +690,8 @@ def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
 def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]:
     table = []
     golden = _mapping(cfg.get("golden", {}), "golden")
+    if any(type(name) is not str for name in golden):
+        raise ConfigError("golden target names must be strings")
     for name, spec in sorted(golden.items()):
         if name not in actual:
             raise ConfigError(f"golden target {name!r} is not produced by this pipeline")
@@ -801,8 +796,11 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ConfigError("seed must be an integer")
     seed = int(seed)
+    output_dir = cfg.get("output_dir", "out")  # checked even when out_dir overrides it
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string")
     if not isinstance(out_dir, Path):
-        out_dir = Path(out_dir if out_dir is not None else cfg.get("output_dir", "out"))
+        out_dir = Path(out_dir if out_dir is not None else output_dir)
 
     if verb not in _PIPELINES:
         raise ConfigError(f"unknown pipeline verb {verb!r}")

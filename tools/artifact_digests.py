@@ -8,15 +8,18 @@ seeds 0 and 4, and every input of benchmark seed 7: the design_lp design
 problems, the small_games sweeps and its equilibrium corpus, built with the
 benchmark's own input generator in a temporary directory, as
 `tools/emit_time.py` does. Prints one line `<sha256>  <run>/<artifact>` per
-artifact, in a fixed order, `raised  <run>: <error>` for a run that raises,
-and `no verb  configs/<file>: <errors>` for a config file that configures no
-verb. Two trees that print the same lines wrote the same bytes. Takes no
-options. Exits 1 if a run raised or a config file configures no verb, else 0.
+artifact, in a fixed order, `raised  <run>: <type>: <message>` for a run that
+raises any exception (reading its config included), with its traceback on
+standard error, and `no verb  configs/<file>: <errors>` for a config file that
+configures no verb. Two trees that print the same lines wrote the same bytes.
+Takes no options. Exits 1 if a run raised or a config file configures no
+verb, else 0.
 """
 
 import hashlib
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,7 +27,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
 from lotterydesign import ScenarioConfig, run_scenario, run_selftest  # noqa: E402
-from lotterydesign.errors import ConfigError, LotteryDesignError  # noqa: E402
+from lotterydesign.errors import ConfigError  # noqa: E402
 
 VERBS = ("equilibrium", "analyze", "design", "casestudy")
 BENCH_SEED = 7
@@ -35,18 +38,24 @@ def digest(out: Path, run: str, names) -> None:
         print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {run}/{name}")
 
 
-def scenario(run: str, verb: str, cfg: ScenarioConfig, out: Path, optional=False):
-    """Run one verb and print its digests, or the error it raised; return that error.
+def raised(run: str, exc: Exception) -> Exception:
+    """Print the line of a run that raised `exc`, its traceback to stderr, and return it."""
+    print(f"raised  {run}: {type(exc).__name__}: {exc}")
+    traceback.print_exception(exc, file=sys.stderr)
+    return exc
+
+
+def scenario(run: str, verb: str, load, out: Path, optional=False):
+    """Run one verb on the config `load()` and print its digests, or the error
+    it raised; return that error.
 
     An optional verb that raises ConfigError is one the config does not
     configure, and prints nothing.
     """
     try:
-        result = run_scenario(verb, cfg, out_dir=out)
-    except LotteryDesignError as exc:
-        if not (optional and isinstance(exc, ConfigError)):
-            print(f"raised  {run}: {type(exc).__name__}: {exc}")
-        return exc
+        result = run_scenario(verb, load(), out_dir=out)
+    except Exception as exc:  # the run is named whatever it raised
+        return exc if optional and isinstance(exc, ConfigError) else raised(run, exc)
     digest(out, run, result.artifacts)
     return None
 
@@ -56,7 +65,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         for path in sorted((ROOT / "configs").glob("*.yaml")):
-            errors = [scenario(f"configs/{path.name}:{verb}", verb, ScenarioConfig.from_file(path),
+            errors = [scenario(f"configs/{path.name}:{verb}", verb,
+                               lambda: ScenarioConfig.from_file(path),
                                work / "configs" / path.stem / verb, optional=True)
                       for verb in VERBS]
             failed |= any(exc is not None and not isinstance(exc, ConfigError) for exc in errors)
@@ -66,7 +76,12 @@ def main() -> int:
                       + "; ".join(f"{verb}: {exc}" for verb, exc in zip(VERBS, errors)))
         for seed in (0, 4):
             out = work / "selftest" / str(seed)
-            run_selftest(seed=seed, out_dir=out)
+            try:
+                run_selftest(seed=seed, out_dir=out)
+            except Exception as exc:  # the run is named whatever it raised
+                raised(f"selftest:{seed}", exc)
+                failed = True
+                continue
             digest(out, f"selftest:{seed}", ["report.json"])
 
         inputs = work / "inputs"
@@ -74,18 +89,18 @@ def main() -> int:
         design_lp.generate(BENCH_SEED, inputs)
         for k, problem in enumerate(design_lp.problems):
             failed |= scenario(f"design_lp:{k}", "design",
-                               ScenarioConfig.from_file(problem.config),
+                               lambda: ScenarioConfig.from_file(problem.config),
                                work / "design_lp" / str(k)) is not None
         small_games = workloads.SmallGames(ROOT)
         small_games.generate(BENCH_SEED, inputs)
         for regime, path, *_ in small_games.sweeps:
             failed |= scenario(f"small_games:{regime}", "analyze",
-                               ScenarioConfig.from_file(path),
+                               lambda: ScenarioConfig.from_file(path),
                                work / "small_games" / regime) is not None
         out = work / "small_games" / "equilibrium"
         for k, (config, *_) in enumerate(small_games.corpus):
             failed |= scenario(f"small_games:corpus:{k}", "equilibrium",
-                               ScenarioConfig(config, inputs), out) is not None
+                               lambda: ScenarioConfig(config, inputs), out) is not None
     return 1 if failed else 0
 
 
