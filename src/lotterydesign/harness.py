@@ -100,8 +100,9 @@ def _load_yaml(text: str, loader=_YAML_LOADER):
     PyYAML turns the parser's events into nodes and the nodes into values in
     Python, and on a large scenario file even making one Python event object
     per node is most of the parse. `_read_block` reads a block-style document
-    whose scalars are all plain tokens, the layout PyYAML's dumper writes, a
-    line at a time without the parser. Any other stream goes to yaml.load
+    whose scalars are all plain tokens, the layout PyYAML's dumper writes,
+    without the parser: a line at a time, except that a run of "- token"
+    items is read in one step. Any other stream goes to yaml.load
     whole, which accepts or rejects it exactly as before, so a syntax error
     raises yaml.load's yaml.YAMLError. The text alone chooses the reader.
     """
@@ -116,6 +117,7 @@ _TOKEN = r"(?:[\w.+]|-(?=[\w.+]))[\w.+-]*"
 # A line `_read_block` reads: its indent, at most one "- ", then "key:",
 # "key: token" or "token".
 _BLOCK_LINE = re.compile(rf"( *)(- )?(?:({_TOKEN}):(?: ({_TOKEN}))?|({_TOKEN}))\Z")
+_WHOLE_TOKEN = re.compile(rf"{_TOKEN}\Z")
 # Characters that no such line holds and that hand-written files often do:
 # comments, quotes, flow collections, anchors, aliases, tags, block scalars.
 _NOT_BLOCK = "#'\"[]{}&*!|>\t\r"
@@ -131,11 +133,15 @@ def _read_block(text: str, loader):
     comment, blank line, empty or nested "- ", or a line indented past the
     structure (a plain scalar's continuation) raises _Fallback, as does any
     other line outside the subset, before a value is returned.
+
+    The text is walked by offsets. A run of "- token" items is read in one step:
+    a regex search finds its end, a split its tokens, and only new tokens are
+    resolved; an item that is not a lone token ends it and is read as a line.
     """
     if any(char in text for char in _NOT_BLOCK):
         raise _Fallback
-    lines = text.removesuffix("\n").split("\n")  # an empty text is one blank line
     plain = {}  # token -> value; a large scenario repeats most of them
+    runs = {}  # indent -> (regex of the end of a run of items, item separator)
 
     def scalar(token):
         value = plain.get(token, _NO_KEY)
@@ -145,10 +151,11 @@ def _read_block(text: str, loader):
 
     root = container = {}
     column, key, stack = 0, _NO_KEY, []  # key: the container's key whose value is below
-    i, end = 0, len(lines)
-    while i < end:
-        match = _BLOCK_LINE.match(lines[i])
-        i += 1
+    pos, end = 0, len(text) - text.endswith("\n")  # an empty text is one blank line
+    while pos <= end:
+        nl = text.find("\n", pos, end) % (end + 1)  # the line's end: "\n" or `end`
+        match = _BLOCK_LINE.match(text, pos, nl)
+        pos = nl + 1
         if match is None:
             raise _Fallback
         indent, dash, name, value, token = match.groups()
@@ -172,18 +179,23 @@ def _read_block(text: str, loader):
         if at != column or (type(container) is list) != bool(dash) or not (dash or name):
             raise _Fallback
         if dash and name is None:
-            append, get, start = container.append, plain.get, at + 2
-            prefix = lines[i - 1][:start]
-            append(scalar(token))
-            while i < end:  # the items that follow with a token already read
-                line = lines[i]
-                if not line.startswith(prefix):
-                    break
-                item = get(line[start:], _NO_KEY)
-                if item is _NO_KEY:
-                    break
-                append(item)
-                i += 1
+            container.append(scalar(token))
+            if indent not in runs:
+                runs[indent] = re.compile(f"\n(?!{indent}- )"), f"\n{indent}- "
+            run_end, sep = runs[indent]
+            stop = run_end.search(text, nl, end)  # a "|\Z" branch would try every offset
+            stop = stop.start() if stop else end
+            items = text[pos + len(sep) - 1:stop].split(sep)
+            unseen = set(items).difference(plain)
+            if bad := [item for item in unseen if not _WHOLE_TOKEN.match(item)]:
+                cut = min(map(items.index, bad))  # read from this item on by lines
+                del items[cut:]
+                stop = pos + cut * len(sep) + sum(map(len, items)) - 1
+                unseen.intersection_update(items)
+            for item in unseen:
+                plain[item] = _plain_scalar(item, loader)
+            container.extend(map(plain.__getitem__, items))
+            pos = stop + 1
             continue
         if dash:
             new = {}
@@ -687,15 +699,20 @@ def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     return status, results, [], {}
 
 
-def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]:
-    table = []
+# The casestudy results a `golden` entry may name.
+_GOLDEN_TARGETS = ("socially_optimal_good", "reward", "total_investment", "aggregate_payoff",
+                   "generation_total")
+
+
+def _golden_specs(cfg: ScenarioConfig) -> list[tuple[str, float, float]]:
+    """The `golden` section as sorted (name, expected, tolerance) rows, or ConfigError."""
     golden = _mapping(cfg.get("golden", {}), "golden")
     if any(type(name) is not str for name in golden):
         raise ConfigError("golden target names must be strings")
+    specs = []
     for name, spec in sorted(golden.items()):
-        if name not in actual:
+        if name not in _GOLDEN_TARGETS:
             raise ConfigError(f"golden target {name!r} is not produced by this pipeline")
-        value = actual[name]
         spec = _mapping(spec, f"golden.{name}", "value")
         expected = _finite(spec["value"], f"golden.{name}.value")
         if "tol_abs" in spec:
@@ -704,13 +721,13 @@ def _golden_checks(cfg: ScenarioConfig, actual: dict) -> tuple[list[dict], bool]
             tol = _finite(spec["tol_rel"], f"golden.{name}.tol_rel", 0.0) * abs(expected)
         else:
             raise ConfigError(f"golden target {name!r} needs tol_abs or tol_rel")
-        table.append({
-            "name": name,
-            "expected": expected,
-            "actual": value,
-            "tolerance": tol,
-            "ok": abs(value - expected) <= tol,
-        })
+        specs.append((name, expected, tol))
+    return specs
+
+
+def _golden_checks(specs: list, actual: dict) -> tuple[list[dict], bool]:
+    table = [{"name": name, "expected": expected, "actual": actual[name], "tolerance": tol,
+              "ok": abs(actual[name] - expected) <= tol} for name, expected, tol in specs]
     return table, all(row["ok"] for row in table)
 
 
@@ -721,6 +738,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile = _benefit_profile([offset + b for b in scenario.load_bus_ids],
                                "casestudy.coefficient_offset")
     problem = _design_problem(cfg, profile, grid_mod.build_dr_constraints(scenario))
+    golden = _golden_specs(cfg)  # checked before the solve, compared after it
     status, sol, verification, eq = _solve_and_verify(problem)
     if sol.status != "optimal":
         return status, _design_results(problem, sol, None), [], {}
@@ -744,7 +762,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
             np.max(np.abs(flows) / np.where(np.isfinite(limits), limits, np.inf)) * 100.0
         ),
     })
-    golden_table, golden_ok = _golden_checks(cfg, {
+    golden_table, golden_ok = _golden_checks(golden, {
         "socially_optimal_good": problem.profile.g_star,
         "reward": sol.design.reward,
         "total_investment": results["total_investment"],
@@ -792,9 +810,11 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
     Returns a HarnessResult whose status is "ok" only when every verification
     in the pipeline passed; config errors raise ConfigError instead.
     """
-    seed = cfg.get("seed", 0) if seed is None else seed
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ConfigError("seed must be an integer")
+    config_seed = cfg.get("seed", 0)  # checked even when the seed argument overrides it
+    seed = config_seed if seed is None else seed
+    for value in (config_seed, seed):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError("seed must be an integer")
     seed = int(seed)
     output_dir = cfg.get("output_dir", "out")  # checked even when out_dir overrides it
     if not isinstance(output_dir, str):

@@ -312,6 +312,44 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
+    def test_config_seed_is_checked_when_overridden(self, tmp_path, capsys):
+        # As output_dir is: a bad value in the file is an error whatever overrides it.
+        path = write_config(tmp_path, POINT % "[0, 0]" + "seed: x\n")
+        with pytest.raises(ConfigError, match="seed"):
+            run_scenario("equilibrium", ScenarioConfig.from_file(path), out_dir=tmp_path / "out",
+                         seed=3)
+        code = cli_main(["equilibrium", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--seed", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("  generation_total:", "  1:", "golden"),
+        ("  generation_total:", "  load_total:", "golden"),
+        ("{value: 2317, tol_abs: 0.5}", "{value: 2317}", "golden"),
+        ("{value: 3358, tol_rel: 0.005}", "{value: .nan, tol_rel: 0.005}", "golden.reward.value"),
+        ("{value: 2317, tol_abs: 0.5}", "{value: 2317, tol_abs: -0.5}",
+         "golden.socially_optimal_good.tol_abs"),
+        ("{value: 3358, tol_rel: 0.005}", "{value: 3358, tol_rel: x}", "golden.reward.tol_rel"),
+    ], ids=["name_not_a_string", "unknown_target", "no_tolerance", "value_nan",
+            "tol_abs_negative", "tol_rel_not_a_number"])
+    def test_golden_section_is_checked_before_the_solve(self, tmp_path, old, new, key):
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, CASESTUDY.replace(old, new)))
+        with mock.patch.object(design, "solve_lp", wraps=design.solve_lp) as solve_lp:
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                run_scenario("casestudy", cfg, out_dir=tmp_path / "out")
+        assert solve_lp.call_count == 0
+
+    def test_golden_section_is_compared_after_the_solve(self, tmp_path):
+        # The counting wrapper above sees the casestudy's one solve.
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, CASESTUDY))
+        with mock.patch.object(design, "solve_lp", wraps=design.solve_lp) as solve_lp:
+            result = run_scenario("casestudy", cfg, out_dir=tmp_path / "out")
+        assert solve_lp.call_count == 1
+        assert [row["name"] for row in result.report["results"]["golden"]] == sorted(
+            CASE30_SCENARIO["golden"])
+
     def test_missing_case_file(self, tmp_path):
         text = CASESTUDY.replace("builtin:case30", "missing.m")
         cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
@@ -364,10 +402,14 @@ _BLOCK = yaml.dump({"rows": [{"rhs": float(k), "s_coeffs": [0.5] * 60} for k in 
 _NAMES = st.from_regex(r"[A-Za-z0-9_.+][A-Za-z0-9_.+-]{0,7}", fullmatch=True).filter(
     lambda name: yaml.load(name, Loader=yaml.SafeLoader) == name)
 _TOKENS = st.none() | st.booleans() | st.integers() | st.floats() | _NAMES
+# Long lists drawn from a small pool, as a design file's rows are: runs of
+# "- token" items that repeat a few tokens, with new ones mid-run.
+_LONG_LISTS = st.lists(_TOKENS, min_size=1, max_size=5, unique_by=repr).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=80))
 _TOKEN_MAPPINGS = st.recursive(
     st.dictionaries(_TOKENS, _TOKENS, min_size=1, max_size=4),
-    lambda kids: st.dictionaries(_TOKENS, _TOKENS | kids | st.lists(_TOKENS | kids, min_size=1,
-                                                                    max_size=4),
+    lambda kids: st.dictionaries(_TOKENS, _TOKENS | kids | _LONG_LISTS
+                                 | st.lists(_TOKENS | kids, min_size=1, max_size=4),
                                  min_size=1, max_size=4),
     max_leaves=24)
 
@@ -469,10 +511,20 @@ class TestYamlReader:
         "null: 1\n1: 2\n1.0: 3\n.nan: 4\n.NaN: 5\n-a: 6\n+: 7\n.: 8\n...: 9\n",
         "a:\n- 1e3\n- 012\n- 0x1F\n- 1_000\n- -0.0\n- -.inf\n- yes\n- 2001-12-14\n- x-y.z",
         "k" * 1024 + ": 1\n",
-    ], ids=["duplicates", "nesting", "scalar_keys", "scalars", "longest_key"])
+        "a:\n- x\n- x\n- 1\n- x\n- 1.0\n- 1\nb: 1\n",
+        "a:\n- 1\n- 2\n- 1\n- k: v\n  j: 1\n- 2\n- 3\n",
+        "a:\n- 1\n- 2\n- 1",
+        "a:\n  b:\n  - 1\n  - 2\n  - 1\nc: 3\n",
+        "a:\n  b:\n  - 1\n  - 2\n  c: 3\n",
+        "a:\n- 1\n- 2\n- b:\n  - 3\n  - 1\n  c:\n    - 2\n    - 4\n    - 2\n- 5\n- 1\n",
+        "a:\n- b:\n  - 1\n- 1234\n- 1\n",
+    ], ids=["duplicates", "nesting", "scalar_keys", "scalars", "longest_key", "run_new_token",
+            "run_then_mapping", "run_at_eof", "run_then_dedented_key", "run_then_key",
+            "nested_runs", "item_then_dedented_item"])
     def test_read_by_lines(self, loader, text):
         # A repeated key keeps its first place and its last value; a key with
-        # no deeper line below it is null.
+        # no deeper line below it is null. A run of "- token" items ends at a
+        # line of any other kind, which is read as a line.
         value, reader = read_yaml(text, loader)
         assert repr(value) == repr(yaml.load(text, Loader=loader))
         assert reader == "block"
@@ -490,8 +542,16 @@ class TestYamlReader:
         "a:\n- - 1\n",
         "a:\n- 1\n-\n",
         "- 1\n- 2\n",
+        "a:\n- 1\n- 2\n- a b\n- 1\n",
+        "a:\n- 1\n- 2\n- a:b\n- 1\n",
+        "a:\n- 1\n- \n- 1\n",
+        "a:\n- 1\n-  2\n- 1\n",
+        "a:\n- 1\n- 1\n- - 1\n",
+        "a:\n- 1\n- 2\n- 1\n- 2001-13-45\n- 2\n",
     ], ids=["long_key", "continuation", "document_end", "document_start", "comment", "blank_line",
-            "tab", "crlf", "nested_item", "empty_item", "top_level_list"])
+            "tab", "crlf", "nested_item", "empty_item", "top_level_list", "run_item_with_space",
+            "run_item_with_colon", "run_empty_item", "run_item_indented", "run_nested_item",
+            "run_bad_timestamp"])
     def test_line_reader_fallbacks(self, loader, text):
         # The line reader hands these on; the document or error is yaml.load's.
         with pytest.raises(harness._Fallback):
