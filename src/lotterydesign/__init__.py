@@ -9,7 +9,8 @@ Public surface, by concern:
 - game: DesignPoint / solve_equilibrium (one share-function root by a
   plain-float Chandrupatla loop; `iterations` counts its root evaluations),
   solve_sweep (the same root and FOC residuals, to the bit, for every reward
-  of a sweep at once, by the same loop on numpy vectors) and friends
+  of a sweep at once, by the same loop on numpy vectors), payoffs, and
+  certify_equilibrium (each player's best unilateral deviation in closed form)
 - analysis: reward threshold, public-good and price-of-anarchy bounds,
   property checkers, analyze_sweep (all of them over a sweep's rewards)
 - design: ConstraintSet / DesignProblem, convex reformulation, LP solve,
@@ -32,7 +33,7 @@ from .game import (
     DesignPoint,
     EquilibriumResult,
     EquilibriumSweep,
-    best_response_oracle,
+    certify_equilibrium,
     payoffs,
     solve_equilibrium,
     solve_sweep,
@@ -43,7 +44,6 @@ from .analysis import (
     SweepAnalysis,
     analyze_sweep,
     check_properties,
-    poa_bounds,
     reward_threshold,
     true_poa,
 )
@@ -83,15 +83,14 @@ __all__ = [
     "SimplexResult",
     "SweepAnalysis",
     "analyze_sweep",
-    "best_response_oracle",
     "build_dr_constraints",
     "build_reformulation",
+    "certify_equilibrium",
     "check_properties",
     "individual_rationality_rows",
     "monetize",
     "parse_case",
     "payoffs",
-    "poa_bounds",
     "reward_threshold",
     "run_scenario",
     "run_selftest",

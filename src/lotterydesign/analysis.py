@@ -213,19 +213,6 @@ def _compute_bounds(profile: BenefitProfile, terms: tuple, R, variant: str):
     return (*_order(g_far, g_near), _poa(opt, p_high), _poa(opt, p_low), k)
 
 
-def poa_bounds(profile: BenefitProfile, design: DesignPoint,
-               variant: str = "statement") -> PoaBounds:
-    """Closed-form public-good bracket and price-of-anarchy sandwich.
-
-    A bound formula that leaves the invertible range of H is vacuous at this
-    design point: it maps to +inf. The "proof" variant substitutes the far
-    bound into the near-bound numerator, which tightens it whenever at least
-    two players are certifiably active.
-    """
-    terms = _terms(profile, design.perturbation_total)
-    return PoaBounds(*_compute_bounds(profile, terms, design.reward, variant))
-
-
 def true_poa(profile: BenefitProfile, eq: EquilibriumResult) -> float:
     """Socially optimal payoff over the solved equilibrium's aggregate payoff."""
     return float(_poa(profile.optimal_payoff, _aggregate_payoff(profile, eq.G)))

@@ -20,7 +20,10 @@ a 200-reward sweep is about ten times faster than a `solve_equilibrium` loop
 over it. Step for step the two loops are the same, and `_sum_players` adds
 the players in one order at every shape, so at the same design point both
 drivers return the same bits (good, pool, investments and largest FOC
-violation), the same root included where Phi has several.
+violation), the same root included where Phi has several. A root of Phi
+meets the first-order conditions only; `certify_equilibrium` says whether it
+is a Nash equilibrium of the literal payoff, from each player's best
+deviation in closed form.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ TOL_ACTIVE = 1e-9
 # states this table.
 TOLERANCES = {
     "foc_residual": {"value": 1e-8, "origin": "equilibrium solver contract"},
+    "deviation_gain": {
+        "value": 1e-6, "origin": "largest certified unilateral gain at an equilibrium"},
     "constraint_residual": {"value": 1e-7, "origin": "design verification contract"},
     "good_gap": {"value": 1e-6, "origin": "design verification contract"},
     "payoff_gap": {"value": 1e-6, "origin": "design verification contract"},
@@ -72,8 +77,6 @@ _MAX_STEPS = 2046
 # a few ulps at any scale: a fixed 1e-14 left a good near 0.01 with 1e-12
 # relative error.
 _XTOL, _RTOL = _TINY, 8.9e-16
-# Width at which the best-response oracle's golden-section search stops.
-_ORACLE_TOL = 1e-9
 _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
             "total perturbation exceeds what the reward and public good can cover")
 
@@ -462,77 +465,56 @@ def _chandrupatla_scalar(f, x1, x2):
     return math.nan, -2, 2 + _MAX_STEPS
 
 
-def _payoff_grid(design, others_sum: float, c_i: float, a_i: float,
-                 x: np.ndarray) -> np.ndarray:
-    # Vectorized own-payoff over candidate investments x, opponents fixed.
-    R = design.reward
-    totals = x + others_sum
-    out = np.zeros_like(x)
-    on = totals >= R
-    pools = totals[on] - design.perturbation_total
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = np.where(pools != 0.0, (x[on] - c_i) / pools, np.nan)
-    vals = shares * R + a_i * np.log1p(totals[on] - R) - x[on]
-    out[on] = np.where(np.isnan(vals), -np.inf, vals)
-    return out
+def certify_equilibrium(profile: BenefitProfile, design: DesignPoint, s) -> list[tuple]:
+    """Each player's best unilateral deviation from profile s, in closed form.
 
+    Returns one (gain, kind, witness) per player: the largest payoff gain
+    over the player's own investment x >= 0 with the others held at s (+inf
+    when unbounded), its kind, and an x that attains a finite gain (else
+    None). With o = sum_{j != i} s_j, d = sum_{j != i}(s_j - c_j), the pool
+    y = x + o - c_bar and x_lo = max(0, R - o), the least stake that keeps
+    the lottery, the kinds are:
 
-def best_response_oracle(profile: BenefitProfile, design: DesignPoint,
-                         s_minus_i, i: int) -> float:
-    """Brute-force best response of player i to fixed opponent investments.
+    - "cancel": x = 0 with o < R voids the lottery and pays 0;
+    - "zero_pool": the reward share R(y - d)/y grows without bound as y -> 0
+      from below when d > 0 and y(x_lo) < 0, or from above when d < 0 and
+      y(x_lo) <= 0;
+    - "interior": the best x on the positive-pool branch. There, with
+      m = c_bar - R + 1, the payoff is u(y) = R(y - d)/y + a_i ln(y + m) - x,
+      whose critical points are the real roots of the cubic
+      -y^3 + (a_i - m) y^2 + R d y + R d m; u is compared at the real parts
+      of its roots on the branch and at its start x_lo, and falls to -inf at
+      the branch's other limits.
 
-    Coarse grid scan over [0, s_hi] followed by golden-section refinement to
-    a bracket of width `_ORACLE_TOL`; s_hi is expanded until the payoff is
-    decreasing beyond it (the payoff falls like -s_i for large investments).
-    Test oracle only: makes no use of first-order conditions.
+    s is a Nash equilibrium when no gain exceeds TOLERANCES["deviation_gain"].
     """
-    s_minus_i = np.asarray(s_minus_i, dtype=float)
-    n = profile.n_players
-    if s_minus_i.shape != (n - 1,):
-        raise DomainError(f"expected {n - 1} opponent investments, got {s_minus_i.shape}")
-    others_sum = float(s_minus_i.sum())
-    c_i = float(design.perturbation[i])
-    a_i = float(profile.coefficients[i])
+    s = _check_profile_shape(profile, design, s)
+    R, c_bar = design.reward, design.perturbation_total
+    m = c_bar - R + 1.0
+    total = float(s.sum())
+    certificate = []
+    for a_i, c_i, s_i, u_i in zip(profile.coefficients.tolist(), design.perturbation.tolist(),
+                                  s.tolist(), _payoffs(profile, design, s).tolist()):
+        o = total - s_i
+        d = o - c_bar + c_i
+        x_lo = max(0.0, R - o)
+        y_lo = x_lo + o - c_bar
+        if (d > 0.0 and y_lo < 0.0) or (d < 0.0 and y_lo <= 0.0):
+            certificate.append((math.inf, "zero_pool", None))
+            continue
 
-    def u(x):
-        return float(_payoff_grid(design, others_sum, c_i, a_i, np.array([x]))[0])
+        def u(x):
+            # The literal payoff of `_payoffs`, -inf where the pool is zero.
+            if x + o < R:
+                return 0.0
+            pool = x + o - c_bar
+            return (x - c_i) / pool * R + a_i * math.log1p(x + o - R) - x if pool else -math.inf
 
-    hi = max(1.0, 2.0 * (design.reward + design.perturbation_total + others_sum + 10.0))
-    for _ in range(200):
-        if u(hi) < u(hi / 2.0):
-            break
-        hi *= 2.0
-
-    xs = np.linspace(0.0, hi, 4097)
-    kink = max(0.0, design.reward - others_sum)
-    if 0.0 < kink < hi:
-        xs = np.sort(np.append(xs, [kink, np.nextafter(kink, hi)]))
-    vals = _payoff_grid(design, others_sum, c_i, a_i, xs)
-    k = int(np.argmax(vals))
-    lo = xs[max(k - 1, 0)]
-    up = xs[min(k + 1, xs.size - 1)]
-
-    # Golden-section maximization on [lo, up].
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, up
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = u(x1), u(x2)
-    while b - a > _ORACLE_TOL:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = u(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = u(x2)
-    x_star = (a + b) / 2.0
-    # The canceled-lottery plateau and boundary can beat the interior point.
-    candidates = [(u(0.0), 0.0), (u(x_star), x_star)]
-    if 0.0 < kink < hi:
-        candidates.append((u(kink), kink))
-    return max(candidates)[1]
+        roots = np.roots([-1.0, a_i - m, R * d, R * d * m]).real.tolist()
+        value, x = max((u(x), x) for x in [0.0, x_lo] + [
+            max(x_lo, y + c_bar - o) for y in roots if y > y_lo and y != 0.0])
+        certificate.append((value - u_i, "cancel" if x + o < R else "interior", x))
+    return certificate
 
 
 def _good_sensitivities(a_sum: float, n: int, R, c_bar: float, G):

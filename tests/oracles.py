@@ -3,24 +3,34 @@
 `foc_residual` is one player's marginal payoff at a profile, from the
 solver's own residual formula, and `equilibrium_sensitivities` the closed-form
 dG/dR and dG/dc_i at an all-active equilibrium; only the tests use them.
-`brute_force_bilevel` searches the bi-level design problem over a grid of
-design points, solving the true game at each one with `solve_equilibrium`;
-it shares no code with the reformulated LP that the tests compare against it.
+`best_response_oracle` searches one player's own investment by a grid scan
+and golden-section refinement, with no use of first-order conditions or of
+`certify_equilibrium`, which the tests check against it. `poa_bounds` is the
+closed-form bound sandwich of `analysis` at one design point, which no
+pipeline calls on its own. `brute_force_bilevel` searches the bi-level
+design problem over a grid of design points, solving the true game at each
+one with `solve_equilibrium`; it shares no code with the reformulated LP that
+the tests compare against it.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from lotterydesign import (
-    BenefitProfile, DesignPoint, DesignProblem, DesignSolution, solve_equilibrium,
+    BenefitProfile, DesignPoint, DesignProblem, DesignSolution, PoaBounds, solve_equilibrium,
 )
+from lotterydesign.analysis import _compute_bounds, _terms
 from lotterydesign.errors import (
-    InfeasibleRegimeError, InvariantViolationError, LotteryDesignError,
+    DomainError, InfeasibleRegimeError, InvariantViolationError, LotteryDesignError,
 )
 from lotterydesign.game import (
     EquilibriumResult, _check_profile_shape, _foc_residuals, _good_sensitivities,
 )
+
+# Width at which the best-response oracle's golden-section search stops.
+_ORACLE_TOL = 1e-9
 
 
 class UnsupportedRegimeError(LotteryDesignError):
@@ -55,6 +65,92 @@ def equilibrium_sensitivities(profile: BenefitProfile, design: DesignPoint,
     dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, design.reward,
                                        design.perturbation_total, eq.G)
     return float(dG_dR), np.full(n, dG_dc)
+
+
+def _payoff_grid(design, others_sum: float, c_i: float, a_i: float,
+                 x: np.ndarray) -> np.ndarray:
+    # Vectorized own-payoff over candidate investments x, opponents fixed.
+    R = design.reward
+    totals = x + others_sum
+    out = np.zeros_like(x)
+    on = totals >= R
+    pools = totals[on] - design.perturbation_total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = np.where(pools != 0.0, (x[on] - c_i) / pools, np.nan)
+    vals = shares * R + a_i * np.log1p(totals[on] - R) - x[on]
+    out[on] = np.where(np.isnan(vals), -np.inf, vals)
+    return out
+
+
+def best_response_oracle(profile: BenefitProfile, design: DesignPoint,
+                         s_minus_i, i: int) -> float:
+    """Brute-force best response of player i to fixed opponent investments.
+
+    Coarse grid scan over [0, s_hi] followed by golden-section refinement to
+    a bracket of width `_ORACLE_TOL`; s_hi is expanded until the payoff is
+    decreasing beyond it (the payoff falls like -s_i for large investments).
+    Test oracle only: makes no use of first-order conditions.
+    """
+    s_minus_i = np.asarray(s_minus_i, dtype=float)
+    n = profile.n_players
+    if s_minus_i.shape != (n - 1,):
+        raise DomainError(f"expected {n - 1} opponent investments, got {s_minus_i.shape}")
+    others_sum = float(s_minus_i.sum())
+    c_i = float(design.perturbation[i])
+    a_i = float(profile.coefficients[i])
+
+    def u(x):
+        return float(_payoff_grid(design, others_sum, c_i, a_i, np.array([x]))[0])
+
+    hi = max(1.0, 2.0 * (design.reward + design.perturbation_total + others_sum + 10.0))
+    for _ in range(200):
+        if u(hi) < u(hi / 2.0):
+            break
+        hi *= 2.0
+
+    xs = np.linspace(0.0, hi, 4097)
+    kink = max(0.0, design.reward - others_sum)
+    if 0.0 < kink < hi:
+        xs = np.sort(np.append(xs, [kink, np.nextafter(kink, hi)]))
+    vals = _payoff_grid(design, others_sum, c_i, a_i, xs)
+    k = int(np.argmax(vals))
+    lo = xs[max(k - 1, 0)]
+    up = xs[min(k + 1, xs.size - 1)]
+
+    # Golden-section maximization on [lo, up].
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, up
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
+    f1, f2 = u(x1), u(x2)
+    while b - a > _ORACLE_TOL:
+        if f1 >= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = u(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = u(x2)
+    x_star = (a + b) / 2.0
+    # The canceled-lottery plateau and boundary can beat the interior point.
+    candidates = [(u(0.0), 0.0), (u(x_star), x_star)]
+    if 0.0 < kink < hi:
+        candidates.append((u(kink), kink))
+    return max(candidates)[1]
+
+
+def poa_bounds(profile: BenefitProfile, design: DesignPoint,
+               variant: str = "statement") -> PoaBounds:
+    """Closed-form public-good bracket and price-of-anarchy sandwich.
+
+    A bound formula that leaves the invertible range of H is vacuous at this
+    design point: it maps to +inf. The "proof" variant substitutes the far
+    bound into the near-bound numerator, which tightens it whenever at least
+    two players are certifiably active.
+    """
+    terms = _terms(profile, design.perturbation_total)
+    return PoaBounds(*_compute_bounds(profile, terms, design.reward, variant))
 
 
 def _compositions(total: float, n: int, step: float):

@@ -17,12 +17,11 @@ from lotterydesign import (
     ConstraintSet,
     DesignPoint,
     DesignProblem,
-    best_response_oracle,
     build_dr_constraints,
+    certify_equilibrium,
     check_properties,
     monetize,
     payoffs,
-    poa_bounds,
     reward_threshold,
     shift_factor_matrix,
     solve_design,
@@ -30,10 +29,13 @@ from lotterydesign import (
     true_poa,
     verify_design,
 )
+from lotterydesign.game import TOLERANCES
 from lotterydesign.simplex import solve_lp
 
 from conftest import random_profile
-from oracles import brute_force_bilevel, equilibrium_sensitivities
+from oracles import (
+    best_response_oracle, brute_force_bilevel, equilibrium_sensitivities, poa_bounds,
+)
 from test_design import random_feasible_problem
 from test_game import cancellation_escape_exists, sample_sound_pair
 from test_grid import RADIAL, RING
@@ -133,7 +135,7 @@ class TestCriterion2Exactness:
 
 class TestCriterion3EquilibriumCorrectness:
     def test_foc_and_no_profitable_deviation(self, equilibrium_corpus):
-        worst_foc, worst_gain = 0.0, -math.inf
+        worst_foc, worst_gain, worst_certified = 0.0, -math.inf, -math.inf
         for profile, d, eq in equilibrium_corpus:
             worst_foc = max(worst_foc, eq.max_foc_violation)
             for i in range(profile.n_players):
@@ -142,10 +144,14 @@ class TestCriterion3EquilibriumCorrectness:
                 trial[i] = br
                 gain = payoffs(profile, d, trial)[i] - payoffs(profile, d, eq.s_star)[i]
                 worst_gain = max(worst_gain, gain)
-        ok = worst_foc <= 1e-8 and worst_gain <= 1e-5
+            worst_certified = max(worst_certified, *(
+                gain for gain, _, _ in certify_equilibrium(profile, d, eq.s_star)))
+        ok = (worst_foc <= 1e-8 and worst_gain <= 1e-5
+              and worst_certified <= TOLERANCES["deviation_gain"]["value"])
         report("3 equilibrium correctness", ok,
                f"200 pairs, max FOC residual {worst_foc:.2e}, "
-               f"max unilateral gain {worst_gain:.2e}")
+               f"max unilateral gain {worst_gain:.2e} (oracle), "
+               f"{worst_certified:.2e} (certificate)")
 
 
 class TestCriterion4PropertySuite:

@@ -9,7 +9,6 @@ from lotterydesign import (
     DesignPoint,
     analyze_sweep,
     check_properties,
-    poa_bounds,
     reward_threshold,
     solve_equilibrium,
     true_poa,
@@ -18,6 +17,7 @@ from lotterydesign.errors import InvariantViolationError
 from lotterydesign.game import TOLERANCES
 
 from conftest import bisect_root, random_profile
+from oracles import poa_bounds
 
 
 def _design(reward, c):

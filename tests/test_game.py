@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 from lotterydesign import (
     BenefitProfile,
     DesignPoint,
-    best_response_oracle,
     payoffs,
     reward_threshold,
     solve_equilibrium,
@@ -21,7 +20,9 @@ from lotterydesign.errors import (
 from lotterydesign.game import TOL_ACTIVE
 
 from conftest import random_profile
-from oracles import UnsupportedRegimeError, equilibrium_sensitivities, foc_residual
+from oracles import (
+    UnsupportedRegimeError, best_response_oracle, equilibrium_sensitivities, foc_residual,
+)
 
 
 def _design(reward, c):

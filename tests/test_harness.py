@@ -15,10 +15,12 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
-from lotterydesign import DesignPoint, poa_bounds, run_scenario, run_selftest
+from lotterydesign import DesignPoint, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
 from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json
+
+from oracles import poa_bounds
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -1088,11 +1090,18 @@ class TestSelftest:
         jsonschema.validate(on_disk, schema)
 
     def test_skipped_corpus_points_are_counted(self):
-        # Seed 4 draws two random points where withdrawing to cancel the
-        # lottery beats a negative payoff; seed 0 draws none.
-        for seed, skipped in ((4, 2), (0, 0)):
+        # Seed 13 draws two random points where withdrawing to cancel the
+        # lottery beats a negative payoff, so the certificate proves they are
+        # not equilibria; seed 0 draws none.
+        for seed, skipped in ((13, 2), (0, 0)):
             _, lines, _ = run_selftest(seed=seed)
             corpus = [line for line in lines if "random_corpus_" in line]
             assert len(corpus) == 3
             for line in corpus:
-                assert f"20 points, {skipped} without a pure equilibrium skipped" in line
+                assert line.startswith("SELFTEST random_corpus_") and ": PASS (" in line
+                if skipped:
+                    assert line.endswith(
+                        f"; 20 points, {skipped} skipped: not an equilibrium "
+                        f"(withdrawing cancels the lottery: {skipped}))")
+                else:
+                    assert line.endswith("; 20 points, 0 skipped)")

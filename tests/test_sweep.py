@@ -27,7 +27,6 @@ from lotterydesign import (
     DesignPoint,
     PoaBounds,
     check_properties,
-    poa_bounds,
     reward_threshold,
     solve_equilibrium,
     true_poa,
@@ -40,6 +39,8 @@ from lotterydesign.errors import (
     NonconvergenceError,
 )
 from lotterydesign.game import FOC_TOL, solve_sweep
+
+from oracles import poa_bounds
 
 # Relative agreement of the true price of anarchy and the price-of-anarchy
 # bounds.
