@@ -749,6 +749,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     flows = (scenario.shift_factors_gen @ scenario.generation_dollars
              - scenario.shift_factors_load @ (demand - s))
     limits = scenario.line_limit_dollars
+    utilization = np.abs(flows) / limits * 100.0  # 0 on a line without a limit (+inf)
 
     results = _design_results(problem, sol, verification)
     results.update({
@@ -758,9 +759,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "total_demand": float(demand.sum()),
         "generation_total": float(scenario.generation_dollars.sum()),
         "adjusted_demand_total": float((demand - s).sum()),
-        "max_line_utilization_pct": float(
-            np.max(np.abs(flows) / np.where(np.isfinite(limits), limits, np.inf)) * 100.0
-        ),
+        "max_line_utilization_pct": float(np.max(utilization)),
     })
     golden_table, golden_ok = _golden_checks(golden, {
         "socially_optimal_good": problem.profile.g_star,
@@ -774,13 +773,10 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     buses = list(map(str, scenario.load_bus_ids))
     allocation_rows = list(zip(buses, _money(c), _money(s)))
     demand_rows = list(zip(buses, _money(demand), _money(demand - s)))
-    line_rows = []
-    for br, flow, limit, flow_text, limit_text in zip(
-            scenario.case.branches, flows, limits, _money(flows), _money(limits)):
-        finite = math.isfinite(limit)
-        util = abs(flow) / limit * 100.0 if finite else 0.0
-        line_rows.append([f"{br.from_bus}-{br.to_bus}", flow_text,
-                          limit_text if finite else "+inf", f"{util:.4f}"])
+    line_rows = [[f"{br.from_bus}-{br.to_bus}", flow_text,
+                  limit_text if math.isfinite(limit) else "+inf", f"{util:.4f}"]
+                 for br, limit, flow_text, limit_text, util in zip(
+                     scenario.case.branches, limits, _money(flows), _money(limits), utilization)]
     csvs = {
         "allocation.csv": (["bus", "c_star", "s_star"], allocation_rows),
         "demand.csv": (["bus", "demand", "adjusted"], demand_rows),

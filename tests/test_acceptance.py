@@ -37,7 +37,7 @@ from oracles import (
     best_response_oracle, brute_force_bilevel, equilibrium_sensitivities, poa_bounds,
 )
 from test_design import random_feasible_problem
-from test_game import cancellation_escape_exists, sample_sound_pair
+from test_game import escape_exists, sample_sound_pair
 from test_grid import RADIAL, RING
 from test_simplex import random_bounded_lp, vertex_enumeration_oracle
 
@@ -72,7 +72,7 @@ def equilibrium_corpus():
             reward += float(rng.uniform(0.1, 10.0))
             d = DesignPoint(reward, c)
             eq = solve_equilibrium(profile, d)
-            if cancellation_escape_exists(profile, d, eq):
+            if escape_exists(profile, d, eq):
                 continue
         else:
             d, eq = sample_sound_pair(rng, profile)

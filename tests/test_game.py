@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lotterydesign import (
     BenefitProfile,
     DesignPoint,
+    certify_equilibrium,
     payoffs,
     reward_threshold,
     solve_equilibrium,
@@ -17,7 +18,7 @@ from lotterydesign.errors import (
     InvariantViolationError,
     SingularPoolError,
 )
-from lotterydesign.game import TOL_ACTIVE
+from lotterydesign.game import TOL_ACTIVE, TOLERANCES
 
 from conftest import random_profile
 from oracles import (
@@ -44,21 +45,20 @@ def sample_design(rng, profile, allow_perturbation=True):
     return _design(reward, c)
 
 
-def cancellation_escape_exists(profile, design, eq):
-    """True when some player profits by unilaterally canceling the lottery.
+def escape_exists(profile, design, eq):
+    """True when some player profits by canceling the lottery or by driving the pool to zero.
 
     With perturbations, a player whose equilibrium payoff is negative and
     whose opponents do not cover the reward on their own can drop to zero,
-    void the lottery, and collect exactly 0. The first-order-condition
-    profile is then not a Nash equilibrium of the literal payoff (the model's
-    cancellation branch admits no pure equilibrium at such design points).
+    void the lottery, and collect exactly 0 (a `cancel` deviation). Where the
+    pool can reach zero, a player's reward share grows without bound as its
+    stake brings the pool there (a `zero_pool` deviation). The
+    first-order-condition profile is then not a Nash equilibrium of the
+    literal payoff. Both are read off `certify_equilibrium`.
     """
-    total = float(eq.s_star.sum())
-    for i in range(profile.n_players):
-        if total - eq.s_star[i] < design.reward - 1e-12:
-            if payoffs(profile, design, eq.s_star)[i] < -1e-6:
-                return True
-    return False
+    tol = TOLERANCES["deviation_gain"]["value"]
+    return any(kind in ("cancel", "zero_pool") and gain > tol
+               for gain, kind, _ in certify_equilibrium(profile, design, eq.s_star))
 
 
 def sample_sound_pair(rng, profile, max_tries=60):
@@ -66,9 +66,9 @@ def sample_sound_pair(rng, profile, max_tries=60):
 
     Besides keeping the reward above the perturbation total (otherwise a
     unilateral cut can push total investment below sum(c), where the odds term
-    blows up), rejects points admitting the cancellation escape described in
-    `cancellation_escape_exists`. Zero-perturbation points are never rejected:
-    there every payoff is nonnegative and the classic equilibrium is genuine.
+    blows up), rejects points admitting an escape described in
+    `escape_exists`. Zero-perturbation points are never rejected: there every
+    payoff is nonnegative and the classic equilibrium is genuine.
     """
     n = profile.n_players
     g_star = profile.g_star
@@ -82,7 +82,7 @@ def sample_sound_pair(rng, profile, max_tries=60):
             reward = floor + float(rng.uniform(0.1, 20.0))
         d = _design(reward, c)
         eq = solve_equilibrium(profile, d)
-        if not cancellation_escape_exists(profile, d, eq):
+        if not escape_exists(profile, d, eq):
             return d, eq
     raise AssertionError("could not sample a well-posed design point")
 
@@ -379,7 +379,7 @@ class TestBestResponseOracle:
                     [0.00797228, 0.24058479, 1.58776761, 1.1356116])
         eq = solve_equilibrium(profile, d)
         assert eq.max_foc_violation <= 1e-8
-        assert cancellation_escape_exists(profile, d, eq)
+        assert escape_exists(profile, d, eq)
         i = 2
         assert payoffs(profile, d, eq.s_star)[i] < 0.0
         assert eq.s_star.sum() - eq.s_star[i] < d.reward
@@ -387,6 +387,20 @@ class TestBestResponseOracle:
         trial = eq.s_star.copy()
         trial[i] = br
         assert payoffs(profile, d, trial)[i] == 0.0  # canceling beats playing on
+
+    def test_zero_pool_escape_is_detected(self):
+        # Point 5 of the benchmark's small_games corpus: R < c_bar, nobody
+        # gains by canceling, but player 2's reward share grows without bound
+        # as its stake brings the pool to zero. A cancel-only screen passes it.
+        profile = BenefitProfile.scaled_log([1.5398856012675868, 2.7366584448115017])
+        d = _design(1.7261061044685773, [0.744291860613449, 2.04190012851408])
+        eq = solve_equilibrium(profile, d)
+        assert eq.max_foc_violation <= 1e-8
+        assert d.reward < d.perturbation_total
+        certificate = certify_equilibrium(profile, d, eq.s_star)
+        assert [kind for _, kind, _ in certificate] == ["interior", "zero_pool"]
+        assert certificate[1][0] == math.inf
+        assert escape_exists(profile, d, eq)
 
 
 class TestSensitivities:

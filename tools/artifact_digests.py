@@ -7,8 +7,8 @@ raises ConfigError is not configured and is left out), `run_selftest` at
 seeds 0 and 13 (whose corpus skips points that are not equilibria), and
 every input of benchmark seed 7: the design_lp design problems, the
 small_games sweeps and its equilibrium corpus, built with the benchmark's
-own input generator in a temporary directory, as
-`tools/emit_time.py` does. Prints one line `<sha256>  <run>/<artifact>` per
+own input generator in a temporary directory, as `tools/layer_time.py`
+does. Prints one line `<sha256>  <run>/<artifact>` per
 artifact, in a fixed order, `raised  <run>: <type>: <message>` for a run that
 raises any exception (reading its config included), with its traceback on
 standard error, and `no verb  configs/<file>: <errors>` for a config file that
