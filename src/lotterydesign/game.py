@@ -492,27 +492,38 @@ def certify_equilibrium(profile: BenefitProfile, design: DesignPoint, s) -> list
     R, c_bar = design.reward, design.perturbation_total
     m = c_bar - R + 1.0
     total = float(s.sum())
+    trial = s.copy()
     certificate = []
-    for a_i, c_i, s_i, u_i in zip(profile.coefficients.tolist(), design.perturbation.tolist(),
-                                  s.tolist(), _payoffs(profile, design, s).tolist()):
+    for i, (a_i, c_i, s_i, u_i) in enumerate(zip(
+            profile.coefficients.tolist(), design.perturbation.tolist(),
+            s.tolist(), _payoffs(profile, design, s).tolist())):
         o = total - s_i
         d = o - c_bar + c_i
-        x_lo = max(0.0, R - o)
-        y_lo = x_lo + o - c_bar
+        # R - o rounded may leave o + x_lo, or the summed profile, short of R:
+        # step up to the least float stake that keeps the lottery by both.
+        x_lo = trial[i] = max(0.0, R - o)
+        while x_lo + o < R or trial.sum() < R:
+            x_lo = trial[i] = math.nextafter(x_lo, math.inf)
+        y_lo = float(trial.sum()) - c_bar
         if (d > 0.0 and y_lo < 0.0) or (d < 0.0 and y_lo <= 0.0):
+            trial[i] = s_i
             certificate.append((math.inf, "zero_pool", None))
             continue
 
         def u(x):
-            # The literal payoff of `_payoffs`, -inf where the pool is zero.
-            if x + o < R:
+            # The literal payoff of `_payoffs` with s_i = x, -inf where the
+            # pool is zero: the value a witness is checked by.
+            trial[i] = x
+            t = float(trial.sum())
+            if t < R:
                 return 0.0
-            pool = x + o - c_bar
-            return (x - c_i) / pool * R + a_i * math.log1p(x + o - R) - x if pool else -math.inf
+            pool = t - c_bar
+            return (x - c_i) / pool * R + a_i * math.log1p(t - R) - x if pool else -math.inf
 
         roots = np.roots([-1.0, a_i - m, R * d, R * d * m]).real.tolist()
         value, x = max((u(x), x) for x in [0.0, x_lo] + [
             max(x_lo, y + c_bar - o) for y in roots if y > y_lo and y != 0.0])
+        trial[i] = s_i
         certificate.append((value - u_i, "cancel" if x + o < R else "interior", x))
     return certificate
 

@@ -141,6 +141,20 @@ class TestCertificate:
         gain, kind, witness = _check_certificate(profile, design, [1.0, 0.25])[0]
         assert (gain, kind, witness) == (math.inf, "zero_pool", None)
 
+    def test_least_stake_witness_keeps_the_lottery(self):
+        # Player 4's best stake is the least that keeps the lottery, where the
+        # pool is R - c_bar = 2**-10. R - o rounded leaves the summed profile
+        # short of R there, which cancels the lottery: the witness must be
+        # the least float stake whose summed profile reaches R.
+        profile = BenefitProfile.scaled_log([1.5, 0.4375, 1.578125, 2.8125])
+        design = DesignPoint(1.0, np.array([0.0, 1023 / 1024, 0.0, 0.0]))
+        s = solve_equilibrium(profile, design).s_star
+        gain, kind, witness = _check_certificate(profile, design, s)[3]
+        o = float(s.sum() - s[3])
+        assert kind == "interior" and witness >= design.reward - o
+        assert float(_with(s, 3, witness).sum()) >= design.reward
+        assert gain > 60.0
+
     def test_two_player_design_point(self, tmp_path):
         # The shipped two-player design is not an equilibrium: player 2 gains
         # without bound by moving s_2 toward 0.9995 from below, and 0.307 by
