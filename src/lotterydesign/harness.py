@@ -66,6 +66,9 @@ _DECIMAL = {
     "tag:yaml.org,2002:float": (re.compile(r"[-+]?[0-9]*\.[0-9]*(?:[eE][-+][0-9]+)?\Z"), float),
     "tag:yaml.org,2002:int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z"), int),
 }
+# The first form of PyYAML's float resolver, which is the first resolver for
+# every character such a token can start with: its value is `float(text)`.
+_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
 _SAFE_CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _NO_KEY = object()
 
@@ -76,6 +79,8 @@ class _Fallback(Exception):
 
 def _plain_scalar(text: str, loader):
     """A plain scalar's value: its implicitly resolved tag, then that tag's constructor."""
+    if _FLOAT.fullmatch(text):
+        return float(text)
     resolvers = loader.yaml_implicit_resolvers
     for tag, regexp in resolvers.get(text[:1], []) + resolvers.get(None, []):
         if regexp.match(text):

@@ -398,11 +398,21 @@ _LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader
 _LARGE = yaml.dump({"rows": [{"s_coeffs": [0.5] * 60, "rhs": 1.0}] * 40}, Dumper=_DUMPER)
 _BLOCK = yaml.dump({"rows": [{"rhs": float(k), "s_coeffs": [0.5] * 60} for k in range(40)]},
                    Dumper=_DUMPER)
+
+
+def _plain_name(name):
+    """Whether the dumper writes `name` as a plain scalar that reads back as itself."""
+    try:
+        return (yaml.dump(name, Dumper=_DUMPER).startswith(f"{name}\n")
+                and yaml.load(name, Loader=yaml.SafeLoader) == name)
+    except yaml.YAMLError:
+        return False
+
+
 # Documents the dumper writes as plain tokens in block style: no nested list
 # (written "- - "), no empty collection (written "[]" or "{}"), no string it
 # would quote, and keys short enough to be written without "? ".
-_NAMES = st.from_regex(r"[A-Za-z0-9_.+][A-Za-z0-9_.+-]{0,7}", fullmatch=True).filter(
-    lambda name: yaml.load(name, Loader=yaml.SafeLoader) == name)
+_NAMES = st.from_regex(r"[A-Za-z0-9_.+][A-Za-z0-9_.+-]{0,7}", fullmatch=True).filter(_plain_name)
 _TOKENS = st.none() | st.booleans() | st.integers() | st.floats() | _NAMES
 # Long lists drawn from a small pool, as a design file's rows are: runs of
 # "- token" items that repeat a few tokens, with new ones mid-run.
@@ -520,9 +530,10 @@ class TestYamlReader:
         "a:\n  b:\n  - 1\n  - 2\n  c: 3\n",
         "a:\n- 1\n- 2\n- b:\n  - 3\n  - 1\n  c:\n    - 2\n    - 4\n    - 2\n- 5\n- 1\n",
         "a:\n- b:\n  - 1\n- 1234\n- 1\n",
+        "a:\n- 1.\n- -0.\n- +1.5e+3\n- 1.5E-3\n- 1.0e3\n- 1_0.5\n- .5\n- 1.5e+400\n- 1.\n",
     ], ids=["duplicates", "nesting", "scalar_keys", "scalars", "longest_key", "run_new_token",
             "run_then_mapping", "run_at_eof", "run_then_dedented_key", "run_then_key",
-            "nested_runs", "item_then_dedented_item"])
+            "nested_runs", "item_then_dedented_item", "floats"])
     def test_read_by_lines(self, loader, text):
         # A repeated key keeps its first place and its last value; a key with
         # no deeper line below it is null. A run of "- token" items ends at a
@@ -530,6 +541,18 @@ class TestYamlReader:
         value, reader = read_yaml(text, loader)
         assert repr(value) == repr(yaml.load(text, Loader=loader))
         assert reader == "block"
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    def test_float_tokens(self, loader):
+        # `_plain_scalar` returns float(token) for the first form of the float
+        # resolver without walking the resolvers: float must come first for
+        # every character that form starts with, and the value match yaml.load's.
+        for first in "-+0123456789":
+            assert loader.yaml_implicit_resolvers[first][0][0] == "tag:yaml.org,2002:float"
+        for token in ["1.", "-0.", "+1.5e+3", "1.5E-3", "1.0e3", "1_0.5", "190:20:30.15", ".5",
+                      "1.5e+400"]:
+            value = harness._plain_scalar(token, loader)
+            assert repr(value) == repr(yaml.load(token, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     @pytest.mark.parametrize("text", [

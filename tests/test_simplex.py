@@ -282,15 +282,21 @@ class TestVectorizedKernels:
 
     def test_bitwise_equal_on_random_tableaux(self):
         rng = np.random.default_rng(35)
-        for _ in range(200):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        branches = {"rows": 0, "whole": 0}
+        for draw in range(400):
             # A full tableau over n + m variables with an identity basis on
             # random variables; small integers and zeros give exact ratio
-            # ties and skipped rows.
+            # ties and skipped rows. Every other draw is tall with mostly zero
+            # columns, as the design LPs' tableaus are.
+            if draw % 2:
+                m, n, density = int(rng.integers(1, 8)), int(rng.integers(1, 8)), 1.0
+            else:
+                m, n = int(rng.integers(8, 41)), int(rng.integers(1, 12))
+                density = float(rng.choice([0.05, 0.2, 0.6]))
             order = rng.permutation(n + m)
             basis, nonbasic = order[:m], order[m:]
             full = np.zeros((m + 1, n + m + 1))
-            full[:, nonbasic] = rng.integers(-3, 4, (m + 1, n))
+            full[:, nonbasic] = rng.integers(-3, 4, (m + 1, n)) * (rng.random((m + 1, n)) < density)
             full[:m, basis] = np.eye(m)
             full[:m, -1] = rng.integers(0, 3, m)  # nonnegative right-hand sides
             tableau = self.condensed(full, nonbasic)
@@ -299,6 +305,10 @@ class TestVectorizedKernels:
             assert row == self.loop_leaving_row(full, basis, nonbasic[col])
             if row is None:
                 continue
+            # `_pivot` updates only the other rows with a nonzero entry in
+            # `col` when they are under a quarter of the tableau.
+            others = np.count_nonzero(tableau[:, col]) - 1
+            branches["rows" if 4 * others < m + 1 else "whole"] += 1
             full_basis = basis.copy()
             expected_nonbasic = nonbasic.copy()
             expected_nonbasic[col] = basis[row]
@@ -308,6 +318,7 @@ class TestVectorizedKernels:
             assert np.array_equal(tableau, self.condensed(full, expected_nonbasic))
             assert np.array_equal(basis, full_basis)
             assert np.array_equal(nonbasic, expected_nonbasic)
+        assert min(branches.values()) >= 50, branches
 
     def test_dual_tie_enters_the_smallest_variable(self):
         # Basic x1 = -1 + x2 + x0 is infeasible and both columns have ratio 1;
