@@ -59,16 +59,14 @@ SCHEMA_VERSION = 1
 # documents more slowly.
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# The plain decimals whose `float`/`int` is what SafeConstructor builds for the
-# tag they resolve to: no underscore, sexagesimal part, infinity or NaN, and
-# for an int no leading zero or base prefix. Other forms go to the constructor.
-_DECIMAL = {
-    "tag:yaml.org,2002:float": (re.compile(r"[-+]?[0-9]*\.[0-9]*(?:[eE][-+][0-9]+)?\Z"), float),
-    "tag:yaml.org,2002:int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z"), int),
-}
-# The first form of PyYAML's float resolver, which is the first resolver for
-# every character such a token can start with: its value is `float(text)`.
-_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?")
+# The first two forms of PyYAML's float resolver without an underscore. Float
+# is the first resolver for every character such a token can start with, and
+# its value is `float(text)`.
+_FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?")
+# The ints whose `int` is what SafeConstructor builds: no underscore,
+# sexagesimal part, leading zero or base prefix. Other forms go to the constructor.
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
+_INT_TAG = "tag:yaml.org,2002:int"
 _SAFE_CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _NO_KEY = object()
 
@@ -87,12 +85,10 @@ def _plain_scalar(text: str, loader):
             break
     else:
         return text
-    construct = loader.yaml_constructors[tag]
-    decimal = _DECIMAL.get(tag)
+    if tag == _INT_TAG and _INT.fullmatch(text):
+        return int(text)
     try:
-        if decimal is not None and decimal[0].match(text):
-            return decimal[1](text)
-        return construct(_SAFE_CONSTRUCTOR, yaml.ScalarNode(tag, text))
+        return loader.yaml_constructors[tag](_SAFE_CONSTRUCTOR, yaml.ScalarNode(tag, text))
     except (ValueError, OverflowError, yaml.YAMLError):
         # A date out of range, say: yaml.load raises its own error for it,
         # unless the stream fails to parse first.

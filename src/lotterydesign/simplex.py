@@ -16,15 +16,21 @@ OR Spektrum 4, 1982), so ties between optimal vertices break the same way on
 every run. Sized for the few-hundred-row programs of the design reformulation.
 
 A pivot subtracts its rank-1 update only from the rows with a nonzero entry in
-the pivot column when those are under a quarter of the tableau (a design LP's
-column is about 6 % nonzero), and from the whole tableau otherwise (case 30's
-is about 80 %). Both give the same pivots and every bit of x: a skipped row
-would have had `t - 0*y` subtracted, which changes no nonzero entry and at most
-turns a -0.0 into +0.0. No comparison tells -0.0 from +0.0, no arithmetic here
-turns a zero's sign into a nonzero value, and `solve_lp` returns +0.0 for every
-entry below 1e-12. Each of Bland's choices is one masked key: the variable
-indices at the eligible least-ratio positions, a sentinel above every index
-elsewhere, then an argmin.
+the pivot column when those are under a quarter of the tableau, and from the
+whole tableau otherwise. Gathering and scattering rows costs more per row than
+one whole-tableau subtraction, so the row update pays only on a sparse column
+of a wide tableau: timed per update, it was faster below about half the rows
+on a design LP's 154 x 62 tableau, but only below about a tenth on case 30's
+107 x 22 one. A quarter lies between the two, and far from both programs: a
+design LP's column is about 6 % nonzero and case 30's about 80 %. Updating
+only the touched rows on every pivot made case 30's solve about a fifth
+slower (BENCH_25.json). Both give the same pivots and every bit of x: a
+skipped row would have had `t - 0*y` subtracted, which changes no nonzero
+entry and at most turns a -0.0 into +0.0. No comparison tells -0.0 from
++0.0, no arithmetic here turns a zero's sign into a nonzero value, and
+`solve_lp` returns +0.0 for every entry below 1e-12. Each of Bland's choices
+is one masked key: the variable indices at the eligible least-ratio
+positions, a sentinel above every index elsewhere, then an argmin.
 """
 
 from __future__ import annotations

@@ -544,13 +544,13 @@ class TestYamlReader:
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     def test_float_tokens(self, loader):
-        # `_plain_scalar` returns float(token) for the first form of the float
-        # resolver without walking the resolvers: float must come first for
-        # every character that form starts with, and the value match yaml.load's.
-        for first in "-+0123456789":
+        # `_plain_scalar` returns float(token) for the first two forms of the
+        # float resolver without walking the resolvers: float must come first
+        # for every character they start with, and the value match yaml.load's.
+        for first in "-+.0123456789":
             assert loader.yaml_implicit_resolvers[first][0][0] == "tag:yaml.org,2002:float"
         for token in ["1.", "-0.", "+1.5e+3", "1.5E-3", "1.0e3", "1_0.5", "190:20:30.15", ".5",
-                      "1.5e+400"]:
+                      ".5e-3", "-.5", ".5_1", ".", "1.5e+400"]:
             value = harness._plain_scalar(token, loader)
             assert repr(value) == repr(yaml.load(token, Loader=loader))
 
