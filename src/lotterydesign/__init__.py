@@ -12,7 +12,8 @@ Public surface, by concern:
   of a sweep at once, by the same loop on numpy vectors), payoffs, and
   certify_equilibrium (each player's best unilateral deviation in closed form)
 - analysis: reward threshold, public-good and price-of-anarchy bounds,
-  property checkers, analyze_sweep (all of them over a sweep's rewards)
+  check_properties (the report's property rows, as dicts), analyze_sweep
+  (all of them over a sweep's rewards)
 - design: ConstraintSet / DesignProblem, convex reformulation, LP solve,
   verification
 - grid: MATPOWER-subset parsing, DC shift factors, demand-response constraints
@@ -40,7 +41,6 @@ from .game import (
 )
 from .analysis import (
     PoaBounds,
-    PropertyCheck,
     SweepAnalysis,
     analyze_sweep,
     check_properties,
@@ -78,7 +78,6 @@ __all__ = [
     "GridCase",
     "LinearProgram",
     "PoaBounds",
-    "PropertyCheck",
     "ScenarioConfig",
     "SimplexResult",
     "SweepAnalysis",

@@ -57,24 +57,6 @@ class PoaBounds:
 
 
 @dataclass(frozen=True)
-class PropertyCheck:
-    """Outcome of one graded property: pass/fail with margin, or skipped."""
-
-    name: str
-    holds: bool | None
-    margin: float | None
-    skipped_reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "property": self.name,
-            "holds": self.holds,
-            "margin": self.margin,
-            "skipped_reason": self.skipped_reason,
-        }
-
-
-@dataclass(frozen=True)
 class SweepAnalysis:
     """A graded reward sweep: entry k of each vector belongs to reward k.
 
@@ -275,28 +257,31 @@ def _graded(profile: BenefitProfile, terms: tuple, c, R, G, s, g_bracket, thresh
 
 
 def check_properties(profile: BenefitProfile, design: DesignPoint,
-                     eq: EquilibriumResult) -> list[PropertyCheck]:
+                     eq: EquilibriumResult) -> list[dict]:
     """Grade a solved equilibrium against the feasibility and bound properties.
 
-    Report-only: every entry carries a margin (negative means violated) or a
-    reason the property does not apply at this design point. The bracket,
-    slopes, threshold and statement bounds are computed once, on floats.
+    Returns the report's property rows, one dict per property with keys
+    "property", "holds", "margin" and "skipped_reason": a pass/fail with its
+    margin (negative means violated), or None, None and the reason the
+    property does not apply at this design point. The bracket, slopes,
+    threshold and statement bounds are computed once, on floats.
     """
     R = design.reward
     terms = _terms(profile, design.perturbation_total)
     threshold = _threshold(terms)
     bounds = PoaBounds(*_compute_bounds(profile, terms, R, "statement"))
-    checks = []
+    rows = []
     for name, margin, holds, rules in _graded(
             profile, terms, design.perturbation.tolist(), R, eq.G, eq.s_star.tolist(),
             (bounds.g_lower, bounds.g_upper), threshold):
         reasons = [why for skip, why in rules if skip]
         if reasons:
-            checks.append(PropertyCheck(name, None, None, reasons[0].format(
-                reward=R, threshold=threshold)))
+            rows.append({"property": name, "holds": None, "margin": None,
+                         "skipped_reason": reasons[0].format(reward=R, threshold=threshold)})
         else:
-            checks.append(PropertyCheck(name, bool(holds), float(margin)))
-    return checks
+            rows.append({"property": name, "holds": bool(holds), "margin": float(margin),
+                         "skipped_reason": None})
+    return rows
 
 
 def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Verbs: equilibrium | analyze | design | casestudy | selftest. Exit codes:
+Verbs: one per harness pipeline, plus selftest. Exit codes:
 0 success, 1 configuration or I/O problem, 3 verification failure.
 """
 
@@ -11,13 +11,11 @@ import os
 import sys
 
 from .errors import ConfigError, LotteryDesignError
-from .harness import ScenarioConfig, run_scenario, run_selftest
+from .harness import _PIPELINES, ScenarioConfig, run_scenario, run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFICATION = 3
-
-_VERBS = ("equilibrium", "analyze", "design", "casestudy")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _VERBS:
+    for verb in _PIPELINES:
         p = sub.add_parser(verb, help=f"run the {verb} pipeline")
         p.add_argument("--config", required=True, help="scenario YAML file")
         p.add_argument("--out", default=None, help="output directory override")

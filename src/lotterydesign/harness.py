@@ -32,9 +32,7 @@ file, where truncating first could leave a short file.
 
 from __future__ import annotations
 
-import csv
 import importlib.resources
-import io
 import itertools
 import math
 import operator
@@ -262,11 +260,21 @@ def _mapping(value, name: str, *required: str) -> dict:
 
 
 def _number(value, name: str) -> float:
-    """`float(value)`, or ConfigError naming the field."""
+    """`float(value)`, or ConfigError naming the field.
+
+    A bool is not a number here, although float() reads true as 1.0.
+    """
     try:
+        if type(value) is bool:
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number") from None
+
+
+def _has_bool(values: list) -> bool:
+    """Whether a list read from YAML holds a bool, which float() would take."""
+    return any(type(v) is bool for v in values)
 
 
 def _finite(value, name: str, low: float = -math.inf) -> float:
@@ -289,6 +297,8 @@ def _positive(value, name: str) -> float:
 def _perturbation(value, name: str, n: int) -> np.ndarray:
     """`value` as a vector of n finite floats >= 0, or ConfigError naming the field."""
     try:
+        if isinstance(value, list) and _has_bool(value):
+            raise TypeError
         vector = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError):
         vector = None
@@ -316,6 +326,8 @@ def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
         ids.append(player_id)
         coefficients.append(entry["coefficient"])
     try:
+        if _has_bool(coefficients):
+            raise TypeError
         profile = BenefitProfile.scaled_log(coefficients)
     except (TypeError, ValueError, OverflowError, InvariantViolationError):
         # Read one at a time only to name the first coefficient out of range.
@@ -536,7 +548,9 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
     """Write report.json and CSV artifacts with deterministic bytes.
 
     `csv_files` maps file name -> (header row, iterable of preformatted string
-    rows). The report's artifact list is filled in here.
+    rows), each row's cells joined by "," with "\r\n" after it: no cell (a
+    formatted number, "+inf" or a label of bus ids) needs quoting. The report's
+    artifact list is filled in here.
     """
     artifacts = ["report.json"] + sorted(csv_files)
     report["artifacts"] = artifacts
@@ -548,11 +562,8 @@ def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
         _write_artifact(out_dir / "report.json", text)
     for name in sorted(csv_files):
         header, rows = csv_files[name]
-        text = io.StringIO(newline="")
-        writer = csv.writer(text)
-        writer.writerow(header)
-        writer.writerows(rows)
-        _write_artifact(out_dir / name, text.getvalue())
+        lines = [",".join(header), *map(",".join, rows), ""]
+        _write_artifact(out_dir / name, "\r\n".join(lines))
     return artifacts
 
 
@@ -568,7 +579,7 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
                       "design_point.perturbation", profile.n_players)
     dp = _design_point(_positive(point["reward"], "design_point.reward"), c)
     eq = solve_equilibrium(profile, dp)
-    checks = analysis.check_properties(profile, dp, eq)
+    properties = analysis.check_properties(profile, dp, eq)
     agg = sum(_payoffs(profile, dp, eq.s_star).tolist())
     results = {
         "player_ids": ids,
@@ -585,8 +596,8 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "poa_true": analysis.true_poa(profile, eq),
     }
     ok = (eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
-          and all(check.holds is not False for check in checks))
-    return ("ok" if ok else "verification_failed"), results, [c.to_dict() for c in checks], {}
+          and all(row["holds"] is not False for row in properties))
+    return ("ok" if ok else "verification_failed"), results, properties, {}
 
 
 _BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
@@ -607,7 +618,8 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     sweep = _mapping(cfg.require("sweep"), "sweep")
     rewards = sweep.get("rewards")
     try:
-        rewards = np.sort([float(r) for r in rewards]) if isinstance(rewards, list) else None
+        rewards = (np.sort([float(r) for r in rewards])
+                   if isinstance(rewards, list) and not _has_bool(rewards) else None)
     except (TypeError, ValueError, OverflowError):
         rewards = None
     if rewards is None or not rewards.size or not (0.0 < rewards[0] and rewards[-1] < math.inf):
@@ -916,10 +928,10 @@ def _selftest_cases(seed: int):
         done += 1
         worst_foc = max(worst_foc, eq.max_foc_violation)
         worst_gain = max(worst_gain, gain)
-        for check in analysis.check_properties(profile, dp, eq):
-            if check.holds is not None:
-                held = held and check.holds
-                worst_margin = min(worst_margin, check.margin)
+        for row in analysis.check_properties(profile, dp, eq):
+            if row["holds"] is not None:
+                held = held and row["holds"]
+                worst_margin = min(worst_margin, row["margin"])
     escapes = ", ".join(f"{why}: {skipped[kind]}" for kind, why in _ESCAPES.items()
                         if skipped[kind])
     corpus = f"{done} points, {sum(skipped.values())} skipped" + (

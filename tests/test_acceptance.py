@@ -163,9 +163,10 @@ class TestCriterion4PropertySuite:
         counted = {name: 0 for name in names}
         for profile, d, eq in equilibrium_corpus:
             for check in check_properties(profile, d, eq):
-                if check.name in worst and check.holds is not None:
-                    worst[check.name] = min(worst[check.name], check.margin)
-                    counted[check.name] += 1
+                name = check["property"]
+                if name in worst and check["holds"] is not None:
+                    worst[name] = min(worst[name], check["margin"])
+                    counted[name] += 1
         ok = all(counted[n] > 0 and worst[n] >= -1e-9 for n in names)
         detail = ", ".join(f"{n}:{worst[n]:.2e}({counted[n]})" for n in names)
         report("4 property suite", ok, detail)

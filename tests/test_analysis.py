@@ -83,8 +83,8 @@ class TestAssuredActiveCount:
         d = _design(2e17, [1e17, 0.0])
         assert poa_bounds(profile, d).assured_active_count == 2
         report = check_properties(profile, d, solve_equilibrium(profile, d))
-        assert all(c.holds is not False for c in report)
-        assert {c.name: c for c in report}["payoff_sandwich"].holds is True
+        assert all(c["holds"] is not False for c in report)
+        assert {c["property"]: c for c in report}["payoff_sandwich"]["holds"] is True
 
 
 class TestPublicGoodBounds:
@@ -168,24 +168,24 @@ class TestCheckProperties:
         d = _design(1.0, [0.5, 0.5])
         eq = solve_equilibrium(i2_profile, d)
         report = check_properties(i2_profile, d, eq)
-        assert all(c.holds is not False for c in report)
-        by_name = {c.name: c for c in report}
-        assert by_name["pool_covers_perturbation"].holds is True
-        assert by_name["perturbation_sensitivity_sign"].skipped_reason is not None
+        assert all(c["holds"] is not False for c in report)
+        by_name = {c["property"]: c for c in report}
+        assert by_name["pool_covers_perturbation"]["holds"] is True
+        assert by_name["perturbation_sensitivity_sign"]["skipped_reason"] is not None
 
     def test_threshold_boundary_skips_floor_check(self, i2_profile):
         d = _design(1.0, [0, 0])  # R equals the threshold exactly
         eq = solve_equilibrium(i2_profile, d)
-        by_name = {c.name: c for c in check_properties(i2_profile, d, eq)}
-        assert by_name["investment_lower_bound"].holds is None
-        assert "threshold" in by_name["investment_lower_bound"].skipped_reason
+        by_name = {c["property"]: c for c in check_properties(i2_profile, d, eq)}
+        assert by_name["investment_lower_bound"]["holds"] is None
+        assert "threshold" in by_name["investment_lower_bound"]["skipped_reason"]
 
     def test_above_threshold_asserts_floor(self, i2_profile):
         d = _design(1.5, [0, 0])
         eq = solve_equilibrium(i2_profile, d)
-        by_name = {c.name: c for c in check_properties(i2_profile, d, eq)}
-        assert by_name["investment_lower_bound"].holds is True
-        assert by_name["reward_sensitivity_sign"].holds is True
+        by_name = {c["property"]: c for c in check_properties(i2_profile, d, eq)}
+        assert by_name["investment_lower_bound"]["holds"] is True
+        assert by_name["reward_sensitivity_sign"]["holds"] is True
 
     def test_inactive_player_skips_sensitivities(self):
         # The weak player of (3, 0.6) invests nothing at R = 1.
@@ -193,10 +193,10 @@ class TestCheckProperties:
         d = _design(1.0, [0, 0])
         eq = solve_equilibrium(profile, d)
         assert eq.active_set == (0,)
-        by_name = {c.name: c for c in check_properties(profile, d, eq)}
+        by_name = {c["property"]: c for c in check_properties(profile, d, eq)}
         for name in ("reward_sensitivity_sign", "perturbation_sensitivity_sign"):
-            assert by_name[name].holds is None
-            assert by_name[name].skipped_reason == (
+            assert by_name[name]["holds"] is None
+            assert by_name[name]["skipped_reason"] == (
                 "sensitivity formulas require every player active")
 
     @pytest.mark.parametrize("row, check", [
@@ -216,17 +216,17 @@ class TestCheckProperties:
         expected_before, expected_after = flips.get(row, (True, False))
         d = _design(1.0, [0.5, 0.5])
         eq = solve_equilibrium(i2_profile, d)
-        before = {c.name: c.holds for c in check_properties(i2_profile, d, eq)}
+        before = {c["property"]: c["holds"] for c in check_properties(i2_profile, d, eq)}
         assert before[check] is expected_before
         shift = 1.0 if row in ("property_margin", "payoff_sandwich_margin") else -1.0
         monkeypatch.setitem(TOLERANCES[row], "value", shift)
-        after = {c.name: c.holds for c in check_properties(i2_profile, d, eq)}
+        after = {c["property"]: c["holds"] for c in check_properties(i2_profile, d, eq)}
         assert after[check] is expected_after
 
     def test_report_serializes(self, i2_profile):
         d = _design(1.5, [0, 0])
         eq = solve_equilibrium(i2_profile, d)
-        payload = json.dumps([c.to_dict() for c in check_properties(i2_profile, d, eq)])
+        payload = json.dumps(check_properties(i2_profile, d, eq))
         entries = json.loads(payload)
         assert {"property", "holds", "margin", "skipped_reason"} == set(entries[0])
 

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import importlib.resources
+import io
 import json
 import math
 import re
@@ -215,6 +217,28 @@ MALFORMED = [
                  id="output_dir_empty"),
     pytest.param("casestudy", CASESTUDY + "  1: {value: 1, tol_abs: 1}\n", "golden",
                  id="golden_name_not_a_string"),
+    # Bools where a number is expected: float() would read them as 1.0 and 0.0.
+    pytest.param("equilibrium", I2_PLAYERS.replace("coefficient: 1.0}", "coefficient: true}", 1)
+                 + "design_point: {reward: 1}\n", "profile.players[0].coefficient",
+                 id="coefficient_bool"),
+    pytest.param("equilibrium", I2_PLAYERS + "design_point: {reward: true}\n",
+                 "design_point.reward", id="reward_bool"),
+    pytest.param("equilibrium", POINT % "[false, 0]", "design_point.perturbation",
+                 id="perturbation_bool"),
+    pytest.param("analyze", SWEEP % ("[true, 2]", "[0, 0]"), "sweep.rewards", id="rewards_bool"),
+    pytest.param("analyze", SWEEP % ("[1]", "[0, false]"), "sweep.perturbation",
+                 id="sweep_perturbation_bool"),
+    pytest.param("design", I2_PLAYERS + "alpha: true\n", "alpha", id="alpha_bool"),
+    pytest.param("design", I2_PLAYERS + "reward_floor: true\n", "reward_floor",
+                 id="reward_floor_bool"),
+    pytest.param("casestudy", CASESTUDY.replace("coefficient_offset: 100",
+                                                "coefficient_offset: true"),
+                 "casestudy.coefficient_offset", id="coefficient_offset_bool"),
+    pytest.param("casestudy", CASESTUDY.replace("demand_scale: 1.3", "demand_scale: true"),
+                 "constraints.grid.demand_scale", id="demand_scale_bool"),
+    pytest.param("casestudy", CASESTUDY.replace("{value: 2317, tol_abs: 0.5}",
+                                                "{value: 2317, tol_abs: true}"),
+                 "golden.socially_optimal_good.tol_abs", id="golden_tol_abs_bool"),
 ]
 
 
@@ -979,6 +1003,40 @@ class TestReportEncoding:
             reference_report_json(report)
         with pytest.raises(TypeError):
             _report_json(report)
+
+
+def reference_csv(header, rows) -> str:
+    # csv.writer's text for the same cells: a cell that needs quoting, or a
+    # line ending other than "\r\n", makes it differ from the joined lines.
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+class TestCsvEncoding:
+    """Each CSV's bytes equal csv.writer's output for the same cells."""
+
+    def test_shipped_configs_and_bench_sweeps(self, tmp_path):
+        paths = sorted(CONFIGS.glob("*.yaml")) + bench_inputs(7, tmp_path / "inputs")
+        checked = Counter()
+        for k, path in enumerate(paths):
+            for verb in harness._PIPELINES:
+                out = tmp_path / str(k) / verb
+                with mock.patch.object(harness, "emit_report",
+                                       wraps=harness.emit_report) as emit:
+                    try:
+                        run_scenario(verb, ScenarioConfig.from_file(path), out_dir=out)
+                    except ConfigError:  # the file does not configure this verb
+                        continue
+                for name, (header, rows) in emit.call_args.args[2].items():
+                    text = (out / name).read_bytes().decode("ascii")
+                    assert text == reference_csv(header, rows), (path.name, name)
+                    checked[name] += 1
+        # The shipped sweep, the seed-7 c = 0 and c > 0 sweeps, and case 30's three.
+        assert checked == {"sweep.csv": 3, "allocation.csv": 1, "demand.csv": 1,
+                           "lines.csv": 1}
 
 
 class TestDeterminism:

@@ -119,7 +119,7 @@ class TestParity:
             assert sweep.poa_true[k] == pytest.approx(
                 true_poa(profile, point), rel=POA_REL)
             checks = check_properties(profile, design, point)
-            assert sweep.ok[k] == all(check.holds is not False for check in checks)
+            assert sweep.ok[k] == all(check["holds"] is not False for check in checks)
 
     def test_several_roots_both_drivers_return_the_same_one(self):
         # R < sum(c) with a perturbed weak player: Phi has two roots in the

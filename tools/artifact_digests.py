@@ -29,8 +29,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import workloads  # noqa: E402
 from lotterydesign import ScenarioConfig, run_scenario, run_selftest  # noqa: E402
 from lotterydesign.errors import ConfigError  # noqa: E402
+from lotterydesign.harness import _PIPELINES  # noqa: E402
 
-VERBS = ("equilibrium", "analyze", "design", "casestudy")
 BENCH_SEED = 7
 
 
@@ -69,12 +69,12 @@ def main() -> int:
             errors = [scenario(f"configs/{path.name}:{verb}", verb,
                                lambda: ScenarioConfig.from_file(path),
                                work / "configs" / path.stem / verb, optional=True)
-                      for verb in VERBS]
+                      for verb in _PIPELINES]
             failed |= any(exc is not None and not isinstance(exc, ConfigError) for exc in errors)
             if all(errors):
                 failed = True
                 print(f"no verb  configs/{path.name}: "
-                      + "; ".join(f"{verb}: {exc}" for verb, exc in zip(VERBS, errors)))
+                      + "; ".join(f"{verb}: {exc}" for verb, exc in zip(_PIPELINES, errors)))
         for seed in (0, 13):
             out = work / "selftest" / str(seed)
             try:
