@@ -204,7 +204,9 @@ def verify_design(problem: DesignProblem,
     design = solution.design
     eq = solve_equilibrium(profile, design)
 
-    agg_payoff = sum(payoffs(profile, design, eq.s_star).tolist())
+    agg_payoff = 0.0  # in index order: builtin sum compensates from Python 3.12 on
+    for u in payoffs(profile, design, eq.s_star).tolist():
+        agg_payoff += u
     resid = problem.constraints.residuals(eq.s_star, design.reward)
     worst = float(resid.max()) if resid.size else 0.0
     report = {

@@ -10,15 +10,23 @@ function here takes the profile first.
 
 The equilibrium is one scalar root in the good G of the players' clipped
 closed-form investments (the share-function method for aggregative games).
-One method finds it, Chandrupatla's, on one definition of that root's
-equation, `_phi`, in two mirrored loops: `_chandrupatla_scalar` iterates on
-plain floats at one design point (`solve_equilibrium`, 0.05-0.2 ms), and
-`_chandrupatla` iterates on numpy vectors over all rewards of a sweep at once
-(`solve_sweep`). The vector loop pays 60-100 microseconds of array calls per
-step whatever the number of rewards, so it only pays off over many rewards:
-a 200-reward sweep is about ten times faster than a `solve_equilibrium` loop
-over it. Step for step the two loops are the same, and `_sum_players` adds
-the players in one order at every shape, so at the same design point both
+One method finds it, Chandrupatla's, in two mirrored loops:
+`_chandrupatla_scalar` iterates on plain floats at one design point
+(`solve_equilibrium`), and `_chandrupatla` iterates on numpy vectors over all
+rewards of a sweep at once (`solve_sweep`). The vector loop pays 60-100
+microseconds of array calls per step whatever the number of rewards, so it
+only pays off over many rewards: a 200-reward sweep is about ten times faster
+than a `solve_equilibrium` loop over it.
+
+The root's equation, Phi, and the settle step at its root are written twice:
+`_phi` and `_settle` on numpy arrays, and `_phi_floats` and `_settle_floats`
+on Python floats, with numpy's operations in numpy's order. A sweep always
+uses the numpy form. `solve_equilibrium` uses the float form up to
+`_FLOAT_PLAYERS` players, where numpy's per-call cost outweighs a loop over
+the players (a 2-5 player point in about 20-35 microseconds, against 60-80 on
+numpy), and the numpy form above. Step for step the two loops are the same,
+the two forms give the same bits, and every form adds the players in one
+order at every shape (`_sum_players`), so at the same design point both
 drivers return the same bits (good, pool, investments and largest FOC
 violation), the same root included where Phi has several. A root of Phi
 meets the first-order conditions only; `certify_equilibrium` says whether it
@@ -77,6 +85,14 @@ _MAX_STEPS = 2046
 # a few ulps at any scale: a fixed 1e-14 left a good near 0.01 with 1e-12
 # relative error.
 _XTOL, _RTOL = _TINY, 8.9e-16
+# Up to this many players `solve_equilibrium` runs Phi and the settle step on
+# Python floats (`_phi_floats`, `_settle_floats`), above it on numpy vectors.
+# Median µs per solve over 20 random points, the two forms alternating in one
+# process (BENCH_27.json; 2 cores, Python 3.11.7, numpy 2.4.6), floats against
+# numpy: 28 against 66 at 5 players, 52 against 76 at 20, 84-128 against
+# 92-147 at 35 (floats faster in all three runs), even at 38, 87-95 against
+# 85-92 at 40 and 122 against 87 at 60.
+_FLOAT_PLAYERS = 35
 _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
             "total perturbation exceeds what the reward and public good can cover")
 
@@ -205,14 +221,79 @@ def _phi(G, R, c_bar, a, neg_rc):
     return _sum_players(np.maximum(q - 1.0 + a / (G + 1.0), neg_rc / (S * S))) - q
 
 
+def _phi_floats(G, R, c_bar, a, neg_rc):
+    """`_phi` at one design point on Python floats, with a and neg_rc lists.
+
+    numpy's operations in numpy's order, so the same bits: (q - 1) + a_k/(G + 1)
+    and neg_rc_k/(S*S); np.maximum's NaN from either argument, and its second
+    argument on a tie; the players added in index order, from -0.0, which
+    leaves the first term as it is (builtin sum compensates from Python 3.12
+    on). Where numpy would divide by zero, `_phi` gives its inf or NaN.
+    """
+    try:
+        S = G + R - c_bar
+        q = R / S
+        base, g1, ss = q - 1.0, G + 1.0, S * S
+        total = -0.0
+        for a_k, n_k in zip(a, neg_rc):
+            x, y = base + a_k / g1, n_k / ss
+            total += x if x > y or x != x else y
+        return total - q
+    except ZeroDivisionError:
+        return float(_phi(G, R, c_bar, np.array(a), np.array(neg_rc)))
+
+
+def _settle_floats(a, c, c_bar, R, G):
+    """`_settle` at one design point on Python floats, with a and c lists.
+
+    numpy's order as in `_phi_floats`, so the same bits and the same errors.
+    Returns the pool, the investments as a list, the active players' indices
+    and the largest FOC violation.
+    """
+    try:
+        S = G + R - c_bar
+        g1, ss = G + 1.0, S * S
+        s, total = [], -0.0
+        for a_k, c_k in zip(a, c):
+            s_k = c_k + S - ss * (1.0 - a_k / g1) / R
+            if s_k < 0.0:  # np.maximum(0.0, s_k): NaN and -0.0 stay
+                s_k = 0.0
+            s.append(s_k)
+            total += s_k
+        if abs(total - (G + R)) > FOC_TOL * max(1.0, G + R):
+            raise NonconvergenceError(
+                f"aggregate consistency failed: sum s = {float(total)!r} "
+                f"vs G + R = {float(G + R)!r}")
+        # _foc_residuals, then np.where(active, |res|, res).max(initial=0.0).
+        if total < R:
+            raise DomainError("first-order condition undefined while the lottery is canceled")
+        pool = total - c_bar
+        if pool <= 0.0:
+            raise SingularPoolError("first-order condition requires a positive pool")
+        pp, w = pool * pool, total - R + 1.0
+        active, violation = [], 0.0
+        for k, (a_k, c_k, s_k) in enumerate(zip(a, c, s)):
+            r = R * (pool - (s_k - c_k)) / pp + a_k / w - 1.0
+            if s_k > TOL_ACTIVE:
+                active.append(k)
+                r = abs(r)
+            if r > violation or r != r:
+                violation = r
+        return S, s, tuple(active), violation
+    except SingularPoolError:  # a ZeroDivisionError, but raised above
+        raise
+    except ZeroDivisionError:
+        S, s, active, violation = _settle(np.array(a), np.array(c), c_bar, R, G)
+        return S, s.tolist(), tuple(np.nonzero(active)[0].tolist()), violation
+
+
 def _sum_players(x):
     # Sum over the players (axis 0), added in index order at every shape, so
     # a reward's Phi, root and FOC residuals have the same bits at one point,
     # in a sweep and as a sweep's last open bracket. np.add.reduce adds in
     # that order down the columns of a players x rewards array, but sums one
     # column or a vector pairwise; np.add.accumulate adds in order and is no
-    # slower there. Both skip the ndarray.sum wrapper: small games spend most
-    # of a solve here.
+    # slower there. Both skip the ndarray.sum wrapper.
     if x.ndim == 1 or x.shape[1] == 1:
         return np.add.accumulate(x)[-1]
     return np.add.reduce(x)
@@ -274,7 +355,8 @@ def solve_equilibrium(profile: BenefitProfile, design: DesignPoint) -> Equilibri
     the root variable: at large rewards recovering G from S would cancel
     catastrophically too. The root is bracketed by the profile's
     `good_bracket(c_bar)`, clipped to a positive pool, and found by
-    Chandrupatla's method (`_chandrupatla_scalar`); with no sign change of Phi
+    Chandrupatla's method (`_chandrupatla_scalar`), on Python floats up to
+    `_FLOAT_PLAYERS` players and on numpy vectors above; with no sign change of Phi
     there, InfeasibleRegimeError is raised, and NonconvergenceError where the
     loop meets a non-finite value or its step cap. Where Phi has several roots
     in the bracket (possible when R < c_bar and inactive players carry
@@ -288,20 +370,30 @@ def solve_equilibrium(profile: BenefitProfile, design: DesignPoint) -> Equilibri
     if c.shape != (profile.n_players,):
         raise InvariantViolationError("design point does not match the player count")
     c_bar = design.perturbation_total
-    a = profile.coefficients
-    neg_rc = -R * c
+    floats = profile.n_players <= _FLOAT_PLAYERS
+    if floats:
+        a, c = profile.coefficients.tolist(), c.tolist()
+        neg_rc = [-R * c_k for c_k in c]
+        phi = _phi_floats
+    else:
+        a, neg_rc, phi = profile.coefficients, -R * c, _phi
     lo, hi = _bracket(R, c_bar, profile)
     G, status, nfev = _chandrupatla_scalar(
-        lambda G: float(_phi(G, R, c_bar, a, neg_rc)), lo, hi)
+        lambda G: float(phi(G, R, c_bar, a, neg_rc)), lo, hi)
     if status == -1:
         raise InfeasibleRegimeError(_NO_ROOT)
     if status:
         raise NonconvergenceError(f"root-find failed with status {status}")
-    S, s, active, violation = _settle(a, c, c_bar, R, G)
+    if floats:
+        S, s, active_set, violation = _settle_floats(a, c, c_bar, R, G)
+        s = np.array(s)
+    else:
+        S, s, active, violation = _settle(a, c, c_bar, R, G)
+        active_set = tuple(np.nonzero(active)[0].tolist())
     s.setflags(write=False)
     return EquilibriumResult(
         s_star=s,
-        active_set=tuple(np.nonzero(active)[0].tolist()),
+        active_set=active_set,
         G=G,
         pool=float(S),
         max_foc_violation=float(violation),
@@ -414,9 +506,11 @@ def _chandrupatla_scalar(f, x1, x2):
     """`_chandrupatla` on one bracket [x1, x2] of floats, f(x) a float.
 
     The same loop line for line on plain floats, so the same root, status
-    and count of evaluations of f to the bit. Where numpy would divide by
-    zero or take the root of a negative number inside the interpolation
-    test, that test is false, so those errors mean bisection here.
+    and count of evaluations of f to the bit, given an f with the bits of
+    the vector loop's: `solve_equilibrium` passes `_phi_floats` or `_phi`,
+    which agree to the bit. Where numpy would divide by zero or take the
+    root of a negative number inside the interpolation test, that test is
+    false, so those errors mean bisection here.
     """
     x1, x2 = float(x1), float(x2)
     f1, f2 = f(x1), f(x2)

@@ -580,7 +580,9 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     dp = _design_point(_positive(point["reward"], "design_point.reward"), c)
     eq = solve_equilibrium(profile, dp)
     properties = analysis.check_properties(profile, dp, eq)
-    agg = sum(_payoffs(profile, dp, eq.s_star).tolist())
+    agg = 0.0  # in index order: builtin sum compensates from Python 3.12 on
+    for u in _payoffs(profile, dp, eq.s_star).tolist():
+        agg += u
     results = {
         "player_ids": ids,
         "reward": dp.reward,

@@ -318,6 +318,15 @@ class TestVerifyDesign:
         assert excinfo.value.equilibrium.G == pytest.approx(1.0, abs=1e-9)
 
 
+    def test_aggregate_payoff_adds_in_index_order(self, i2_problem, monkeypatch):
+        # From 0.0, one player at a time: builtin sum compensates from Python
+        # 3.12 on, where ten 0.1s add up to 1.0.
+        monkeypatch.setattr(design, "payoffs", lambda *args: np.full(10, 0.1))
+        with pytest.raises(ExactnessViolationError) as excinfo:
+            verify_design(i2_problem, solve_design(i2_problem))
+        assert excinfo.value.report["aggregate_payoff"] == 0.9999999999999999
+
+
 class TestBruteForceOracle:
     def test_matches_lp_on_forced_investment(self, i2_profile):
         problem = DesignProblem(i2_profile, MIN_S1, alpha=1.0)

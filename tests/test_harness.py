@@ -659,6 +659,14 @@ class TestEquilibriumVerb:
         names = {p["property"] for p in report["properties"]}
         assert "payoff_sandwich" in names
 
+    def test_aggregate_payoff_adds_in_index_order(self, tmp_path, monkeypatch):
+        # From 0.0, one player at a time: builtin sum compensates from Python
+        # 3.12 on, where ten 0.1s add up to 1.0.
+        monkeypatch.setattr(harness, "_payoffs", lambda *args: np.full(10, 0.1))
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_equilibrium.yaml")
+        report = run_scenario("equilibrium", cfg, out_dir=tmp_path).report
+        assert report["results"]["aggregate_payoff"] == 0.9999999999999999
+
 
 class TestAnalyzeVerb:
     def test_sweep_monotone_poa(self, tmp_path, schema):

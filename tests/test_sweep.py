@@ -16,6 +16,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,9 +35,11 @@ from lotterydesign import (
 from lotterydesign import game
 from lotterydesign.analysis import analyze_sweep
 from lotterydesign.errors import (
+    DomainError,
     InfeasibleRegimeError,
     InvariantViolationError,
     NonconvergenceError,
+    SingularPoolError,
 )
 from lotterydesign.game import FOC_TOL, solve_sweep
 
@@ -58,8 +61,9 @@ def _is_root(profile, c, reward, good):
 
 @st.composite
 def games(draw):
-    """A random profile's coefficients and c = 0 or c > 0."""
-    n = draw(st.integers(2, 30))
+    """A random profile's coefficients and c = 0 or c > 0, on both sides of
+    the player count up to which `solve_equilibrium` works on floats."""
+    n = draw(st.integers(2, 50))
     a = np.array(draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n)))
     g_star = a.sum() - 1.0
     if draw(st.booleans()):
@@ -87,6 +91,11 @@ class TestParity:
     # players x rewards array in order down its columns, so the FOC residuals
     # must add the players in one order for max_foc_violation to agree here.
     @example(([1.0, 2.6, 2.8, 0.8, 1.5, 2.6, 1.9, 0.7], np.zeros(8), np.array([1.0, 43.6])))
+    # The last player count solved on floats, and the first on numpy vectors.
+    @example((np.linspace(0.6, 3.0, game._FLOAT_PLAYERS), np.zeros(game._FLOAT_PLAYERS),
+              np.array([0.05, 1.0, 43.6])))
+    @example((np.linspace(0.6, 3.0, game._FLOAT_PLAYERS + 1),
+              np.linspace(0.0, 1.0, game._FLOAT_PLAYERS + 1), np.array([0.05, 1.0, 43.6])))
     def test_rows_match_the_per_point_path(self, case):
         a, c, rewards = case
         profile = BenefitProfile.scaled_log(a)
@@ -275,6 +284,132 @@ class TestFindRootOracle:
             assert status.tolist() == [-2, -2], name
             with pytest.raises(NonconvergenceError):
                 driver(profile, [0.0, 0.0], rewards)
+
+
+def _bits(x):
+    # A float's bits, with every NaN alike.
+    return "nan" if x != x else np.float64(x).tobytes()
+
+
+def _outcome(call):
+    # What call() returns, or the type and message of what it raises.
+    try:
+        return call()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+def _phi_forms(R, c_bar, a, neg_rc):
+    # Phi on floats and on numpy vectors, as `solve_equilibrium` calls each.
+    a, neg_rc = np.asarray(a, dtype=float), np.asarray(neg_rc, dtype=float)
+    return (lambda G: game._phi_floats(G, R, c_bar, a.tolist(), neg_rc.tolist()),
+            lambda G: float(game._phi(G, R, c_bar, a, neg_rc)))
+
+
+def _assert_phi_forms_agree(G, R, c_bar, a, neg_rc):
+    floats, vectors = _phi_forms(R, c_bar, a, neg_rc)
+    assert _outcome(lambda: _bits(floats(G))) == _outcome(lambda: _bits(vectors(G)))
+
+
+def _assert_settle_forms_agree(a, c, c_bar, R, G):
+    a, c = np.asarray(a, dtype=float), np.asarray(c, dtype=float)
+
+    def floats():
+        S, s, active, violation = game._settle_floats(a.tolist(), c.tolist(), c_bar, R, G)
+        return _bits(S), list(map(_bits, s)), active, _bits(violation)
+
+    def vectors():
+        S, s, active, violation = game._settle(a, c, c_bar, R, G)
+        return (_bits(S), list(map(_bits, s.tolist())), tuple(np.nonzero(active)[0].tolist()),
+                _bits(float(violation)))
+
+    assert _outcome(floats) == _outcome(vectors)
+
+
+# (G, R, c_bar, a, neg_rc, bracket, status of the root-find on the bracket):
+# a NaN in either argument of Phi's maximum, and a pool whose square
+# underflows to zero, where numpy's quotient is -inf, or NaN for c_k = 0.
+_NON_FINITE_PHI = [
+    (1.0, 1.0, 0.0, [1.0, math.nan, 2.0], [-0.0, -0.0, -0.0], (0.5, 2.0), -3),
+    (1.0, 1.0, 0.5, [1.0, 1.5], [-0.5, math.nan], (0.5, 2.0), -3),
+    (0.0, 1e-170, 0.0, [1.0, 1.5], [-0.0, -0.0], (0.0, 1e-170), -3),
+    (0.0, 1e-170, 1e-300, [1.0, 1.5], [-1e-300, -0.0], (0.0, 1.0), None),
+    (0.0, 1e-170, 1e-300, [1.0, 1.5], [-1e-300, -1e-300], (0.0, 1.0), None),
+]
+# (a, c, c_bar, R, G): a NaN investment (np.maximum(0.0, nan)), FOC
+# residuals over a pool whose square underflows to zero, and G + 1 = 0.
+_NON_FINITE_SETTLE = [
+    ([1.0, math.nan], [0.0, 0.0], 0.0, 1.0, 1.0),
+    ([1.0, 1.0], [0.0, 0.0], 0.0, 1e-170, 0.0),
+    ([1.0, 1.0], [0.5, 0.0], 0.5, 1.0, -1.0),
+]
+# (a, c, c_bar, R, G, error): a failed consistency check, a canceled lottery
+# and a zero pool.
+_SETTLE_ERRORS = [
+    ([0.25, 0.75], [0.0, 0.0], 0.0, 1.0, 3.0, NonconvergenceError),
+    ([0.25, 0.75 - 1e-9], [0.0, 0.0], 0.0, 1.0, 0.0, DomainError),
+    ([1.0, 1.0], [1.5, 0.0], 1.5, 1.0, 0.5, SingularPoolError),
+]
+
+
+class TestFloatForms:
+    """`_phi_floats` and `_settle_floats` against `_phi` and `_settle`, bit for bit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(games(), st.floats(-2.0, 4.0), st.floats(0.0, 1.0))
+    def test_random_points(self, case, exponent, t):
+        a, c = case
+        reward = 10.0 ** exponent
+        profile = BenefitProfile.scaled_log(a)
+        c_bar = float(c.sum())
+        neg_rc = -reward * c
+        lo, hi = game._bracket(reward, c_bar, profile)
+        for good in (lo, hi, lo + t * (hi - lo)):
+            _assert_phi_forms_agree(good, reward, c_bar, a, neg_rc)
+            _assert_settle_forms_agree(a, c, c_bar, reward, good)
+        runs = [game._chandrupatla_scalar(f, lo, hi)
+                for f in _phi_forms(reward, c_bar, a, neg_rc)]
+        assert _bits(runs[0][0]) == _bits(runs[1][0]) and runs[0][1:] == runs[1][1:]
+        if runs[0][1] == 0:
+            _assert_settle_forms_agree(a, c, c_bar, reward, runs[0][0])
+
+    @pytest.mark.parametrize("good, reward, c_bar, a, neg_rc, bracket, status",
+                             _NON_FINITE_PHI)
+    def test_non_finite_phi(self, good, reward, c_bar, a, neg_rc, bracket, status):
+        with np.errstate(all="ignore"):
+            _assert_phi_forms_agree(good, reward, c_bar, a, neg_rc)
+            runs = [game._chandrupatla_scalar(f, *bracket)
+                    for f in _phi_forms(reward, c_bar, a, neg_rc)]
+        assert _bits(runs[0][0]) == _bits(runs[1][0]) and runs[0][1:] == runs[1][1:]
+        if status is not None:
+            assert runs[0][1] == status
+
+    @pytest.mark.parametrize("a, c, c_bar, reward, good", _NON_FINITE_SETTLE)
+    def test_non_finite_settle(self, a, c, c_bar, reward, good):
+        with np.errstate(all="ignore"):
+            _assert_settle_forms_agree(a, c, c_bar, reward, good)
+
+    @pytest.mark.parametrize("a, c, c_bar, reward, good, error", _SETTLE_ERRORS)
+    def test_settle_errors(self, a, c, c_bar, reward, good, error):
+        _assert_settle_forms_agree(a, c, c_bar, reward, good)
+        with pytest.raises(error):
+            game._settle_floats(a, c, c_bar, reward, good)
+
+    def test_the_cutoff_chooses_the_form(self, monkeypatch):
+        # solve_equilibrium runs on floats up to the cutoff and on numpy
+        # above it, with the same result.
+        n = game._FLOAT_PLAYERS
+        profile = BenefitProfile.scaled_log(np.linspace(0.6, 3.0, n))
+        design = DesignPoint(2.0, np.linspace(0.0, 1.0, n))
+        with mock.patch.object(game, "_settle_floats", wraps=game._settle_floats) as settle:
+            floats = solve_equilibrium(profile, design)
+            monkeypatch.setattr(game, "_FLOAT_PLAYERS", n - 1)
+            vectors = solve_equilibrium(profile, design)
+        assert settle.call_count == 1
+        assert (floats.G, floats.iterations, floats.pool, floats.active_set,
+                floats.max_foc_violation) == (vectors.G, vectors.iterations, vectors.pool,
+                                              vectors.active_set, vectors.max_foc_violation)
+        assert floats.s_star.tobytes() == vectors.s_star.tobytes()
 
 
 class TestRegressions:

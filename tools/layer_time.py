@@ -13,6 +13,9 @@ into the section and whether its gate holds:
 - `sweep_solve_time`: median seconds to solve each 30-player, 200-reward
   analyze sweep (c = 0 and c > 0) by a loop of `solve_equilibrium` calls and
   by one `solve_sweep` call, and the most Phi evaluations a reward took.
+  Once per run, not per repeat, it also counts the points of the 2000-point
+  equilibrium corpus where `solve_equilibrium` has the bits of the row of
+  `solve_sweep(profile, c, [R])`.
 - `emit_time`: median microseconds per run of the 2000-point equilibrium
   corpus, written to one report.json as the benchmark does, of each stage:
   `_run_equilibrium` split at its `solve_equilibrium` call into build, solve
@@ -29,10 +32,13 @@ into the section and whether its gate holds:
   by wrappers on further solves), on the problem and LP its verb builds.
 
 Exits 1 when a gate fails: a sweep differs from the loop in any bit of G,
-evaluation count or largest FOC violation; an R* or c* is off the benchmark's
-HiGHS reference by more than 1e-9 relative to max(1, |value|); a `from_file`
-document is not repr-equal to yaml.load's (repr tells 1 from 1.0 and True, and
-a NaN from anything else); or a seed-7 input is not read by `block`.
+evaluation count or largest FOC violation; a corpus point's
+`solve_equilibrium` differs from its one-reward sweep in any bit of G,
+evaluation count, investments, pool or largest FOC violation; an R* or c* is
+off the benchmark's HiGHS reference by more than 1e-9 relative to
+max(1, |value|); a `from_file` document is not repr-equal to yaml.load's (repr
+tells 1 from 1.0 and True, and a NaN from anything else); or a seed-7 input is
+not read by `block`.
 """
 
 import argparse
@@ -113,8 +119,22 @@ def solve_loop(profile, c, rewards):
     return [solve_equilibrium(profile, DesignPoint(float(r), c)) for r in rewards]
 
 
+def point_is_sweep_row(a, c, reward):
+    """Whether `solve_equilibrium` at (reward, c) has the bits of its row of
+    `solve_sweep(profile, c, [reward])`."""
+    profile = BenefitProfile.scaled_log(a)
+    point = solve_equilibrium(profile, DesignPoint(reward, c))
+    row = solve_sweep(profile, c, [reward])
+    return (np.float64(point.G).tobytes() == row.G.tobytes()
+            and point.iterations == int(row.iterations[0])
+            and point.s_star.tobytes() == row.s_star[0].tobytes()
+            and np.float64(point.pool).tobytes() == row.pool.tobytes()
+            and np.float64(point.max_foc_violation).tobytes() == row.max_foc_violation.tobytes())
+
+
 def sweep_solve_time(games, spans):
     rewards = np.sort(games.rewards)
+    corpus_rows = sum(point_is_sweep_row(a, c, R) for _, a, c, R in games.corpus)
     rows, calls = {}, []
     for regime, _, a, c in games.sweeps:
         profile = BenefitProfile.scaled_log(a)
@@ -133,7 +153,10 @@ def sweep_solve_time(games, spans):
         for regime, row in rows.items():
             out[regime] = {"solve_equilibrium_loop_s": median(spans["loop", regime], 1.0),
                            "solve_sweep_s": median(spans["sweep", regime], 1.0), **row}
-        return out, all(row["bitwise_equal_to_solve_equilibrium_loop"] for row in rows.values())
+        out["corpus"] = {"points": len(games.corpus),
+                         "bitwise_equal_to_solve_sweep_row": corpus_rows}
+        return out, corpus_rows == len(games.corpus) and all(
+            row["bitwise_equal_to_solve_equilibrium_loop"] for row in rows.values())
     return calls, finish
 
 
