@@ -7,13 +7,22 @@ Chvatal, Linear Programming, 1983, ch. 10) starts there with no phase 1; c >= 0
 is bounded below, so a solve ends optimal or infeasible. The tableau is
 condensed (Tucker; Chvatal's dictionaries): one row per basic variable
 `basis[r]` plus the reduced costs, one column per nonbasic variable
-`nonbasic[j]` plus the right-hand side. Bland's rule on variable indices (the
-infeasible row with the smallest basic variable leaves, the smallest variable
-among minimum ratios enters) rules out cycling; rows are max-abs equilibrated
-so the pivot tolerance is scale-free. A primal lexicographic pass then
-minimizes each structural variable in turn over the optimal face (Isermann,
-OR Spektrum 4, 1982), so ties between optimal vertices break the same way on
-every run. Sized for the few-hundred-row programs of the design reformulation.
+`nonbasic[j]` plus the right-hand side. Bland's rule (the infeasible row with
+the smallest basic variable leaves, the smallest variable among minimum ratios
+enters) rules out cycling for any fixed order of the variables (Bland, Math.
+Oper. Res. 2, 1977); `solve_lp` numbers the structural variables from last to
+first, then the slacks. Rows are max-abs equilibrated so the pivot tolerance
+is scale-free. A primal lexicographic pass then minimizes each structural
+variable in turn, first to last, over the optimal face (Isermann, OR Spektrum
+4, 1982), so ties between optimal vertices break the same way on every run.
+The two orders are reversed on purpose. Where several structural variables
+have reduced cost 0, as every perturbation does under the design LP's
+objective R, the dual ratio test ties among them and the last one enters, so
+the first ones stay nonbasic at 0, where the lexicographic optimum has them.
+Case 30's dual phase then ends at that optimum and the pass only certifies
+it: 14 dual and no lexicographic pivots, where numbering first to last took
+12 and 28 (BENCH_28.json). Sized for the few-hundred-row programs of the
+design reformulation.
 
 A pivot subtracts its rank-1 update only from the rows with a nonzero entry in
 the pivot column when those are under a quarter of the tableau, and from the
@@ -177,9 +186,13 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     """Dual simplex solve of a LinearProgram from its all-slack basis.
 
     Returns the lexicographically smallest optimal basic solution, or an
-    explicit infeasible status. Raises SimplexFailureError past the iteration
-    cap, which defaults to 10 * (rows + structural variables) for the dual
-    phase and for each lexicographic stage.
+    explicit infeasible status. Bland's rule runs over structural variable j
+    numbered n - 1 - j, ahead of the slacks, so dual ratio ties go to the
+    later variables and the dual phase tends to end where the lexicographic
+    stages, run over j = 0, 1, ..., have nothing left to move. Raises
+    SimplexFailureError past the iteration cap, which defaults to
+    10 * (rows + structural variables) for the dual phase and for each
+    lexicographic stage.
     """
     n = lp.n_vars
     if max_iter is None:
@@ -195,7 +208,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     tableau[:m, n] = b / scale
     tableau[m, :n] = lp.objective
     basis = n + np.arange(m)  # each row's slack
-    nonbasic = np.arange(n)
+    nonbasic = n - 1 - np.arange(n)  # column j holds structural variable j as n - 1 - j
 
     status, iterations = _dual_phase(tableau, basis, nonbasic, max_iter)
     if status == "infeasible":
@@ -206,7 +219,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
     # its stage only bars it. Once no nonbasic variable may enter, none can pivot.
     enter = np.ones(n + m, dtype=bool)
     lex_iterations = 0
-    for j in range(n):
+    for j in range(n - 1, -1, -1):  # structural variables 0, 1, ... in turn
         enter[nonbasic] &= tableau[m, :n] <= PIVOT_TOL
         if not enter[nonbasic].any():
             break
@@ -218,6 +231,7 @@ def solve_lp(lp: LinearProgram, max_iter: int | None = None) -> SimplexResult:
 
     x = np.zeros(n + m)
     x[basis] = tableau[:m, n]
-    x_struct = np.where(np.abs(x[:n]) < 1e-12, 0.0, x[:n])
+    x = x[:n][::-1]  # back to the LinearProgram's order
+    x_struct = np.where(np.abs(x) < 1e-12, 0.0, x)
     objective = float(lp.objective @ x_struct)
     return SimplexResult("optimal", x_struct, objective, iterations, lex_iterations)

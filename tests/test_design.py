@@ -256,9 +256,28 @@ class TestLexicographicOptimum:
         sol = solve_design(problem)
         assert len(results) == 1
         assert sol.lp_iterations == results[0].iterations + results[0].lex_iterations
-        assert results[0].lex_iterations > 0  # the optimal face is not a vertex
-        assert sol.lp_iterations <= 60
+        # The dual phase breaks its ratio ties toward the last perturbations,
+        # so it ends at the lexicographic optimum and the pass only certifies it.
+        assert results[0].lex_iterations == 0
+        assert sol.lp_iterations <= 20
         assert sol.design.reward == pytest.approx(3358.0, abs=1e-6)
+        assert sol.design.perturbation[0] == 0.0
+
+    def test_case_study_optimal_face_is_not_a_vertex(self, case30_scenario, i30_profile):
+        # HiGHS, with R fixed at R*, can spend the whole budget on c_1, which
+        # the lexicographic optimum sets to 0: the tie-break decides c.
+        from lotterydesign import build_dr_constraints
+
+        problem = DesignProblem(i30_profile,
+                                build_dr_constraints(case30_scenario), alpha=1.0)
+        lp = build_reformulation(problem)
+        cost = np.zeros(lp.n_vars)
+        cost[1] = -1.0
+        res = linprog(cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                      bounds=[(3358.0, 3358.0)] + [(0.0, None)] * (lp.n_vars - 1),
+                      method="highs")
+        assert res.status == 0, res.message
+        assert res.x[1] == pytest.approx(i30_profile.g_star, rel=1e-9)
 
 
 class TestIndividualRationality:

@@ -211,6 +211,21 @@ class TestLexicographicPass:
         assert res.lex_iterations == 0
         assert stages == []
 
+    @pytest.mark.parametrize("a_ub, b_ub, expected", [
+        # Draws 7 and 27 of the seed-34 programs below: with c = 0 the dual
+        # phase stops off the lexicographic optimum, so the pass pivots.
+        ([[0, 1, -2], [-1, 1, -2], [1, 1, 1], [-1, -1, -1]], [-2, -1, 4, -2], [0.0, 0.0, 2.0]),
+        ([[-1, -1], [-1, 0], [1, -2], [1, 1], [-1, -1]], [0, 0, -1, 2, -1], [0.0, 1.0]),
+    ])
+    def test_pass_pivots_off_the_dual_vertex(self, a_ub, b_ub, expected):
+        n = len(expected)
+        lp = LinearProgram(np.zeros(n), a_ub, b_ub, np.zeros((0, n)), np.zeros(0))
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        assert res.lex_iterations > 0
+        assert res.x == pytest.approx(lexicographic_vertex_oracle(lp, range(n)), abs=1e-12)
+        assert res.x.tolist() == expected
+
     def test_random_tied_programs_match_vertex_oracle(self):
         rng = np.random.default_rng(34)
         pivots = lex_pivots = 0

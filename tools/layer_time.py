@@ -27,7 +27,8 @@ into the section and whether its gate holds:
   reader (`block`, or `yaml.load` when the line reader hands it on) and the
   median milliseconds of `ScenarioConfig.from_file` and of `yaml.load`.
 - `lp_solve_time`: per design_lp input and `configs/case30.yaml`, the tableau
-  shape, pivot counts and median milliseconds of `build_reformulation`,
+  shape, pivot counts, the number of lexicographic stages a solve runs (calls
+  to `_run_phase`) and median milliseconds of `build_reformulation`,
   `solve_lp`, and the dual phase and lexicographic stages of a solve (timed
   by wrappers on further solves), on the problem and LP its verb builds.
 
@@ -278,7 +279,8 @@ def lp_solve_time(bench, work, spans):
         out = {"seed": BENCH_SEED, "repeats": repeats}
         for name, row in rows.items():
             solves = spans["phases", name]
-            out[name] = {**row, "build_ms": median(spans["build", name], 1e3),
+            out[name] = {**row, "lex_stages": len(spans["lex", name]) // len(solves),
+                         "build_ms": median(spans["build", name], 1e3),
                          "solve_ms": median(spans["solve", name], 1e3),
                          "dual_ms": statistics.median(within(solves, spans["dual", name])) * 1e3,
                          "lex_ms": statistics.median(within(solves, spans["lex", name])) * 1e3,
