@@ -7,6 +7,10 @@ sandwich. Also provides report-style checkers that grade a solved equilibrium
 against the expected feasibility, bracketing, monotonicity, and bound
 properties. Every closed form here takes one reward or a vector of them;
 `analyze_sweep` grades a whole reward sweep in one pass over that vector.
+Each closed form reads the same `_terms` (the perturbation total, the good
+bracket and each player's slope at its top), built once per design point or
+sweep: the reward threshold, both bound variants and the graded properties
+all take it from there.
 """
 
 from __future__ import annotations
@@ -145,29 +149,29 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
 
 
 def _threshold(terms: tuple) -> float:
-    # `reward_threshold` from the `_terms` at one reward.
+    # `reward_threshold` from the `_terms` at one reward or over a sweep.
     c_bar, _, g_upper, slopes = terms
     gap = g_upper - c_bar
     # The perturbation total carries rounding; a budget at the optimum must
     # yield a zero threshold, not a rounding-sized one.
     if gap <= 1e-9 * max(1.0, g_upper):
         return 0.0
-    m = 1.0 - min(slopes)
+    m = 1.0 - (float(slopes.min()) if isinstance(slopes, np.ndarray) else min(slopes))
     if m >= 1.0:
         raise InvariantViolationError(
             "marginal shortfall rounds to 1 below the optimum: no finite threshold")
     return 0.0 if m <= 0.0 else m * gap / (1.0 - m)
 
 
-def _compute_bounds(profile: BenefitProfile, terms: tuple, R, variant: str):
+def _compute_bounds(profile: BenefitProfile, terms: tuple, R, proof: bool):
     """(g_lower, g_upper, poa_lower, poa_upper, assured count) at reward(s) R.
 
     Each bound inverts H at a formula's argument and clamps the good to the
     feasible bracket [gl, gu]. An argument above H(0) would place the good
-    below zero: the bound is vacuous there and clamps to gl.
+    below zero: the bound is vacuous there and clamps to gl. `proof` selects
+    the tightened variant, which puts the far bound into the near bound's
+    numerator; otherwise the statement variant.
     """
-    if variant not in ("statement", "proof"):
-        raise ValueError(f"unknown bound variant {variant!r}")
     c_bar, gl, gu, slopes = terms
     n = profile.n_players
     h0 = profile.marginal_at_zero
@@ -181,7 +185,7 @@ def _compute_bounds(profile: BenefitProfile, terms: tuple, R, variant: str):
         # Far end: the good can fall short of the optimum by at most this much.
         g_far = _invert(h0, (n - 1) * (gu - c_bar) / (R + gl - c_bar) + 1.0, gl, gu)
         # Near end: how close to the optimum the good is guaranteed to sit.
-        near = gl - c_bar if variant == "statement" else g_far
+        near = g_far if proof else gl - c_bar
         g_near = _invert(h0, (k - 1) * near / (R + gu - c_bar) + 1.0, gl, gu)
     else:
         den_far = R + gl - c_bar  # can be nonpositive when c_bar >= R + G*
@@ -269,7 +273,7 @@ def check_properties(profile: BenefitProfile, design: DesignPoint,
     R = design.reward
     terms = _terms(profile, design.perturbation_total)
     threshold = _threshold(terms)
-    bounds = PoaBounds(*_compute_bounds(profile, terms, R, "statement"))
+    bounds = PoaBounds(*_compute_bounds(profile, terms, R, False))
     rows = []
     for name, margin, holds, rules in _graded(
             profile, terms, design.perturbation.tolist(), R, eq.G, eq.s_star.tolist(),
@@ -290,18 +294,17 @@ def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:
     One batched root-find (`solve_sweep`) gives the equilibria. Both bound
     variants, the true price of anarchy and the properties of
     `check_properties` are evaluated over the reward vector, each once per
-    sweep, and the reward threshold once.
+    sweep, and the bracket, slopes and reward threshold once.
     """
     eq = solve_sweep(profile, c, rewards)
     c = np.asarray(c, dtype=float)
     R = eq.rewards
     terms = _terms(profile, float(c.sum()), R)
-    bounds, proof = (PoaBounds(*_compute_bounds(profile, terms, R, variant))
-                     for variant in ("statement", "proof"))
+    bounds, proof = (PoaBounds(*_compute_bounds(profile, terms, R, tight))
+                     for tight in (False, True))
     ok = np.ones(R.shape, dtype=bool)
     for _, _, holds, rules in _graded(profile, terms, c[:, None], R, eq.G, eq.s_star.T,
-                                      (bounds.g_lower, bounds.g_upper),
-                                      reward_threshold(profile, c)):
+                                      (bounds.g_lower, bounds.g_upper), _threshold(terms)):
         skipped = False
         for skip, _ in rules:
             skipped = skipped | skip

@@ -48,7 +48,8 @@ def main(argv=None) -> int:
         print(f"selftest: {'all checks passed' if ok else 'FAILURES detected'}")
         return EXIT_OK if ok else EXIT_VERIFICATION
 
-    out_dir = args.out or os.environ.get("LOTTERYDESIGN_OUT")
+    # An empty LOTTERYDESIGN_OUT is unset: the config's output_dir applies.
+    out_dir = args.out or os.environ.get("LOTTERYDESIGN_OUT") or None
     try:
         cfg = ScenarioConfig.from_file(args.config)
         result = run_scenario(args.verb, cfg, out_dir=out_dir, seed=args.seed)

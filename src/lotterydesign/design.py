@@ -24,7 +24,7 @@ from .game import (
     TOLERANCES,
     DesignPoint,
     EquilibriumResult,
-    payoffs,
+    _payoff_sum,
     solve_equilibrium,
 )
 from .simplex import LinearProgram, solve_lp
@@ -204,9 +204,7 @@ def verify_design(problem: DesignProblem,
     design = solution.design
     eq = solve_equilibrium(profile, design)
 
-    agg_payoff = 0.0  # in index order: builtin sum compensates from Python 3.12 on
-    for u in payoffs(profile, design, eq.s_star).tolist():
-        agg_payoff += u
+    agg_payoff = _payoff_sum(profile, design, eq.s_star)
     resid = problem.constraints.residuals(eq.s_star, design.reward)
     worst = float(resid.max()) if resid.size else 0.0
     report = {
@@ -215,7 +213,7 @@ def verify_design(problem: DesignProblem,
         "all_active": len(eq.active_set) == profile.n_players,
         "worst_constraint_residual": worst,
         "payoff_gap": abs(agg_payoff - profile.optimal_payoff),
-        "aggregate_payoff": float(agg_payoff),
+        "aggregate_payoff": agg_payoff,
         "max_foc_violation": eq.max_foc_violation,
     }
     tol = {name: entry["value"] for name, entry in TOLERANCES.items()}

@@ -196,17 +196,13 @@ def _payoffs(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> np.
     return share * R + profile.values(total - R) - s
 
 
-def _foc_residuals(a, c, c_bar, R, s) -> np.ndarray:
-    # Every player's marginal payoff dU_k/ds_k at a validated profile s. Over
-    # a sweep, s is players x rewards, a and c are columns and R is a vector.
-    total = _sum_players(s)
-    if np.count_nonzero(total < R):
-        raise DomainError("first-order condition undefined while the lottery is canceled")
-    pool = total - c_bar
-    if np.count_nonzero(pool <= 0.0):
-        raise SingularPoolError("first-order condition requires a positive pool")
-    # pool * pool: a numpy float's pool**2 is not always the rounded product.
-    return R * (pool - (s - c)) / (pool * pool) + a / (total - R + 1.0) - 1.0
+def _payoff_sum(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> float:
+    # The aggregate payoff at a profile s that fits the game, added in index
+    # order from 0.0: builtin sum compensates from Python 3.12 on.
+    total = 0.0
+    for u in _payoffs(profile, design, s).tolist():
+        total += u
+    return total
 
 
 def _phi(G, R, c_bar, a, neg_rc):
@@ -264,7 +260,7 @@ def _settle_floats(a, c, c_bar, R, G):
             raise NonconvergenceError(
                 f"aggregate consistency failed: sum s = {float(total)!r} "
                 f"vs G + R = {float(G + R)!r}")
-        # _foc_residuals, then np.where(active, |res|, res).max(initial=0.0).
+        # `_settle`'s residuals, then np.where(active, |res|, res).max(initial=0.0).
         if total < R:
             raise DomainError("first-order condition undefined while the lottery is canceled")
         pool = total - c_bar
@@ -331,9 +327,16 @@ def _settle(a, c, c_bar, R, G):
         raise NonconvergenceError(
             f"aggregate consistency failed: sum s = {float(np.ravel(total)[k])!r} "
             f"vs G + R = {float(np.ravel(G + R)[k])!r}")
-    # Active players must meet their FOC with equality, inactive ones as <= 0.
+    # Every player's marginal payoff dU_k/ds_k; active players must meet
+    # their FOC with equality, inactive ones as <= 0.
+    if np.count_nonzero(total < R):
+        raise DomainError("first-order condition undefined while the lottery is canceled")
+    pool = total - c_bar
+    if np.count_nonzero(pool <= 0.0):
+        raise SingularPoolError("first-order condition requires a positive pool")
+    # pool * pool: a numpy float's pool**2 is not always the rounded product.
+    res = R * (pool - (s - c)) / (pool * pool) + a / (total - R + 1.0) - 1.0
     active = s > TOL_ACTIVE
-    res = _foc_residuals(a, c, c_bar, R, s)
     violation = np.where(active, np.abs(res), res).max(axis=0, initial=0.0)
     return S, s, active, violation
 

@@ -49,8 +49,8 @@ from . import analysis, design as design_mod, grid as grid_mod
 from .benefit import BenefitProfile
 from .errors import (CaseParseError, CaseValidationError, ConfigError,
                      ExactnessViolationError, InvariantViolationError)
-from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point, _payoffs,
-                   certify_equilibrium, solve_equilibrium)
+from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point,
+                   _payoff_sum, certify_equilibrium, solve_equilibrium)
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present; the pure-Python loader reads the same
@@ -580,9 +580,6 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     dp = _design_point(_positive(point["reward"], "design_point.reward"), c)
     eq = solve_equilibrium(profile, dp)
     properties = analysis.check_properties(profile, dp, eq)
-    agg = 0.0  # in index order: builtin sum compensates from Python 3.12 on
-    for u in _payoffs(profile, dp, eq.s_star).tolist():
-        agg += u
     results = {
         "player_ids": ids,
         "reward": dp.reward,
@@ -594,7 +591,7 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "active_set": list(eq.active_set),
         "max_foc_violation": eq.max_foc_violation,
         "iterations": eq.iterations,
-        "aggregate_payoff": agg,
+        "aggregate_payoff": _payoff_sum(profile, dp, eq.s_star),
         "poa_true": analysis.true_poa(profile, eq),
     }
     ok = (eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
@@ -776,14 +773,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "adjusted_demand_total": float((demand - s).sum()),
         "max_line_utilization_pct": float(np.max(utilization)),
     })
-    golden_table, golden_ok = _golden_checks(golden, {
-        "socially_optimal_good": problem.profile.g_star,
-        "reward": sol.design.reward,
-        "total_investment": results["total_investment"],
-        "aggregate_payoff": results["aggregate_payoff"],
-        "generation_total": results["generation_total"],
-    })
-    results["golden"] = golden_table
+    results["golden"], golden_ok = _golden_checks(golden, results)
 
     buses = list(map(str, scenario.load_bus_ids))
     allocation_rows = list(zip(buses, _money(c), _money(s)))

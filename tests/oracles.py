@@ -1,8 +1,9 @@
 """Test-only oracles, kept out of the library.
 
-`foc_residual` is one player's marginal payoff at a profile, from the
-solver's own residual formula, and `equilibrium_sensitivities` the closed-form
-dG/dR and dG/dc_i at an all-active equilibrium; only the tests use them.
+`foc_residual` is one player's marginal payoff at a profile, differentiated
+from the payoff formula itself rather than taken from the solver, and
+`equilibrium_sensitivities` the closed-form dG/dR and dG/dc_i at an
+all-active equilibrium; only the tests use them.
 `best_response_oracle` searches one player's own investment by a grid scan
 and golden-section refinement, with no use of first-order conditions or of
 `certify_equilibrium`, which the tests check against it. `poa_bounds` is the
@@ -24,10 +25,9 @@ from lotterydesign import (
 from lotterydesign.analysis import _compute_bounds, _terms
 from lotterydesign.errors import (
     DomainError, InfeasibleRegimeError, InvariantViolationError, LotteryDesignError,
+    SingularPoolError,
 )
-from lotterydesign.game import (
-    EquilibriumResult, _check_profile_shape, _foc_residuals, _good_sensitivities,
-)
+from lotterydesign.game import EquilibriumResult, _check_profile_shape, _good_sensitivities
 
 # Width at which the best-response oracle's golden-section search stops.
 _ORACLE_TOL = 1e-9
@@ -40,12 +40,22 @@ class UnsupportedRegimeError(LotteryDesignError):
 def foc_residual(profile: BenefitProfile, design: DesignPoint, s, i: int) -> float:
     """Marginal payoff dU_i/ds_i at profile s (the first-order-condition residual).
 
-    Zero for active equilibrium players, nonpositive for inactive ones.
+    Zero for active equilibrium players, nonpositive for inactive ones. With
+    total T = sum_j s_j and pool P = T - c_bar, the payoff while the lottery
+    holds (T >= R) is U_i = R (s_i - c_i)/P + a_i ln(1 + T - R) - s_i. T and P
+    grow one for one with s_i, so the quotient rule gives the reward share's
+    slope R (P - (s_i - c_i))/P^2, and the benefit's is a_i/(1 + T - R).
     """
     s = _check_profile_shape(profile, design, s)
-    res = _foc_residuals(profile.coefficients, design.perturbation,
-                         design.perturbation_total, design.reward, s)
-    return float(res[i])
+    R = design.reward
+    total = float(s.sum())
+    if total < R:
+        raise DomainError("the lottery is canceled: the payoff is flat at zero")
+    pool = total - design.perturbation_total
+    if pool <= 0.0:
+        raise SingularPoolError("the reward share needs a positive pool")
+    share_slope = R * (pool - (s[i] - design.perturbation[i])) / pool**2
+    return float(share_slope + profile.coefficients[i] / (1.0 + total - R) - 1.0)
 
 
 def equilibrium_sensitivities(profile: BenefitProfile, design: DesignPoint,
@@ -140,17 +150,16 @@ def best_response_oracle(profile: BenefitProfile, design: DesignPoint,
     return max(candidates)[1]
 
 
-def poa_bounds(profile: BenefitProfile, design: DesignPoint,
-               variant: str = "statement") -> PoaBounds:
+def poa_bounds(profile: BenefitProfile, design: DesignPoint, proof: bool = False) -> PoaBounds:
     """Closed-form public-good bracket and price-of-anarchy sandwich.
 
     A bound formula that leaves the invertible range of H is vacuous at this
-    design point: it maps to +inf. The "proof" variant substitutes the far
+    design point: it maps to +inf. The `proof` variant substitutes the far
     bound into the near-bound numerator, which tightens it whenever at least
     two players are certifiably active.
     """
     terms = _terms(profile, design.perturbation_total)
-    return PoaBounds(*_compute_bounds(profile, terms, design.reward, variant))
+    return PoaBounds(*_compute_bounds(profile, terms, design.reward, proof))
 
 
 def _compositions(total: float, n: int, step: float):

@@ -110,7 +110,7 @@ class TestPublicGoodBounds:
     def test_proof_variant_tightens_with_assured_players(self, i2_profile):
         d = _design(10.0, [0, 0])
         statement = poa_bounds(i2_profile, d)
-        proof = poa_bounds(i2_profile, d, variant="proof")
+        proof = poa_bounds(i2_profile, d, proof=True)
         assert statement.g_upper == pytest.approx(1.0, abs=1e-9)
         assert proof.g_upper < statement.g_upper
         eq = solve_equilibrium(i2_profile, d)

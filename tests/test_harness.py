@@ -17,7 +17,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from lotterydesign import ScenarioConfig, analysis, design, game, harness
-from lotterydesign import DesignPoint, run_scenario, run_selftest
+from lotterydesign import BenefitProfile, DesignPoint, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
 from lotterydesign.harness import CASE30_SCENARIO, _money, _report_json
@@ -662,7 +662,7 @@ class TestEquilibriumVerb:
     def test_aggregate_payoff_adds_in_index_order(self, tmp_path, monkeypatch):
         # From 0.0, one player at a time: builtin sum compensates from Python
         # 3.12 on, where ten 0.1s add up to 1.0.
-        monkeypatch.setattr(harness, "_payoffs", lambda *args: np.full(10, 0.1))
+        monkeypatch.setattr(game, "_payoffs", lambda *args: np.full(10, 0.1))
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_equilibrium.yaml")
         report = run_scenario("equilibrium", cfg, out_dir=tmp_path).report
         assert report["results"]["aggregate_payoff"] == 0.9999999999999999
@@ -705,8 +705,8 @@ class TestAnalyzeVerb:
         assert len(rows) == 5
         for row in rows:
             point = DesignPoint(row["reward"], c)
-            statement = poa_bounds(profile, point, "statement")
-            proof = poa_bounds(profile, point, "proof")
+            statement = poa_bounds(profile, point)
+            proof = poa_bounds(profile, point, proof=True)
             assert set(row) == names | {"reward", "public_good", "poa_true",
                                         "assured_active_count", "proof_tightened"}
             assert set(row["proof_tightened"]) == names
@@ -860,28 +860,47 @@ class TestSinglePass:
         raw = analysis._compute_bounds
         calls = []
 
-        def counted(profile, terms, rewards, variant):
-            calls.append((variant, np.shape(rewards)))
-            return raw(profile, terms, rewards, variant)
+        def counted(profile, terms, rewards, proof):
+            calls.append((proof, np.shape(rewards)))
+            return raw(profile, terms, rewards, proof)
 
         monkeypatch.setattr(analysis, "_compute_bounds", counted)
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
         assert len(cfg.require("sweep")["rewards"]) == 5
         assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
-        assert Counter(calls) == {("statement", (5,)): 1, ("proof", (5,)): 1}
+        assert Counter(calls) == {(False, (5,)): 1, (True, (5,)): 1}
 
-    def test_analyze_computes_the_reward_threshold_once(self, tmp_path, monkeypatch):
-        raw = analysis.reward_threshold
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return raw(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "reward_threshold", counted)
+    def test_analyze_builds_bracket_slopes_and_threshold_once(self, tmp_path, monkeypatch):
+        # The bracket and the slopes at its top feed the threshold, both bound
+        # variants and the graded properties of the whole sweep.
+        calls = Counter()
+        for owner, name in ((analysis, "_terms"), (analysis, "_threshold"),
+                            (BenefitProfile, "slopes")):
+            monkeypatch.setattr(owner, name, lambda *args, raw=getattr(owner, name), name=name:
+                                calls.update([name]) or raw(*args))
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
-        assert len(cfg.require("sweep")["rewards"]) == 5
         assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
+        assert calls == {"_terms": 1, "_threshold": 1, "slopes": 1}
+
+    def test_settle_sums_the_investments_once(self, monkeypatch):
+        # The consistency check and the FOC residuals read one total.
+        calls = []
+        raw = game._sum_players
+        monkeypatch.setattr(game, "_sum_players", lambda x: calls.append(x.shape) or raw(x))
+        a, c = np.array([1.0, 1.0]), np.array([0.5, 0.5])
+        _, s, _, violation = game._settle(a, c, 1.0, 1.0, 1.0)
+        assert s.tolist() == [1.0, 1.0] and violation <= 1e-15
+        assert calls == [(2,)]
+
+    @pytest.mark.parametrize("verb, config", [("equilibrium", "two_player_equilibrium.yaml"),
+                                              ("design", "two_player_design.yaml")])
+    def test_aggregate_payoff_summed_once(self, tmp_path, monkeypatch, verb, config):
+        calls = []
+        for module in (harness, design):
+            monkeypatch.setattr(module, "_payoff_sum", lambda *args, raw=game._payoff_sum:
+                                calls.append(args) or raw(*args))
+        cfg = ScenarioConfig.from_file(CONFIGS / config)
+        assert run_scenario(verb, cfg, out_dir=tmp_path).status == "ok"
         assert len(calls) == 1
 
     def test_selftest_case30_matches_config(self):
@@ -1167,6 +1186,16 @@ class TestCli:
         monkeypatch.setenv("LOTTERYDESIGN_OUT", str(tmp_path / "from_env"))
         assert cli_main(["equilibrium", "--config", str(path)]) == 0
         assert (tmp_path / "from_env" / "report.json").is_file()
+
+    def test_empty_env_output_keeps_config_output_dir(self, tmp_path, monkeypatch, capsys):
+        text = I2_PLAYERS + ("output_dir: from_config\n"
+                             "design_point: {reward: 1.0, perturbation: [0.5, 0.5]}\n")
+        path = write_config(tmp_path, text)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LOTTERYDESIGN_OUT", "")
+        assert cli_main(["equilibrium", "--config", str(path)]) == 0
+        assert (tmp_path / "from_config" / "report.json").is_file()
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestSelftest:

@@ -246,20 +246,25 @@ class TestLexicographicPass:
 def small_integer_programs(draw):
     """Nonnegative-cost programs with n <= 4, up to 3 inequality and 0-2
     equality rows of small integers: ties, degenerate vertices and
-    infeasible programs all occur."""
+    infeasible programs all occur. Half have zero cost and rows that hold at
+    an integer point x0 >= 0: every feasible vertex of those is optimal, so
+    only the lexicographic pass picks the point."""
     n = draw(st.integers(1, 4))
     m_ub, m_eq = draw(st.integers(0, 3)), draw(st.integers(0, 2))
 
     def ints(k, lo, hi):
         return draw(st.lists(st.integers(lo, hi), min_size=k, max_size=k))
 
-    return LinearProgram(ints(n, 0, 2), np.reshape(ints(m_ub * n, -2, 2), (m_ub, n)),
-                         ints(m_ub, -3, 3), np.reshape(ints(m_eq * n, -2, 2), (m_eq, n)),
-                         ints(m_eq, -3, 3))
+    a_ub = np.reshape(ints(m_ub * n, -2, 2), (m_ub, n))
+    a_eq = np.reshape(ints(m_eq * n, -2, 2), (m_eq, n))
+    if draw(st.booleans()):
+        x0 = np.array(ints(n, 0, 2))
+        return LinearProgram([0] * n, a_ub, a_ub @ x0 + ints(m_ub, 0, 2), a_eq, a_eq @ x0)
+    return LinearProgram(ints(n, 0, 2), a_ub, ints(m_ub, -3, 3), a_eq, ints(m_eq, -3, 3))
 
 
 class TestPropertyAgainstOracles:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(small_integer_programs())
     def test_status_objective_and_lexicographic_point(self, lp):
         oracle = vertex_enumeration_oracle(lp)

@@ -112,9 +112,8 @@ class TestParity:
             same = rewards == reward
             assert np.all(eq.G[same] == eq.G[k])
             design = DesignPoint(reward, c)
-            for variant, bounds in (("statement", sweep.bounds),
-                                    ("proof", sweep.proof_bounds)):
-                single = poa_bounds(profile, design, variant)
+            for proof, bounds in ((False, sweep.bounds), (True, sweep.proof_bounds)):
+                single = poa_bounds(profile, design, proof)
                 assert bounds.g_lower[k] == single.g_lower
                 assert bounds.g_upper[k] == single.g_upper
                 assert bounds.assured_active_count[k] == single.assured_active_count
