@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .benefit import BenefitProfile
+from .benefit import _FLOAT_PLAYERS, BenefitProfile
 from .errors import InvariantViolationError
 from .game import (
     TOL_ACTIVE,
@@ -29,7 +29,8 @@ from .game import (
     EquilibriumResult,
     EquilibriumSweep,
     _good_sensitivities,
-    solve_sweep,
+    _solve_sweep,
+    _sweep_inputs,
 )
 
 
@@ -53,10 +54,15 @@ class PoaBounds:
     assured_active_count: int
 
     def __post_init__(self):
-        if np.count_nonzero(self.g_lower > self.g_upper + 1e-9):
+        if isinstance(self.g_lower, np.ndarray):
+            reversed_good = np.count_nonzero(self.g_lower > self.g_upper + 1e-9)
+            ordered = np.all((1.0 - 1e-9 <= self.poa_lower) & (self.poa_lower <= self.poa_upper))
+        else:
+            reversed_good = self.g_lower > self.g_upper + 1e-9
+            ordered = 1.0 - 1e-9 <= self.poa_lower <= self.poa_upper
+        if reversed_good:
             raise InvariantViolationError("public-good bounds are out of order")
-        ordered = (1.0 - 1e-9 <= self.poa_lower) & (self.poa_lower <= self.poa_upper)
-        if ordered is not True and not np.all(ordered):  # True: one point, in order
+        if not ordered:
             raise InvariantViolationError("price-of-anarchy bounds are out of order")
 
 
@@ -82,10 +88,18 @@ class SweepAnalysis:
 
 def _terms(profile: BenefitProfile, c_bar: float, R=0.0) -> tuple:
     # What every closed form at c_bar reads, computed once: c_bar, the good
-    # bracket (lo, hi) and each player's slope at hi, per player.
+    # bracket (lo, hi) and each player's slope at hi, per player: a column
+    # over a sweep, a list at one reward, divided on floats up to
+    # _FLOAT_PLAYERS players (hi >= 0, so `slopes` would not raise).
     lo, hi = profile.good_bracket(c_bar)
-    slopes = profile.slopes(hi)
-    return c_bar, lo, hi, slopes[:, None] if isinstance(R, np.ndarray) else slopes.tolist()
+    if isinstance(R, np.ndarray):
+        slopes = profile.slopes(hi)[:, None]
+    elif profile.n_players <= _FLOAT_PLAYERS:
+        g1 = hi + 1.0
+        slopes = [a / g1 for a in profile.coefficients.tolist()]
+    else:
+        slopes = profile.slopes(hi).tolist()
+    return c_bar, lo, hi, slopes
 
 
 def _player_min(R, f, *per_player):
@@ -164,7 +178,8 @@ def _threshold(terms: tuple) -> float:
 
 
 def _compute_bounds(profile: BenefitProfile, terms: tuple, R, proof: bool):
-    """(g_lower, g_upper, poa_lower, poa_upper, assured count) at reward(s) R.
+    """(g_lower, g_upper, poa_lower, poa_upper, assured count) at reward(s) R,
+    and the aggregate payoffs (lower, upper) at those two goods.
 
     Each bound inverts H at a formula's argument and clamps the good to the
     feasible bracket [gl, gu]. An argument above H(0) would place the good
@@ -196,7 +211,7 @@ def _compute_bounds(profile: BenefitProfile, terms: tuple, R, proof: bool):
         g_near = _invert(h0, (n - 1) * (gu - c_bar) / (R + gu - c_bar) + 1.0, gl, gu)
     p_low, p_high = _order(_aggregate_payoff(profile, g_far), _aggregate_payoff(profile, g_near))
     opt = profile.optimal_payoff
-    return (*_order(g_far, g_near), _poa(opt, p_high), _poa(opt, p_low), k)
+    return (*_order(g_far, g_near), _poa(opt, p_high), _poa(opt, p_low), k), (p_low, p_high)
 
 
 def true_poa(profile: BenefitProfile, eq: EquilibriumResult) -> float:
@@ -204,18 +219,18 @@ def true_poa(profile: BenefitProfile, eq: EquilibriumResult) -> float:
     return float(_poa(profile.optimal_payoff, _aggregate_payoff(profile, eq.G)))
 
 
-def _graded(profile: BenefitProfile, terms: tuple, c, R, G, s, g_bracket, threshold) -> list:
+def _graded(profile: BenefitProfile, terms: tuple, c, R, G, s, payoffs, threshold) -> list:
     """Each property as (name, margin, holds, rules) at reward(s) R.
 
     R and G are floats, or vectors over a sweep's rewards; c, s and the
     slopes in `terms` are per player, s players x rewards over a sweep;
-    `g_bracket` is the statement-variant (g_lower, g_upper). A rule
+    `payoffs` is the aggregate payoff (lower, upper) at the statement-variant
+    good bounds, as `_compute_bounds` returns it. A rule
     (condition, reason) marks where the property does not apply; the first
     rule that holds gives the reason, a format string over `reward` and
     `threshold`.
     """
-    tol = {name: entry["value"] for name, entry in TOLERANCES.items()}
-    floor = tol["property_margin"]
+    floor = TOLERANCES["property_margin"]["value"]
     n = profile.n_players
     c_bar, lo, hi, slopes = terms
     g_star = profile.g_star
@@ -225,8 +240,8 @@ def _graded(profile: BenefitProfile, terms: tuple, c, R, G, s, g_bracket, thresh
     inactive = (_player_min(R, lambda x: x, s) <= TOL_ACTIVE,
                 "sensitivity formulas require every player active")
     dG_dR, dG_dc = _good_sensitivities(profile.marginal_at_zero, n, R, c_bar, G)
-    if abs(c_bar - g_star) <= tol["equality_case"]:
-        margin = tol["equality_reward_sensitivity"] - abs(dG_dR)
+    if abs(c_bar - g_star) <= TOLERANCES["equality_case"]["value"]:
+        margin = TOLERANCES["equality_reward_sensitivity"]["value"] - abs(dG_dR)
         reward_sensitivity = (margin, margin >= 0.0, [inactive])
         perturbation_sensitivity = (dG_dc, True, [inactive, (
             True, "perturbation total equals the social optimum (equality case)")])
@@ -244,19 +259,20 @@ def _graded(profile: BenefitProfile, terms: tuple, c, R, G, s, g_bracket, thresh
         R, lambda s_i, c_i, slope: s_i - (c_i + R * (base + slope - 1.0)), s, c, slopes)
     # Aggregate payoff must land inside the closed-form sandwich.
     p_eq = _aggregate_payoff(profile, G)
-    p_low, p_high = _order(*(_aggregate_payoff(profile, g) for g in g_bracket))
+    p_low, p_high = payoffs
     sandwich = _order(p_eq - p_low, p_high - p_eq)[0]
     return [
         ("pool_covers_perturbation", pool, pool >= floor, [
             (n == 1, "single-player instance is outside the property's hypothesis"),
-            (abs(G - g_star) > tol["optimum_attained"],
+            (abs(G - g_star) > TOLERANCES["optimum_attained"]["value"],
              "equilibrium good differs from the social optimum")]),
         ("good_bracketed", bracketed, bracketed >= floor, []),
         ("reward_sensitivity_sign", *reward_sensitivity),
         ("perturbation_sensitivity_sign", *perturbation_sensitivity),
         ("investment_lower_bound", floor_margin, floor_margin >= floor, [
             (R <= threshold, "reward {reward:.6g} not above threshold {threshold:.6g}")]),
-        ("payoff_sandwich", sandwich, sandwich >= tol["payoff_sandwich_margin"], []),
+        ("payoff_sandwich", sandwich,
+         sandwich >= TOLERANCES["payoff_sandwich_margin"]["value"], []),
     ]
 
 
@@ -268,20 +284,24 @@ def check_properties(profile: BenefitProfile, design: DesignPoint,
     "property", "holds", "margin" and "skipped_reason": a pass/fail with its
     margin (negative means violated), or None, None and the reason the
     property does not apply at this design point. The bracket, slopes,
-    threshold and statement bounds are computed once, on floats.
+    threshold and statement bounds are computed once, each a float or a list
+    of floats per player; up to `_FLOAT_PLAYERS` players the slopes are
+    divided on floats too, so the grade does no numpy arithmetic.
     """
     R = design.reward
     terms = _terms(profile, design.perturbation_total)
     threshold = _threshold(terms)
-    bounds = PoaBounds(*_compute_bounds(profile, terms, R, False))
+    bounds, payoffs = _compute_bounds(profile, terms, R, False)
+    PoaBounds(*bounds)  # the order checks
     rows = []
     for name, margin, holds, rules in _graded(
             profile, terms, design.perturbation.tolist(), R, eq.G, eq.s_star.tolist(),
-            (bounds.g_lower, bounds.g_upper), threshold):
-        reasons = [why for skip, why in rules if skip]
-        if reasons:
-            rows.append({"property": name, "holds": None, "margin": None,
-                         "skipped_reason": reasons[0].format(reward=R, threshold=threshold)})
+            payoffs, threshold):
+        for skip, why in rules:
+            if skip:
+                rows.append({"property": name, "holds": None, "margin": None,
+                             "skipped_reason": why.format(reward=R, threshold=threshold)})
+                break
         else:
             rows.append({"property": name, "holds": bool(holds), "margin": float(margin),
                          "skipped_reason": None})
@@ -296,15 +316,21 @@ def analyze_sweep(profile: BenefitProfile, c, rewards) -> SweepAnalysis:
     `check_properties` are evaluated over the reward vector, each once per
     sweep, and the bracket, slopes and reward threshold once.
     """
-    eq = solve_sweep(profile, c, rewards)
-    c = np.asarray(c, dtype=float)
+    return _analyze_sweep(profile, *_sweep_inputs(profile, c, rewards))
+
+
+def _analyze_sweep(profile: BenefitProfile, c: np.ndarray, c_bar: float,
+                   rewards: np.ndarray) -> SweepAnalysis:
+    # `analyze_sweep` on inputs already checked, as `_sweep_inputs` returns them.
+    eq = _solve_sweep(profile, c, c_bar, rewards)
     R = eq.rewards
-    terms = _terms(profile, float(c.sum()), R)
-    bounds, proof = (PoaBounds(*_compute_bounds(profile, terms, R, tight))
-                     for tight in (False, True))
+    terms = _terms(profile, c_bar, R)
+    (bounds, payoffs), (proof, _) = (_compute_bounds(profile, terms, R, tight)
+                                     for tight in (False, True))
+    bounds, proof = PoaBounds(*bounds), PoaBounds(*proof)
     ok = np.ones(R.shape, dtype=bool)
     for _, _, holds, rules in _graded(profile, terms, c[:, None], R, eq.G, eq.s_star.T,
-                                      (bounds.g_lower, bounds.g_upper), _threshold(terms)):
+                                      payoffs, _threshold(terms)):
         skipped = False
         for skip, _ in rules:
             skipped = skipped | skip

@@ -7,6 +7,10 @@ Every slope shares the denominator v+1, so the aggregate marginal is
 H(G) = sum_i h_i'(G) = A/(G+1) with A = sum_i a_i, and the socially optimal
 good, the unique root of H(G) = 1, is G* = A - 1. It exists whenever
 H(0) = A > 1. The profile computes A, G* and its payoff once, when built.
+
+A profile given as a list of up to `_FLOAT_PLAYERS` floats is checked and
+summed on floats, with numpy's bits: `_float_sum` adds in the order of numpy's
+`ndarray.sum`.
 """
 
 from __future__ import annotations
@@ -17,6 +21,62 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvariantViolationError
+
+# Up to this many players one design point is checked, built, solved and
+# graded on Python floats, above it on numpy vectors; a sweep always uses
+# numpy. The cutoff is the solve's crossover. Median µs per
+# `solve_equilibrium` over 20 random points, the two forms alternating in one
+# process (BENCH_27.json; 2 cores, Python 3.11.7, numpy 2.4.6), floats against
+# numpy: 28 against 66 at 5 players, 52 against 76 at 20, 84-128 against
+# 92-147 at 35 (floats faster in all three runs), even at 38, 87-95 against
+# 85-92 at 40 and 122 against 87 at 60.
+_FLOAT_PLAYERS = 35
+
+
+def _plain_floats(x) -> bool:
+    """Whether x is a list of 1 to `_FLOAT_PLAYERS` floats, which the float forms take.
+
+    Anything else, ints and numeric strings included, goes through numpy's
+    conversion, which gives each malformed input its error.
+    """
+    return type(x) is list and 0 < len(x) <= _FLOAT_PLAYERS and all(
+        type(v) is float for v in x)
+
+
+def _float_sum(xs: list) -> float:
+    """`float(np.array(xs).sum())` for a list of floats, to the bit.
+
+    numpy's sum is not an index-order sum: it adds a pairwise sum to 0.0, so
+    a list of -0.0s sums to 0.0. Below 8 entries the pairwise sum adds in
+    index order from -0.0. Up to 128, entry k goes to accumulator k % 8 over
+    the longest run of whole blocks of 8, the eight accumulators are added
+    pairwise and the rest in index order. Above 128, the two halves split at
+    a multiple of 8 are summed apart.
+    """
+    return 0.0 + _pairwise_sum(xs)
+
+
+def _pairwise_sum(xs: list) -> float:
+    n = len(xs)
+    if n < 8:
+        total = -0.0
+        for x in xs:
+            total += x
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    end = n - n % 8
+    r = xs[:8]
+    for k in range(8, end, 8):
+        r = [r_j + x for r_j, x in zip(r, xs[k:k + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for x in xs[end:]:
+        total += x
+    return total
+
+
+_NOT_POSITIVE = "benefit coefficients must be positive and finite, got {!r}"
 
 
 def _check_good(G: float) -> None:
@@ -40,24 +100,27 @@ class BenefitProfile:
     optimal_payoff: float = field(init=False)
 
     def __post_init__(self):
-        a = np.array(self.coefficients, dtype=float)
-        if a.ndim != 1 or a.size < 1:
-            raise InvariantViolationError("profile needs a nonempty vector of coefficients")
-        if np.count_nonzero((a > 0.0) & (a < math.inf)) != a.size:  # NaN fails both
-            raise InvariantViolationError(
-                f"benefit coefficients must be positive and finite, got {a.tolist()!r}"
-            )
+        a = self.coefficients
+        if _plain_floats(a):
+            if not all(0.0 < x < math.inf for x in a):  # NaN fails both
+                raise InvariantViolationError(_NOT_POSITIVE.format(a))
+            h0, a = _float_sum(a), np.array(a)
+        else:
+            a = np.array(a, dtype=float)
+            if a.ndim != 1 or a.size < 1:
+                raise InvariantViolationError("profile needs a nonempty vector of coefficients")
+            if np.count_nonzero((a > 0.0) & (a < math.inf)) != a.size:
+                raise InvariantViolationError(_NOT_POSITIVE.format(a.tolist()))
+            h0 = float(a.sum())
         a.setflags(write=False)
-        object.__setattr__(self, "coefficients", a)
-        h0 = float(a.sum())
         if not h0 > 1.0:
             raise InvariantViolationError(
                 f"aggregate marginal at zero must exceed 1, got {h0:.6g}"
             )
-        object.__setattr__(self, "marginal_at_zero", h0)
         g_star = h0 - 1.0
-        object.__setattr__(self, "g_star", g_star)
-        object.__setattr__(self, "optimal_payoff", h0 * math.log1p(g_star) - g_star)
+        # Frozen: the fields are set in the instance dict, as __init__ would.
+        vars(self).update(coefficients=a, marginal_at_zero=h0, g_star=g_star,
+                          optimal_payoff=h0 * math.log1p(g_star) - g_star)
 
     @classmethod
     def scaled_log(cls, coefficients) -> "BenefitProfile":

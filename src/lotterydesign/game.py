@@ -24,11 +24,12 @@ on Python floats, with numpy's operations in numpy's order. A sweep always
 uses the numpy form. `solve_equilibrium` uses the float form up to
 `_FLOAT_PLAYERS` players, where numpy's per-call cost outweighs a loop over
 the players (a 2-5 player point in about 20-35 microseconds, against 60-80 on
-numpy), and the numpy form above. Step for step the two loops are the same,
-the two forms give the same bits, and every form adds the players in one
-order at every shape (`_sum_players`), so at the same design point both
-drivers return the same bits (good, pool, investments and largest FOC
-violation), the same root included where Phi has several. A root of Phi
+numpy), and the numpy form above; so do the perturbation check
+(`_checked_perturbation`) and the payoffs (`_payoffs`). Step for step the two
+loops are the same, the two forms give the same bits, and every form adds the
+players in one order at every shape (`_sum_players`), so at the same design
+point both drivers return the same bits (good, pool, investments and largest
+FOC violation), the same root included where Phi has several. A root of Phi
 meets the first-order conditions only; `certify_equilibrium` says whether it
 is a Nash equilibrium of the literal payoff, from each player's best
 deviation in closed form.
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benefit import BenefitProfile
+from .benefit import _FLOAT_PLAYERS, BenefitProfile, _float_sum, _plain_floats
 from .errors import (
     DomainError,
     InfeasibleRegimeError,
@@ -85,14 +86,7 @@ _MAX_STEPS = 2046
 # a few ulps at any scale: a fixed 1e-14 left a good near 0.01 with 1e-12
 # relative error.
 _XTOL, _RTOL = _TINY, 8.9e-16
-# Up to this many players `solve_equilibrium` runs Phi and the settle step on
-# Python floats (`_phi_floats`, `_settle_floats`), above it on numpy vectors.
-# Median µs per solve over 20 random points, the two forms alternating in one
-# process (BENCH_27.json; 2 cores, Python 3.11.7, numpy 2.4.6), floats against
-# numpy: 28 against 66 at 5 players, 52 against 76 at 20, 84-128 against
-# 92-147 at 35 (floats faster in all three runs), even at 38, 87-95 against
-# 85-92 at 40 and 122 against 87 at 60.
-_FLOAT_PLAYERS = 35
+_NEGATIVE_PERTURBATION = "perturbation entries must be finite and >= 0"
 _NO_ROOT = ("aggregate first-order condition has no root with a positive pool; "
             "total perturbation exceeds what the reward and public good can cover")
 
@@ -108,26 +102,36 @@ class DesignPoint:
     def __post_init__(self):
         if not (self.reward > 0.0) or not math.isfinite(self.reward):
             raise InvariantViolationError(f"reward must be positive, got {self.reward!r}")
-        c = _checked_perturbation(self.perturbation)
-        object.__setattr__(self, "perturbation", c)
-        object.__setattr__(self, "perturbation_total", float(c.sum()))
+        c, total = _checked_perturbation(self.perturbation)
+        vars(self).update(perturbation=c, perturbation_total=total)
 
 
-def _design_point(reward: float, c: np.ndarray) -> DesignPoint:
-    # DesignPoint(reward, c), unchecked: R is finite > 0, `_checked_perturbation` made c.
+def _design_point(reward: float, c: np.ndarray, total: float) -> DesignPoint:
+    # DesignPoint(reward, c), unchecked: R is finite > 0, `_checked_perturbation`
+    # made c and its total.
     point = object.__new__(DesignPoint)
-    point.__dict__.update(reward=reward, perturbation=c, perturbation_total=float(c.sum()))
+    point.__dict__.update(reward=reward, perturbation=c, perturbation_total=total)
     return point
 
 
-def _checked_perturbation(c) -> np.ndarray:
-    c = np.asarray(c, dtype=float).copy()
-    if c.ndim != 1 or c.size < 1:
-        raise InvariantViolationError("perturbation must be a nonempty vector")
-    if np.count_nonzero((c >= 0.0) & (c < math.inf)) != c.size:  # NaN fails both
-        raise InvariantViolationError("perturbation entries must be finite and >= 0")
+def _checked_perturbation(c) -> tuple[np.ndarray, float]:
+    """c as a read-only vector of finite floats >= 0, and its total (numpy's sum).
+
+    A list of up to `_FLOAT_PLAYERS` floats is checked and added on floats.
+    """
+    if _plain_floats(c):
+        if not all(0.0 <= x < math.inf for x in c):  # NaN fails both
+            raise InvariantViolationError(_NEGATIVE_PERTURBATION)
+        total, c = _float_sum(c), np.array(c)
+    else:
+        c = np.asarray(c, dtype=float).copy()
+        if c.ndim != 1 or c.size < 1:
+            raise InvariantViolationError("perturbation must be a nonempty vector")
+        if np.count_nonzero((c >= 0.0) & (c < math.inf)) != c.size:
+            raise InvariantViolationError(_NEGATIVE_PERTURBATION)
+        total = float(c.sum())
     c.setflags(write=False)
-    return c
+    return c, total
 
 
 @dataclass(frozen=True)
@@ -178,29 +182,38 @@ def payoffs(profile: BenefitProfile, design: DesignPoint, s) -> np.ndarray:
     classic proportional-odds payoff. A negative reward share is kept as-is:
     the player pays that amount back to the planner.
     """
-    return _payoffs(profile, design, _check_profile_shape(profile, design, s))
+    return np.array(_payoffs(profile, design, _check_profile_shape(profile, design, s)))
 
 
-def _payoffs(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> np.ndarray:
-    # `payoffs` at a profile s already known to fit the game, such as a solved one.
+def _payoffs(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> list:
+    # `payoffs` as a list, at a profile s already known to fit the game, such
+    # as a solved one. Up to _FLOAT_PLAYERS players on floats, numpy's
+    # operations in numpy's order: ((s_k - c_k)/pool*R + a_k*log1p(G)) - s_k.
     R = design.reward
-    total = float(s.sum())
+    floats = profile.n_players <= _FLOAT_PLAYERS
+    if floats:
+        s = s.tolist()
+    total = _float_sum(s) if floats else float(s.sum())
     if total < R:
-        return np.zeros(profile.n_players)
+        return [0.0] * profile.n_players
     pool = total - design.perturbation_total
     if pool == 0.0:
         raise SingularPoolError(
             "total investment equals total perturbation: reward shares are undefined"
         )
+    if floats:
+        log_good = math.log1p(total - R)  # profile.values(total - R) is a * log_good
+        return [(s_k - c_k) / pool * R + a_k * log_good - s_k for a_k, c_k, s_k in zip(
+            profile.coefficients.tolist(), design.perturbation.tolist(), s)]
     share = (s - design.perturbation) / pool
-    return share * R + profile.values(total - R) - s
+    return (share * R + profile.values(total - R) - s).tolist()
 
 
 def _payoff_sum(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> float:
     # The aggregate payoff at a profile s that fits the game, added in index
     # order from 0.0: builtin sum compensates from Python 3.12 on.
     total = 0.0
-    for u in _payoffs(profile, design, s).tolist():
+    for u in _payoffs(profile, design, s):
         total += u
     return total
 
@@ -377,12 +390,16 @@ def solve_equilibrium(profile: BenefitProfile, design: DesignPoint) -> Equilibri
     if floats:
         a, c = profile.coefficients.tolist(), c.tolist()
         neg_rc = [-R * c_k for c_k in c]
-        phi = _phi_floats
+
+        def phi(G):
+            return _phi_floats(G, R, c_bar, a, neg_rc)
     else:
-        a, neg_rc, phi = profile.coefficients, -R * c, _phi
+        a, neg_rc = profile.coefficients, -R * c
+
+        def phi(G):
+            return float(_phi(G, R, c_bar, a, neg_rc))
     lo, hi = _bracket(R, c_bar, profile)
-    G, status, nfev = _chandrupatla_scalar(
-        lambda G: float(phi(G, R, c_bar, a, neg_rc)), lo, hi)
+    G, status, nfev = _chandrupatla_scalar(phi, lo, hi)
     if status == -1:
         raise InfeasibleRegimeError(_NO_ROOT)
     if status:
@@ -414,16 +431,26 @@ def solve_sweep(profile: BenefitProfile, c, rewards) -> EquilibriumSweep:
     bracket holds no sign change, and NonconvergenceError when any row fails
     its consistency check.
     """
+    return _solve_sweep(profile, *_sweep_inputs(profile, c, rewards))
+
+
+def _sweep_inputs(profile: BenefitProfile, c, rewards) -> tuple:
+    # A sweep's checked (c, c_bar, rewards), or InvariantViolationError.
     rewards = np.asarray(rewards, dtype=float)
     if rewards.ndim != 1:
         raise InvariantViolationError("rewards must be a vector")
     bad = rewards[~((rewards > 0.0) & np.isfinite(rewards))]
     if bad.size:
         raise InvariantViolationError(f"reward must be positive, got {float(bad[0])!r}")
-    c = _checked_perturbation(c)
+    c, c_bar = _checked_perturbation(c)
     if c.shape != (profile.n_players,):
         raise InvariantViolationError("design point does not match the player count")
-    c_bar = float(c.sum())
+    return c, c_bar, rewards
+
+
+def _solve_sweep(profile: BenefitProfile, c: np.ndarray, c_bar: float,
+                 rewards: np.ndarray) -> EquilibriumSweep:
+    # `solve_sweep` on inputs already checked, as `_sweep_inputs` returns them.
     a, c = profile.coefficients[:, None], c[:, None]
     neg_rc = -rewards * c
     lo, hi = _bracket(rewards, c_bar, profile)
@@ -593,7 +620,7 @@ def certify_equilibrium(profile: BenefitProfile, design: DesignPoint, s) -> list
     certificate = []
     for i, (a_i, c_i, s_i, u_i) in enumerate(zip(
             profile.coefficients.tolist(), design.perturbation.tolist(),
-            s.tolist(), _payoffs(profile, design, s).tolist())):
+            s.tolist(), _payoffs(profile, design, s))):
         o = total - s_i
         d = o - c_bar + c_i
         # R - o rounded may leave o + x_lo, or the summed profile, short of R:

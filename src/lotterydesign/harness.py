@@ -46,7 +46,7 @@ import numpy as np
 import yaml
 
 from . import analysis, design as design_mod, grid as grid_mod
-from .benefit import BenefitProfile
+from .benefit import BenefitProfile, _plain_floats
 from .errors import (CaseParseError, CaseValidationError, ConfigError,
                      ExactnessViolationError, InvariantViolationError)
 from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point,
@@ -294,18 +294,24 @@ def _positive(value, name: str) -> float:
     return number
 
 
-def _perturbation(value, name: str, n: int) -> np.ndarray:
-    """`value` as a vector of n finite floats >= 0, or ConfigError naming the field."""
+def _perturbation(value, name: str, n: int) -> tuple[np.ndarray, float]:
+    """`value` as a vector of n finite floats >= 0 and its total, or ConfigError
+    naming the field.
+
+    A list of n floats goes to `_checked_perturbation` as it is, to be
+    checked on floats up to `_FLOAT_PLAYERS` players.
+    """
+    if not (_plain_floats(value) and len(value) == n):
+        try:
+            if isinstance(value, list) and _has_bool(value):
+                raise TypeError
+            value = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            value = None
+        if value is None or value.shape != (n,):
+            raise ConfigError(f"{name} must be a list of {n} numbers")
     try:
-        if isinstance(value, list) and _has_bool(value):
-            raise TypeError
-        vector = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        vector = None
-    if vector is None or vector.shape != (n,):
-        raise ConfigError(f"{name} must be a list of {n} numbers")
-    try:
-        return _checked_perturbation(vector)
+        return _checked_perturbation(value)
     except InvariantViolationError:
         raise ConfigError(f"{name} entries must be finite numbers >= 0") from None
 
@@ -575,9 +581,9 @@ def _money(values) -> list[str]:
 def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     profile, ids = _profile_from_config(cfg)
     point = _mapping(cfg.require("design_point"), "design_point", "reward")
-    c = _perturbation(point.get("perturbation", [0.0] * profile.n_players),
-                      "design_point.perturbation", profile.n_players)
-    dp = _design_point(_positive(point["reward"], "design_point.reward"), c)
+    c, c_bar = _perturbation(point.get("perturbation", [0.0] * profile.n_players),
+                             "design_point.perturbation", profile.n_players)
+    dp = _design_point(_positive(point["reward"], "design_point.reward"), c, c_bar)
     eq = solve_equilibrium(profile, dp)
     properties = analysis.check_properties(profile, dp, eq)
     results = {
@@ -623,9 +629,10 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         rewards = None
     if rewards is None or not rewards.size or not (0.0 < rewards[0] and rewards[-1] < math.inf):
         raise ConfigError("sweep.rewards must be a nonempty list of finite numbers > 0")
-    c = _perturbation(sweep.get("perturbation", [0.0] * profile.n_players),
-                      "sweep.perturbation", profile.n_players)
-    graded = analysis.analyze_sweep(profile, c, rewards)
+    c, c_bar = _perturbation(sweep.get("perturbation", [0.0] * profile.n_players),
+                             "sweep.perturbation", profile.n_players)
+    # The rewards and c are checked here, so the sweep does not check them again.
+    graded = analysis._analyze_sweep(profile, c, c_bar, rewards)
     reward, good, poa = rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist()
     statement, proof = ([getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
                         for bounds in (graded.bounds, graded.proof_bounds))

@@ -159,7 +159,7 @@ def poa_bounds(profile: BenefitProfile, design: DesignPoint, proof: bool = False
     two players are certifiably active.
     """
     terms = _terms(profile, design.perturbation_total)
-    return PoaBounds(*_compute_bounds(profile, terms, design.reward, proof))
+    return PoaBounds(*_compute_bounds(profile, terms, design.reward, proof)[0])
 
 
 def _compositions(total: float, n: int, step: float):

@@ -341,7 +341,7 @@ class TestVerifyDesign:
     def test_aggregate_payoff_adds_in_index_order(self, i2_problem, monkeypatch):
         # From 0.0, one player at a time: builtin sum compensates from Python
         # 3.12 on, where ten 0.1s add up to 1.0.
-        monkeypatch.setattr(game, "_payoffs", lambda *args: np.full(10, 0.1))
+        monkeypatch.setattr(game, "_payoffs", lambda *args: [0.1] * 10)
         with pytest.raises(ExactnessViolationError) as excinfo:
             verify_design(i2_problem, solve_design(i2_problem))
         assert excinfo.value.report["aggregate_payoff"] == 0.9999999999999999

@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import hashlib
 import importlib.resources
 import io
 import json
 import math
+import pkgutil
 import re
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -14,9 +17,10 @@ import jsonschema
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lotterydesign import ScenarioConfig, analysis, design, game, harness
+import lotterydesign
+from lotterydesign import ScenarioConfig, analysis, benefit, design, game, harness
 from lotterydesign import BenefitProfile, DesignPoint, run_scenario, run_selftest
 from lotterydesign.cli import main as cli_main
 from lotterydesign.errors import ConfigError
@@ -242,6 +246,60 @@ MALFORMED = [
 ]
 
 
+def entry_config(coefficients, perturbation):
+    """A scenario with these YAML tokens as its players' coefficients and as
+    the perturbation of its design point and of its sweep."""
+    players = "".join(f"    - {{player_id: {k}, coefficient: {a}}}\n"
+                      for k, a in enumerate(coefficients, 1))
+    c = ", ".join(perturbation)
+    return (f"profile:\n  players:\n{players}design_point: {{reward: 1.0, perturbation: [{c}]}}\n"
+            f"sweep: {{rewards: [1.0, 2.0], perturbation: [{c}]}}\n")
+
+
+# Malformed entries of the lists that are checked on floats up to
+# game._FLOAT_PLAYERS players and on numpy vectors above it, at 2 and at 40
+# players, each also a MALFORMED case: (verb, scenario text, the ConfigError's
+# text).
+BAD_ENTRIES = {"null": "null", "nan": ".nan", "inf": ".inf", "negative": "-1.0",
+               "bool": "true", "list": "[1.0]", "string": "x"}
+ENTRY_ERRORS = []
+for n in (2, 40):
+    ones, zeros = ["1.0"] * (n - 1), ["0.0"] * (n - 1)
+    cases = [("equilibrium", f"coefficients_sum_below_one_{n}",
+              entry_config([repr(0.5 / n)] * n, ["0.0"] * n), "profile.players",
+              "profile.players: aggregate marginal at zero must exceed 1, got 0.5")]
+    for kind, entry in BAD_ENTRIES.items():
+        number = kind in ("nan", "inf", "negative")
+        key = "profile.players[0].coefficient"
+        cases.append(("equilibrium", f"coefficient_{kind}_{n}",
+                      entry_config([entry] + ones, ["0.0"] * n), key,
+                      f"{key} must be a " + ("finite number > 0" if number else "number")))
+        for verb, key in (("equilibrium", "design_point.perturbation"),
+                          ("analyze", "sweep.perturbation")):
+            cases.append((verb, f"{verb}_perturbation_{kind}_{n}",
+                          entry_config(["1.0"] + ones, [entry] + zeros), key,
+                          f"{key} entries must be finite numbers >= 0" if number or kind == "null"
+                          else f"{key} must be a list of {n} numbers"))
+    for verb, name, text, key, message in cases:
+        ENTRY_ERRORS.append(pytest.param(verb, text, message, id=name))
+        MALFORMED.append(pytest.param(verb, text, key, id=f"entry_{name}"))
+
+
+# Every module that selects the float or the numpy form by player count.
+FORM_MODULES = [module for module in (
+    importlib.import_module(f"lotterydesign.{info.name}")
+    for info in pkgutil.iter_modules(lotterydesign.__path__)) if hasattr(module, "_FLOAT_PLAYERS")]
+
+
+@contextlib.contextmanager
+def numpy_forms():
+    """Every design point built, solved and graded on numpy vectors."""
+    with contextlib.ExitStack() as stack:
+        for module in FORM_MODULES:
+            stack.enter_context(mock.patch.object(module, "_FLOAT_PLAYERS", 0))
+        yield
+
+
 # A two-bus MATPOWER-subset case: the reference bus 1 feeds a 10 MW load at bus 2.
 TWO_BUS_CASE = """\
 mpc.baseMVA = 100;
@@ -337,6 +395,30 @@ class TestConfig:
         assert code == 1
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("verb, text, message", ENTRY_ERRORS)
+    def test_entry_errors_keep_their_text(self, tmp_path, verb, text, message):
+        # The float checks raise numpy's errors, on either side of the cutoff.
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
+        for forms in (contextlib.nullcontext, numpy_forms):
+            with forms(), pytest.raises(ConfigError) as info:
+                run_scenario(verb, cfg, out_dir=tmp_path / "out")
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_numeric_strings_are_numbers(self, tmp_path, n):
+        # YAML 1.1 reads an undotted 1e3 as a string, and numpy's conversion
+        # reads that string as 1000.0.
+        for verb in ("equilibrium", "analyze"):
+            reports = []
+            for a, c in (("1e3", "1e-1"), ("1000.0", "0.1")):
+                cfg = ScenarioConfig.from_file(write_config(
+                    tmp_path, entry_config([a] + ["1.0"] * (n - 1), [c] + ["0.0"] * (n - 1))))
+                out = tmp_path / a
+                run_scenario(verb, cfg, out_dir=out)
+                reports.append((out / "report.json").read_bytes())
+            assert cfg.raw["sweep"]["perturbation"][0] == 0.1
+            assert reports[0] == reports[1]
 
     def test_config_seed_is_checked_when_overridden(self, tmp_path, capsys):
         # As output_dir is: a bad value in the file is an error whatever overrides it.
@@ -662,7 +744,7 @@ class TestEquilibriumVerb:
     def test_aggregate_payoff_adds_in_index_order(self, tmp_path, monkeypatch):
         # From 0.0, one player at a time: builtin sum compensates from Python
         # 3.12 on, where ten 0.1s add up to 1.0.
-        monkeypatch.setattr(game, "_payoffs", lambda *args: np.full(10, 0.1))
+        monkeypatch.setattr(game, "_payoffs", lambda *args: [0.1] * 10)
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_equilibrium.yaml")
         report = run_scenario("equilibrium", cfg, out_dir=tmp_path).report
         assert report["results"]["aggregate_payoff"] == 0.9999999999999999
@@ -853,6 +935,17 @@ class TestSinglePass:
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_equilibrium.yaml")
         assert run_scenario("equilibrium", cfg, out_dir=tmp_path).status == "ok"
         assert calls == {"_checked_perturbation": 1}
+
+    def test_analyze_checks_the_perturbation_once(self, tmp_path, monkeypatch):
+        # The config reader checks it, and the sweep does not check it again.
+        calls = []
+        for module in (harness, game):
+            monkeypatch.setattr(module, "_checked_perturbation",
+                                lambda *args, raw=game._checked_perturbation:
+                                calls.append(args) or raw(*args))
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
+        assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "ok"
+        assert len(calls) == 1
 
     def test_analyze_bounds_each_variant_once_per_sweep(self, tmp_path, monkeypatch):
         # The bounds are closed forms in R: one evaluation per variant covers
@@ -1082,6 +1175,62 @@ class TestDeterminism:
             cfg = ScenarioConfig.from_file(path)
             run_scenario("casestudy", cfg, out_dir=tmp_path / name)
         assert dir_digest(tmp_path / "one") == dir_digest(tmp_path / "two")
+
+
+@st.composite
+def scenarios(draw):
+    """(a, c, reward, rewards) of a random scenario of 2-50 players, as floats."""
+    n = draw(st.integers(2, 50))
+    a = draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n))
+    c = [0.0] * n
+    if draw(st.booleans()):
+        c = draw(st.lists(st.floats(0.0, 2.0 * (sum(a) - 1.0) / n) | st.just(-0.0),
+                          min_size=n, max_size=n))
+    reward = 10.0 ** draw(st.floats(-2.0, 4.0))
+    rewards = [10.0 ** e for e in draw(st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=4))]
+    return a, c, reward, rewards
+
+
+def spread(n):
+    # A scenario of n players whose sums have 8 or more terms when n >= 8.
+    return (np.linspace(0.6, 3.0, n).tolist(), np.linspace(0.0, 1.0, n).tolist(), 2.0,
+            [0.05, 1.0, 43.6])
+
+
+def run_bytes(verb, raw, out):
+    """The bytes of each artifact a run of `verb` writes, or what it raises."""
+    try:
+        result = run_scenario(verb, ScenarioConfig(raw, out), out_dir=out)
+    except Exception as exc:  # the error is the outcome
+        return type(exc), str(exc)
+    return {name: (out / name).read_bytes() for name in result.artifacts}
+
+
+class TestFloatFormParity:
+    """Up to game._FLOAT_PLAYERS players a design point is checked, built,
+    solved and graded on floats, and its reports have the numpy forms' bytes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenarios())
+    # From 8 terms numpy's sums add pairwise, not in index order; 35 players
+    # are the last on floats and 36 the first on numpy vectors.
+    @example(spread(8))
+    @example(spread(game._FLOAT_PLAYERS))
+    @example(spread(game._FLOAT_PLAYERS + 1))
+    def test_reports_match_the_numpy_forms(self, case):
+        a, c, reward, rewards = case
+        players = [{"player_id": k, "coefficient": x} for k, x in enumerate(a, 1)]
+        raw = {"profile": {"players": players},
+               "design_point": {"reward": reward, "perturbation": c},
+               "sweep": {"rewards": rewards, "perturbation": c}}
+        with tempfile.TemporaryDirectory() as tmp:
+            for verb in ("equilibrium", "analyze"):
+                with mock.patch.object(benefit, "_float_sum", wraps=benefit._float_sum) as summed:
+                    floats = run_bytes(verb, raw, Path(tmp, "floats"))
+                assert summed.called == (len(a) <= game._FLOAT_PLAYERS)
+                with numpy_forms():
+                    vectors = run_bytes(verb, raw, Path(tmp, "numpy"))
+                assert floats == vectors
 
 
 class TestArtifactWrites:

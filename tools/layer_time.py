@@ -21,8 +21,12 @@ into the section and whether its gate holds:
   `_run_equilibrium` split at its `solve_equilibrium` call into build, solve
   and grade; encode (`_report_json`); write (`_write_artifact`); the whole
   `run_scenario`; and a truncate-first `Path.write_text` of the same bytes.
-  Also the median milliseconds of each sweep's `run_scenario`, `_report_json`
-  and `_sweep_csv_rows`, run 20 times per repeat among the corpus points.
+  Each stage's median is also given over the encode median of the same run
+  (`median_over_encode`): encoding does the same work in every tree, so the
+  ratio compares trees measured at different times with the shared machine's
+  drift divided out. Also the median milliseconds of each sweep's
+  `run_scenario`, `_report_json` and `_sweep_csv_rows`, run 20 times per
+  repeat among the corpus points.
 - `parse_time`: per `configs/*.yaml` file and seed-7 input, its size, its
   reader (`block`, or `yaml.load` when the line reader hands it on) and the
   median milliseconds of `ScenarioConfig.from_file` and of `yaml.load`.
@@ -196,10 +200,13 @@ def emit_time(games, work, spans):
         pairs = list(zip(spans["equilibrium"], spans["solve"], strict=True))
         spans["build"] = [(start, solve[0]) for (start, _), solve in pairs]
         spans["grade"] = [(solve[1], end) for (_, end), solve in pairs]
+        median_us = {stage: median(spans[stage], 1e6) for stage in STAGES}
         return {
             "points": len(games.corpus),
             "repeats": repeats,
-            "median_us": {stage: median(spans[stage], 1e6) for stage in STAGES},
+            "median_us": median_us,
+            "median_over_encode": {stage: round(us / median_us["encode"], 4)
+                                   for stage, us in median_us.items()},
             "analyze_seed": BENCH_SEED,
             "analyze_runs": repeats * SWEEP_RUNS,
             "analyze_median_ms": {
