@@ -101,15 +101,20 @@ def _load_yaml(text: str, loader=_YAML_LOADER):
     per node is most of the parse. `_read_block` reads a block-style document
     whose scalars are all plain tokens, the layout PyYAML's dumper writes,
     without the parser: a line at a time, except that a run of "- token"
-    items is read in one step. Any other stream goes to yaml.load
+    items is read in one step, and so is each later "- key:" mapping item of
+    a sequence laid out as its first one. Any other stream goes to yaml.load
     whole, which accepts or rejects it exactly as before, so a syntax error
     raises yaml.load's yaml.YAMLError. The text alone chooses the reader.
     """
+    return _read_yaml(text, loader)[0]
+
+
+def _read_yaml(text: str, loader=_YAML_LOADER) -> tuple:
+    """`_load_yaml`'s document, and False if `_read_block` read it and saw no bool."""
     try:
         return _read_block(text, loader)
     except _Fallback:
-        pass
-    return yaml.load(text, Loader=loader)
+        return yaml.load(text, Loader=loader), True
 
 
 _TOKEN = r"(?:[\w.+]|-(?=[\w.+]))[\w.+-]*"
@@ -123,8 +128,26 @@ _NOT_BLOCK = "#'\"[]{}&*!|>\t\r"
 _SIMPLE_KEY_LENGTH = 1024  # the longest implicit key libyaml and PyYAML accept
 
 
-def _read_block(text: str, loader):
-    """A block-style mapping whose scalars are all plain tokens, or _Fallback.
+def _record(span: str, indent: str, scalar) -> tuple:
+    """The layout of `span`, a "- key:" mapping item at `indent`: a regex of a
+    sibling with its keys in order, each value a token or a run of "- token"
+    items at the key's column (any item text, for the caller to check), then
+    a line indented less than the keys or the end; the keys resolved; which
+    values are runs; a run's item separator."""
+    column = indent + "  "
+    fields = re.findall(rf"^(?:{indent}- |{column})({_TOKEN}):( ?)", span, re.M)
+    # Possessive ("*+"): an item or character given back matches neither the next key nor the end.
+    run = rf"\n{column}- ([^\n]*+(?:\n{column}- [^\n]*+)*+)"
+    pattern = "\n".join(f"{column}{re.escape(name)}:" + (f" ({_TOKEN}+)" if inline else run)
+                        for name, inline in fields)
+    return (re.compile(rf"{indent}- {pattern[len(column):]}(?=\n(?!{column})|\Z)"),
+            [scalar(name) for name, _ in fields], [not inline for _, inline in fields],
+            f"\n{column}- ")
+
+
+def _read_block(text: str, loader) -> tuple:
+    """A block-style mapping whose scalars are all plain tokens, and whether a
+    token resolved to a bool; or _Fallback.
 
     Block rules: a sequence at its key's column is that key's value, "- key:"
     opens a compact mapping two columns in, a key with no deeper line below it
@@ -133,20 +156,35 @@ def _read_block(text: str, loader):
     structure (a plain scalar's continuation) raises _Fallback, as does any
     other line outside the subset, before a value is returned.
 
-    The text is walked by offsets. A run of "- token" items is read in one step:
-    a regex search finds its end, a split its tokens, and only new tokens are
-    resolved; an item that is not a lone token ends it and is read as a line.
+    The text is walked by offsets; known tokens are looked up directly and
+    only new ones resolved. A run of "- token" items is read in one step: a
+    regex search finds its end, a split its tokens; an item that is not a lone
+    token ends it and is read as a line. When a sequence's second "- key:"
+    mapping item starts, `_record` compiles the first one's layout, and each
+    later item is read in one match of it, or by lines when it does not match
+    or a run in it holds an item that is not a token.
     """
     if any(char in text for char in _NOT_BLOCK):
         raise _Fallback
     plain = {}  # token -> value; a large scenario repeats most of them
-    runs = {}  # indent -> (regex of the end of a run of items, item separator)
+    records = {}  # id of a sequence -> the offset of its first "- key:" item, then its layout
 
     def scalar(token):
         value = plain.get(token, _NO_KEY)
         if value is _NO_KEY:
             value = plain[token] = _plain_scalar(token, loader)
         return value
+
+    def resolved(items):
+        # The values of `items`, or None when one of them is not a token.
+        try:
+            return [plain[item] for item in items]
+        except KeyError:
+            unseen = set(items).difference(plain)
+        if not all(map(_WHOLE_TOKEN.match, unseen)):
+            return None
+        plain.update((item, _plain_scalar(item, loader)) for item in unseen)
+        return [plain[item] for item in items]
 
     root = container = {}
     column, key, stack = 0, _NO_KEY, []  # key: the container's key whose value is below
@@ -179,24 +217,40 @@ def _read_block(text: str, loader):
             raise _Fallback
         if dash and name is None:
             container.append(scalar(token))
-            if indent not in runs:
-                runs[indent] = re.compile(f"\n(?!{indent}- )"), f"\n{indent}- "
-            run_end, sep = runs[indent]
-            stop = run_end.search(text, nl, end)  # a "|\Z" branch would try every offset
+            # The run ends before the first line without its "- " (a "|\Z" branch
+            # would try every offset); re.compile's cache keeps the regex.
+            sep = f"\n{indent}- "
+            stop = re.compile(f"\n(?!{indent}- )").search(text, nl, end)
             stop = stop.start() if stop else end
             items = text[pos + len(sep) - 1:stop].split(sep)
-            unseen = set(items).difference(plain)
-            if bad := [item for item in unseen if not _WHOLE_TOKEN.match(item)]:
-                cut = min(map(items.index, bad))  # read from this item on by lines
-                del items[cut:]
-                stop = pos + cut * len(sep) + sum(map(len, items)) - 1
-                unseen.intersection_update(items)
-            for item in unseen:
-                plain[item] = _plain_scalar(item, loader)
-            container.extend(map(plain.__getitem__, items))
+            if (values := resolved(items)) is None:  # read from the first non-token on by lines
+                cut = next(k for k, item in enumerate(items) if not _WHOLE_TOKEN.match(item))
+                stop = pos + cut * len(sep) + sum(map(len, items[:cut])) - 1
+                values = resolved(items[:cut])
+            container.extend(values)
             pos = stop + 1
             continue
         if dash:
+            start = match.start()
+            layout = records.setdefault(id(container), start)
+            if type(layout) is int and layout < start:  # the second item: compile the first's
+                layout = records[id(container)] = _record(text[layout:start], indent, scalar)
+            if type(layout) is tuple:  # read this item and the next ones while they match
+                regex, names, is_run, item_sep = layout
+                while whole := regex.match(text, start):
+                    new = {}
+                    for field, run, group in zip(names, is_run, whole.groups()):
+                        new[field] = resolved(group.split(item_sep)) if run else scalar(group)
+                        if run and new[field] is None:  # an item that is not a token
+                            break  # read this mapping by lines
+                    else:
+                        container.append(new)
+                        start = whole.end() + 1
+                        continue
+                    break
+                if start != match.start():
+                    pos = start
+                    continue
             new = {}
             container.append(new)
             stack.append((column, container))
@@ -209,15 +263,17 @@ def _read_block(text: str, loader):
             container[scalar(name)] = scalar(value)
     if key is not _NO_KEY:
         container[key] = None
-    return root
+    return root, bool in set(map(type, plain.values()))
 
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario file plus the directory it was loaded from."""
+    """Parsed scenario file plus the directory it was loaded from; `bools` is
+    False when the file's reader saw no bool in it."""
 
     raw: dict
     base_dir: Path
+    bools: bool = True
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -225,12 +281,12 @@ class ScenarioConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw = _load_yaml(path.read_text())
+            raw, bools = _read_yaml(path.read_text())
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a mapping")
-        return cls(raw, path.parent)
+        return cls(raw, path.parent, bools)
 
     def get(self, key, default=None):
         return self.raw.get(key, default)
@@ -384,27 +440,36 @@ def _scenario_from_config(cfg: ScenarioConfig) -> grid_mod.DrScenario:
     )
 
 
-def _inline_constraints(rows: list[dict], n_players: int):
+def _inline_constraints(rows: list[dict], n_players: int, bools: bool):
     """A config's inline rows as a ConstraintSet, or ConfigError naming a bad field.
 
     The matrix is built in one pass; only when that fails are the rows read
-    one at a time, to name the first field that is not finite numbers.
+    one at a time, to name the first field that is not finite numbers. A bool
+    is not a number here, though float() takes it: the rows are scanned for
+    one unless `bools` is False, when the file's reader saw none.
     """
     expected = {"s_coeffs": f"a list of {n_players} finite numbers",
                 "r_coeff": "a finite number", "rhs": "a finite number"}
     for k, row in enumerate(rows):
         if not isinstance(row["s_coeffs"], list) or len(row["s_coeffs"]) != n_players:
             raise ConfigError(f"constraints.rows[{k}].s_coeffs must be {expected['s_coeffs']}")
+    s_coeffs, r_coeffs, rhs = ([row.get(key, 0.0) for row in rows]
+                               for key in ("s_coeffs", "r_coeff", "rhs"))
     try:
+        if bools and (_has_bool(r_coeffs + rhs) or any(map(_has_bool, s_coeffs))):
+            raise TypeError
+        a = np.empty((len(rows), n_players + 1))
+        a[:, :-1], a[:, -1] = s_coeffs, r_coeffs
         return design_mod.ConstraintSet(
-            [row["s_coeffs"] + [row.get("r_coeff", 0.0)] for row in rows],
-            [row["rhs"] for row in rows],
-            [str(row.get("label", f"row{k}")) for k, row in enumerate(rows)])
+            a, rhs, [str(row.get("label", f"row{k}")) for k, row in enumerate(rows)])
     except (TypeError, ValueError, OverflowError, InvariantViolationError):
         for k, row in enumerate(rows):
             for key, ndim in (("s_coeffs", 1), ("r_coeff", 0), ("rhs", 0)):
+                value = row.get(key, 0.0)
                 try:
-                    value = np.array(row.get(key, 0.0), dtype=float)
+                    if _has_bool(value if isinstance(value, list) else [value]):
+                        raise TypeError
+                    value = np.array(value, dtype=float)
                 except (TypeError, ValueError, OverflowError):
                     value = None
                 if value is None or value.ndim != ndim or not np.isfinite(value).all():
@@ -424,7 +489,7 @@ def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
             raise ConfigError("constraints.source=inline requires nonempty rows")
         rows = [_mapping(row, f"constraints.rows[{k}]", "s_coeffs", "rhs")
                 for k, row in enumerate(rows)]
-        return _inline_constraints(rows, n_players)
+        return _inline_constraints(rows, n_players, cfg.bools)
     if source == "grid":
         return grid_mod.build_dr_constraints(_scenario_from_config(cfg))
     raise ConfigError(f"unknown constraints source {source!r}")

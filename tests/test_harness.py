@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pkgutil
+import random
 import re
 import sys
 import tempfile
@@ -92,6 +93,12 @@ MALFORMED = [
                  "constraints.rows[0].r_coeff", id="row_r_coeff_overflows"),
     pytest.param("design", INLINE % "{s_coeffs: [1, 0, 0], rhs: 1}",
                  "constraints.rows[0].s_coeffs", id="row_s_coeffs_player_count"),
+    pytest.param("design", INLINE % "{s_coeffs: [true, 0], r_coeff: false, rhs: true}",
+                 "constraints.rows[0].s_coeffs", id="row_bools"),
+    pytest.param("design", INLINE % "{s_coeffs: [-1, 0], r_coeff: false, rhs: 1}",
+                 "constraints.rows[0].r_coeff", id="row_r_coeff_bool"),
+    pytest.param("design", INLINE % "{s_coeffs: [-1, 0], rhs: -2.0}, {s_coeffs: [-1, 0], rhs: yes}",
+                 "constraints.rows[1].rhs", id="row_rhs_bool"),
     pytest.param("design", I2_PLAYERS + "individual_rationality: true\n",
                  "individual_rationality", id="individual_rationality"),
     pytest.param("design", I2_PLAYERS + "individual_rationality: {enabled: 'false'}\n",
@@ -500,6 +507,7 @@ _DOCUMENTS = st.recursive(
     _SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_KEYS, kids, max_size=4),
     max_leaves=24)
 _DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+_BLOCK_LINE = harness._BLOCK_LINE
 _LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 _LARGE = yaml.dump({"rows": [{"s_coeffs": [0.5] * 60, "rhs": 1.0}] * 40}, Dumper=_DUMPER)
 _BLOCK = yaml.dump({"rows": [{"rhs": float(k), "s_coeffs": [0.5] * 60} for k in range(40)]},
@@ -530,6 +538,100 @@ _TOKEN_MAPPINGS = st.recursive(
                                  | st.lists(_TOKENS | kids, min_size=1, max_size=4),
                                  min_size=1, max_size=4),
     max_leaves=24)
+
+
+_EDITS = ["none", "add", "drop", "rename", "repeat", "run_length", "run_null", "deeper",
+          "not_token", "no_newline"]
+
+
+@st.composite
+def record_texts(draw):
+    """PyYAML's text of a sequence of 2-30 mappings with the same 1-5 keys in
+    the same order, each key's value a token in every mapping or a run of
+    tokens in every mapping, nested 0-2 mappings deep; then one mapping
+    edited (see `edit_record`). Returns the text and the edit."""
+    keys = draw(st.lists(_NAMES | st.integers(-99, 99), min_size=1, max_size=5, unique_by=repr))
+    runs = [draw(st.booleans()) for _ in keys]
+    # The values come from a drawn pool, picked by a seeded generator: drawing
+    # each of up to 900 values would take most of the test's time.
+    pool = draw(st.lists(_TOKENS, min_size=1, max_size=5, unique_by=repr))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    siblings = [{key: rng.choices(pool, k=rng.randint(1, 6)) if run else rng.choice(pool)
+                 for key, run in zip(keys, runs)} for _ in range(draw(st.integers(2, 30)))]
+    document = {"items": siblings}
+    for _ in range(draw(st.integers(0, 2))):
+        document = {"outer": document}
+    if draw(st.booleans()):
+        document["tail"] = 1
+    text = yaml.dump(document, Dumper=_DUMPER, default_flow_style=False, sort_keys=False)
+    edit = draw(st.sampled_from(_EDITS))
+    return edit_record(text, edit, draw(st.integers(0, 10 ** 6))), edit
+
+
+def edit_record(text, edit, k):
+    """`text` with one mapping of its "items" sequence edited as `edit` names,
+    the mapping and the field chosen by k."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.lstrip() == "items:")
+    dash = lines[at][:-len("items:")] + "- "
+    keys = " " * len(dash)
+    starts = [i for i, line in enumerate(lines) if line.startswith(dash)]
+    start = starts[k % len(starts)]
+    stop = start + 1
+    while stop < len(lines) and lines[stop].startswith(keys):
+        stop += 1
+    item = lines[start:stop]
+    # Each field's lines: its key line, then its run's items.
+    heads = [i for i, line in enumerate(item) if not line.startswith(keys + "- ")]
+    fields = [item[a:b] for a, b in zip(heads, heads[1:] + [len(item)])]
+    f = k % len(fields)
+    field = fields[f]
+    runs = [g for g in fields if len(g) > 1]
+    if edit == "add":
+        item.append(keys + "added: 1")
+    elif edit == "drop":
+        del fields[f]
+        if fields and f == 0:
+            fields[0][0] = dash + fields[0][0][len(keys):]
+        item = sum(fields, [])
+    elif edit == "rename":  # a "." in the key made "x", which a regex "." would match
+        colon = field[0].index(":", len(keys))
+        name = field[0][len(keys):colon]
+        name = name.replace(".", "x", 1) if "." in name else "renamed"
+        field[0] = field[0][:len(keys)] + name + field[0][colon:]
+        item = sum(fields, [])
+    elif edit == "repeat":
+        item += [keys + field[0][len(keys):]] + field[1:]
+    elif edit in ("run_length", "run_null") and runs:
+        run = runs[k % len(runs)]
+        if edit == "run_null":
+            del run[1:]
+        elif len(run) > 2 and k % 2:
+            del run[-1]
+        else:
+            run.append(run[1])
+        item = sum(fields, [])
+    elif edit == "deeper":
+        item.append(keys + ("  deeper: 1" if k % 2 else "  - 1"))
+    elif edit == "not_token":
+        bad = ["a b", "a: b", "- 1", ""][k % 4]
+        if len(field) > 1:
+            field[-1] = keys + "- " + bad
+        else:
+            field[0] = field[0][:field[0].index(":", len(keys)) + 1] + " " + bad
+        item = sum(fields, [])
+    lines[start:stop] = item
+    return "\n".join(lines) + ("" if edit == "no_newline" else "\n")
+
+
+class LineCount:
+    """`harness._BLOCK_LINE`, counting the lines matched against it."""
+
+    count = 0
+
+    def match(self, *args):
+        self.count += 1
+        return _BLOCK_LINE.match(*args)
 
 
 def outcome(call):
@@ -599,6 +701,29 @@ class TestYamlReader:
             lambda: yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=record_texts())
+    def test_edited_records(self, loader, drawn):
+        # Mappings laid out as their sequence's first one are read in one
+        # match each, and an edited one by lines: the document is yaml.load's.
+        # Only a deeper line or an item that is not a token leaves the line
+        # reader's subset and may go to yaml.load.
+        text, edit = drawn
+        lines = LineCount()
+        with mock.patch.object(harness, "_BLOCK_LINE", lines), \
+                mock.patch.object(yaml, "load", wraps=yaml.load) as load:
+            got = outcome(lambda: harness._load_yaml(text, loader))
+        assert got == outcome(lambda: yaml.load(text, Loader=loader))
+        if edit not in ("deeper", "not_token"):
+            assert not load.called
+        if edit == "none":
+            # By lines: the lines down to the second mapping's first, and "tail".
+            text_lines = text.splitlines()
+            dash = next(line for line in text_lines if line.lstrip() == "items:")[:-6] + "- "
+            second = [n for n, line in enumerate(text_lines) if line.startswith(dash)][1]
+            assert lines.count <= second + 2
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     def test_token_scalars_resolve_to_constructed_tags(self, loader):
         # `_plain_scalar` looks up the constructor of whatever tag a token
         # resolves to, with no fallback: each resolver keyed on a character
@@ -637,13 +762,31 @@ class TestYamlReader:
         "a:\n- 1\n- 2\n- b:\n  - 3\n  - 1\n  c:\n    - 2\n    - 4\n    - 2\n- 5\n- 1\n",
         "a:\n- b:\n  - 1\n- 1234\n- 1\n",
         "a:\n- 1.\n- -0.\n- +1.5e+3\n- 1.5E-3\n- 1.0e3\n- 1_0.5\n- .5\n- 1.5e+400\n- 1.\n",
+        "a:\n- k: 1\n  r:\n  - x\n  - 2\n- k: 2\n  r:\n  - 3\n- k: 3\n  r:\n  - x\n  - y\nb: 1\n",
+        "a:\n- k: 1\n- k: 2\n  j: 3\n- k: 4\n",
+        "a:\n- k: 1\n  r:\n  - 1\n- k: 2\n  r:\n- k: 3\n  r:\n  - 2\n",
+        "a:\n- k: 1\n  r:\n  - 1\n- k: 2\n  r:\n  - b: 1\n- k: 3\n  r:\n  - 2\n",
+        "a:\n- k: 1\n- k: 2\n- k: 3",
+        "a:\n- k: 1\n  r:\n  - 1\n- k: 2\n  r:\n  - 2",
+        "a:\n- k: 1\n- 5\n- k: 2\n- k: 3\n",
+        "a:\n- k: 1\n  m:\n  - x: 1\n  - x: 2\n- k: 2\n  m:\n  - x: 3\n  - x: 4\n",
+        "a:\n- k: 1\n  k: 2\n- k: 3\n  k: 4\n- k: 5\n  k: 6\n",
+        "a:\n- 1: x\n  1.0: y\n  null: z\n- 1: a\n  1.0: b\n  null: c\n",
+        "a:\n- k: 1\n  j:\n    x: 1\n- k: 2\n  j:\n    x: 2\n",
+        "a:\n- k:\n    - 1\n- k:\n    - 2\n",
+        "a:\n  b:\n  - k: 1\n  - k: 2\n  - k: 3\nc:\n- k: 4\n- j: 5\n- j: 6\n",
     ], ids=["duplicates", "nesting", "scalar_keys", "scalars", "longest_key", "run_new_token",
             "run_then_mapping", "run_at_eof", "run_then_dedented_key", "run_then_key",
-            "nested_runs", "item_then_dedented_item", "floats"])
+            "nested_runs", "item_then_dedented_item", "floats", "records", "record_extra_key",
+            "record_null_run", "record_mapping_in_run", "record_at_eof", "record_run_at_eof",
+            "record_after_scalar_item", "record_nested_records", "record_repeated_key",
+            "record_equal_keys", "record_mapping_value", "record_indented_run",
+            "records_at_two_indents"])
     def test_read_by_lines(self, loader, text):
         # A repeated key keeps its first place and its last value; a key with
         # no deeper line below it is null. A run of "- token" items ends at a
-        # line of any other kind, which is read as a line.
+        # line of any other kind, which is read as a line. A "- key:" item
+        # laid out otherwise than its sequence's first one is read by lines.
         value, reader = read_yaml(text, loader)
         assert repr(value) == repr(yaml.load(text, Loader=loader))
         assert reader == "block"
@@ -679,10 +822,16 @@ class TestYamlReader:
         "a:\n- 1\n-  2\n- 1\n",
         "a:\n- 1\n- 1\n- - 1\n",
         "a:\n- 1\n- 2\n- 1\n- 2001-13-45\n- 2\n",
+        "a:\n- k: 1\n  r:\n  - 1\n- k: 2\n  r:\n  - a b\n",
+        "a:\n- k: 1\n  r:\n  - 1\n- k: 2\n  r:\n  - \n",
+        "a:\n- k: 1\n- k: 2\n    x\n",
+        "a:\n- k: 1\n- k: a b\n",
+        "a:\n- k: 1\n- k: 2001-13-45\n",
     ], ids=["long_key", "continuation", "document_end", "document_start", "comment", "blank_line",
             "tab", "crlf", "nested_item", "empty_item", "top_level_list", "run_item_with_space",
             "run_item_with_colon", "run_empty_item", "run_item_indented", "run_nested_item",
-            "run_bad_timestamp"])
+            "run_bad_timestamp", "record_run_item_with_space", "record_run_empty_item",
+            "record_continuation", "record_value_with_space", "record_bad_timestamp"])
     def test_line_reader_fallbacks(self, loader, text):
         # The line reader hands these on; the document or error is yaml.load's.
         with pytest.raises(harness._Fallback):
@@ -750,6 +899,23 @@ class TestEquilibriumVerb:
         assert report["results"]["aggregate_payoff"] == 0.9999999999999999
 
 
+    def test_failing_property_row_fails_the_status(self, tmp_path, monkeypatch):
+        # The status reads the property rows: with the closed-form dG/dR
+        # negated, the reward-sensitivity row alone fails, and the FOC
+        # residual stays within its tolerance.
+        text = I2_PLAYERS + "design_point: {reward: 1.0, perturbation: [0, 0]}\n"
+        cfg = ScenarioConfig.from_file(write_config(tmp_path, text))
+        assert run_scenario("equilibrium", cfg, out_dir=tmp_path).status == "ok"
+        sensitivities = analysis._good_sensitivities
+        monkeypatch.setattr(analysis, "_good_sensitivities",
+                            lambda *args: (-sensitivities(*args)[0], sensitivities(*args)[1]))
+        report = run_scenario("equilibrium", cfg, out_dir=tmp_path).report
+        assert report["status"] == "verification_failed"
+        assert [row["property"] for row in report["properties"] if row["holds"] is False] == [
+            "reward_sensitivity_sign"]
+        assert report["results"]["max_foc_violation"] <= game.TOLERANCES["foc_residual"]["value"]
+
+
 class TestAnalyzeVerb:
     def test_sweep_monotone_poa(self, tmp_path, schema):
         text = I2_PLAYERS + (
@@ -811,6 +977,25 @@ class TestAnalyzeVerb:
         monkeypatch.setitem(game.TOLERANCES["foc_residual"], "value", -1.0)
         assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "verification_failed"
 
+    def test_one_failing_row_fails_the_sweep(self, tmp_path, monkeypatch):
+        # The status reads graded.ok: with the closed-form dG/dR negated at
+        # the first reward only, that row alone fails a property, and every
+        # FOC residual stays within its tolerance.
+        cfg = ScenarioConfig.from_file(CONFIGS / "two_player_analyze.yaml")
+        sensitivities = analysis._good_sensitivities
+
+        def flipped(a_sum, n, R, c_bar, G):
+            dG_dR, dG_dc = sensitivities(a_sum, n, R, c_bar, G)
+            return np.where(np.arange(np.size(R)) == 0, -dG_dR, dG_dR), dG_dc
+
+        monkeypatch.setattr(analysis, "_good_sensitivities", flipped)
+        profile, _ = harness._profile_from_config(cfg)
+        graded = analysis.analyze_sweep(profile, [0.0, 0.0], cfg.require("sweep")["rewards"])
+        assert graded.ok.tolist() == [False, True, True, True, True]
+        assert (graded.equilibria.max_foc_violation
+                <= game.TOLERANCES["foc_residual"]["value"]).all()
+        assert run_scenario("analyze", cfg, out_dir=tmp_path).status == "verification_failed"
+
 
 class TestDesignVerb:
     def test_unconstrained(self, tmp_path, schema):
@@ -856,6 +1041,40 @@ class TestDesignVerb:
         cfg = ScenarioConfig.from_file(write_config(tmp_path, with_ir, "ir.yaml"))
         result = run_scenario("design", cfg, out_dir=tmp_path / "b")
         assert result.status == "infeasible"
+
+    @pytest.mark.parametrize("field", ["s_coeffs", "r_coeff", "rhs"])
+    def test_bool_in_a_row_is_rejected_by_every_reader(self, tmp_path, field):
+        # float() reads true as 1.0. The bool is in the third row, which the
+        # line reader reads in one match; flow style goes to yaml.load, and a
+        # config built in memory has no reader to say it holds no bool.
+        rows = [{"label": f"r{k}", "s_coeffs": [-1.0, 0.0], "r_coeff": 0.0, "rhs": -1.0}
+                for k in range(3)]
+        raw = {"profile": {"players": [{"player_id": 1, "coefficient": 1.0},
+                                       {"player_id": 2, "coefficient": 1.0}]},
+               "constraints": {"source": "inline", "rows": rows}}
+
+        def configs(name):
+            dumps = [yaml.dump(raw, Dumper=_DUMPER, default_flow_style=flow, sort_keys=False)
+                     for flow in (False, True)]
+            assert [read_yaml(text)[1] for text in dumps] == ["block", "yaml.load"]
+            return [ScenarioConfig(raw, tmp_path)] + [
+                ScenarioConfig.from_file(write_config(tmp_path, text, f"{name}{k}.yaml"))
+                for k, text in enumerate(dumps)]
+
+        assert [cfg.bools for cfg in configs("ok")] == [True, False, True]
+        for cfg in configs("ok"):
+            assert run_scenario("design", cfg, out_dir=tmp_path / "out").status == "ok"
+        rows[2][field] = [True, 0.0] if field == "s_coeffs" else True
+        expected = f"constraints.rows[2].{field} must be a " + (
+            "list of 2 finite numbers" if field == "s_coeffs" else "finite number")
+        rows[1]["rhs"] = math.nan  # an earlier bad field is named first
+        for message in ("constraints.rows[1].rhs must be a finite number", expected):
+            for cfg in configs("bool"):
+                assert cfg.bools
+                with pytest.raises(ConfigError) as info:
+                    run_scenario("design", cfg, out_dir=tmp_path / "out")
+                assert str(info.value) == message
+            rows[1]["rhs"] = -1.0
 
     @pytest.mark.parametrize("verb, text", [("design", I2_PLAYERS),
                                             ("casestudy", CASESTUDY)],

@@ -29,7 +29,10 @@ into the section and whether its gate holds:
   repeat among the corpus points.
 - `parse_time`: per `configs/*.yaml` file and seed-7 input, its size, its
   reader (`block`, or `yaml.load` when the line reader hands it on) and the
-  median milliseconds of `ScenarioConfig.from_file` and of `yaml.load`.
+  median milliseconds of `ScenarioConfig.from_file` and of `yaml.load`. Per
+  design_lp input also the median milliseconds of the benchmark's whole
+  `design` operation (`ScenarioConfig.from_file`, then `run_scenario`), and
+  the read's share of it: the `from_file` median over the operation's.
 - `lp_solve_time`: per design_lp input and `configs/case30.yaml`, the tableau
   shape, pivot counts, the number of lexicographic stages a solve runs (calls
   to `_run_phase`) and median milliseconds of `build_reformulation`,
@@ -225,7 +228,12 @@ def reader(text, loader):
         return "yaml.load"
 
 
-def parse_time(work, spans):
+def design_operation(path, out):
+    """The benchmark's `design` operation on one input: read it, then run the verb."""
+    return run_scenario("design", ScenarioConfig.from_file(path), out_dir=out)
+
+
+def parse_time(work, designs, spans):
     loader = harness._YAML_LOADER
     paths = [(f"configs/{p.name}", p) for p in sorted((ROOT / "configs").glob("*.yaml"))]
     paths += [(f"bench:{BENCH_SEED}/{p.name}", p) for p in sorted(work.glob("*.yaml"))]
@@ -239,11 +247,16 @@ def parse_time(work, spans):
             unread.append(name)
         calls += [(("from_file", name), partial(ScenarioConfig.from_file, path)),
                   (("yaml_load", name), partial(yaml.load, text, Loader=loader))]
+        if path in designs:
+            calls.append((("design", name), partial(design_operation, path, work / "out" / name)))
 
     def finish(repeats):
         for name, row in files.items():
             row.update(from_file_ms=round(median(spans["from_file", name], 1e3), 3),
                        yaml_load_ms=round(median(spans["yaml_load", name], 1e3), 3))
+            if spans["design", name]:
+                row["design_ms"] = round(median(spans["design", name], 1e3), 3)
+                row["read_share"] = round(row["from_file_ms"] / row["design_ms"], 3)
         return {"loader": loader.__name__, "repeats": repeats, "files": files,
                 "mismatches": mismatches, "not_read_by_lines": unread}, not (mismatches or unread)
     return calls, finish
@@ -308,7 +321,8 @@ def main():
         games.generate(BENCH_SEED, work)
         sections = {"sweep_solve_time": sweep_solve_time(games, spans),
                     "emit_time": emit_time(games, work, spans),
-                    "parse_time": parse_time(work, spans),
+                    "parse_time": parse_time(
+                        work, [p.config for p in design_lp.problems], spans),
                     "lp_solve_time": lp_solve_time(design_lp, work, spans)}
         in_turn([call for calls, _ in sections.values() for call in calls], args.repeats, spans)
     results = {name: finish(args.repeats) for name, (_, finish) in sections.items()}
