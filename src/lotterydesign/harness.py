@@ -38,7 +38,7 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -93,8 +93,9 @@ def _plain_scalar(text: str, loader):
         raise _Fallback from None
 
 
-def _load_yaml(text: str, loader=_YAML_LOADER):
-    """`yaml.load(text, Loader=loader)`, read by `_read_block` when it takes the text.
+def _load_yaml(text: str, loader=_YAML_LOADER) -> tuple:
+    """`yaml.load(text, Loader=loader)`, read by `_read_block` when it takes the
+    text, and False if it did and saw no bool (True: there may be one).
 
     PyYAML turns the parser's events into nodes and the nodes into values in
     Python, and on a large scenario file even making one Python event object
@@ -106,11 +107,6 @@ def _load_yaml(text: str, loader=_YAML_LOADER):
     whole, which accepts or rejects it exactly as before, so a syntax error
     raises yaml.load's yaml.YAMLError. The text alone chooses the reader.
     """
-    return _read_yaml(text, loader)[0]
-
-
-def _read_yaml(text: str, loader=_YAML_LOADER) -> tuple:
-    """`_load_yaml`'s document, and False if `_read_block` read it and saw no bool."""
     try:
         return _read_block(text, loader)
     except _Fallback:
@@ -129,16 +125,14 @@ _SIMPLE_KEY_LENGTH = 1024  # the longest implicit key libyaml and PyYAML accept
 
 
 def _record(span: str, indent: str, scalar) -> tuple:
-    """The layout of `span`, a "- key:" mapping item at `indent`: a regex of a
-    sibling with its keys in order, each value a token or a run of "- token"
-    items at the key's column (any item text, for the caller to check), then
-    a line indented less than the keys or the end; the keys resolved; which
-    values are runs; a run's item separator."""
+    """The layout of `span`, a "- key:" mapping item at `indent`: a regex of a sibling
+    (its keys in order, each value a token or a run of "- " items at the key's column,
+    then a line indented less than the keys or the end), its keys resolved, which
+    values are runs, and a run's item separator."""
     column = indent + "  "
     fields = re.findall(rf"^(?:{indent}- |{column})({_TOKEN}):( ?)", span, re.M)
-    # Possessive ("*+"): an item or character given back matches neither the next key nor the end.
-    run = rf"\n{column}- ([^\n]*+(?:\n{column}- [^\n]*+)*+)"
-    pattern = "\n".join(f"{column}{re.escape(name)}:" + (f" ({_TOKEN}+)" if inline else run)
+    run = rf"\n{column}- ([^\n]*(?:\n{column}- [^\n]*)*)"
+    pattern = "\n".join(f"{column}{re.escape(name)}:" + (f" ({_TOKEN})" if inline else run)
                         for name, inline in fields)
     return (re.compile(rf"{indent}- {pattern[len(column):]}(?=\n(?!{column})|\Z)"),
             [scalar(name) for name, _ in fields], [not inline for _, inline in fields],
@@ -156,13 +150,12 @@ def _read_block(text: str, loader) -> tuple:
     structure (a plain scalar's continuation) raises _Fallback, as does any
     other line outside the subset, before a value is returned.
 
-    The text is walked by offsets; known tokens are looked up directly and
-    only new ones resolved. A run of "- token" items is read in one step: a
-    regex search finds its end, a split its tokens; an item that is not a lone
-    token ends it and is read as a line. When a sequence's second "- key:"
-    mapping item starts, `_record` compiles the first one's layout, and each
-    later item is read in one match of it, or by lines when it does not match
-    or a run in it holds an item that is not a token.
+    The text is walked by offsets; known tokens are looked up directly, new ones
+    resolved. A run of "- token" items is read in one step (a regex finds its end,
+    a split its tokens) up to an item that is not a lone token, read as a line.
+    From a sequence's second "- key:" mapping item on, each item is read in one
+    match of the first one's layout (`_record`), or by lines when it does not
+    match or a run in it holds an item that is not a token.
     """
     if any(char in text for char in _NOT_BLOCK):
         raise _Fallback
@@ -217,10 +210,8 @@ def _read_block(text: str, loader) -> tuple:
             raise _Fallback
         if dash and name is None:
             container.append(scalar(token))
-            # The run ends before the first line without its "- " (a "|\Z" branch
-            # would try every offset); re.compile's cache keeps the regex.
-            sep = f"\n{indent}- "
-            stop = re.compile(f"\n(?!{indent}- )").search(text, nl, end)
+            sep = f"\n{indent}- "  # a run ends before a line without it ("|\Z" tries all offsets)
+            stop = re.compile(f"\n(?!{indent}- )").search(text, nl, end)  # re caches the regex
             stop = stop.start() if stop else end
             items = text[pos + len(sep) - 1:stop].split(sep)
             if (values := resolved(items)) is None:  # read from the first non-token on by lines
@@ -238,18 +229,13 @@ def _read_block(text: str, loader) -> tuple:
             if type(layout) is tuple:  # read this item and the next ones while they match
                 regex, names, is_run, item_sep = layout
                 while whole := regex.match(text, start):
-                    new = {}
-                    for field, run, group in zip(names, is_run, whole.groups()):
-                        new[field] = resolved(group.split(item_sep)) if run else scalar(group)
-                        if run and new[field] is None:  # an item that is not a token
-                            break  # read this mapping by lines
-                    else:
-                        container.append(new)
-                        start = whole.end() + 1
-                        continue
-                    break
+                    values = [resolved(group.split(item_sep)) if run else scalar(group)
+                              for run, group in zip(is_run, whole.groups())]
+                    if any(run and value is None for run, value in zip(is_run, values)):
+                        break  # a run holds an item that is not a token: read it by lines
+                    container.append(dict(zip(names, values)))
+                    pos = start = whole.end() + 1
                 if start != match.start():
-                    pos = start
                     continue
             new = {}
             container.append(new)
@@ -268,12 +254,11 @@ def _read_block(text: str, loader) -> tuple:
 
 @dataclass
 class ScenarioConfig:
-    """Parsed scenario file plus the directory it was loaded from; `bools` is
-    False when the file's reader saw no bool in it."""
+    """Parsed scenario file plus the directory it was loaded from."""
 
     raw: dict
     base_dir: Path
-    bools: bool = True
+    bools: bool = field(default=True, init=False, repr=False)  # False: its reader saw no bool
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -281,12 +266,14 @@ class ScenarioConfig:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
         try:
-            raw, bools = _read_yaml(path.read_text())
+            raw, bools = _load_yaml(path.read_text())
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config {path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must be a mapping")
-        return cls(raw, path.parent, bools)
+        cfg = cls(raw, path.parent)
+        cfg.bools = bools
+        return cfg
 
     def get(self, key, default=None):
         return self.raw.get(key, default)
@@ -328,9 +315,9 @@ def _number(value, name: str) -> float:
         raise ConfigError(f"{name} must be a number") from None
 
 
-def _has_bool(values: list) -> bool:
-    """Whether a list read from YAML holds a bool, which float() would take."""
-    return any(type(v) is bool for v in values)
+def _has_bool(value) -> bool:
+    """Whether a value read from YAML is or holds a bool, which float() would take."""
+    return any(type(v) is bool for v in (value if isinstance(value, list) else [value]))
 
 
 def _finite(value, name: str, low: float = -math.inf) -> float:
@@ -444,9 +431,8 @@ def _inline_constraints(rows: list[dict], n_players: int, bools: bool):
     """A config's inline rows as a ConstraintSet, or ConfigError naming a bad field.
 
     The matrix is built in one pass; only when that fails are the rows read
-    one at a time, to name the first field that is not finite numbers. A bool
-    is not a number here, though float() takes it: the rows are scanned for
-    one unless `bools` is False, when the file's reader saw none.
+    one at a time, to name the first field that is not finite numbers. A bool is not
+    a number, though float() takes it: unless `bools` is False, the rows are scanned.
     """
     expected = {"s_coeffs": f"a list of {n_players} finite numbers",
                 "r_coeff": "a finite number", "rhs": "a finite number"}
@@ -467,9 +453,7 @@ def _inline_constraints(rows: list[dict], n_players: int, bools: bool):
             for key, ndim in (("s_coeffs", 1), ("r_coeff", 0), ("rhs", 0)):
                 value = row.get(key, 0.0)
                 try:
-                    if _has_bool(value if isinstance(value, list) else [value]):
-                        raise TypeError
-                    value = np.array(value, dtype=float)
+                    value = None if _has_bool(value) else np.array(value, dtype=float)
                 except (TypeError, ValueError, OverflowError):
                     value = None
                 if value is None or value.ndim != ndim or not np.isfinite(value).all():

@@ -324,12 +324,12 @@ mpc.branch = [
 
 
 def read_yaml(text, loader=harness._YAML_LOADER):
-    """`harness._load_yaml(text, loader)`, and the reader that built it.
+    """`harness._load_yaml(text, loader)`'s document, and the reader that built it.
 
     "block" for the line reader, "yaml.load" when it handed the text on.
     """
     with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
-        value = harness._load_yaml(text, loader)
+        value = harness._load_yaml(text, loader)[0]
     return value, "yaml.load" if load.called else "block"
 
 
@@ -377,7 +377,7 @@ class TestConfig:
         assert repr(yaml.load(text, Loader=yaml.SafeLoader)) == expected
         assert repr(ScenarioConfig.from_file(path).raw) == expected
         for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-            assert repr(harness._load_yaml(text, loader)) == expected
+            assert repr(harness._load_yaml(text, loader)[0]) == expected
 
     def test_missing_profile_key(self, tmp_path):
         cfg = ScenarioConfig.from_file(write_config(tmp_path, "alpha: 1\n"))
@@ -666,7 +666,7 @@ class TestYamlReader:
     @given(document=_DOCUMENTS, flow=st.sampled_from([False, None, True]))
     def test_dumped_documents(self, loader, document, flow):
         text = yaml.dump(document, Dumper=_DUMPER, default_flow_style=flow)
-        assert repr(harness._load_yaml(text, loader)) == repr(yaml.load(text, Loader=loader))
+        assert repr(harness._load_yaml(text, loader)[0]) == repr(yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     @settings(max_examples=150, deadline=None)
@@ -697,7 +697,7 @@ class TestYamlReader:
             elif edit == "copy":
                 lines.insert(k, lines[(k * 7) % len(lines)])
         text = "\n".join(lines) + "\n"
-        assert outcome(lambda: harness._load_yaml(text, loader)) == outcome(
+        assert outcome(lambda: harness._load_yaml(text, loader)[0]) == outcome(
             lambda: yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
@@ -712,7 +712,7 @@ class TestYamlReader:
         lines = LineCount()
         with mock.patch.object(harness, "_BLOCK_LINE", lines), \
                 mock.patch.object(yaml, "load", wraps=yaml.load) as load:
-            got = outcome(lambda: harness._load_yaml(text, loader))
+            got = outcome(lambda: harness._load_yaml(text, loader)[0])
         assert got == outcome(lambda: yaml.load(text, Loader=loader))
         if edit not in ("deeper", "not_token"):
             assert not load.called
@@ -836,7 +836,7 @@ class TestYamlReader:
         # The line reader hands these on; the document or error is yaml.load's.
         with pytest.raises(harness._Fallback):
             harness._read_block(text, loader)
-        assert outcome(lambda: harness._load_yaml(text, loader)) == outcome(
+        assert outcome(lambda: harness._load_yaml(text, loader)[0]) == outcome(
             lambda: yaml.load(text, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
@@ -854,7 +854,7 @@ class TestYamlReader:
     def test_fallback_constructs(self, loader, text):
         # Each is handed to yaml.load, which builds it or raises as before.
         with mock.patch.object(yaml, "load", wraps=yaml.load) as load:
-            got = outcome(lambda: harness._load_yaml(text, loader))
+            got = outcome(lambda: harness._load_yaml(text, loader)[0])
         assert load.called
         assert got == outcome(lambda: yaml.load(text, Loader=loader))
 
@@ -1062,6 +1062,8 @@ class TestDesignVerb:
                 for k, text in enumerate(dumps)]
 
         assert [cfg.bools for cfg in configs("ok")] == [True, False, True]
+        with pytest.raises(TypeError):  # only the reader may clear the note
+            ScenarioConfig(raw, tmp_path, False)
         for cfg in configs("ok"):
             assert run_scenario("design", cfg, out_dir=tmp_path / "out").status == "ok"
         rows[2][field] = [True, 0.0] if field == "s_coeffs" else True
