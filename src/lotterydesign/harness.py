@@ -126,12 +126,13 @@ _SIMPLE_KEY_LENGTH = 1024  # the longest implicit key libyaml and PyYAML accept
 
 def _record(span: str, indent: str, scalar) -> tuple:
     """The layout of `span`, a "- key:" mapping item at `indent`: a regex of a sibling
-    (its keys in order, each value a token or a run of "- " items at the key's column,
+    (its keys in order, each value a token or a run's text up to the next key's ":",
     then a line indented less than the keys or the end), its keys resolved, which
-    values are runs, and a run's item separator."""
+    values are runs, and a run's item separator. Tokens hold no ":", and the caller
+    takes a run only if each item split from it is a whole token."""
     column = indent + "  "
     fields = re.findall(rf"^(?:{indent}- |{column})({_TOKEN}):( ?)", span, re.M)
-    run = rf"\n{column}- ([^\n]*(?:\n{column}- [^\n]*)*)"
+    run = rf"\n{column}- ([^:]*)"
     pattern = "\n".join(f"{column}{re.escape(name)}:" + (f" ({_TOKEN})" if inline else run)
                         for name, inline in fields)
     return (re.compile(rf"{indent}- {pattern[len(column):]}(?=\n(?!{column})|\Z)"),
@@ -151,11 +152,10 @@ def _read_block(text: str, loader) -> tuple:
     other line outside the subset, before a value is returned.
 
     The text is walked by offsets; known tokens are looked up directly, new ones
-    resolved. A run of "- token" items is read in one step (a regex finds its end,
-    a split its tokens) up to an item that is not a lone token, read as a line.
-    From a sequence's second "- key:" mapping item on, each item is read in one
-    match of the first one's layout (`_record`), or by lines when it does not
-    match or a run in it holds an item that is not a token.
+    resolved. A run of "- token" items is read in one step up to an item that is
+    not a lone token. From a sequence's second "- key:" mapping item on, each item
+    is read in one match of the first one's layout (`_record`), or by lines when
+    it does not match or a run in it holds an item that is not a token.
     """
     if any(char in text for char in _NOT_BLOCK):
         raise _Fallback
@@ -228,13 +228,17 @@ def _read_block(text: str, loader) -> tuple:
                 layout = records[id(container)] = _record(text[layout:start], indent, scalar)
             if type(layout) is tuple:  # read this item and the next ones while they match
                 regex, names, is_run, item_sep = layout
-                while whole := regex.match(text, start):
-                    values = [resolved(group.split(item_sep)) if run else scalar(group)
-                              for run, group in zip(is_run, whole.groups())]
-                    if any(run and value is None for run, value in zip(is_run, values)):
-                        break  # a run holds an item that is not a token: read it by lines
-                    container.append(dict(zip(names, values)))
-                    pos = start = whole.end() + 1
+                while whole := regex.match(text, start, end):
+                    new = {}
+                    for item_key, run, group in zip(names, is_run, whole.groups()):
+                        new[item_key] = resolved(group.split(item_sep)) if run else scalar(group)
+                        if run and new[item_key] is None:  # an item that is not a token
+                            break  # read this mapping by lines
+                    else:
+                        container.append(new)
+                        pos = start = whole.end() + 1
+                        continue
+                    break
                 if start != match.start():
                     continue
             new = {}
