@@ -792,6 +792,19 @@ class TestYamlReader:
         assert reader == "block"
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("end", ["", "\n", "\ntail: 1\n"], ids=["no_newline", "newline", "tail"])
+    def test_later_records_are_one_match_each(self, loader, end):
+        # The line loop reads the first mapping and the second one's first
+        # line, then "tail"; a final newline does not join the last run.
+        text = "a:\n- k: 1\n  r:\n  - 1\n  - 2\n- k: 2\n  r:\n  - 3\n- k: 3\n  r:\n  - 4\n  - 5" + end
+        lines = LineCount()
+        with mock.patch.object(harness, "_BLOCK_LINE", lines):
+            value, reader = read_yaml(text, loader)
+        assert repr(value) == repr(yaml.load(text, Loader=loader))
+        assert reader == "block"
+        assert lines.count == 5 + ("tail" in end)
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     def test_float_tokens(self, loader):
         # `_plain_scalar` returns float(token) for the first two forms of the
         # float resolver without walking the resolvers: float must come first
