@@ -17,17 +17,19 @@ yaml.load itself reads any other file (see `_load_yaml`).
 
 Artifacts (report.json plus CSVs) are byte-deterministic for a fixed config
 and seed. report.json is encoded in one pass, sorting and encoding the keys of
-each dict shape once per process. The encoder takes only the values a report
-holds (see `_report_json`), so the config values a report echoes are checked
-where they are read. Each artifact is overwritten in place: the new bytes go
-over the old ones and the file is then truncated to their length. The output
-directory is made only when the first write finds it missing. Truncating
-first (open "w") and renaming a new file over the old one both cost far more
-on ext4: with its default `auto_da_alloc` option, a file truncated to zero or
-replaced by a rename has its data written back when it is closed, about
-110 us per artifact against 6 us for an in-place rewrite. The rewrite is not
-atomic: a crash mid-write can leave new bytes followed by the rest of the old
-file, where truncating first could leave a short file.
+each dict shape once per process; an analyze sweep's floats are formatted once
+per distinct value, by column, for report.json and sweep.csv (`_sweep_rows`).
+The encoder takes only the values a report holds (see `_report_json`), so the
+config values a report echoes are checked where they are read. Each artifact
+is overwritten in place: the new bytes go over the old ones and the file is
+then truncated to their length. The output directory is made only when the
+first write finds it missing. Truncating first (open "w") and renaming a new
+file over the old one both cost far more on ext4: with its default
+`auto_da_alloc` option, a file truncated to zero or replaced by a rename has
+its data written back when it is closed, about 110 us per artifact against
+6 us for an in-place rewrite. The rewrite is not atomic: a crash mid-write can
+leave new bytes followed by the rest of the old file, where truncating first
+could leave a short file.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # its value is `float(text)`.
 _FLOAT = re.compile(r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?")
 # The ints whose `int` is what SafeConstructor builds: no underscore,
-# sexagesimal part, leading zero or base prefix. Other forms go to the constructor.
+# sexagesimal part, leading zero or base prefix. Int is the first resolver that
+# takes them (float needs a "."). Other forms go to the resolvers.
 _INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)")
-_INT_TAG = "tag:yaml.org,2002:int"
+_RESOLVERS: dict = {}  # (loader, first character) -> the implicit resolvers a token tries
 _SAFE_CONSTRUCTOR = yaml.constructor.SafeConstructor()
 _NO_KEY = object()
 
@@ -77,14 +80,17 @@ def _plain_scalar(text: str, loader):
     """A plain scalar's value: its implicitly resolved tag, then that tag's constructor."""
     if _FLOAT.fullmatch(text):
         return float(text)
-    resolvers = loader.yaml_implicit_resolvers
-    for tag, regexp in resolvers.get(text[:1], []) + resolvers.get(None, []):
+    if _INT.fullmatch(text):
+        return int(text)
+    resolvers = _RESOLVERS.get((loader, text[:1]))
+    if resolvers is None:
+        table = loader.yaml_implicit_resolvers
+        resolvers = _RESOLVERS[loader, text[:1]] = table.get(text[:1], []) + table.get(None, [])
+    for tag, regexp in resolvers:
         if regexp.match(text):
             break
     else:
         return text
-    if tag == _INT_TAG and _INT.fullmatch(text):
-        return int(text)
     try:
         return loader.yaml_constructors[tag](_SAFE_CONSTRUCTOR, yaml.ScalarNode(tag, text))
     except (ValueError, OverflowError, yaml.YAMLError):
@@ -369,7 +375,8 @@ def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
         raise ConfigError("profile.players must be a nonempty list")
     ids, coefficients = [], []
     for k, entry in enumerate(players):
-        entry = _mapping(entry, f"profile.players[{k}]", "coefficient")
+        if not isinstance(entry, dict) or "coefficient" not in entry:
+            _mapping(entry, f"profile.players[{k}]", "coefficient")  # raises
         family = entry.get("family", "scaled_log")
         if family != "scaled_log":
             raise ConfigError(f"unsupported benefit family {family!r}")
@@ -475,8 +482,9 @@ def _constraints_from_config(cfg: ScenarioConfig, n_players: int):
         rows = section.get("rows")
         if not rows or not isinstance(rows, list):
             raise ConfigError("constraints.source=inline requires nonempty rows")
-        rows = [_mapping(row, f"constraints.rows[{k}]", "s_coeffs", "rhs")
-                for k, row in enumerate(rows)]
+        for k, row in enumerate(rows):
+            if not isinstance(row, dict) or "s_coeffs" not in row or "rhs" not in row:
+                _mapping(row, f"constraints.rows[{k}]", "s_coeffs", "rhs")  # raises
         return _inline_constraints(rows, n_players, cfg.bools)
     if source == "grid":
         return grid_mod.build_dr_constraints(_scenario_from_config(cfg))
@@ -530,7 +538,22 @@ def _tolerance_text(newline: str) -> str:
     return _TOLERANCE_TEXT[1]
 
 
-def _report_json(report: dict) -> str:
+def _row_template(columns: dict, newline: str, order: list) -> str:
+    """A %-template of `columns`' shape at this indent; its columns go to `order`."""
+    shape = (tuple(columns), newline)
+    heads, values, inner, close = _LAYOUTS.get(shape) or _layout(shape)
+    parts = []
+    for head, column in zip(heads, values(columns)):
+        parts.append(head.replace("%", "%%"))
+        if type(column) is dict:
+            parts.append(_row_template(column, inner, order))
+        else:
+            parts.append("%s")
+            order.append(column)
+    return "".join(parts) + close
+
+
+def _report_json(report: dict, columns: dict | None = None) -> str:
     """The bytes of report.json, built in one pass over the report.
 
     A report holds dicts with str keys, lists, strs, ints, floats, bools,
@@ -542,6 +565,9 @@ def _report_json(report: dict) -> str:
     shape (`_layout`), the tolerance table once per content
     (`_tolerance_text`), and strs, ints and floats are written in the loop
     over their dict or list.
+    `columns` maps the id of a list of same-shape dicts to their values' texts
+    as columns, shaped as one of them (`_sweep_rows`): the list is written from
+    those, one %-template filled per dict.
     """
     parts = []
     append = parts.append
@@ -571,8 +597,13 @@ def _report_json(report: dict) -> str:
                 append(close)
             elif kind is list and value:
                 inner = newline + "  "
-                write(zip(itertools.chain(("[" + inner,), itertools.repeat("," + inner)), value),
-                      inner)
+                if columns and id(value) in columns:
+                    order = []
+                    template = _row_template(columns[id(value)], inner, order)
+                    append("[" + inner + ("," + inner).join(map(template.__mod__, zip(*order))))
+                else:
+                    write(zip(itertools.chain(("[" + inner,), itertools.repeat("," + inner)),
+                              value), inner)
                 append(newline + "]")
             elif kind is dict or kind is list:
                 append("{}" if kind is dict else "[]")
@@ -603,17 +634,17 @@ def _write_artifact(path: Path, text: str) -> None:
         os.close(fd)
 
 
-def emit_report(out_dir: Path, report: dict, csv_files: dict) -> list[str]:
+def emit_report(out_dir: Path, report: dict, csv_files: dict, columns=None) -> list[str]:
     """Write report.json and CSV artifacts with deterministic bytes.
 
     `csv_files` maps file name -> (header row, iterable of preformatted string
     rows), each row's cells joined by "," with "\r\n" after it: no cell (a
-    formatted number, "+inf" or a label of bus ids) needs quoting. The report's
-    artifact list is filled in here.
+    formatted number, "+inf" or a label of bus ids) needs quoting; `columns`
+    goes to `_report_json`. The report's artifact list is filled in here.
     """
     artifacts = ["report.json"] + sorted(csv_files)
     report["artifacts"] = artifacts
-    text = _report_json(report)
+    text = _report_json(report, columns)
     try:
         _write_artifact(out_dir / "report.json", text)
     except FileNotFoundError:  # the directory is made only when missing
@@ -631,7 +662,7 @@ def _money(values) -> list[str]:
     return ["0.00" if text == "-0.00" else text for text in map("%.2f".__mod__, values)]
 
 
-def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
+def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict, dict]:
     profile, ids = _profile_from_config(cfg)
     point = _mapping(cfg.require("design_point"), "design_point", "reward")
     c, c_bar = _perturbation(point.get("perturbation", [0.0] * profile.n_players),
@@ -655,23 +686,44 @@ def _run_equilibrium(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     }
     ok = (eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
           and all(row["holds"] is not False for row in properties))
-    return ("ok" if ok else "verification_failed"), results, properties, {}
+    return ("ok" if ok else "verification_failed"), results, properties, {}, {}
 
 
 _BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
 
 
-def _sweep_csv_rows(reward, good, poa, g_lower, g_upper, poa_lower, poa_upper) -> list[tuple]:
-    """The rows of sweep.csv from lists of floats, formatted a column at a time."""
+def _sweep_rows(reward, good, poa, counts, statement, proof) -> tuple[list, dict, list]:
+    """A sweep's report.json rows, their texts as `_report_json` takes them, and
+    sweep.csv's rows, whose ratio cells are those texts ("+inf" if not finite).
+    statement and proof hold a list per bound field, in `_BOUND_FIELDS` order."""
+    # Statement-form bounds are primary; the tightened variant is reported
+    # alongside, never silently substituted. Both certify the same players.
+    rows = [{"reward": r, "public_good": g, "poa_true": p, "assured_active_count": k,
+             "g_lower": gl, "g_upper": gu, "poa_lower": pl, "poa_upper": pu,
+             "proof_tightened": {"g_lower": tgl, "g_upper": tgu, "poa_lower": tpl,
+                                 "poa_upper": tpu}}
+            for r, g, p, k, gl, gu, pl, pu, tgl, tgu, tpl, tpu
+            in zip(reward, good, poa, counts, *statement, *proof)]
+    # One repr per distinct float of the sweep. 0.0 and -0.0 are one dict key,
+    # so a column holding a zero is mapped value by value.
+    floats = [reward, good, poa, *statement, *proof]
+    by_value = {v: repr(v) if math.isfinite(v) else '"nan"' if v != v else '"+inf"' if v > 0
+                else '"-inf"' for v in set(itertools.chain.from_iterable(floats))}
+    texts = [[by_value[v] if v else "-0.0" if math.copysign(1.0, v) < 0 else "0.0"
+              for v in column] if 0.0 in column else list(map(by_value.__getitem__, column))
+             for column in floats]
+    statement_texts, proof_texts = texts[3:7], texts[7:]
+    columns = {"reward": texts[0], "public_good": texts[1], "poa_true": texts[2],
+               "assured_active_count": list(map(repr, counts)),
+               **dict(zip(_BOUND_FIELDS, statement_texts)),
+               "proof_tightened": dict(zip(_BOUND_FIELDS, proof_texts))}
+    ratios = (["+inf" if text[0] == '"' else text for text in column]
+              for column in (texts[2], *statement_texts[2:]))
+    return rows, columns, list(zip(_money(reward), _money(good), *ratios,
+                                   _money(statement[0]), _money(statement[1])))
 
-    def ratio(values):
-        return [repr(v) if math.isfinite(v) else "+inf" for v in values]
 
-    return list(zip(_money(reward), _money(good), ratio(poa), ratio(poa_lower), ratio(poa_upper),
-                    _money(g_lower), _money(g_upper)))
-
-
-def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
+def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict, dict]:
     profile, ids = _profile_from_config(cfg)
     sweep = _mapping(cfg.require("sweep"), "sweep")
     rewards = sweep.get("rewards")
@@ -689,24 +741,17 @@ def _run_analyze(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     reward, good, poa = rewards.tolist(), graded.equilibria.G.tolist(), graded.poa_true.tolist()
     statement, proof = ([getattr(bounds, name).tolist() for name in _BOUND_FIELDS]
                         for bounds in (graded.bounds, graded.proof_bounds))
-    # Statement-form bounds are primary; the tightened variant is reported
-    # alongside, never silently substituted. Both certify the same players.
-    rows = [
-        {"reward": r, "public_good": g, "poa_true": p, "assured_active_count": k,
-         **dict(zip(_BOUND_FIELDS, bounds)), "proof_tightened": dict(zip(_BOUND_FIELDS, tight))}
-        for r, g, p, k, bounds, tight in zip(
-            reward, good, poa, graded.bounds.assured_active_count.tolist(),
-            zip(*statement), zip(*proof))
-    ]
+    counts = graded.bounds.assured_active_count.tolist()
+    rows, columns, csv_rows = _sweep_rows(reward, good, poa, counts, statement, proof)
     csvs = {"sweep.csv": (
         ["reward", "public_good", "poa_true", "poa_lower", "poa_upper",
-         "g_lower", "g_upper"], _sweep_csv_rows(reward, good, poa, *statement))}
+         "g_lower", "g_upper"], csv_rows)}
     results = {"player_ids": ids, "perturbation": c, "sweep": rows}
     # The equilibrium verb's rule, row by row: FOC residuals within the
     # solver contract and every property that applies holding.
     ok = (graded.ok.all() and (graded.equilibria.max_foc_violation
                                <= TOLERANCES["foc_residual"]["value"]).all())
-    return ("ok" if ok else "verification_failed"), results, [], csvs
+    return ("ok" if ok else "verification_failed"), results, [], csvs, {id(rows): columns}
 
 
 def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
@@ -760,7 +805,7 @@ def _design_results(problem, sol, verification) -> dict:
     }
 
 
-def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
+def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict, dict]:
     profile, ids = _profile_from_config(cfg)
     problem = _design_problem(
         cfg, profile, _constraints_from_config(cfg, profile.n_players))
@@ -768,7 +813,7 @@ def _run_design(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     results = _design_results(problem, sol, verification)
     if sol.status == "optimal":
         results["player_ids"] = ids
-    return status, results, [], {}
+    return status, results, [], {}, {}
 
 
 # The casestudy results a `golden` entry may name.
@@ -803,7 +848,7 @@ def _golden_checks(specs: list, actual: dict) -> tuple[list[dict], bool]:
     return table, all(row["ok"] for row in table)
 
 
-def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
+def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict, dict]:
     scenario = _scenario_from_config(cfg)
     offset = _mapping(cfg.get("casestudy", {}), "casestudy").get("coefficient_offset", 100.0)
     offset = _number(offset, "casestudy.coefficient_offset")
@@ -813,7 +858,7 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
     golden = _golden_specs(cfg)  # checked before the solve, compared after it
     status, sol, verification, eq = _solve_and_verify(problem)
     if sol.status != "optimal":
-        return status, _design_results(problem, sol, None), [], {}
+        return status, _design_results(problem, sol, None), [], {}, {}
 
     s = eq.s_star
     c = sol.design.perturbation
@@ -848,9 +893,10 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict]:
         "lines.csv": (["line", "flow", "limit", "utilization_pct"], line_rows),
     }
     status = status if golden_ok else "verification_failed"
-    return status, results, [], csvs
+    return status, results, [], csvs, {}
 
 
+# Each returns a status, results, property rows, CSV files and `emit_report`'s columns.
 _PIPELINES = {
     "equilibrium": _run_equilibrium,
     "analyze": _run_analyze,
@@ -885,10 +931,10 @@ def run_scenario(verb: str, cfg: ScenarioConfig, out_dir=None, seed=None) -> Har
 
     if verb not in _PIPELINES:
         raise ConfigError(f"unknown pipeline verb {verb!r}")
-    status, results, properties, csvs = _PIPELINES[verb](cfg)
+    status, results, properties, csvs, columns = _PIPELINES[verb](cfg)
 
     report = _report(verb, seed, status, results, properties)
-    artifacts = emit_report(out_dir, report, csvs)
+    artifacts = emit_report(out_dir, report, csvs, columns)
     return HarnessResult(status, report, out_dir, artifacts)
 
 
@@ -994,7 +1040,7 @@ def _selftest_cases(seed: int):
     yield ("random_corpus_best_response", worst_gain <= gain_tol,
            f"max unilateral gain {worst_gain:.2e}; {corpus}")
 
-    status, results, _, _ = _run_casestudy(ScenarioConfig(CASE30_SCENARIO, Path(".")))
+    status, results, *_ = _run_casestudy(ScenarioConfig(CASE30_SCENARIO, Path(".")))
     # A failed or infeasible design fails every golden row with it.
     rows = {row["name"]: row for row in results.get("golden", [])}
     for name in sorted(CASE30_SCENARIO["golden"]):

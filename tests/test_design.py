@@ -201,6 +201,14 @@ class TestSolveDesign:
         assert "min_s1" in sol.binding
         assert sol.predicted_investments == pytest.approx([2.0, 1.0], abs=1e-9)
 
+    def test_near_binding_row_is_not_binding(self, i2_profile):
+        # A copy of min_s1 whose bound is 1e-5 lower: its residual lies between the
+        # binding test's 1e-7 and 1e-3, relative to max(1, |b|).
+        rows = ConstraintSet([[-1.0, 0.0, 0.0]] * 2, [-2.0, -2.0 + 1e-5], ("min_s1", "near"))
+        sol = solve_design(DesignProblem(i2_profile, rows, alpha=1.0))
+        assert sol.design.reward == pytest.approx(2.0, abs=1e-9)
+        assert sol.binding == ("min_s1",)
+
     def test_infeasible_rows_reported(self, i2_profile):
         sol = solve_design(DesignProblem(i2_profile, CONFLICT, alpha=1.0))
         assert sol.status == "infeasible"
@@ -317,6 +325,23 @@ class TestVerifyDesign:
         assert report["payoff_gap"] <= 1e-9
         assert report["aggregate_payoff"] == pytest.approx(
             2.0 * math.log(2.0) - 1.0, abs=1e-9)
+
+    def test_inactive_player_fails_only_all_active(self):
+        # At a reward floor of 5e-9 the tie-break leaves player 1 no perturbation,
+        # so it invests R h_1'(G*) = 5e-10, below TOL_ACTIVE. The equilibrium
+        # meets every other check.
+        profile = BenefitProfile.scaled_log([1.0, 9.0])
+        problem = DesignProblem(profile, ConstraintSet.empty(2), alpha=1.0, reward_floor=5e-9)
+        sol = solve_design(problem)
+        assert sol.predicted_investments[0] == pytest.approx(5e-10, rel=1e-6)
+        with pytest.raises(ExactnessViolationError) as excinfo:
+            verify_design(problem, sol)
+        report = excinfo.value.report
+        assert report["all_active"] is False
+        for name, tolerance in (("good_gap", "good_gap"), ("prediction_gap", "prediction_gap"),
+                                ("worst_constraint_residual", "constraint_residual"),
+                                ("payoff_gap", "payoff_gap")):
+            assert report[name] <= game.TOLERANCES[tolerance]["value"], name
 
     def test_rejects_unsolved_input(self, i2_profile):
         problem = DesignProblem(i2_profile, CONFLICT, alpha=1.0)

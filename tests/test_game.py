@@ -8,6 +8,7 @@ from lotterydesign import (
     BenefitProfile,
     DesignPoint,
     certify_equilibrium,
+    game,
     payoffs,
     reward_threshold,
     solve_equilibrium,
@@ -245,6 +246,18 @@ class TestSolveEquilibrium:
         assert eq.G == pytest.approx(2.0, abs=1e-9)  # 3/(G+1) = 1
         # The inactive player's marginal payoff must not be positive.
         assert foc_residual(profile, _design(1.0, [0, 0]), eq.s_star, 1) <= 1e-8
+
+    def test_investment_just_above_tol_active_is_active(self, monkeypatch):
+        # At c = 0 and R = 1 the second player starts to invest at a_2 = 2, where
+        # 3/(G + 1) = 1. Just above, it invests about 1e-7: above TOL_ACTIVE (1e-9)
+        # and below 1e-6, on floats and on numpy vectors alike.
+        profile = BenefitProfile.scaled_log([3.0, 2.00000007])
+        for players in (game._FLOAT_PLAYERS, 0):
+            monkeypatch.setattr(game, "_FLOAT_PLAYERS", players)
+            eq = solve_equilibrium(profile, _design(1.0, [0, 0]))
+            assert 1e-9 < eq.s_star[1] < 1e-6
+            assert eq.active_set == (0, 1)
+            assert eq.max_foc_violation <= TOLERANCES["foc_residual"]["value"]
 
     def test_single_player(self):
         profile = BenefitProfile.scaled_log([5.0])

@@ -817,6 +817,23 @@ class TestYamlReader:
             assert repr(value) == repr(yaml.load(token, Loader=loader))
 
     @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
+    def test_int_tokens(self, loader):
+        # `_plain_scalar` returns int(token) for the tokens `_INT` matches
+        # without walking the resolvers: int must be the first resolver that
+        # takes each of them, and the value match yaml.load's. Other int forms
+        # go through the resolvers to the constructor.
+        for token in ["0", "-0", "+0", "7", "-12", "+345", "98765432109876543210"]:
+            assert harness._INT.fullmatch(token)
+            resolvers = (loader.yaml_implicit_resolvers[token[0]]
+                         + loader.yaml_implicit_resolvers.get(None, []))
+            assert next(tag for tag, regexp in resolvers if regexp.match(token)) == (
+                "tag:yaml.org,2002:int")
+        for token in ["0", "-0", "+0", "7", "-12", "+345", "98765432109876543210", "012",
+                      "0x1F", "-0b101", "1_000", "190:20", "00", "+"]:
+            value = harness._plain_scalar(token, loader)
+            assert repr(value) == repr(yaml.load(token, Loader=loader)), token
+
+    @pytest.mark.parametrize("loader", _LOADERS, ids=lambda c: c.__name__)
     @pytest.mark.parametrize("text", [
         "k" * 1025 + ": 1\n",
         "a: 1\n  b\n",
@@ -1391,6 +1408,91 @@ class TestCsvEncoding:
         # The shipped sweep, the seed-7 c = 0 and c > 0 sweeps, and case 30's three.
         assert checked == {"sweep.csv": 3, "allocation.csv": 1, "demand.csv": 1,
                            "lines.csv": 1}
+
+
+# Floats a sweep column may hold: both zeros, NaN, the infinities, subnormals.
+_SWEEP_FLOATS = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                                 0.1, 1.0]) | st.floats()
+
+
+@st.composite
+def sweep_columns(draw):
+    """The eleven float columns and the int column of a sweep of 1-8 rows, drawn
+    from a pool of at most six floats, so that values repeat within and across
+    columns."""
+    n = draw(st.integers(1, 8))
+    pool = draw(st.lists(_SWEEP_FLOATS, min_size=1, max_size=6))
+    floats = [draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)) for _ in range(11)]
+    return floats, draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+
+
+# A column holding each kind, both zeros twice and a subnormal repeated.
+_MIXED = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 5e-324, -0.0, 0.1]
+
+
+class TestSweepColumns:
+    """An analyze sweep is written to report.json and sweep.csv from its
+    columns' texts, each distinct float formatted once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_columns())
+    @example(([_MIXED, _MIXED[::-1], *[_MIXED[k:] + _MIXED[:k] for k in range(9)]],
+              list(range(9))))
+    def test_columns_match_the_value_by_value_encoding(self, drawn):
+        (reward, good, poa, *bounds), counts = drawn
+        statement, proof = bounds[:4], bounds[4:]
+        rows, columns, csv_rows = harness._sweep_rows(reward, good, poa, counts, statement, proof)
+        # The list of rows at three depths, and beside a list it is not.
+        for report in (rows, {"results": {"sweep": rows}}, [{"a": [rows, list(rows)]}]):
+            assert _report_json(report, {id(rows): columns}) == reference_report_json(report)
+
+        def ratio(values):  # sweep.csv's ratio cells before the column texts
+            return [repr(v) if math.isfinite(v) else "+inf" for v in values]
+
+        g_lower, g_upper, poa_lower, poa_upper = statement
+        assert csv_rows == list(zip(_money(reward), _money(good), ratio(poa), ratio(poa_lower),
+                                    ratio(poa_upper), _money(g_lower), _money(g_upper)))
+
+    def test_keys_with_percent_signs(self):
+        # The row template escapes a key's "%".
+        rows = [{"a%s": 1.0, "%": {"%%": 2}}, {"a%s": -0.0, "%": {"%%": 3}}]
+        columns = {"a%s": ["1.0", "-0.0"], "%": {"%%": ["2", "3"]}}
+        assert _report_json({"x": rows}, {id(rows): columns}) == reference_report_json({"x": rows})
+
+    def test_each_distinct_float_is_formatted_once_per_run(self, tmp_path, monkeypatch):
+        # repr runs once per distinct finite float of a sweep (0.0 and -0.0
+        # are one), for report.json and sweep.csv together, and never on a
+        # non-finite one. The perturbation is written value by value, and the
+        # tolerance table's text is kept from the run before.
+        paths = [CONFIGS / "two_player_analyze.yaml"] + [
+            path for path in bench_inputs(7, tmp_path / "inputs") if "analyze" in path.name]
+        assert len(paths) == 3
+        calls, zeros = Counter(), 0
+
+        def counted(value):
+            if type(value) is float:
+                calls[value] += 1
+            return repr(value)
+
+        for k, path in enumerate(paths):
+            cfg = ScenarioConfig.from_file(path)
+            run_scenario("analyze", cfg, out_dir=tmp_path / str(k))
+            calls.clear()
+            monkeypatch.setattr(harness, "repr", counted, raising=False)
+            result = run_scenario("analyze", cfg, out_dir=tmp_path / str(k))
+            monkeypatch.undo()
+            results = result.report["results"]
+            assert (tmp_path / str(k) / "report.json").read_text() == (
+                reference_report_json(result.report))
+            floats = {value for row in results["sweep"]
+                      for value in (*row.values(), *row["proof_tightened"].values())
+                      if type(value) is float}
+            written = Counter(map(float, results["perturbation"]))
+            assert all(map(math.isfinite, calls)), path.name
+            for value in floats:
+                assert calls[value] == math.isfinite(value) + written[value], (path.name, value)
+            zeros += 0.0 in floats
+        assert zeros  # zero g_lower rows
 
 
 class TestDeterminism:

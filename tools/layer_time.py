@@ -25,8 +25,10 @@ into the section and whether its gate holds:
   (`median_over_encode`): encoding does the same work in every tree, so the
   ratio compares trees measured at different times with the shared machine's
   drift divided out. Also the median milliseconds of each sweep's
-  `run_scenario`, `_report_json` and `_sweep_csv_rows`, run 20 times per
-  repeat among the corpus points.
+  `run_scenario`, `_report_json` (given the sweep's column texts, as
+  `run_scenario` gives them) and `_sweep_rows` (the sweep's report rows, column
+  texts and sweep.csv rows, from its columns), run 20 times per repeat among
+  the corpus points.
 - `parse_time`: per `configs/*.yaml` file and seed-7 input, its size, its
   reader (`block`, or `yaml.load` when the line reader hands it on) and the
   median milliseconds of `ScenarioConfig.from_file` and of `yaml.load`. Per
@@ -76,9 +78,8 @@ BENCH_SEED = 7
 SWEEP_RUNS = 20  # per analyze sweep and repeat
 REL = 1e-9
 STAGES = ("build", "solve", "grade", "encode", "write", "run_scenario", "write_text_reference")
-SWEEP_STAGES = ("report_json", "csv_rows", "run_scenario")
-CSV_COLUMNS = ("reward", "public_good", "poa_true", "g_lower", "g_upper", "poa_lower",
-               "poa_upper")
+SWEEP_STAGES = ("report_json", "columns", "run_scenario")
+BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
 clock = time.perf_counter
 
 
@@ -173,18 +174,23 @@ def emit_time(games, work, spans):
     for regime, path, *_ in games.sweeps:
         cfg, out = ScenarioConfig.from_file(path), work / "out" / f"analyze_{regime}"
         report = run_scenario("analyze", cfg, out_dir=out).report
-        columns = [[row[name] for row in report["results"]["sweep"]] for name in CSV_COLUMNS]
+        rows = report["results"]["sweep"]
+        lists = ([[row[name] for row in rows]
+                  for name in ("reward", "public_good", "poa_true", "assured_active_count")]
+                 + [[[row[name] for row in group] for name in BOUND_FIELDS]
+                    for group in (rows, [row["proof_tightened"] for row in rows])])
+        columns = {id(rows): harness._sweep_rows(*lists)[1]}
         sweep_calls += [(("run_scenario", regime),
                          partial(run_scenario, "analyze", cfg, out_dir=out)),
-                        (("report_json", regime), partial(harness._report_json, report)),
-                        (("csv_rows", regime), partial(harness._sweep_csv_rows, *columns))]
+                        (("report_json", regime), partial(harness._report_json, report, columns)),
+                        (("columns", regime), partial(harness._sweep_rows, *lists))]
     out = work / "out" / "equilibrium"
     out.mkdir(parents=True)
     path = out / "report.json"
     calls, every = [], len(games.corpus) // SWEEP_RUNS
     for k, (config, *_) in enumerate(games.corpus):
         cfg = ScenarioConfig(config, work)
-        status, results, properties, _ = harness._run_equilibrium(cfg)
+        status, results, properties, *_ = harness._run_equilibrium(cfg)
         report = harness._report("equilibrium", cfg.get("seed", 0), status, results, properties)
         report["artifacts"] = ["report.json"]
         text = harness._report_json(report)
