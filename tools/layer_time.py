@@ -79,7 +79,6 @@ SWEEP_RUNS = 20  # per analyze sweep and repeat
 REL = 1e-9
 STAGES = ("build", "solve", "grade", "encode", "write", "run_scenario", "write_text_reference")
 SWEEP_STAGES = ("report_json", "columns", "run_scenario")
-BOUND_FIELDS = ("g_lower", "g_upper", "poa_lower", "poa_upper")
 clock = time.perf_counter
 
 
@@ -177,7 +176,7 @@ def emit_time(games, work, spans):
         rows = report["results"]["sweep"]
         lists = ([[row[name] for row in rows]
                   for name in ("reward", "public_good", "poa_true", "assured_active_count")]
-                 + [[[row[name] for row in group] for name in BOUND_FIELDS]
+                 + [[[row[name] for row in group] for name in harness._BOUND_FIELDS]
                     for group in (rows, [row["proof_tightened"] for row in rows])])
         columns = {id(rows): harness._sweep_rows(*lists)[1]}
         sweep_calls += [(("run_scenario", regime),
