@@ -5,9 +5,11 @@ equilibrium attains the socially optimal good, subject to affine constraints
 on investments and reward) collapses to a linear program once the
 perturbation budget is fixed at the optimum: with sum(c) = G* every player is
 active and invests exactly s_i = c_i + R*h_i'(G*), so the constraints become
-affine in (R, c). `verify_design` re-solves the game at a designed point to
-confirm every claim the reformulation makes; the grid-search oracle that
-tests the collapse is exact lives with the tests (tests/oracles.py).
+affine in (R, c); a player's floor s_i >= l_i becomes the bound of that
+player's variable s_i - l_i >= 0 instead of a row. `verify_design` re-solves
+the game at a designed point to confirm every claim the reformulation makes;
+the grid-search oracle that tests the collapse is exact lives with the tests
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -127,29 +129,65 @@ def individual_rationality_rows(profile: BenefitProfile) -> ConstraintSet:
     )
 
 
-def build_reformulation(problem: DesignProblem) -> LinearProgram:
-    """Linear program over (R, c) equivalent to the bi-level design problem.
+def build_reformulation(problem: DesignProblem) -> tuple[LinearProgram, np.ndarray]:
+    """Linear program equivalent to the bi-level design problem, and its floors.
 
-    Variables are [R, c_1..c_N], all nonnegative. The perturbation budget is
-    an equality, the reward floor closes the feasible set, and every affine
-    constraint row is composed with the designed equilibrium map
-    s = c + R * grad_h(G*). The objective is R alone: the weighted budget
-    alpha*G* is the same at every feasible point.
+    Every affine constraint row is composed with the designed equilibrium map
+    s = c + R * grad_h(G*), the perturbation budget sum(c) = G* is an
+    equality, and the reward floor closes the feasible set. The objective is
+    R alone: the weighted budget alpha*G* is the same at every feasible point.
+
+    A row whose only nonzero coefficient is a negative one on some s_i, with
+    no reward term and a negative right-hand side, is a floor s_i >= l_i > 0.
+    Each player's tightest floor (the first row on a tie) leaves the rows and
+    becomes the bound of that player's variable, the presolve of a singleton
+    row (Andersen and Andersen, Math. Program. 71, 1995). The variables are
+    [R, x_1..x_N], all nonnegative, with x_i = s_i - l_i for a player with a
+    floor and x_i = c_i for the others. Such a player's c_i >= 0 becomes the
+    row h_i'(G*) R - x_i <= l_i; these rows follow the other constraint rows,
+    in player order, and the reward floor comes last. In the budget row R
+    takes the coefficient -sum h_i'(G*) and the right-hand side is
+    G* - sum l_i, both over the players with a floor. Returns the program and
+    the floors l, with l_i = 0 for a player without one. When no row is a
+    floor, the program is the one over (R, c).
     """
-    n = problem.profile.n_players
-    g_star = problem.profile.g_star
-    a = problem.constraints.a
-    a_ub = np.zeros((a.shape[0] + 1, n + 1))
-    a_ub[:-1, 0] = a[:, :n] @ problem.profile.slopes(g_star) + a[:, n]
-    a_ub[:-1, 1:] = a[:, :n]
+    profile, cons = problem.profile, problem.constraints
+    n = profile.n_players
+    g_star = profile.g_star
+    slopes = profile.slopes(g_star)
+    a, b = cons.a, cons.b
+    # A floor row has a negative right-hand side, no reward term and one
+    # nonzero coefficient, a negative one, so it is that row's minimum.
+    rows = np.flatnonzero((b < 0.0) & (a[:, n] == 0.0))
+    a_s = a[rows, :n]
+    floors, floor_rows = [0.0] * n, {}
+    for row, rhs, i, k, count in zip(rows.tolist(), b[rows].tolist(),
+                                     a_s.argmin(axis=1).tolist(), a_s.min(axis=1).tolist(),
+                                     np.count_nonzero(a_s, axis=1).tolist()):
+        # The first of equal bounds folds; a bound that rounds to 0 or inf bounds nothing.
+        if count == 1 and k < 0.0 and floors[i] < rhs / k < math.inf:
+            floors[i], floor_rows[i] = rhs / k, row
+    floors = np.array(floors)
+    folded = np.array(sorted(floor_rows), dtype=np.intp)  # the players with a floor
+    if floor_rows:  # their floor rows leave, and the other rows see s_i = x_i + l_i
+        keep = np.ones(b.size, dtype=bool)
+        keep[list(floor_rows.values())] = False
+        a = a[keep]
+        b = b[keep] - a[:, folded] @ floors[folded]
+    k = b.size
+    a_ub = np.zeros((k + folded.size + 1, n + 1))
+    a_ub[:k, 0] = a[:, :n] @ np.where(floors > 0.0, 0.0, slopes) + a[:, n]
+    a_ub[:k, 1:] = a[:, :n]
+    a_ub[k:-1, 0] = slopes[folded]  # c_i >= 0 of each player with a floor
+    a_ub[k + np.arange(folded.size), 1 + folded] = -1.0
     a_ub[-1, 0] = -1.0  # the reward floor, -R <= -floor
     return LinearProgram(
         objective=np.append(1.0, np.zeros(n)),
         a_ub=a_ub,
-        b_ub=np.append(problem.constraints.b, -problem.reward_floor),
-        a_eq=np.append(0.0, np.ones(n)),
-        b_eq=g_star,
-    )
+        b_ub=np.concatenate([b, floors[folded], [-problem.reward_floor]]),
+        a_eq=np.append(0.0 - slopes[folded].sum(), np.ones(n)),
+        b_eq=g_star - floors[folded].sum(),
+    ), floors
 
 
 def solve_design(problem: DesignProblem) -> DesignSolution:
@@ -157,26 +195,29 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
 
     Among optimal vertices the returned one has the lexicographically smallest
     perturbation vector: the simplex returns the lexicographically smallest
-    optimal (R, c), and R is constant on the optimal face. The tie-break is
+    optimal (R, x), R is constant on the optimal face, and there each x_i is
+    c_i plus a constant, so that is the smallest (R, c) too. The tie-break is
     not optional: on the IEEE 30-bus optimal face every c_i ranges over the
-    whole budget.
+    whole budget. A player with a floor l_i gets c_i = x_i + l_i - R h_i'(G*)
+    back, and every c_i is clamped at 0.
     """
-    lp = build_reformulation(problem)
+    lp, floors = build_reformulation(problem)
     res = solve_lp(lp)
     iterations = res.iterations + res.lex_iterations
     if res.status != "optimal":
         return DesignSolution(res.status, None, None, None, (), iterations)
 
     reward = float(res.x[0])
-    c = np.maximum(res.x[1:], 0.0)
     g_star = problem.profile.g_star
+    slopes = problem.profile.slopes(g_star)
+    c = np.maximum(res.x[1:] + np.where(floors > 0.0, floors - reward * slopes, 0.0), 0.0)
     budget_gap = abs(float(c.sum()) - g_star)
     if budget_gap > 1e-8 * max(1.0, g_star):  # pragma: no cover
         raise InvariantViolationError(
             f"optimal perturbation misses the budget by {budget_gap:.3g}"
         )
     design = DesignPoint(reward, c)
-    predicted = c + reward * problem.profile.slopes(g_star)
+    predicted = c + reward * slopes
 
     cons = problem.constraints
     resid = cons.residuals(predicted, reward)

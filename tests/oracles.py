@@ -11,16 +11,20 @@ closed-form bound sandwich of `analysis` at one design point, which no
 pipeline calls on its own. `brute_force_bilevel` searches the bi-level
 design problem over a grid of design points, solving the true game at each
 one with `solve_equilibrium`; it shares no code with the reformulated LP that
-the tests compare against it.
+the tests compare against it. `unfolded_design_lp` builds the paper's design LP
+over (R, c) from a problem's data, without `build_reformulation`, and
+`highs_lexicographic` solves an LP's lexicographic optimum with HiGHS.
 """
 
 import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 from lotterydesign import (
-    BenefitProfile, DesignPoint, DesignProblem, DesignSolution, PoaBounds, solve_equilibrium,
+    BenefitProfile, DesignPoint, DesignProblem, DesignSolution, LinearProgram, PoaBounds,
+    solve_equilibrium,
 )
 from lotterydesign.analysis import _compute_bounds, _terms
 from lotterydesign.errors import (
@@ -267,3 +271,54 @@ def brute_force_bilevel(problem: DesignProblem, r_lo: float, r_hi: float,
         objective,
         np.asarray(s_star),
     )
+
+
+def unfolded_design_lp(problem: DesignProblem) -> LinearProgram:
+    """The paper's design LP over x = [R, c_1..c_N] >= 0, built from the problem's data.
+
+    With sum(c) = G* every scaled-log player is active at s = c + R w, where
+    w_i = h_i'(G*) = a_i / sum(a) and G* = sum(a) - 1. So each row
+    a_s . s + a_R R <= b becomes (a_s . w + a_R) R + a_s . c <= b, every row
+    as it is given, floors included. The budget row is sum(c) = G*, the
+    reward floor the row -R <= -floor, and the objective R.
+    """
+    a = problem.profile.coefficients
+    n = a.size
+    total = float(a.sum())
+    rows = problem.constraints.a
+    composed = np.hstack([(rows[:, :n] @ (a / total) + rows[:, n])[:, None], rows[:, :n]])
+    return LinearProgram(
+        np.append(1.0, np.zeros(n)),
+        np.vstack([composed, np.append(-1.0, np.zeros(n))]),
+        np.append(problem.constraints.b, -problem.reward_floor),
+        np.append(0.0, np.ones(n)),
+        [total - 1.0],
+    )
+
+
+def highs_lexicographic(lp: LinearProgram) -> np.ndarray | None:
+    """HiGHS's lexicographic optimum of `lp`, or None when HiGHS finds it infeasible.
+
+    Minimizes the objective, then each x_j in turn with the earlier coordinates
+    (x_0 included, the reward of a design LP) fixed at their optima.
+    """
+    bounds = [(0.0, None)] * lp.n_vars
+
+    def solve(cost):
+        return linprog(cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                       bounds=bounds, method="highs")
+
+    first = solve(lp.objective)
+    if first.status == 2:
+        return None
+    assert first.status == 0, first.message
+    x = first.x
+    bounds[0] = (x[0], x[0])
+    for j in range(1, lp.n_vars):
+        cost = np.zeros(lp.n_vars)
+        cost[j] = 1.0
+        res = solve(cost)
+        assert res.status == 0, res.message
+        x = res.x
+        bounds[j] = (x[j], x[j])
+    return x

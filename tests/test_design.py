@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from lotterydesign import (
@@ -18,11 +19,12 @@ from lotterydesign import (
     payoffs,
     solve_design,
     solve_equilibrium,
+    solve_lp,
     verify_design,
 )
 from lotterydesign.errors import ExactnessViolationError, InvariantViolationError
 
-from oracles import brute_force_bilevel
+from oracles import brute_force_bilevel, highs_lexicographic, unfolded_design_lp
 from test_simplex import lexicographic_vertex_oracle
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -88,25 +90,88 @@ def group_floor_problem(seed, n=60):
                          ConstraintSet(a, b, labels), alpha=1.0)
 
 
-def highs_lexicographic(lp):
-    """HiGHS oracle: the minimal objective, then each c_j minimized in turn
-    with the reward and the earlier coordinates fixed at their optima."""
-    bounds = [(0.0, None)] * lp.n_vars
+def pair_floor_problem(seed, n=60):
+    """Design with a floor and a cap on every investment and 30 pair caps.
 
-    def solve(cost):
-        res = linprog(cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
-                      bounds=bounds, method="highs")
-        assert res.status == 0, res.message
-        return res.x
+    As in the benchmark's design inputs, the floors sum past G* so the reward
+    binds above its floor, and each pair row caps s_i + s_j - 0.1 R.
+    """
+    rng = np.random.default_rng(seed)
+    coeffs = stratified(rng, 0.6, 3.0, n)
+    g_star = coeffs.sum() - 1.0
+    floors = stratified(rng, 0.5, 1.5, n) * (g_star + 57.0) / n
+    caps = floors + stratified(rng, 1.0, 3.0, n) * g_star / n
+    eye = np.hstack([np.eye(n), np.zeros((n, 1))])
+    pairs = np.zeros((30, n + 1))
+    pair_rhs = np.zeros(30)
+    for k in range(30):
+        i, j = rng.choice(n, 2, replace=False)
+        pairs[k, [i, j, n]] = 1.0, 1.0, -0.1
+        pair_rhs[k] = floors[i] + floors[j] + rng.uniform(1.0, 3.0) * g_star / n
+    a = np.vstack([-eye, eye, pairs])
+    b = np.concatenate([-floors, caps, pair_rhs])
+    labels = tuple(f"row{k}" for k in range(b.size))
+    return DesignProblem(BenefitProfile.scaled_log(coeffs),
+                         ConstraintSet(a, b, labels), alpha=1.0)
 
-    x = solve(lp.objective)
-    bounds[0] = (x[0], x[0])
-    for j in range(1, lp.n_vars):
-        cost = np.zeros(lp.n_vars)
-        cost[j] = 1.0
-        x = solve(cost)
-        bounds[j] = (x[j], x[j])
-    return x
+
+# Row kinds of `floor_problems`, per player; see its docstring.
+_ROW_KINDS = ("floor", "looser", "reward", "nonnegative", "cap", "conflict", "pair")
+
+
+@st.composite
+def floor_problems(draw):
+    """Designs whose rows mix floors with rows that look like floors but are not.
+
+    Each player i has a floor l_i and draws up to four rows, each scaled by
+    k in {1/2, 1, 2, 3}: its floor -k s_i <= -k l_i (drawn twice, a duplicate
+    or a tie), a looser floor, a floor with a reward term, a row -k s_i <= b
+    with b >= 0, a cap k s_i <= k (l_i + d) above the floor, a cap below the
+    floor and a cap on s_i + s_{i+1}. Returns the problem and whether some
+    player drew both its floor and a cap below it, which no design meets.
+    """
+    n = draw(st.integers(2, 6))
+    profile = BenefitProfile.scaled_log(
+        draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n)))
+    unit = (profile.g_star + 1.0) / n
+    floors = [draw(st.floats(0.1, 2.0)) * unit for _ in range(n)]
+    a, b, conflicted = [], [], False
+    for i in range(n):
+        kinds = draw(st.lists(st.sampled_from(_ROW_KINDS), max_size=4))
+        conflicted |= "floor" in kinds and "conflict" in kinds
+        for kind in kinds:
+            k = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+            row = np.zeros(n + 1)
+            row[i] = -k
+            bound = -k * floors[i]
+            if kind == "looser":
+                bound *= draw(st.floats(0.2, 0.9))
+            elif kind == "reward":
+                row[n] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 0.5))
+            elif kind == "nonnegative":
+                bound = draw(st.sampled_from([0.0, unit]))
+            elif kind in ("cap", "conflict", "pair"):
+                row[i] = k
+                width = (draw(st.floats(0.3, 3.0)) if kind != "conflict"
+                         else -draw(st.floats(0.2, 0.8)))
+                bound = k * floors[i] * (1.0 + width)
+                if kind == "pair":
+                    j = (i + 1) % n
+                    row[j] = k
+                    bound += k * floors[j]
+            a.append(row)
+            b.append(bound)
+    rows = ConstraintSet(np.reshape(a, (-1, n + 1)), b, tuple(f"row{k}" for k in range(len(b))))
+    return DesignProblem(profile, rows, alpha=1.0), conflicted
+
+
+def assert_matches_highs(problem, sol):
+    """Status, R* and c* of `sol` against HiGHS on the unfolded (R, c) program."""
+    x = highs_lexicographic(unfolded_design_lp(problem))
+    assert sol.status == ("infeasible" if x is None else "optimal")
+    if x is not None:
+        assert sol.design.reward == pytest.approx(x[0], rel=1e-9)
+        assert np.max(np.abs(sol.design.perturbation - x[1:])) <= 1e-6 * problem.profile.g_star
 
 
 class TestConstraintSet:
@@ -136,7 +201,8 @@ class TestDesignProblem:
 
 class TestBuildReformulation:
     def test_unconstrained_shape(self, i2_problem):
-        lp = build_reformulation(i2_problem)
+        lp, floors = build_reformulation(i2_problem)
+        assert floors.tolist() == [0.0, 0.0]
         # Only the reward floor: -R <= -floor; the budget row sums c.
         assert lp.a_ub.tolist() == [[-1.0, 0.0, 0.0]]
         assert lp.a_eq.tolist() == [[0.0, 1.0, 1.0]]
@@ -144,10 +210,34 @@ class TestBuildReformulation:
         assert lp.objective.tolist() == [1.0, 0.0, 0.0]
 
     def test_row_composition_with_equilibrium_map(self, i2_profile):
-        # s_1 >= 2 becomes -c_1 - h_1'(G*)*R <= -2 with h_1'(1) = 0.5.
-        lp = build_reformulation(DesignProblem(i2_profile, MIN_S1, alpha=1.0))
-        assert lp.a_ub[0] == pytest.approx([-0.5, -1.0, 0.0], abs=1e-9)
-        assert lp.b_ub[0] == -2.0
+        # h_i'(G*) = 0.5 at G* = 1. The floor s_1 >= 2 folds into x_1 = s_1 - 2:
+        # it leaves the rows, and c_1 = x_1 + 2 - 0.5 R >= 0 takes its place as
+        # 0.5 R - x_1 <= 2. A row over s_1 sees s_1 = x_1 + 2, so s_1 + s_2 <= 5
+        # becomes 0.5 R + x_1 + c_2 <= 3. A row that is not a floor and leaves
+        # s_1 out keeps today's composition: -s_2 + 0.25 R <= -0.5 becomes
+        # -0.25 R - c_2 <= -0.5.
+        rows = MIN_S1.stacked(ConstraintSet([[1.0, 1.0, 0.0], [0.0, -1.0, 0.25]],
+                                            [5.0, -0.5], ("pair", "s2_with_reward")))
+        lp, floors = build_reformulation(DesignProblem(i2_profile, rows, alpha=1.0))
+        assert floors.tolist() == [2.0, 0.0]
+        assert lp.a_ub.tolist() == [[0.5, 1.0, 1.0], [-0.25, 0.0, -1.0],
+                                    [0.5, -1.0, 0.0], [-1.0, 0.0, 0.0]]
+        assert lp.b_ub.tolist() == [3.0, -0.5, 2.0, -1e-3]
+        # sum(c) = 1 is x_1 + 2 - 0.5 R + c_2 = 1.
+        assert lp.a_eq.tolist() == [[-0.5, 1.0, 1.0]]
+        assert lp.b_eq.tolist() == [-1.0]
+
+    def test_tightest_floor_folds(self, i2_profile):
+        # Three floors on s_1: s_1 >= 1, 2 s_1 >= 4 and s_1 >= 2. The tightest
+        # bound is 2; of the two rows that give it, the first folds. The other
+        # two stay rows over x_1 = s_1 - 2: -x_1 <= 1 and -x_1 <= 0.
+        rows = ConstraintSet([[-1.0, 0.0, 0.0], [-2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                             [-1.0, -4.0, -2.0], ("loose", "tight", "tie"))
+        lp, floors = build_reformulation(DesignProblem(i2_profile, rows, alpha=1.0))
+        assert floors.tolist() == [2.0, 0.0]
+        assert lp.a_ub.tolist() == [[0.0, -1.0, 0.0], [0.0, -1.0, 0.0],
+                                    [0.5, -1.0, 0.0], [-1.0, 0.0, 0.0]]
+        assert lp.b_ub.tolist() == [1.0, 0.0, 2.0, -1e-3]
 
     def test_rows_with_reward_terms(self):
         # Column 0 of each row is a_s . grad_h(G*) + a_R and the c columns
@@ -158,8 +248,9 @@ class TestBuildReformulation:
                       [-2.0, 0.5, 1.5, 0.5],
                       [0.3, 0.3, 0.3, -3.0]])
         b = np.array([4.0, -1.0, 2.5, 0.5])
-        lp = build_reformulation(DesignProblem(
+        lp, floors = build_reformulation(DesignProblem(
             profile, ConstraintSet(a, b, ("w", "x", "y", "z")), reward_floor=0.25))
+        assert not floors.any()
         grad = profile.slopes(profile.g_star).tolist()
         for row, lp_row in zip(a.tolist(), lp.a_ub.tolist()):
             expected = sum(a_i * g_i for a_i, g_i in zip(row[:3], grad)) + row[3]
@@ -175,10 +266,76 @@ class TestBuildReformulation:
 
         cons = build_dr_constraints(case30_scenario)
         problem = DesignProblem(i30_profile, cons, alpha=1.0)
-        lp = build_reformulation(problem)
+        lp, floors = build_reformulation(problem)
         # 20 demand caps + 1 balance + 82 line rows, plus the reward floor.
         assert cons.n_rows == 103
         assert lp.a_ub.shape == (104, 21)
+        # No row is a floor: the program is the one over (R, c), bit for bit.
+        assert not floors.any()
+        slopes = i30_profile.slopes(i30_profile.g_star)
+        assert np.array_equal(lp.a_ub[:-1, 0], cons.a[:, :20] @ slopes + cons.a[:, 20])
+        assert np.array_equal(lp.b_ub, np.append(cons.b, -problem.reward_floor))
+
+
+class TestFloorFold:
+    @settings(max_examples=150, deadline=None)
+    @given(floor_problems())
+    def test_matches_highs_on_the_unfolded_program(self, drawn):
+        problem, conflicted = drawn
+        sol = solve_design(problem)
+        if conflicted:
+            assert sol.status == "infeasible"
+        assert_matches_highs(problem, sol)
+
+    def test_floor_below_the_reward_share_keeps_c_nonnegative(self, i2_profile):
+        # s_1 >= 2 sets R* = 2 and c* = (1, 0), so s_2 = R* h_2'(G*) = 1 lies
+        # above the floor s_2 >= 0.1. Only c_2 >= 0, the row that replaces the
+        # folded floor, holds R* there: without it R falls to 1.1 and c_2 to -0.45.
+        rows = MIN_S1.stacked(ConstraintSet([[0.0, -1.0, 0.0]], [-0.1], ("min_s2",)))
+        problem = DesignProblem(i2_profile, rows, alpha=1.0)
+        assert build_reformulation(problem)[1].tolist() == [2.0, 0.1]
+        sol = solve_design(problem)
+        assert sol.design.reward == pytest.approx(2.0, rel=1e-12)
+        assert sol.design.perturbation == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert_matches_highs(problem, sol)
+
+    def test_nothing_folds(self):
+        # Rows that look like floors: a reward term, a right-hand side of 0 and
+        # of 1, a positive coefficient, and a second nonzero coefficient.
+        profile = BenefitProfile.scaled_log([1.3, 2.1, 0.9])
+        a = np.array([[-1.0, 0.0, 0.0, 0.5],
+                      [0.0, -2.0, 0.0, 0.0],
+                      [0.0, 0.0, -1.0, 0.0],
+                      [0.0, 3.0, 0.0, 0.0],
+                      [-1.0, -1e-3, 0.0, 0.0]])
+        b = np.array([-1.0, 0.0, 1.0, 4.0, -0.5])
+        problem = DesignProblem(profile, ConstraintSet(a, b, tuple("vwxyz")))
+        lp, floors = build_reformulation(problem)
+        slopes = profile.slopes(profile.g_star)
+        assert not floors.any()
+        assert np.array_equal(lp.a_ub[:-1, 0], a[:, :3] @ slopes + a[:, 3])
+        assert np.array_equal(lp.a_ub[:-1, 1:], a[:, :3])
+        assert np.array_equal(lp.b_ub, np.append(b, -problem.reward_floor))
+        assert lp.a_eq.tolist() == [[0.0, 1.0, 1.0, 1.0]]
+        assert lp.b_eq.tolist() == [profile.g_star]
+        assert_matches_highs(problem, solve_design(problem))
+
+    def test_bound_out_of_float_range_does_not_fold(self, i2_profile):
+        # -1e30 s_1 <= -1e-300 bounds s_1 by 1e-330, which rounds to 0, and
+        # -1e-10 s_2 <= -1e300 by 1e310, which rounds to inf: both stay rows.
+        rows = ConstraintSet([[-1e30, 0.0, 0.0], [0.0, -1e-10, 0.0]], [-1e-300, -1e300],
+                             ("under", "over"))
+        lp, floors = build_reformulation(DesignProblem(i2_profile, rows))
+        assert floors.tolist() == [0.0, 0.0]
+        assert lp.b_ub.tolist() == [-1e-300, -1e300, -1e-3]
+
+    def test_sixty_floors_take_few_dual_pivots(self):
+        # One pivot per floor from the all-slack start took 62-63 here.
+        problem = pair_floor_problem(0)
+        lp, floors = build_reformulation(problem)
+        assert np.array_equal(floors, -problem.constraints.b[:60])
+        assert solve_lp(lp).iterations <= 5
+        assert_matches_highs(problem, solve_design(problem))
 
 
 class TestSolveDesign:
@@ -229,7 +386,7 @@ class TestLexicographicOptimum:
             n = 2 + k % 7
             problem, _ = random_feasible_problem(rng, n)
             sol = solve_design(problem)
-            x = lexicographic_vertex_oracle(build_reformulation(problem), range(n + 1))
+            x = lexicographic_vertex_oracle(unfolded_design_lp(problem), range(n + 1))
             assert sol.status == "optimal"
             assert sol.design.reward == pytest.approx(x[0], rel=1e-7, abs=1e-9)
             assert sol.design.perturbation == pytest.approx(
@@ -243,7 +400,7 @@ class TestLexicographicOptimum:
         problem = group_floor_problem(seed, n)
         sol = solve_design(problem)
         assert sol.status == "optimal"
-        x = highs_lexicographic(build_reformulation(problem))
+        x = highs_lexicographic(unfolded_design_lp(problem))
         assert sol.design.reward == pytest.approx(x[0], rel=1e-9)
         assert np.max(np.abs(sol.design.perturbation - x[1:])) <= 1e-6 * problem.profile.g_star
         verify_design(problem, sol)
@@ -279,7 +436,7 @@ class TestLexicographicOptimum:
 
         problem = DesignProblem(i30_profile,
                                 build_dr_constraints(case30_scenario), alpha=1.0)
-        lp = build_reformulation(problem)
+        lp = unfolded_design_lp(problem)
         cost = np.zeros(lp.n_vars)
         cost[1] = -1.0
         res = linprog(cost, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,

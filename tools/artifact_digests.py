@@ -13,6 +13,11 @@ artifact, in a fixed order, `raised  <run>: <type>: <message>` for a run that
 raises any exception (reading its config included), with its traceback on
 standard error, and `no verb  configs/<file>: <errors>` for a config file that
 configures no verb. Two trees that print the same lines wrote the same bytes.
+The output is committed as `tools/artifact_digests.txt`, which CI compares it
+with; a change that moves a digest on purpose rewrites that file:
+
+    python3 tools/artifact_digests.py > tools/artifact_digests.txt
+
 Takes no options. Exits 1 if a run raised or a config file configures no
 verb, else 0.
 """

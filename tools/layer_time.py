@@ -36,17 +36,18 @@ into the section and whether its gate holds:
   `design` operation (`ScenarioConfig.from_file`, then `run_scenario`), and
   the read's share of it: the `from_file` median over the operation's.
 - `lp_solve_time`: per design_lp input and `configs/case30.yaml`, the tableau
-  shape, pivot counts, the number of lexicographic stages a solve runs (calls
-  to `_run_phase`) and median milliseconds of `build_reformulation`,
-  `solve_lp`, and the dual phase and lexicographic stages of a solve (timed
-  by wrappers on further solves), on the problem and LP its verb builds.
+  shape, the number of floor rows folded into variables, pivot counts, the
+  number of lexicographic stages a solve runs (calls to `_run_phase`) and
+  median milliseconds of `build_reformulation`, `solve_lp`, and the dual
+  phase and lexicographic stages of a solve (timed by wrappers on further
+  solves), on the design problem its verb builds and that problem's LP.
 
 Exits 1 when a gate fails: a sweep differs from the loop in any bit of G,
 evaluation count or largest FOC violation; a corpus point's
 `solve_equilibrium` differs from its one-reward sweep in any bit of G,
 evaluation count, investments, pool or largest FOC violation; an R* or c* is
-off the benchmark's HiGHS reference by more than 1e-9 relative to
-max(1, |value|); a `from_file` document is not repr-equal to yaml.load's (repr
+(of `solve_design` on that problem) off the benchmark's HiGHS reference by
+more than 1e-9 relative to max(1, |value|); a `from_file` document is not repr-equal to yaml.load's (repr
 tells 1 from 1.0 and True, and a NaN from anything else); or a seed-7 input is
 not read by `block`.
 """
@@ -268,13 +269,10 @@ def parse_time(work, designs, spans):
 
 
 def captured(verb, config, out):
-    """The DesignProblem a verb's run hands to `build_reformulation`, and the
-    LinearProgram it hands to `solve_lp`."""
-    with mock.patch.object(design, "build_reformulation",
-                           wraps=design.build_reformulation) as build, \
-            mock.patch.object(design, "solve_lp", wraps=simplex.solve_lp) as solve:
+    """The DesignProblem a verb's run hands to `solve_design`."""
+    with mock.patch.object(design, "solve_design", wraps=design.solve_design) as solve:
         run_scenario(verb, ScenarioConfig.from_file(config), out_dir=out)
-    return build.call_args.args[0], solve.call_args.args[0]
+    return solve.call_args.args[0]
 
 
 def lp_solve_time(bench, work, spans):
@@ -283,16 +281,21 @@ def lp_solve_time(bench, work, spans):
     runs.append(("configs/case30.yaml", "casestudy", bench.case30, bench.ref30))
     rows, matches, calls = {}, {}, []
     for name, verb, config, (r_ref, c_ref) in runs:
-        problem, lp = captured(verb, config, work / "out" / "lp")
+        problem = captured(verb, config, work / "out" / "lp")
+        lp, floors = design.build_reformulation(problem)
         res = simplex.solve_lp(lp)
         rows[name] = {  # the tableau has a row per row of a_ub, a_eq and -a_eq, and a column
             # per structural variable, plus the reduced costs and the right-hand side
             "tableau": f"{lp.b_ub.size + 2 * lp.b_eq.size + 1}x{lp.n_vars + 1}",
+            "folded_rows": int(np.count_nonzero(floors)),
             "main_pivots": res.iterations,
             "lex_pivots": res.lex_iterations,
         }
-        matches[name] = res.status == "optimal" and all(
-            workloads.close(float(x), float(y), rel=REL) for x, y in zip(res.x, [r_ref, *c_ref]))
+        # The LP's x is not c for a player with a floor: compare the design.
+        sol = design.solve_design(problem)
+        matches[name] = sol.status == "optimal" and all(
+            workloads.close(float(x), float(y), rel=REL) for x, y in zip(
+                [sol.design.reward, *sol.design.perturbation], [r_ref, *c_ref]))
         phases = spied(simplex, "_dual_phase", ("dual", name), spans,
                        spied(simplex, "_run_phase", ("lex", name), spans,
                              partial(simplex.solve_lp, lp)))
