@@ -161,12 +161,12 @@ def build_reformulation(problem: DesignProblem) -> tuple[LinearProgram, np.ndarr
     rows = np.flatnonzero((b < 0.0) & (a[:, n] == 0.0))
     a_s = a[rows, :n]
     floors, floor_rows = [0.0] * n, {}
-    for row, rhs, i, k, count in zip(rows.tolist(), b[rows].tolist(),
+    for row, rhs, i, coeff, count in zip(rows.tolist(), b[rows].tolist(),
                                      a_s.argmin(axis=1).tolist(), a_s.min(axis=1).tolist(),
                                      np.count_nonzero(a_s, axis=1).tolist()):
         # The first of equal bounds folds; a bound that rounds to 0 or inf bounds nothing.
-        if count == 1 and k < 0.0 and floors[i] < rhs / k < math.inf:
-            floors[i], floor_rows[i] = rhs / k, row
+        if count == 1 and coeff < 0.0 and floors[i] < rhs / coeff < math.inf:
+            floors[i], floor_rows[i] = rhs / coeff, row
     floors = np.array(floors)
     folded = np.array(sorted(floor_rows), dtype=np.intp)  # the players with a floor
     if floor_rows:  # their floor rows leave, and the other rows see s_i = x_i + l_i
