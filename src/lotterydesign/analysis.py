@@ -159,7 +159,7 @@ def reward_threshold(profile: BenefitProfile, c) -> float:
     (either way any positive reward suffices). Raises InvariantViolationError
     when c_bar < G* but a slope at G* is too small for m to differ from 1.
     """
-    return _threshold(_terms(profile, float(np.asarray(c, dtype=float).sum())))
+    return _threshold(_terms(profile, math.fsum(np.asarray(c, dtype=float).tolist())))
 
 
 def _threshold(terms: tuple) -> float:

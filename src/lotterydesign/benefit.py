@@ -6,11 +6,9 @@ slope a_i/(v+1) vanishing at infinity. A profile is the coefficient vector a.
 Every slope shares the denominator v+1, so the aggregate marginal is
 H(G) = sum_i h_i'(G) = A/(G+1) with A = sum_i a_i, and the socially optimal
 good, the unique root of H(G) = 1, is G* = A - 1. It exists whenever
-H(0) = A > 1. The profile computes A, G* and its payoff once, when built.
-
-A profile given as a list of up to `_FLOAT_PLAYERS` floats is checked and
-summed on floats, with numpy's bits: `_float_sum` adds in the order of numpy's
-`ndarray.sum`.
+H(0) = A > 1. The profile computes A, G* and its payoff once, when built; A
+is `math.fsum`'s correctly rounded sum, the same in every order and whether
+the profile came as a list of floats or a vector.
 """
 
 from __future__ import annotations
@@ -43,39 +41,6 @@ def _plain_floats(x) -> bool:
         type(v) is float for v in x)
 
 
-def _float_sum(xs: list) -> float:
-    """`float(np.array(xs).sum())` for a list of floats, to the bit.
-
-    numpy's sum is not an index-order sum: it adds a pairwise sum to 0.0, so
-    a list of -0.0s sums to 0.0. Below 8 entries the pairwise sum adds in
-    index order from -0.0. Up to 128, entry k goes to accumulator k % 8 over
-    the longest run of whole blocks of 8, the eight accumulators are added
-    pairwise and the rest in index order. Above 128, the two halves split at
-    a multiple of 8 are summed apart.
-    """
-    return 0.0 + _pairwise_sum(xs)
-
-
-def _pairwise_sum(xs: list) -> float:
-    n = len(xs)
-    if n < 8:
-        total = -0.0
-        for x in xs:
-            total += x
-        return total
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
-    end = n - n % 8
-    r = xs[:8]
-    for k in range(8, end, 8):
-        r = [r_j + x for r_j, x in zip(r, xs[k:k + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for x in xs[end:]:
-        total += x
-    return total
-
-
 _NOT_POSITIVE = "benefit coefficients must be positive and finite, got {!r}"
 
 
@@ -104,14 +69,18 @@ class BenefitProfile:
         if _plain_floats(a):
             if not all(0.0 < x < math.inf for x in a):  # NaN fails both
                 raise InvariantViolationError(_NOT_POSITIVE.format(a))
-            h0, a = _float_sum(a), np.array(a)
+            terms, a = a, np.array(a)
         else:
             a = np.array(a, dtype=float)
             if a.ndim != 1 or a.size < 1:
                 raise InvariantViolationError("profile needs a nonempty vector of coefficients")
             if np.count_nonzero((a > 0.0) & (a < math.inf)) != a.size:
                 raise InvariantViolationError(_NOT_POSITIVE.format(a.tolist()))
-            h0 = float(a.sum())
+            terms = a.tolist()
+        try:
+            h0 = math.fsum(terms)
+        except OverflowError:  # finite coefficients whose sum passes the largest float
+            raise InvariantViolationError("aggregate marginal at zero must be finite") from None
         a.setflags(write=False)
         if not h0 > 1.0:
             raise InvariantViolationError(

@@ -29,7 +29,7 @@ from .game import (
     _payoff_sum,
     solve_equilibrium,
 )
-from .simplex import LinearProgram, solve_lp
+from .simplex import PIVOT_TOL, LinearProgram, solve_lp
 
 # Default closed floor replacing the open constraint R > 0.
 DEFAULT_REWARD_FLOOR = 1e-3
@@ -95,8 +95,11 @@ class DesignProblem:
     def __post_init__(self):
         if not 0.0 <= self.alpha < math.inf:
             raise InvariantViolationError("perturbation weight must be finite and nonnegative")
-        if not 0.0 < self.reward_floor < math.inf:
-            raise InvariantViolationError("reward floor must be finite and positive")
+        # The simplex takes a floor row -R <= -floor at or below its pivot
+        # tolerance as met at R = 0.
+        if not PIVOT_TOL < self.reward_floor < math.inf:
+            raise InvariantViolationError(
+                f"reward floor must be finite and above the simplex pivot tolerance {PIVOT_TOL:g}")
         if self.constraints.n_players != self.profile.n_players:
             raise InvariantViolationError("constraints sized for a different player count")
 
@@ -185,8 +188,8 @@ def build_reformulation(problem: DesignProblem) -> tuple[LinearProgram, np.ndarr
         objective=np.append(1.0, np.zeros(n)),
         a_ub=a_ub,
         b_ub=np.concatenate([b, floors[folded], [-problem.reward_floor]]),
-        a_eq=np.append(0.0 - slopes[folded].sum(), np.ones(n)),
-        b_eq=g_star - floors[folded].sum(),
+        a_eq=np.append(0.0 - math.fsum(slopes[folded].tolist()), np.ones(n)),
+        b_eq=g_star - math.fsum(floors[folded].tolist()),
     ), floors
 
 
@@ -211,7 +214,8 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
     g_star = problem.profile.g_star
     slopes = problem.profile.slopes(g_star)
     c = np.maximum(res.x[1:] + np.where(floors > 0.0, floors - reward * slopes, 0.0), 0.0)
-    budget_gap = abs(float(c.sum()) - g_star)
+    c_total = math.fsum(c.tolist())
+    budget_gap = abs(c_total - g_star)
     if budget_gap > 1e-8 * max(1.0, g_star):  # pragma: no cover
         raise InvariantViolationError(
             f"optimal perturbation misses the budget by {budget_gap:.3g}"
@@ -225,7 +229,7 @@ def solve_design(problem: DesignProblem) -> DesignSolution:
         cons.labels, np.abs(resid) <= 1e-7 * np.maximum(1.0, np.abs(cons.b))))
     if reward <= problem.reward_floor + 1e-9 * max(1.0, problem.reward_floor):
         binding = binding + ("reward_floor",)
-    objective = reward + problem.alpha * float(c.sum())
+    objective = reward + problem.alpha * c_total
     return DesignSolution("optimal", design, objective, predicted, binding, iterations)
 
 

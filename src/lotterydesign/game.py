@@ -29,7 +29,10 @@ numpy), and the numpy form above; so do the perturbation check
 loops are the same, the two forms give the same bits, and every form adds the
 players in one order at every shape (`_sum_players`), so at the same design
 point both drivers return the same bits (good, pool, investments and largest
-FOC violation), the same root included where Phi has several. A root of Phi
+FOC violation), the same root included where Phi has several. Every other
+total (the perturbation total, a profile's total investment and aggregate
+payoff, the certificate's trial totals) is `math.fsum`'s, correctly rounded
+and so the same in every order and form. A root of Phi
 meets the first-order conditions only; `certify_equilibrium` says whether it
 is a Nash equilibrium of the literal payoff, from each player's best
 deviation in closed form.
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .benefit import _FLOAT_PLAYERS, BenefitProfile, _float_sum, _plain_floats
+from .benefit import _FLOAT_PLAYERS, BenefitProfile, _plain_floats
 from .errors import (
     DomainError,
     InfeasibleRegimeError,
@@ -115,21 +118,25 @@ def _design_point(reward: float, c: np.ndarray, total: float) -> DesignPoint:
 
 
 def _checked_perturbation(c) -> tuple[np.ndarray, float]:
-    """c as a read-only vector of finite floats >= 0, and its total (numpy's sum).
+    """c as a read-only vector of finite floats >= 0, and its `math.fsum` total.
 
-    A list of up to `_FLOAT_PLAYERS` floats is checked and added on floats.
+    A list of up to `_FLOAT_PLAYERS` floats is checked on floats.
     """
     if _plain_floats(c):
         if not all(0.0 <= x < math.inf for x in c):  # NaN fails both
             raise InvariantViolationError(_NEGATIVE_PERTURBATION)
-        total, c = _float_sum(c), np.array(c)
+        terms, c = c, np.array(c)
     else:
         c = np.asarray(c, dtype=float).copy()
         if c.ndim != 1 or c.size < 1:
             raise InvariantViolationError("perturbation must be a nonempty vector")
         if np.count_nonzero((c >= 0.0) & (c < math.inf)) != c.size:
             raise InvariantViolationError(_NEGATIVE_PERTURBATION)
-        total = float(c.sum())
+        terms = c.tolist()
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # finite entries whose sum passes the largest float
+        raise InvariantViolationError("perturbation total must be finite") from None
     c.setflags(write=False)
     return c, total
 
@@ -187,13 +194,12 @@ def payoffs(profile: BenefitProfile, design: DesignPoint, s) -> np.ndarray:
 
 def _payoffs(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> list:
     # `payoffs` as a list, at a profile s already known to fit the game, such
-    # as a solved one. Up to _FLOAT_PLAYERS players on floats, numpy's
+    # as a solved one. The total investment is `math.fsum`'s; up to
+    # _FLOAT_PLAYERS players the payoffs are taken on floats, numpy's
     # operations in numpy's order: ((s_k - c_k)/pool*R + a_k*log1p(G)) - s_k.
     R = design.reward
-    floats = profile.n_players <= _FLOAT_PLAYERS
-    if floats:
-        s = s.tolist()
-    total = _float_sum(s) if floats else float(s.sum())
+    stakes = s.tolist()
+    total = math.fsum(stakes)
     if total < R:
         return [0.0] * profile.n_players
     pool = total - design.perturbation_total
@@ -201,21 +207,17 @@ def _payoffs(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> lis
         raise SingularPoolError(
             "total investment equals total perturbation: reward shares are undefined"
         )
-    if floats:
+    if profile.n_players <= _FLOAT_PLAYERS:
         log_good = math.log1p(total - R)  # profile.values(total - R) is a * log_good
         return [(s_k - c_k) / pool * R + a_k * log_good - s_k for a_k, c_k, s_k in zip(
-            profile.coefficients.tolist(), design.perturbation.tolist(), s)]
+            profile.coefficients.tolist(), design.perturbation.tolist(), stakes)]
     share = (s - design.perturbation) / pool
     return (share * R + profile.values(total - R) - s).tolist()
 
 
 def _payoff_sum(profile: BenefitProfile, design: DesignPoint, s: np.ndarray) -> float:
-    # The aggregate payoff at a profile s that fits the game, added in index
-    # order from 0.0: builtin sum compensates from Python 3.12 on.
-    total = 0.0
-    for u in _payoffs(profile, design, s):
-        total += u
-    return total
+    # The aggregate payoff at a profile s that fits the game.
+    return math.fsum(_payoffs(profile, design, s))
 
 
 def _phi(G, R, c_bar, a, neg_rc):
@@ -610,13 +612,15 @@ def certify_equilibrium(profile: BenefitProfile, design: DesignPoint, s) -> list
       of its roots on the branch and at its start x_lo, and falls to -inf at
       the branch's other limits.
 
+    Every profile total, the trial profiles' included, is `math.fsum`'s, as
+    in `_payoffs`, so u at a witness is the payoff `_payoffs` gives there.
     s is a Nash equilibrium when no gain exceeds TOLERANCES["deviation_gain"].
     """
     s = _check_profile_shape(profile, design, s)
     R, c_bar = design.reward, design.perturbation_total
     m = c_bar - R + 1.0
-    total = float(s.sum())
-    trial = s.copy()
+    trial = s.tolist()
+    total = math.fsum(trial)
     certificate = []
     for i, (a_i, c_i, s_i, u_i) in enumerate(zip(
             profile.coefficients.tolist(), design.perturbation.tolist(),
@@ -626,9 +630,9 @@ def certify_equilibrium(profile: BenefitProfile, design: DesignPoint, s) -> list
         # R - o rounded may leave o + x_lo, or the summed profile, short of R:
         # step up to the least float stake that keeps the lottery by both.
         x_lo = trial[i] = max(0.0, R - o)
-        while x_lo + o < R or trial.sum() < R:
+        while x_lo + o < R or math.fsum(trial) < R:
             x_lo = trial[i] = math.nextafter(x_lo, math.inf)
-        y_lo = float(trial.sum()) - c_bar
+        y_lo = math.fsum(trial) - c_bar
         if (d > 0.0 and y_lo < 0.0) or (d < 0.0 and y_lo <= 0.0):
             trial[i] = s_i
             certificate.append((math.inf, "zero_pool", None))
@@ -638,7 +642,7 @@ def certify_equilibrium(profile: BenefitProfile, design: DesignPoint, s) -> list
             # The literal payoff of `_payoffs` with s_i = x, -inf where the
             # pool is zero: the value a witness is checked by.
             trial[i] = x
-            t = float(trial.sum())
+            t = math.fsum(trial)
             if t < R:
                 return 0.0
             pool = t - c_bar

@@ -282,7 +282,8 @@ def build_dr_constraints(scenario: DrScenario) -> ConstraintSet:
     a[:n, :n] = np.eye(n)
     a[n, :n] = -1.0
     a[n + 1:, :n] = np.stack((response, -response), axis=1).reshape(-1, n)
-    total_gap = scenario.generation_dollars.sum() - scenario.demand_dollars.sum()
+    total_gap = (math.fsum(scenario.generation_dollars.tolist())
+                 - math.fsum(scenario.demand_dollars.tolist()))
     line_rhs = np.stack((limits - base_flow, limits + base_flow), axis=1)
     b = np.concatenate((scenario.demand_dollars, [total_gap], line_rhs.reshape(-1)))
     branches = scenario.case.branches

@@ -53,6 +53,7 @@ from .errors import (CaseParseError, CaseValidationError, ConfigError,
                      ExactnessViolationError, InvariantViolationError)
 from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point,
                    _payoff_sum, certify_equilibrium, solve_equilibrium)
+from .simplex import PIVOT_TOL
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present; the pure-Python loader reads the same
@@ -339,11 +340,11 @@ def _finite(value, name: str, low: float = -math.inf) -> float:
     return number
 
 
-def _positive(value, name: str) -> float:
-    """`value` as a finite float > 0, or ConfigError naming the field."""
+def _positive(value, name: str, low: float = 0.0) -> float:
+    """`value` as a finite float > `low`, or ConfigError naming the field."""
     number = _number(value, name)
-    if not 0.0 < number < math.inf:
-        raise ConfigError(f"{name} must be a finite number > 0")
+    if not low < number < math.inf:
+        raise ConfigError(f"{name} must be a finite number > {low:g}")
     return number
 
 
@@ -771,7 +772,7 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
         constraints,
         alpha=_finite(cfg.get("alpha", 1.0), "alpha", 0.0),
         reward_floor=_positive(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
-                               "reward_floor"),
+                               "reward_floor", PIVOT_TOL),
     )
 
 
@@ -871,11 +872,11 @@ def _run_casestudy(cfg: ScenarioConfig) -> tuple[str, dict, list, dict, dict]:
     results = _design_results(problem, sol, verification)
     results.update({
         "load_bus_ids": list(scenario.load_bus_ids),
-        "total_investment": float(s.sum()),
+        "total_investment": math.fsum(s.tolist()),
         "aggregate_payoff": verification["aggregate_payoff"],
-        "total_demand": float(demand.sum()),
-        "generation_total": float(scenario.generation_dollars.sum()),
-        "adjusted_demand_total": float((demand - s).sum()),
+        "total_demand": math.fsum(demand.tolist()),
+        "generation_total": math.fsum(scenario.generation_dollars.tolist()),
+        "adjusted_demand_total": math.fsum((demand - s).tolist()),
         "max_line_utilization_pct": float(np.max(utilization)),
     })
     results["golden"], golden_ok = _golden_checks(golden, results)

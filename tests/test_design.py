@@ -198,6 +198,18 @@ class TestDesignProblem:
         with pytest.raises(InvariantViolationError):
             DesignProblem(i2_profile, ConstraintSet.empty(2), alpha=alpha, reward_floor=floor)
 
+    def test_floor_at_the_pivot_tolerance_is_rejected(self, i2_profile):
+        # The floor row -R <= -1e-9 is met at R = 0 within the simplex's pivot
+        # tolerance, so the LP would return R = 0.
+        with pytest.raises(InvariantViolationError, match="pivot tolerance 1e-09"):
+            DesignProblem(i2_profile, ConstraintSet.empty(2), reward_floor=1e-9)
+
+    def test_floor_above_the_pivot_tolerance_sets_the_reward(self, i2_profile):
+        sol = solve_design(DesignProblem(i2_profile, ConstraintSet.empty(2), reward_floor=2e-9))
+        assert sol.status == "optimal"
+        assert sol.design.reward == 2e-9
+        assert "reward_floor" in sol.binding
+
 
 class TestBuildReformulation:
     def test_unconstrained_shape(self, i2_problem):
@@ -520,13 +532,13 @@ class TestVerifyDesign:
         assert excinfo.value.equilibrium.G == pytest.approx(1.0, abs=1e-9)
 
 
-    def test_aggregate_payoff_adds_in_index_order(self, i2_problem, monkeypatch):
-        # From 0.0, one player at a time: builtin sum compensates from Python
-        # 3.12 on, where ten 0.1s add up to 1.0.
+    def test_aggregate_payoff_is_correctly_rounded(self, i2_problem, monkeypatch):
+        # Ten 0.1s add up to 1.0 when the sum is correctly rounded, and to
+        # 0.9999999999999999 one at a time in index order.
         monkeypatch.setattr(game, "_payoffs", lambda *args: [0.1] * 10)
         with pytest.raises(ExactnessViolationError) as excinfo:
             verify_design(i2_problem, solve_design(i2_problem))
-        assert excinfo.value.report["aggregate_payoff"] == 0.9999999999999999
+        assert excinfo.value.report["aggregate_payoff"] == 1.0
 
 
 class TestBruteForceOracle:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lotterydesign import (
     BenefitProfile,
@@ -159,9 +159,10 @@ class TestPayoff:
     @pytest.mark.parametrize("perturbed", [False, True], ids=["c_zero", "c_positive"])
     def test_payoffs_match_per_player_formula_bitwise(self, perturbed):
         def reference(profile, design, s, i):
-            # Player i's payoff, one scalar at a time, in the order payoffs uses.
+            # Player i's payoff, one scalar at a time, in the order payoffs
+            # uses, from the correctly rounded total investment.
             R = design.reward
-            total = float(s.sum())
+            total = math.fsum(s.tolist())
             if total < R:
                 return 0.0
             pool = total - design.perturbation_total
@@ -200,6 +201,59 @@ class TestPayoff:
             else:
                 classic = 0.0
             assert payoffs(i2_profile, d, s)[0] == classic
+
+
+@st.composite
+def permuted_games(draw):
+    """(a, c, R, s, order): 2-50 players, a profile s not solved for, and a
+    permutation of the players."""
+    n = draw(st.integers(2, 50))
+    a = draw(st.lists(st.floats(0.6, 3.0), min_size=n, max_size=n))
+    g_star = sum(a) - 1.0
+    c = draw(st.just([0.0] * n)
+             | st.lists(st.floats(0.0, 2.0 * g_star / n), min_size=n, max_size=n))
+    reward = 10.0 ** draw(st.floats(-2.0, 3.0))
+    s = draw(st.lists(st.floats(0.0, 2.0 * (reward + g_star) / n), min_size=n, max_size=n))
+    return a, c, reward, s, draw(st.permutations(range(n)))
+
+
+class TestOrderFreeTotals:
+    """Every total outside Phi is correctly rounded, so the players' order
+    moves no bit of it, on floats and on numpy vectors alike."""
+
+    @staticmethod
+    def _run(case, order):
+        # The game with its players in `order`: its totals, then the payoffs,
+        # certificate and aggregate payoff at s (None where the pool is zero).
+        a, c, reward, s, _ = case
+        profile = BenefitProfile.scaled_log([a[i] for i in order])
+        design = DesignPoint(reward, [c[i] for i in order])
+        stakes = np.array([s[i] for i in order])
+        totals = (profile.marginal_at_zero, design.perturbation_total)
+        try:
+            return totals, (payoffs(profile, design, stakes).tolist(),
+                            certify_equilibrium(profile, design, stakes),
+                            game._payoff_sum(profile, design, stakes))
+        except SingularPoolError:
+            return totals, None
+
+    @settings(max_examples=100, deadline=None)
+    @given(permuted_games())
+    # Added in index order, 1.5 + 1e-16 + 1e-16 is 1.5, and reversed it is
+    # 1.5000000000000002; correctly rounded, it is the latter both ways.
+    @example(([1.5, 1e-16, 1e-16], [1.5, 1e-16, 1e-16], 1.0, [1.0, 0.5, 0.5], [2, 1, 0]))
+    def test_permuting_the_players_permutes_the_results(self, case):
+        order = case[-1]
+        totals, at_s = self._run(case, range(len(order)))
+        permuted_totals, permuted_at_s = self._run(case, order)
+        # repr tells 0.0 from -0.0 and reads every float back to its bits.
+        assert repr(permuted_totals) == repr(totals)
+        if at_s is None:
+            assert permuted_at_s is None
+            return
+        values, certificate, aggregate = at_s
+        assert repr(permuted_at_s) == repr(([values[i] for i in order],
+                                            [certificate[i] for i in order], aggregate))
 
 
 class TestFocResidual:

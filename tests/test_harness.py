@@ -190,6 +190,8 @@ MALFORMED = [
                  id="reward_floor_nonpositive"),
     pytest.param("design", I2_PLAYERS + "reward_floor: .inf\n", "reward_floor",
                  id="reward_floor_inf"),
+    pytest.param("design", I2_PLAYERS + "reward_floor: 1.0e-9\n",
+                 "reward_floor must be a finite number > 1e-09", id="reward_floor_at_pivot_tol"),
     pytest.param("casestudy", CASESTUDY.replace("demand_scale: 1.3", "demand_scale: 0"),
                  "constraints.grid.demand_scale", id="demand_scale_nonpositive"),
     pytest.param("casestudy", CASESTUDY.replace("rate_dollars_per_kwh: 0.1",
@@ -920,13 +922,13 @@ class TestEquilibriumVerb:
         names = {p["property"] for p in report["properties"]}
         assert "payoff_sandwich" in names
 
-    def test_aggregate_payoff_adds_in_index_order(self, tmp_path, monkeypatch):
-        # From 0.0, one player at a time: builtin sum compensates from Python
-        # 3.12 on, where ten 0.1s add up to 1.0.
+    def test_aggregate_payoff_is_correctly_rounded(self, tmp_path, monkeypatch):
+        # Ten 0.1s add up to 1.0 when the sum is correctly rounded, and to
+        # 0.9999999999999999 one at a time in index order.
         monkeypatch.setattr(game, "_payoffs", lambda *args: [0.1] * 10)
         cfg = ScenarioConfig.from_file(CONFIGS / "two_player_equilibrium.yaml")
         report = run_scenario("equilibrium", cfg, out_dir=tmp_path).report
-        assert report["results"]["aggregate_payoff"] == 0.9999999999999999
+        assert report["results"]["aggregate_payoff"] == 1.0
 
 
     def test_failing_property_row_fails_the_status(self, tmp_path, monkeypatch):
@@ -1548,8 +1550,9 @@ class TestFloatFormParity:
 
     @settings(max_examples=60, deadline=None)
     @given(scenarios())
-    # From 8 terms numpy's sums add pairwise, not in index order; 35 players
-    # are the last on floats and 36 the first on numpy vectors.
+    # From 8 terms numpy's sums add pairwise, where `_sum_players` adds in
+    # index order; 35 players are the last on floats and 36 the first on
+    # numpy vectors.
     @example(spread(8))
     @example(spread(game._FLOAT_PLAYERS))
     @example(spread(game._FLOAT_PLAYERS + 1))
@@ -1561,9 +1564,11 @@ class TestFloatFormParity:
                "sweep": {"rewards": rewards, "perturbation": c}}
         with tempfile.TemporaryDirectory() as tmp:
             for verb in ("equilibrium", "analyze"):
-                with mock.patch.object(benefit, "_float_sum", wraps=benefit._float_sum) as summed:
+                took = []  # per profile built: whether its coefficients took the float form
+                with mock.patch.object(benefit, "_plain_floats", lambda x, raw=benefit._plain_floats:
+                                       took.append(raw(x)) or took[-1]):
                     floats = run_bytes(verb, raw, Path(tmp, "floats"))
-                assert summed.called == (len(a) <= game._FLOAT_PLAYERS)
+                assert took == [len(a) <= game._FLOAT_PLAYERS]
                 with numpy_forms():
                     vectors = run_bytes(verb, raw, Path(tmp, "numpy"))
                 assert floats == vectors

@@ -157,10 +157,11 @@ _SWEEP_CASES = [
 
 
 def _find_root_sweep(profile, c, rewards):
-    # The batched solve as scipy's elementwise find_root runs it.
+    # The batched solve as scipy's elementwise find_root runs it, from the
+    # correctly rounded perturbation total.
     rewards = np.asarray(rewards, dtype=float)
     c = np.asarray(c, dtype=float)
-    c_bar = float(c.sum())
+    c_bar = math.fsum(c.tolist())
     lo, hi = game._bracket(rewards, c_bar, profile)
     a, c = profile.coefficients[:, None], c[:, None]
     return find_root(lambda G, R: game._phi(G, R, c_bar, a, -R * c), (lo, hi),
@@ -460,6 +461,13 @@ class TestRegressions:
     def test_perturbation_must_match_the_players(self, i2_profile):
         with pytest.raises(InvariantViolationError):
             solve_sweep(i2_profile, [0.0, 0.0, 0.0], [1.0])
+
+    @pytest.mark.parametrize("c", [[1e308, 1e308], np.full(2, 1e308)], ids=["floats", "numpy"])
+    def test_perturbation_total_past_the_largest_float_is_rejected(self, i2_profile, c):
+        with pytest.raises(InvariantViolationError, match="total must be finite"):
+            solve_sweep(i2_profile, c, [1.0])
+        with pytest.raises(InvariantViolationError, match="total must be finite"):
+            DesignPoint(1.0, c)
 
     def test_infeasible_row_raises_in_both_drivers(self):
         # One player, G* = 4 and c = 6: at R = 1 no positive pool clears.
