@@ -99,7 +99,7 @@ class DesignProblem:
         # tolerance as met at R = 0.
         if not PIVOT_TOL < self.reward_floor < math.inf:
             raise InvariantViolationError(
-                f"reward floor must be finite and above the simplex pivot tolerance {PIVOT_TOL:g}")
+                f"reward_floor must be finite and above the simplex pivot tolerance {PIVOT_TOL:g}")
         if self.constraints.n_players != self.profile.n_players:
             raise InvariantViolationError("constraints sized for a different player count")
 

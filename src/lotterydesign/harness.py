@@ -53,7 +53,6 @@ from .errors import (CaseParseError, CaseValidationError, ConfigError,
                      ExactnessViolationError, InvariantViolationError)
 from .game import (TOLERANCES, DesignPoint, _checked_perturbation, _design_point,
                    _payoff_sum, certify_equilibrium, solve_equilibrium)
-from .simplex import PIVOT_TOL
 
 SCHEMA_VERSION = 1
 # libyaml's safe loader when present; the pure-Python loader reads the same
@@ -340,11 +339,11 @@ def _finite(value, name: str, low: float = -math.inf) -> float:
     return number
 
 
-def _positive(value, name: str, low: float = 0.0) -> float:
-    """`value` as a finite float > `low`, or ConfigError naming the field."""
+def _positive(value, name: str) -> float:
+    """`value` as a finite float > 0, or ConfigError naming the field."""
     number = _number(value, name)
-    if not low < number < math.inf:
-        raise ConfigError(f"{name} must be a finite number > {low:g}")
+    if not 0.0 < number < math.inf:
+        raise ConfigError(f"{name} must be a finite number > 0")
     return number
 
 
@@ -366,8 +365,8 @@ def _perturbation(value, name: str, n: int) -> tuple[np.ndarray, float]:
             raise ConfigError(f"{name} must be a list of {n} numbers")
     try:
         return _checked_perturbation(value)
-    except InvariantViolationError:
-        raise ConfigError(f"{name} entries must be finite numbers >= 0") from None
+    except InvariantViolationError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _profile_from_config(cfg: ScenarioConfig) -> tuple[BenefitProfile, list]:
@@ -767,13 +766,14 @@ def _design_problem(cfg: ScenarioConfig, profile: BenefitProfile,
         raise ConfigError("individual_rationality.enabled must be true or false")
     if enabled:
         constraints = constraints.stacked(design_mod.individual_rationality_rows(profile))
-    return design_mod.DesignProblem(
-        profile,
-        constraints,
-        alpha=_finite(cfg.get("alpha", 1.0), "alpha", 0.0),
-        reward_floor=_positive(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
-                               "reward_floor", PIVOT_TOL),
-    )
+    alpha = _finite(cfg.get("alpha", 1.0), "alpha", 0.0)
+    reward_floor = _positive(cfg.get("reward_floor", design_mod.DEFAULT_REWARD_FLOOR),
+                             "reward_floor")
+    try:
+        return design_mod.DesignProblem(profile, constraints, alpha=alpha,
+                                        reward_floor=reward_floor)
+    except InvariantViolationError as exc:  # a reward_floor too small for the simplex
+        raise ConfigError(str(exc)) from None
 
 
 def _solve_and_verify(problem):

@@ -191,7 +191,8 @@ MALFORMED = [
     pytest.param("design", I2_PLAYERS + "reward_floor: .inf\n", "reward_floor",
                  id="reward_floor_inf"),
     pytest.param("design", I2_PLAYERS + "reward_floor: 1.0e-9\n",
-                 "reward_floor must be a finite number > 1e-09", id="reward_floor_at_pivot_tol"),
+                 "reward_floor must be finite and above the simplex pivot tolerance 1e-09",
+                 id="reward_floor_at_pivot_tol"),
     pytest.param("casestudy", CASESTUDY.replace("demand_scale: 1.3", "demand_scale: 0"),
                  "constraints.grid.demand_scale", id="demand_scale_nonpositive"),
     pytest.param("casestudy", CASESTUDY.replace("rate_dollars_per_kwh: 0.1",
@@ -265,10 +266,10 @@ def entry_config(coefficients, perturbation):
             f"sweep: {{rewards: [1.0, 2.0], perturbation: [{c}]}}\n")
 
 
-# Malformed entries of the lists that are checked on floats up to
-# game._FLOAT_PLAYERS players and on numpy vectors above it, at 2 and at 40
-# players, each also a MALFORMED case: (verb, scenario text, the ConfigError's
-# text).
+# Malformed entries, and a total past the largest float, of the lists that are
+# checked on floats up to game._FLOAT_PLAYERS players and on numpy vectors
+# above it, at 2 and at 40 players, each also a MALFORMED case: (verb,
+# scenario text, the ConfigError's text).
 BAD_ENTRIES = {"null": "null", "nan": ".nan", "inf": ".inf", "negative": "-1.0",
                "bool": "true", "list": "[1.0]", "string": "x"}
 ENTRY_ERRORS = []
@@ -287,8 +288,14 @@ for n in (2, 40):
                           ("analyze", "sweep.perturbation")):
             cases.append((verb, f"{verb}_perturbation_{kind}_{n}",
                           entry_config(["1.0"] + ones, [entry] + zeros), key,
-                          f"{key} entries must be finite numbers >= 0" if number or kind == "null"
+                          f"{key}: perturbation entries must be finite and >= 0"
+                          if number or kind == "null"
                           else f"{key} must be a list of {n} numbers"))
+    for verb, key in (("equilibrium", "design_point.perturbation"),
+                      ("analyze", "sweep.perturbation")):
+        cases.append((verb, f"{verb}_perturbation_total_past_the_largest_float_{n}",
+                      entry_config(["1.0"] * n, ["1.0e308", "1.0e308"] + zeros[1:]), key,
+                      f"{key}: perturbation total must be finite"))
     for verb, name, text, key, message in cases:
         ENTRY_ERRORS.append(pytest.param(verb, text, message, id=name))
         MALFORMED.append(pytest.param(verb, text, key, id=f"entry_{name}"))

@@ -1,6 +1,6 @@
 """Apply each named mutant to a copy of the tree, and require its tests to fail.
 
-    python3 tools/mutants.py [name ...]
+    python3 tools/mutants.py
 
 `MUTANTS` is a table of named mutants. Each names a file, an exact text in
 it, the text that replaces it, and the tests (pytest node ids) that must
@@ -8,7 +8,7 @@ catch the change. The tool copies the tree, without `.git` and caches, to a
 temporary directory. It first runs every listed test there, unmutated: they
 must pass. Then it applies one mutant at a time and runs
 `python -m pytest -x -q` on that mutant's tests. A mutant survives when they
-pass. Names on the command line run only those mutants.
+pass.
 
 Prints one line per mutant and the seconds its run took. The outcomes are:
 - `killed`: a test failed (pytest exit code 1);
@@ -18,8 +18,8 @@ Prints one line per mutant and the seconds its run took. The outcomes are:
 - `NO MATCH`: the old text does not occur exactly once, so a refactor that
   changes the text must update the table.
 
-Exits 1 if any mutant is not `killed` or the unmutated tests fail, 2 for an
-unknown mutant name, and 0 otherwise.
+Exits 1 if any mutant is not `killed` or the unmutated tests fail, and 0
+otherwise.
 """
 
 import os
@@ -72,6 +72,21 @@ MUTANTS = {
         "    a_ub[k:-1, 0] = slopes[folded]  # c_i >= 0 of each player with a floor\n",
         "    a_ub[k:-1, 0] = 0.0\n",
         ["tests/test_design.py::TestFloorFold::test_floor_below_the_reward_share_keeps_c_nonnegative"]),
+    "fold_rows_with_two_coefficients": (
+        DESIGN,
+        "if count == 1 and coeff < 0.0 and",
+        "if coeff < 0.0 and",
+        ["tests/test_design.py::TestFloorFold::test_nothing_folds"]),
+    "no_fold": (
+        DESIGN,
+        "    rows = np.flatnonzero((b < 0.0) & (a[:, n] == 0.0))\n",
+        "    rows = np.flatnonzero((b < -math.inf) & (a[:, n] == 0.0))\n",
+        ["tests/test_design.py::TestFloorFold::test_sixty_floors_take_few_dual_pivots"]),
+    "fold_keeps_slopes_in_reward_column": (
+        DESIGN,
+        "a[:, :n] @ np.where(floors > 0.0, 0.0, slopes) + a[:, n]",
+        "a[:, :n] @ slopes + a[:, n]",
+        ["tests/test_design.py::TestBuildReformulation::test_row_composition_with_equilibrium_map"]),
     "fold_first_floor_not_tightest": (
         DESIGN,
         "coeff < 0.0 and floors[i] < rhs / coeff < math.inf:",
@@ -135,18 +150,13 @@ def pytest(tree: Path, tests) -> int:
     return run.returncode
 
 
-def main(names) -> int:
-    unknown = sorted(set(names) - set(MUTANTS))
-    if unknown:
-        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = {name: MUTANTS[name] for name in names} or MUTANTS
+def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as work:
         tree = Path(work) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".bench_work", "out"))
-        every_test = sorted({test for *_, tests in chosen.values() for test in tests})
+        every_test = sorted({test for *_, tests in MUTANTS.values() for test in tests})
         start = time.perf_counter()
         code = pytest(tree, every_test)
         if code:
@@ -154,7 +164,7 @@ def main(names) -> int:
                   f"({time.perf_counter() - start:.1f} s)")
             return 1
         print(f"unmutated tests pass ({time.perf_counter() - start:.1f} s)")
-        for name, (file, old, new, tests) in chosen.items():
+        for name, (file, old, new, tests) in MUTANTS.items():
             path = tree / file
             text = path.read_text()
             if text.count(old) != 1:
@@ -174,4 +184,4 @@ def main(names) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
